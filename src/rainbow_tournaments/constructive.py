@@ -32,7 +32,11 @@ from .errors import (
     NoProgressError,
     StageFailure,
 )
-from .matching import matching_with_forced_colors, perfect_matching
+from .matching import (
+    matching_with_forced_colors,
+    max_matching,
+    perfect_matching,
+)
 
 __all__ = [
     "LocalMedianOrder",
@@ -195,9 +199,6 @@ class HPartition:
             seen |= p
         if len(set(self.separators)) != len(self.separators):
             return False
-        if seen != set(range(t.n)) and len(seen) != t.n:
-            # partitions of induced subsets are validated by the caller
-            pass
         for b in self.blocks:
             if not (self.gamma * self.ell <= len(b) <= self.ell):
                 return False
@@ -453,10 +454,9 @@ def rainbow_ham_path_forcing_color(
     used.add(c)
     if ins:
         free = [c for c in range(m) if c not in used]
-        sub2, o2n = induced_collection(tc, ins)
+        sub2, o2n = induced_collection(restrict_colors(tc, free), ins)
         n2o = {b: a for a, b in o2n.items()}
-        sub2r = restrict_colors(sub2, free)
-        q = rainbow_ham_path_one_spare(sub2r)
+        q = rainbow_ham_path_one_spare(sub2)
         qpath = [n2o[x] for x in q.vertices]
         qcolors = [free[c] for c in q.colors]
         used.update(qcolors)
@@ -530,18 +530,17 @@ def rainbow_ham_path_forcing_set(
         return got
 
     def block_path(bverts: list[int], force: Optional[int]) -> RainbowPath:
-        sub, o2n = induced_collection(tc, sorted(bverts))
-        n2o = {b: a for a, b in o2n.items()}
         if force is None:
             budget = take(len(bverts) + 1)
-            subr = restrict_colors(sub, budget)
-            p = rainbow_ham_path_one_spare(subr)
-            cols = [budget[c] for c in p.colors]
         else:
             budget = take(2 * len(bverts) - 1) + [force]
-            subr = restrict_colors(sub, budget)
-            p = rainbow_ham_path_forcing_color(subr, len(budget) - 1)
-            cols = [budget[c] for c in p.colors]
+        sub, o2n = induced_collection(restrict_colors(tc, budget), bverts)
+        n2o = {b: a for a, b in o2n.items()}
+        if force is None:
+            p = rainbow_ham_path_one_spare(sub)
+        else:
+            p = rainbow_ham_path_forcing_color(sub, len(budget) - 1)
+        cols = [budget[c] for c in p.colors]
         return RainbowPath(
             vertices=tuple(n2o[x] for x in p.vertices), colors=tuple(cols)
         )
@@ -665,14 +664,6 @@ class Absorber:
     avail: tuple[int, ...]  # availability bitmask per target arc
 
 
-def _matching_ok(absorber_avail, a_mask: int, cset: Iterable[int]) -> bool:
-    allow = a_mask
-    for c in cset:
-        allow |= 1 << c
-    masks = [av & allow for av in absorber_avail]
-    return perfect_matching(masks) is not None
-
-
 def build_absorber(
     tc: TournamentCollection,
     target_arcs: Sequence[tuple[int, int]],
@@ -688,12 +679,18 @@ def build_absorber(
     matchings for ell-subsets C' of C, exhaustively when there are at most
     10^4 of them and otherwise by random plus adversarial (minimum-degree)
     probes.  Acceptance is therefore probabilistic; absorb() re-verifies.
+    Probes are warm-started from one matching of A into the target arcs
+    (augmenting paths keep matched arcs matched).  A perfect matching with
+    A plus C' uses all of A, so if A alone cannot be matched the candidate
+    is rejected without probes.
     """
     target_arcs = tuple(target_arcs)
     if len(target_arcs) < ell:
         raise ValueError("need at least ell target arcs")
     if ell < 0:
         raise ValueError("ell must be nonnegative")
+    if c_size < ell:
+        raise ValueError("C needs at least ell colors")
     avail_colors = list(dict.fromkeys(avail_colors))
     a_size = len(target_arcs) - ell
     if a_size + c_size > len(avail_colors):
@@ -714,9 +711,7 @@ def build_absorber(
         ccand = tuple(
             sorted(avail_colors[i] for i in picked[a_size:a_size + c_size])
         )
-        a_mask = 0
-        for c in acand:
-            a_mask |= 1 << c
+        a_mask = sum(1 << c for c in acand)
         if _verify_absorber(avail, a_mask, ccand, ell, rng):
             return Absorber(acand, ccand, target_arcs, ell, avail)
     raise AbsorberConstructionError(
@@ -725,22 +720,30 @@ def build_absorber(
 
 
 def _verify_absorber(avail, a_mask, ccand, ell, rng) -> bool:
+    base = max_matching([av & a_mask for av in avail])
+    if len(base) - base.count(-1) < a_mask.bit_count():
+        return False
+
+    def matching_ok(cset: Iterable[int]) -> bool:
+        allow = a_mask | sum(1 << c for c in cset)
+        masks = [av & allow for av in avail]
+        return perfect_matching(masks, start=base) is not None
+
     ncomb = math.comb(len(ccand), ell)
     if ncomb <= 10_000:
         return all(
-            _matching_ok(avail, a_mask, cs)
-            for cs in itertools.combinations(ccand, ell)
+            matching_ok(cs) for cs in itertools.combinations(ccand, ell)
         )
     # degree of a color = number of target arcs it can serve; the colors of
     # minimum degree make the hardest top-up set
     degs = sorted(
         ccand, key=lambda c: sum(1 for av in avail if (av >> c) & 1)
     )
-    if not _matching_ok(avail, a_mask, degs[:ell]):
+    if not matching_ok(degs[:ell]):
         return False
     for _ in range(200):
         cs = rng.choice(len(ccand), size=ell, replace=False)
-        if not _matching_ok(avail, a_mask, [ccand[i] for i in cs]):
+        if not matching_ok([ccand[i] for i in cs]):
             return False
     return True
 

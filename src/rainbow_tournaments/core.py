@@ -78,7 +78,7 @@ class Tournament:
         for v, mask in enumerate(self.out):
             if mask & ~full:
                 raise ValueError(f"out-mask of vertex {v} out of range")
-        mat = self._bool_matrix()
+        mat = self._bool_rows(range(self.n))[:, : self.n].astype(bool)
         if mat.diagonal().any():
             raise ValueError("self-loop present")
         both = mat & mat.T
@@ -91,15 +91,14 @@ class Tournament:
             v, u = map(int, np.argwhere(missing)[0])
             raise ValueError(f"pair ({v},{u}) not oriented exactly once")
 
-    def _bool_matrix(self) -> np.ndarray:
-        """Dense adjacency matrix; mat[u, v] iff u->v."""
+    def _bool_rows(self, rows: Sequence[int]) -> np.ndarray:
+        """Out-masks of the given vertices as 0/1 rows padded to bytes."""
         nbytes = (self.n + 7) // 8
-        buf = b"".join(m.to_bytes(nbytes, "little") for m in self.out)
-        bits = np.unpackbits(
-            np.frombuffer(buf, dtype=np.uint8).reshape(self.n, nbytes),
+        buf = b"".join(self.out[v].to_bytes(nbytes, "little") for v in rows)
+        return np.unpackbits(
+            np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes),
             axis=1, bitorder="little",
         )
-        return bits[:, : self.n].astype(bool)
 
     # -- constructors -------------------------------------------------
 
@@ -165,10 +164,9 @@ class Tournament:
     def restrict(self, vertices: Sequence[int]) -> "Tournament":
         """Induced subtournament; vertex k of the result is vertices[k]."""
         idx = np.asarray(vertices, dtype=np.intp)
-        sub = self._bool_matrix()[np.ix_(idx, idx)]
-        packed = np.packbits(
-            sub.astype(np.uint8), axis=1, bitorder="little"
-        )
+        # only the k selected rows are unpacked, not the full n x n matrix
+        sub = self._bool_rows(vertices)[:, idx]
+        packed = np.packbits(sub, axis=1, bitorder="little")
         k = len(vertices)
         # restriction of a valid tournament cannot break the invariants,
         # so the checked constructor is bypassed

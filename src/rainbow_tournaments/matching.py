@@ -18,13 +18,6 @@ __all__ = [
 ]
 
 
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _try_augment(
     slot: int,
     avail: Sequence[int],
@@ -32,7 +25,11 @@ def _try_augment(
     match_of_color: dict[int, int],
     visited: set[int],
 ) -> bool:
-    for c in _iter_bits(avail[slot]):
+    mask = avail[slot]
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        c = low.bit_length() - 1
         if c in visited:
             continue
         visited.add(c)
@@ -54,12 +51,22 @@ def max_matching(avail: Sequence[int]) -> list[int]:
         _try_augment(s, avail, match_of_slot, match_of_color, set())
     return match_of_slot
 
-def perfect_matching(avail: Sequence[int]) -> Optional[list[int]]:
-    """A matching saturating every slot, or None."""
-    match_of_slot = [-1] * len(avail)
-    match_of_color: dict[int, int] = {}
+
+def perfect_matching(
+    avail: Sequence[int], start: Optional[Sequence[int]] = None
+) -> Optional[list[int]]:
+    """A matching saturating every slot, or None.
+
+    ``start`` is an optional valid partial matching (color per slot, -1 =
+    unmatched) to extend.  Augmenting paths never unmatch a matched slot,
+    so only the slots it leaves unmatched are augmented from.
+    """
+    match_of_slot = [-1] * len(avail) if start is None else list(start)
+    match_of_color = {c: s for s, c in enumerate(match_of_slot) if c != -1}
     for s in range(len(avail)):
-        if not _try_augment(s, avail, match_of_slot, match_of_color, set()):
+        if match_of_slot[s] == -1 and not _try_augment(
+            s, avail, match_of_slot, match_of_color, set()
+        ):
             return None
     return match_of_slot
 
@@ -87,22 +94,32 @@ def matching_with_forced_colors(
             if (mask >> c) & 1:
                 slots_of_color[c].append(s)
 
-    def augment_color(c: int, visited_slots: set[int]) -> bool:
-        # Kuhn from the color side; during phase 1 every occupied slot is
-        # held by another forced color, which may itself be relocated.
-        for s in slots_of_color[c]:
-            if s in visited_slots:
+    def augment_color(root: int) -> bool:
+        # Kuhn from the color side, depth first on an explicit stack of
+        # (color, its slots, the slot its parent color would take); during
+        # phase 1 every occupied slot is held by another forced color, which
+        # may itself be relocated
+        visited: set[int] = set()
+        stack = [(root, iter(slots_of_color[root]), -1)]
+        while stack:
+            s = next((x for x in stack[-1][1] if x not in visited), None)
+            if s is None:
+                stack.pop()
                 continue
-            visited_slots.add(s)
+            visited.add(s)
             occupant = match_of_slot[s]
-            if occupant == -1 or augment_color(occupant, visited_slots):
+            if occupant != -1:
+                stack.append((occupant, iter(slots_of_color[occupant]), s))
+                continue
+            for c, _, via in reversed(stack):
                 match_of_slot[s] = c
                 match_of_color[c] = s
-                return True
+                s = via
+            return True
         return False
 
     for c in forced:
-        if not augment_color(c, set()):
+        if not augment_color(c):
             return None
 
     for s in range(nslots):

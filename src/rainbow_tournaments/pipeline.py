@@ -170,19 +170,23 @@ def rainbow_dhp(
     params: PipelineParams,
     seed: int = 0,
     trace: Optional[list] = None,
+    colors: Optional[Sequence[int]] = None,
 ) -> RainbowPath:
-    """Rainbow Hamilton path from w0 to wr using every color exactly once.
+    """Rainbow Hamilton path from w0 to wr through the partitioned
+    vertices, using every color of ``colors`` (default: all) exactly once.
 
-    Expects m = n - 1 where n counts the partitioned vertices plus the two
-    endpoints; w0 must dominate the first block and the last block must
-    dominate wr in tmaj.  Raises StageFailure on any dead end; the caller
-    owns retries and oracle fallback.
+    Labels are those of tc.  Expects m = |colors| = n - 1 where n counts
+    the partitioned vertices plus the two endpoints; w0 must dominate the
+    first block and the last block must dominate wr in tmaj.  Raises
+    StageFailure on any dead end; the caller owns retries and fallback.
     """
-    n, m = tc.n, tc.m
-    if m != n - 1:
-        raise StageFailure("dhp-pre", f"expected m = n-1, got n={n} m={m}")
+    colors = sorted(colors) if colors is not None else list(range(tc.m))
     blocks = [list(b) for b in partition.blocks]
     seps = list(partition.separators)
+    n = 2 + len(seps) + sum(len(b) for b in blocks)
+    m = len(colors)
+    if m != n - 1:
+        raise StageFailure("dhp-pre", f"expected m = n-1, got n={n} m={m}")
     r = len(blocks)
     if r < 2:
         raise StageFailure("dhp-pre", "need at least two blocks")
@@ -211,7 +215,7 @@ def rainbow_dhp(
             "top-up block too small for the forced colors it must host",
         )
     perm = rng.permutation(m)
-    D = sorted(int(c) for c in perm[:d_size])
+    D = sorted(colors[c] for c in perm[:d_size])
     ledger.D = D
     dmask = 0
     for c in D:
@@ -219,9 +223,10 @@ def rainbow_dhp(
 
     # (P2)-style fast check: every candidate separator-incident arc should
     # see more than 2r colors of D; at this scale it rarely holds, so its
-    # outcome is recorded and the later matching is the actual guarantee
-    p2_ok = _p2_check(tc, blocks, seps, w0, wr, tau, D, r)
-    _trace(trace, "step1", D=len(D), r=r, tau=tau, l1=l1, l2=l2, p2=p2_ok)
+    # outcome is only traced and the later matching is the actual guarantee
+    if trace is not None:
+        _trace(trace, "step1", D=len(D), r=r, tau=tau, l1=l1, l2=l2,
+               p2=_p2_check(tc, blocks, seps, w0, wr, tau, dmask, r))
 
     # step 2: spanning paths for the absorber blocks, then the absorber
     q1_paths = {
@@ -236,7 +241,7 @@ def rainbow_dhp(
     c_used4 = len(blocks[tau]) + 1 - forced_extra
     ell = min(6, e_q1, max(1, c_used4))
     c_size = ell + c_used4
-    pool = [c for c in range(m) if not (dmask >> c) & 1]
+    pool = [c for c in colors if not (dmask >> c) & 1]
     absorber = build_absorber(
         tc, q1_arcs, pool, ell, c_size,
         retries=params.absorber_retries, seed=seed,
@@ -261,13 +266,12 @@ def rainbow_dhp(
         w = blocks[i]
         budget = B[b_at:b_at + len(w)]
         b_at += len(w)
-        sub, o2n = induced_collection(tc, sorted(w))
+        sub, o2n = induced_collection(restrict_colors(tc, budget), w)
         n2o = {b2: a for a, b2 in o2n.items()}
-        subr = restrict_colors(sub, budget)
         p = rainbow_ham_path_one_spare(
-            subr,
-            vertex_order=list(rng.permutation(len(w))),
-            color_order=list(rng.permutation(len(budget))),
+            sub,
+            vertex_order=rng.permutation(len(w)).tolist(),
+            color_order=rng.permutation(len(budget)).tolist(),
         )
         cols = tuple(budget[c] for c in p.colors)
         block_paths[i] = RainbowPath(
@@ -365,17 +369,14 @@ def rainbow_dhp(
             verts.append(seps[i])
     verts.append(wr)
     out = RainbowPath(vertices=tuple(verts), colors=tuple(cols))
-    if len(out.vertices) != n or set(out.colors) != set(range(m)):
+    if len(out.vertices) != n or set(out.colors) != set(colors):
         raise StageFailure("dhp-assemble", "color accounting failed")
     if not out.valid(tc):
         raise StageFailure("dhp-assemble", "assembled path is not transversal")
     return out
 
 
-def _p2_check(tc, blocks, seps, w0, wr, tau, D, r) -> bool:
-    dmask = 0
-    for c in D:
-        dmask |= 1 << c
+def _p2_check(tc, blocks, seps, w0, wr, tau, dmask, r) -> bool:
     need = 2 * r
     for i, blk in enumerate(blocks):
         if i == tau:
@@ -403,39 +404,26 @@ def _partition_for(tc: TournamentCollection, params: PipelineParams):
     return tmaj, hp
 
 
-def _middle_instance(tc, tmaj, hp, used: set[int]):
-    """Induce the sub-instance between the outer blocks; returns everything
-    rainbow_dhp needs, in local labels, plus the back-mapping."""
-    blocks = [list(b) for b in hp.blocks]
-    seps = list(hp.separators)
-    w0, wr = seps[0], seps[-1]
-    middle_blocks = blocks[1:-1]
-    mid_seps = seps[1:-1]
-    vset = sorted(
-        {w0, wr}.union(*[set(b) for b in middle_blocks], set(mid_seps))
-    )
-    sub, o2n = induced_collection(tc, vset)
-    n2o = {b: a for a, b in o2n.items()}
+def _middle_dhp(tc, tmaj, hp, used: set[int], params, seed, trace):
+    """rainbow_dhp between the outer blocks of hp, on the unused colors."""
+    seps = hp.separators
+    middle = HPartition(hp.blocks[1:-1], seps[1:-1], hp.ell, hp.gamma)
     free = [c for c in range(tc.m) if c not in used]
-    subr = restrict_colors(sub, free)
-    tmaj_sub = tmaj.restrict(vset)
-    part = HPartition(
-        tuple(tuple(o2n[v] for v in b) for b in middle_blocks),
-        tuple(o2n[s] for s in mid_seps),
-        hp.ell,
-        hp.gamma,
+    return rainbow_dhp(
+        tc, tmaj, middle, seps[0], seps[-1], params,
+        seed=seed, trace=trace, colors=free,
     )
-    return subr, tmaj_sub, part, o2n, n2o, free, w0, wr
 
 
 def _constructive_path(
     tc: TournamentCollection,
+    tmaj: Tournament,
+    hp: HPartition,
     params: PipelineParams,
     seed: int,
     trace: Optional[list],
 ) -> RainbowPath:
-    """One attempt of the partition + four-step assembly, free endpoints."""
-    tmaj, hp = _partition_for(tc, params)
+    """One attempt of the four-step assembly on hp, free endpoints."""
     blocks = [list(b) for b in hp.blocks]
     if len(blocks) < 4:
         raise StageFailure("path-pre", "too few blocks for the assembly")
@@ -463,15 +451,9 @@ def _constructive_path(
         tail_cols.append(c)
     _trace(trace, "outer", outer_colors=len(used))
 
-    subr, tmaj_sub, part, o2n, n2o, free, w0, wr = _middle_instance(
-        tc, tmaj, hp, used
-    )
-    mid = rainbow_dhp(
-        subr, tmaj_sub, part, o2n[w0], o2n[wr], params,
-        seed=seed, trace=trace,
-    )
-    verts = p0 + [n2o[v] for v in mid.vertices] + pl
-    cols = head_cols + [free[c] for c in mid.colors] + tail_cols
+    mid = _middle_dhp(tc, tmaj, hp, used, params, seed, trace)
+    verts = p0 + list(mid.vertices) + pl
+    cols = head_cols + list(mid.colors) + tail_cols
     return RainbowPath(vertices=tuple(verts), colors=tuple(cols))
 
 
@@ -502,17 +484,22 @@ def transversal_ham_path(
         _trace(trace, "reduce", kept_colors=n - 1)
     if mode == "exact" or (mode == "auto" and n <= params.oracle_fallback_n):
         return oracle.exact_transversal_ham_path(work, budget)
+    tmaj, hp = _partition_for(work, params)
     for attempt in range(params.dhp_retries):
         try:
             p = _constructive_path(
-                work, params, seed=params.seed + attempt, trace=trace
+                work, tmaj, hp, params, params.seed + attempt, trace
             )
+            if not p.valid(work) or len(p.vertices) != n:
+                raise StageFailure("path-assemble", "invalid witness")
             return OracleOutcome(
                 FOUND, p, millis=(time.perf_counter() - t0) * 1e3,
                 notes=f"constructive, attempt {attempt}",
             )
         except StageFailure as exc:
             _trace(trace, "attempt-failed", attempt=attempt, error=str(exc))
+            if exc.stage == "path-pre":
+                break  # the partition, hence this failure, ignores the seed
     if mode == "constructive":
         return OracleOutcome(
             BUDGET_EXHAUSTED, millis=(time.perf_counter() - t0) * 1e3,
@@ -606,7 +593,7 @@ def _case3_machine(
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([seed, 7, k]))
         )
-        vorder = list(rng.permutation(n))
+        vorder = rng.permutation(n).tolist()
         p = RainbowPath((vorder[0],), ())
         while len(p.vertices) < n:
             unused = set(range(tc.m)) - set(p.colors)
@@ -630,13 +617,13 @@ def _case3_machine(
 
 def _constructive_cycle(
     tc: TournamentCollection,
+    tmaj: Tournament,
+    hp: HPartition,
     params: PipelineParams,
     seed: int,
     trace: Optional[list],
 ) -> RainbowCycle:
-    """Partition, outer arc from y back to x, inner assembly in between."""
-    n = tc.n
-    tmaj, hp = _partition_for(tc, params)
+    """On hp: outer arc from y back to x, inner assembly in between."""
     blocks = [list(b) for b in hp.blocks]
     if len(blocks) < 4:
         raise StageFailure("cycle-pre", "too few blocks for the assembly")
@@ -670,19 +657,9 @@ def _constructive_cycle(
             used.add(c_out)
             _trace(trace, "cycle-outer", case=1, outer=len(used))
 
-            subr, tmaj_sub, part, o2n, n2o, free, w0, wr = _middle_instance(
-                tc, tmaj, hp, used
-            )
-            mid = rainbow_dhp(
-                subr, tmaj_sub, part, o2n[w0], o2n[wr], params,
-                seed=seed, trace=trace,
-            )
-            verts = (
-                [n2o[v] for v in mid.vertices] + [pl[0]] + outer_verts[1:]
-            )
-            cols = (
-                [free[c] for c in mid.colors] + [c_in] + outer_cols + [c_out]
-            )
+            mid = _middle_dhp(tc, tmaj, hp, used, params, seed, trace)
+            verts = list(mid.vertices) + [pl[0]] + outer_verts[1:]
+            cols = list(mid.colors) + [c_in] + outer_cols + [c_out]
             # verts currently w0..wr then pl then p0; close p0[-1] -> w0
             return RainbowCycle(vertices=tuple(verts), colors=tuple(cols))
     raise StageFailure("cycle-case1", "no closing arc found for any anchors")
@@ -728,10 +705,11 @@ def transversal_ham_cycle(
         if notes:
             out.notes = "; ".join(notes + ([out.notes] if out.notes else []))
         return out
+    tmaj, hp = _partition_for(work, params)
     for attempt in range(params.dhp_retries):
         try:
             cyc = _constructive_cycle(
-                work, params, seed=params.seed + attempt, trace=trace
+                work, tmaj, hp, params, params.seed + attempt, trace
             )
             if not cyc.valid(work) or len(cyc.vertices) != n:
                 raise StageFailure("cycle-assemble", "invalid witness")
@@ -741,6 +719,8 @@ def transversal_ham_cycle(
             )
         except StageFailure as exc:
             _trace(trace, "attempt-failed", attempt=attempt, error=str(exc))
+            if exc.stage == "cycle-pre":
+                break  # the partition, hence this failure, ignores the seed
     cyc = _case3_machine(tc=work, params=params, seed=params.seed, trace=trace)
     if cyc is not None and cyc.valid(work):
         return OracleOutcome(

@@ -1,16 +1,24 @@
 """Color absorbers: randomized construction and exchange guarantees."""
 
 import itertools
+import math
 
+import numpy as np
 import pytest
 
 from rainbow_tournaments import generators
-from rainbow_tournaments.constructive import Absorber, absorb, build_absorber
+from rainbow_tournaments.constructive import (
+    Absorber,
+    _verify_absorber,
+    absorb,
+    build_absorber,
+)
 from rainbow_tournaments.core import TournamentCollection
 from rainbow_tournaments.errors import (
     AbsorberConstructionError,
     AbsorptionFailedError,
 )
+from rainbow_tournaments.matching import perfect_matching
 
 
 def dense_instance(n, m, seed=0):
@@ -39,6 +47,12 @@ class TestBuildAbsorber:
         tc, arcs = dense_instance(8, 30)
         with pytest.raises(AbsorberConstructionError):
             build_absorber(tc, arcs, range(5), ell=2, c_size=10)
+
+    def test_reserve_smaller_than_ell_rejected(self):
+        # no ell-subset of C exists, so nothing could ever be absorbed
+        tc, arcs = dense_instance(8, 30)
+        with pytest.raises(ValueError):
+            build_absorber(tc, arcs, range(30), ell=3, c_size=2)
 
     def test_exhaustive_small_family(self):
         # all ell-subsets of C must absorb, checked one by one
@@ -94,3 +108,84 @@ class TestAbsorb:
         bad = Absorber(ab.A[:-1], ab.C, ab.target_arcs, ab.ell, ab.avail)
         with pytest.raises(AbsorptionFailedError):
             absorb(bad, [ab.C[0]])
+
+
+def reference_verify(avail, a_mask, ccand, ell, rng) -> bool:
+    """The absorber check with a from-scratch matching per probe."""
+    def ok(cset):
+        allow = a_mask
+        for c in cset:
+            allow |= 1 << c
+        return perfect_matching([av & allow for av in avail]) is not None
+
+    if math.comb(len(ccand), ell) <= 10_000:
+        return all(ok(cs) for cs in itertools.combinations(ccand, ell))
+    degs = sorted(
+        ccand, key=lambda c: sum(1 for av in avail if (av >> c) & 1)
+    )
+    if not ok(degs[:ell]):
+        return False
+    for _ in range(200):
+        cs = rng.choice(len(ccand), size=ell, replace=False)
+        if not ok([ccand[i] for i in cs]):
+            return False
+    return True
+
+
+def random_candidate(rng, n_arcs, ell, c_size, density):
+    """Target-arc masks over colors 0..m-1 and disjoint A (mask), C."""
+    m = n_arcs - ell + c_size + 5
+    avail = [
+        sum(1 << c for c in range(m) if rng.random() < density)
+        for _ in range(n_arcs)
+    ]
+    picked = rng.permutation(m).tolist()
+    a_mask = sum(1 << c for c in picked[:n_arcs - ell])
+    ccand = tuple(sorted(picked[n_arcs - ell:n_arcs - ell + c_size]))
+    return avail, a_mask, ccand
+
+
+class TestWarmStartedVerification:
+    """_verify_absorber agrees with a from-scratch matching per probe, in
+    its decision and in the random draws it consumes."""
+
+    def _agree(self, avail, a_mask, ccand, ell, seed) -> bool:
+        rng_new = np.random.default_rng(seed)
+        rng_ref = np.random.default_rng(seed)
+        got = _verify_absorber(avail, a_mask, ccand, ell, rng_new)
+        want = reference_verify(avail, a_mask, ccand, ell, rng_ref)
+        assert got == want
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        return got
+
+    @pytest.mark.parametrize("ell,c_size,n_arcs,branch", [
+        (2, 8, 8, "exhaustive"),
+        (0, 4, 6, "exhaustive"),
+        (3, 50, 10, "sampled"),
+    ])
+    def test_agrees_with_from_scratch_probes(self, ell, c_size, n_arcs,
+                                             branch):
+        assert (math.comb(c_size, ell) <= 10_000) == (branch == "exhaustive")
+        rng = np.random.default_rng(ell)
+        outcomes = set()
+        for k in range(60):
+            density = (0.2, 0.35, 0.5)[k % 3]
+            avail, a_mask, ccand = random_candidate(
+                rng, n_arcs, ell, c_size, density
+            )
+            outcomes.add(self._agree(avail, a_mask, ccand, ell, seed=k))
+        assert outcomes == {True, False}
+
+    def test_unsaturable_a_rejected_without_probes(self, monkeypatch):
+        # color 0 of A serves no target arc, so no top-up set can complete
+        avail = [0b1111110, 0b1111110, 0b1111110]
+        a_mask, ccand = 0b11, (4, 5, 6)
+        assert not self._agree(avail, a_mask, ccand, 1, seed=0)
+        calls = []
+        monkeypatch.setattr(
+            "rainbow_tournaments.constructive.perfect_matching",
+            lambda *a, **k: calls.append(a),
+        )
+        rng = np.random.default_rng(0)
+        assert not _verify_absorber(avail, a_mask, ccand, 1, rng)
+        assert calls == []

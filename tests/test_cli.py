@@ -6,7 +6,11 @@ import pytest
 
 from rainbow_tournaments import generators
 from rainbow_tournaments.cli import main
-from rainbow_tournaments.core import TournamentCollection
+from rainbow_tournaments.core import (
+    RainbowCycle,
+    TournamentCollection,
+    validate_transversal,
+)
 
 
 def run(capsys, *argv):
@@ -71,6 +75,22 @@ class TestSolve:
                         "--budget-nodes", "5", str(p))
         assert code == 1
         assert json.loads(out)["status"] == "BudgetExhausted"
+
+    def test_cycle_witness_from_longest_path_machine(self, tmp_path, capsys):
+        # auto mode answers this one with the longest-path machine, whose
+        # vertex order comes from a numpy permutation
+        dest = tmp_path / "sc.json"
+        run(capsys, "gen", "--kind", "random_strongly_connected", "-n", "30",
+            "-m", "30", "--seed", "1", "--out", str(dest))
+        code, out = run(capsys, "solve", "--mode", "cycle", str(dest))
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["status"] == "Found"
+        w = rec["witness"]
+        cyc = RainbowCycle(tuple(w["vertices"]), tuple(w["colors"]))
+        tc = TournamentCollection.from_json(dest.read_text())
+        assert len(cyc) == tc.n
+        assert validate_transversal(tc, cyc.arcs())
 
     def test_count_all(self, inst, capsys):
         code, out = run(capsys, "solve", "--count-all", inst)

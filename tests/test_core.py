@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import all_tournaments, directed_triangle
@@ -62,6 +63,18 @@ class TestTournament:
     def test_restrict_all_vertices_is_identity(self):
         t = generators.random_tournament(8, seed=5)
         assert t.restrict(range(8)) == t
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 63, 64, 65, 130])
+    def test_restrict_matches_dense_reference(self, n):
+        # word and byte boundaries of the packed rows, unsorted vertex lists
+        t = generators.random_tournament(n, seed=n)
+        dense = np.array([[t.has_arc(u, v) for v in range(n)]
+                          for u in range(n)])
+        rng = np.random.default_rng(n)
+        for k in (1, 2, n // 2, n - 1, n):
+            keep = rng.permutation(n)[:k].tolist()
+            ref = Tournament.from_bool_matrix(dense[np.ix_(keep, keep)])
+            assert t.restrict(keep) == ref
 
     def test_hash_and_eq(self):
         a = generators.random_tournament(6, seed=1)

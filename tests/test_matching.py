@@ -70,6 +70,42 @@ class TestMaxMatching:
         got = perfect_matching([0b01, 0b11])
         assert got == [0, 1]
 
+    def test_start_is_extended_not_recomputed(self):
+        # slot 0 keeps color 1 from the start; a from-scratch run gives 0
+        assert perfect_matching([0b11, 0b100]) == [0, 2]
+        assert perfect_matching([0b11, 0b100], start=[1, -1]) == [1, 2]
+
+    def test_start_relocated_by_augmenting_path(self):
+        # slot 1 only takes color 0, so slot 0 must move from 0 to 1
+        assert perfect_matching([0b11, 0b01], start=[0, -1]) == [1, 0]
+
+    def test_start_complete_or_empty(self):
+        assert perfect_matching([0b11, 0b11], start=[1, 0]) == [1, 0]
+        assert perfect_matching([0b11, 0b11], start=[-1, -1]) == \
+            perfect_matching([0b11, 0b11])
+        assert perfect_matching([], start=[]) == []
+
+    def test_start_none_when_no_perfect_matching(self):
+        assert perfect_matching([0b1, 0b1], start=[0, -1]) is None
+
+    def test_start_agrees_with_from_scratch(self):
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            k = int(rng.integers(1, 6))
+            m = int(rng.integers(1, 7))
+            avail = [int(rng.integers(0, 1 << m)) for _ in range(k)]
+            # any valid partial matching: a maximum matching of a submask
+            keep = int(rng.integers(0, 1 << m))
+            start = max_matching([a & keep for a in avail])
+            got = perfect_matching(avail, start=start)
+            want = perfect_matching(avail)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert len(set(got)) == k
+                assert all((avail[s] >> c) & 1 for s, c in enumerate(got))
+                # augmenting paths never unmatch a matched slot or color
+                assert {c for c in start if c != -1} <= set(got)
+
 
 class TestForcedColors:
     def test_infeasible_forced(self):
@@ -95,6 +131,20 @@ class TestForcedColors:
                 assert set(forced) <= set(got)
                 for s, c in enumerate(got):
                     assert (avail[s] >> c) & 1
+
+
+    def test_long_relocation_chain(self):
+        # the last forced color relocates every other one in turn, a chain
+        # deeper than the interpreter's recursion limit
+        nslots = 1501
+        avail = [(1 << 0) | (1 << 1500)] + [
+            (1 << (s - 1)) | (1 << s) for s in range(1, nslots)
+        ]
+        forced = list(range(1500)) + [1500]
+        got = matching_with_forced_colors(avail, forced)
+        assert got is not None
+        assert sorted(got) == list(range(nslots))
+        assert all((avail[s] >> c) & 1 for s, c in enumerate(got))
 
 
 class TestIncrementalMatcher:

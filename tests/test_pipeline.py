@@ -78,6 +78,50 @@ class TestPathSolver:
                 assert out.witness.is_hamilton(tc)
 
 
+    def test_invalid_constructive_witness_never_returned(self, monkeypatch):
+        tc = generators.random_collection(80, 79, seed=11)
+        good = transversal_ham_path(tc, mode="constructive").witness
+        short = RainbowPath(good.vertices[:-1], good.colors[:-1])
+        # every arc turned around: no tournament holds both directions
+        reversed_ = RainbowPath(good.vertices[::-1], good.colors[::-1])
+        assert short.valid(tc) and not reversed_.valid(tc)
+        partitions = []
+        real_partition = pipeline._partition_for
+        monkeypatch.setattr(
+            pipeline, "_partition_for",
+            lambda *a: partitions.append(1) or real_partition(*a),
+        )
+        for bad in (short, reversed_):
+            monkeypatch.setattr(pipeline, "_constructive_path",
+                                lambda *a, **k: bad)
+            trace = []
+            out = transversal_ham_path(tc, mode="constructive", trace=trace)
+            assert out.status == BUDGET_EXHAUSTED
+            fails = [ev["error"] for ev in trace
+                     if ev["stage"] == "attempt-failed"]
+            assert len(fails) == PipelineParams().dhp_retries
+            assert all(e.startswith("[path-assemble]") for e in fails)
+        # one partition per solve, however many attempts
+        assert len(partitions) == 2
+
+    @pytest.mark.parametrize("what", ["path", "cycle"])
+    def test_too_few_blocks_is_not_retried(self, what):
+        # the partition does not depend on the seed, so neither does this
+        n = 20
+        if what == "path":
+            tc = generators.random_collection(n, n - 1, seed=3)
+            solver = transversal_ham_path
+        else:
+            tc = generators.random_collection(n, n, seed=3,
+                                              strongly_connected_count=n - 1)
+            solver = transversal_ham_cycle
+        trace = []
+        solver(tc, mode="constructive", trace=trace)
+        fails = [ev["error"] for ev in trace
+                 if ev["stage"] == "attempt-failed"]
+        assert fails == [f"[{what}-pre] too few blocks for the assembly"]
+
+
 class TestExchangeStep:
     def test_prepend_splice_append(self):
         tc = generators.random_collection(10, 10, seed=5)
