@@ -2,7 +2,8 @@
 
 Instance I/O uses the canonical collection JSON; solve emits an outcome
 JSON object and, with --trace, a JSON-lines stage log.  Exit status is 0
-exactly when no failure occurred.
+exactly when no failure occurred; solve exits 1 when its budget ran out
+and 2, with one error line, when the instance cannot be read.
 """
 
 from __future__ import annotations
@@ -43,11 +44,9 @@ def _build_parser() -> argparse.ArgumentParser:
     grp = s.add_mutually_exclusive_group()
     grp.add_argument("--exact", action="store_true")
     grp.add_argument("--constructive", action="store_true")
-    grp.add_argument("--auto", action="store_true")
     s.add_argument("--mu", type=float, default=0.01)
     s.add_argument("--gamma", type=float, default=0.05)
     s.add_argument("--beta", type=float, default=0.1)
-    s.add_argument("--alpha", type=float, default=0.25)
     s.add_argument("--fallback-n", type=int, default=9)
     s.add_argument("--trace", type=str, default=None)
     s.add_argument("--count-all", action="store_true",
@@ -79,8 +78,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_collection(path: str) -> TournamentCollection:
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return TournamentCollection.from_json(text)
+    if path == "-":
+        return TournamentCollection.from_json(sys.stdin.read())
+    with open(path) as fh:
+        return TournamentCollection.from_json(fh.read())
 
 
 def _cmd_gen(args) -> int:
@@ -98,7 +99,13 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    tc = _read_collection(args.input)
+    try:
+        tc = _read_collection(args.input)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        print(f"rainbow-tournaments: error: cannot read instance "
+              f"{args.input!r}: {detail}", file=sys.stderr)
+        return 2
     if args.count_all:
         print(json.dumps(
             {"count": oracle.count_transversal_ham_paths(tc)}
@@ -115,7 +122,7 @@ def _cmd_solve(args) -> int:
     elif args.constructive:
         mode = "constructive"
     params = pipeline.PipelineParams(
-        mu=args.mu, gamma=args.gamma, beta=args.beta, alpha=args.alpha,
+        mu=args.mu, gamma=args.gamma, beta=args.beta,
         seed=args.seed, oracle_fallback_n=args.fallback_n,
     )
     trace = [] if args.trace else None

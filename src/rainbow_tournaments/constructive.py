@@ -21,6 +21,7 @@ from .core import (
     RainbowPath,
     Tournament,
     TournamentCollection,
+    _bits,
     induced_collection,
     majority_subtournament,
 )
@@ -37,6 +38,7 @@ from .matching import (
     max_matching,
     perfect_matching,
 )
+from .oracle import _arc_masks, _order_masks
 
 __all__ = [
     "LocalMedianOrder",
@@ -379,21 +381,10 @@ def _forcing_color_base(
     tc: TournamentCollection, i: int
 ) -> Optional[RainbowPath]:
     """Exhaustive search for a rainbow Hamilton path using color i (n <= 7)."""
-    n = tc.n
-    masks = [[0] * n for _ in range(n)]
-    for c, t in enumerate(tc.tournaments):
-        for (u, v) in t.arcs():
-            masks[u][v] |= 1 << c
-    for perm in itertools.permutations(range(n)):
-        avail = []
-        ok = True
-        for k in range(n - 1):
-            mask = masks[perm[k]][perm[k + 1]]
-            if not mask:
-                ok = False
-                break
-            avail.append(mask)
-        if not ok or not any((a >> i) & 1 for a in avail):
+    masks = _arc_masks(tc)
+    for perm in itertools.permutations(range(tc.n)):
+        avail = _order_masks(masks, perm, cyclic=False)
+        if avail is None or not any((a >> i) & 1 for a in avail):
             continue
         got = matching_with_forced_colors(avail, [i])
         if got is not None:
@@ -464,13 +455,6 @@ def rainbow_ham_path_forcing_color(
         path = qpath + path
         colors = qcolors + [c2] + colors
     return RainbowPath(vertices=tuple(path), colors=tuple(colors))
-
-
-def _bits(mask: int) -> Iterable[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 # ---------------------------------------------------------------------------

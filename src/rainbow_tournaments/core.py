@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -78,7 +78,7 @@ class Tournament:
         for v, mask in enumerate(self.out):
             if mask & ~full:
                 raise ValueError(f"out-mask of vertex {v} out of range")
-        mat = self._bool_rows(range(self.n))[:, : self.n].astype(bool)
+        mat = self._bool_rows(range(self.n)).astype(bool)
         if mat.diagonal().any():
             raise ValueError("self-loop present")
         both = mat & mat.T
@@ -92,13 +92,23 @@ class Tournament:
             raise ValueError(f"pair ({v},{u}) not oriented exactly once")
 
     def _bool_rows(self, rows: Sequence[int]) -> np.ndarray:
-        """Out-masks of the given vertices as 0/1 rows padded to bytes."""
+        """Out-masks of the given vertices as 0/1 rows of length n."""
         nbytes = (self.n + 7) // 8
         buf = b"".join(self.out[v].to_bytes(nbytes, "little") for v in rows)
         return np.unpackbits(
             np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes),
-            axis=1, bitorder="little",
+            axis=1, count=self.n, bitorder="little",
         )
+
+    @classmethod
+    def _unchecked(cls, mat: np.ndarray) -> "Tournament":
+        """From 0/1 rows (mat[u, v] = 1 iff u->v) known to form a
+        tournament, skipping the validating constructor."""
+        t = object.__new__(cls)
+        t.n = mat.shape[0]
+        t.out = _pack_rows(mat)
+        t._hash = None
+        return t
 
     # -- constructors -------------------------------------------------
 
@@ -127,10 +137,7 @@ class Tournament:
     @classmethod
     def from_bool_matrix(cls, mat: np.ndarray) -> "Tournament":
         """Build from a dense adjacency matrix (mat[u, v] truthy iff u->v)."""
-        n = mat.shape[0]
-        packed = np.packbits(mat.astype(np.uint8), axis=1, bitorder="little")
-        out = [int.from_bytes(packed[v].tobytes(), "little") for v in range(n)]
-        return cls(n, out)
+        return cls(mat.shape[0], _pack_rows(mat.astype(np.uint8)))
 
     # -- queries ------------------------------------------------------
 
@@ -149,11 +156,8 @@ class Tournament:
 
     def arcs(self):
         for u in range(self.n):
-            mask = self.out[u]
-            while mask:
-                low = mask & -mask
-                yield u, low.bit_length() - 1
-                mask ^= low
+            for v in _bits(self.out[u]):
+                yield u, v
 
     def pair_bits(self) -> str:
         chunks = []
@@ -164,19 +168,9 @@ class Tournament:
     def restrict(self, vertices: Sequence[int]) -> "Tournament":
         """Induced subtournament; vertex k of the result is vertices[k]."""
         idx = np.asarray(vertices, dtype=np.intp)
-        # only the k selected rows are unpacked, not the full n x n matrix
-        sub = self._bool_rows(vertices)[:, idx]
-        packed = np.packbits(sub, axis=1, bitorder="little")
-        k = len(vertices)
-        # restriction of a valid tournament cannot break the invariants,
-        # so the checked constructor is bypassed
-        t = object.__new__(Tournament)
-        t.n = k
-        t.out = tuple(
-            int.from_bytes(packed[v].tobytes(), "little") for v in range(k)
-        )
-        t._hash = None
-        return t
+        # only the k selected rows are unpacked, not the full n x n matrix;
+        # restriction of a valid tournament cannot break the invariants
+        return Tournament._unchecked(self._bool_rows(vertices)[:, idx])
 
     def __eq__(self, other) -> bool:
         return (
@@ -287,27 +281,27 @@ class ColoredDigraph:
 
 
 @dataclass(frozen=True)
-class RainbowPath:
-    """A vertex sequence with one color per step; vertices and colors distinct."""
+class _RainbowWalk:
+    """Distinct vertices, and one color per arc with colors distinct;
+    arc t runs from vertices[t] to the next vertex, cyclically."""
 
     vertices: tuple[int, ...]
     colors: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.vertices) != len(self.colors) + 1:
-            raise ValueError("a path on k vertices has k-1 colored arcs")
         if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("path vertices must be distinct")
+            raise ValueError(f"{self._kind} vertices must be distinct")
         if len(set(self.colors)) != len(self.colors):
-            raise ValueError("path colors must be distinct")
+            raise ValueError(f"{self._kind} colors must be distinct")
 
     def __len__(self) -> int:
         return len(self.vertices)
 
     def arcs(self) -> ColoredDigraph:
+        k = len(self.vertices)
         trip = tuple(
-            (self.vertices[t], self.vertices[t + 1], self.colors[t])
-            for t in range(len(self.colors))
+            (self.vertices[t], self.vertices[(t + 1) % k], c)
+            for t, c in enumerate(self.colors)
         )
         return ColoredDigraph(trip)
 
@@ -319,38 +313,29 @@ class RainbowPath:
 
 
 @dataclass(frozen=True)
-class RainbowCycle:
+class RainbowPath(_RainbowWalk):
+    """A vertex sequence with one color per step; vertices and colors distinct."""
+
+    _kind = "path"
+
+    def __post_init__(self):
+        if len(self.vertices) != len(self.colors) + 1:
+            raise ValueError("a path on k vertices has k-1 colored arcs")
+        super().__post_init__()
+
+
+@dataclass(frozen=True)
+class RainbowCycle(_RainbowWalk):
     """A cyclic vertex sequence; colors[k-1] colors the closing arc."""
 
-    vertices: tuple[int, ...]
-    colors: tuple[int, ...]
+    _kind = "cycle"
 
     def __post_init__(self):
         if len(self.vertices) != len(self.colors):
             raise ValueError("a cycle on k vertices has k colored arcs")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("cycle vertices must be distinct")
-        if len(set(self.colors)) != len(self.colors):
-            raise ValueError("cycle colors must be distinct")
+        super().__post_init__()
         if len(self.vertices) < 3:
             raise ValueError("directed cycles need at least three vertices")
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def arcs(self) -> ColoredDigraph:
-        k = len(self.vertices)
-        trip = tuple(
-            (self.vertices[t], self.vertices[(t + 1) % k], self.colors[t])
-            for t in range(k)
-        )
-        return ColoredDigraph(trip)
-
-    def valid(self, coll: TournamentCollection) -> bool:
-        return validate_transversal(coll, self.arcs())
-
-    def is_hamilton(self, coll: TournamentCollection) -> bool:
-        return len(self.vertices) == coll.n and self.valid(coll)
 
 
 @dataclass(frozen=True)
@@ -371,17 +356,47 @@ class MajorityDigraph:
 
 def color_set_of_arc(coll: TournamentCollection, u: int, v: int) -> set[int]:
     """Colors whose tournament contains the arc u->v."""
-    mask = coll.arc_color_mask(u, v)
-    return _mask_to_set(mask)
+    return set(_bits(coll.arc_color_mask(u, v)))
 
 
-def _mask_to_set(mask: int) -> set[int]:
-    out = set()
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
     while mask:
         low = mask & -mask
-        out.add(low.bit_length() - 1)
+        yield low.bit_length() - 1
         mask ^= low
+
+
+def _pack_rows(mat: np.ndarray) -> tuple[int, ...]:
+    """Each 0/1 row of mat as an int bitmask (column v is bit v)."""
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
+def _index_list(
+    items: Optional[Iterable[int]], size: int, what: str
+) -> list[int]:
+    """Sorted distinct items, all inside range(size); None means all of it.
+
+    what names the items in error messages ("color" or "vertex").
+    """
+    if items is None:
+        return list(range(size))
+    out = sorted(set(items))
+    if not out:
+        raise ValueError(f"{what} set must be nonempty")
+    if out[0] < 0 or out[-1] >= size:
+        raise ValueError(f"{what} indices out of range")
     return out
+
+
+def _pair_counts(coll: TournamentCollection, color_list: Sequence[int]) -> np.ndarray:
+    """counts[u, v] = number of listed colors whose tournament has u->v."""
+    n = coll.n
+    acc = np.zeros((n, n), dtype=np.uint32)
+    for i in color_list:
+        acc += coll.tournaments[i]._bool_rows(range(n))
+    return acc
 
 
 def threshold_digraph(
@@ -393,41 +408,12 @@ def threshold_digraph(
     gamma = Fraction(gamma).limit_denominator(10**9) if not isinstance(gamma, Fraction) else gamma
     if not 0 < gamma <= 1:
         raise ValueError("gamma must lie in (0, 1]")
-    if colors is None:
-        color_list = list(range(coll.m))
-    else:
-        color_list = sorted(set(colors))
-        if not color_list:
-            raise ValueError("color set must be nonempty")
-        if color_list[0] < 0 or color_list[-1] >= coll.m:
-            raise ValueError("colors out of range")
-    need = math.ceil(gamma * len(color_list))
-    need = max(need, 1)
-    arcs = set()
-    for u in range(coll.n):
-        for v in range(coll.n):
-            if u == v:
-                continue
-            cnt = sum(
-                1 for i in color_list if (coll.tournaments[i].out[u] >> v) & 1
-            )
-            if cnt >= need:
-                arcs.add((u, v))
-    return MajorityDigraph(coll.n, gamma, frozenset(arcs))
-
-
-def _pair_counts(coll: TournamentCollection, color_list: Sequence[int]) -> np.ndarray:
-    """counts[u, v] = number of listed colors whose tournament has u->v."""
-    n = coll.n
-    acc = np.zeros((n, n), dtype=np.uint32)
-    width = (n + 7) // 8
-    for i in color_list:
-        t = coll.tournaments[i]
-        rows = np.frombuffer(
-            b"".join(m.to_bytes(width, "little") for m in t.out), dtype=np.uint8
-        ).reshape(n, width)
-        acc += np.unpackbits(rows, axis=1, bitorder="little")[:, :n]
-    return acc
+    color_list = _index_list(colors, coll.m, "color")
+    need = max(math.ceil(gamma * len(color_list)), 1)
+    us, vs = np.nonzero(_pair_counts(coll, color_list) >= need)
+    return MajorityDigraph(
+        coll.n, gamma, frozenset(zip(us.tolist(), vs.tolist()))
+    )
 
 
 def majority_subtournament(
@@ -443,32 +429,9 @@ def majority_subtournament(
     gamma = Fraction(gamma) if not isinstance(gamma, Fraction) else gamma
     if gamma > Fraction(1, 2):
         raise ValueError("majority subtournament needs gamma <= 1/2")
-    if colors is None:
-        color_list = list(range(coll.m))
-    else:
-        color_list = sorted(set(colors))
-        if not color_list:
-            raise ValueError("color set must be nonempty")
-    n = coll.n
-    if n * n * len(color_list) >= 1 << 22:
-        counts = _pair_counts(coll, color_list)
-        fwd = counts >= (counts.T)  # u<v handled below
-        mat = np.zeros((n, n), dtype=bool)
-        iu = np.triu_indices(n, k=1)
-        mat[iu] = fwd[iu]
-        il = (iu[1], iu[0])
-        mat[il] = ~fwd[iu]
-        return Tournament.from_bool_matrix(mat)
-    out = [0] * n
-    for i, j in iter_pairs(n):
-        cnt = sum(
-            1 for c in color_list if (coll.tournaments[c].out[i] >> j) & 1
-        )
-        if 2 * cnt >= len(color_list):
-            out[i] |= 1 << j
-        else:
-            out[j] |= 1 << i
-    return Tournament(n, out)
+    counts = _pair_counts(coll, _index_list(colors, coll.m, "color"))
+    mat = np.triu(counts >= counts.T, 1) | np.tril(counts > counts.T, -1)
+    return Tournament._unchecked(mat)
 
 
 def induced_collection(
@@ -477,23 +440,11 @@ def induced_collection(
     colors: Optional[Iterable[int]] = None,
 ) -> tuple[TournamentCollection, dict[int, int]]:
     """Vertex- and/or color-induced collection, with the old->new vertex map."""
-    if vertices is None:
-        vert_list = list(range(coll.n))
-    else:
-        vert_list = sorted(set(vertices))
-        if not vert_list:
-            raise ValueError("vertex set must be nonempty")
-        if vert_list[0] < 0 or vert_list[-1] >= coll.n:
-            raise ValueError("vertices out of range")
-    if colors is None:
-        color_list = list(range(coll.m))
-    else:
-        color_list = sorted(set(colors))
-        if not color_list:
-            raise ValueError("color set must be nonempty")
-        if color_list[0] < 0 or color_list[-1] >= coll.m:
-            raise ValueError("colors out of range")
-    sub = [coll.tournaments[c].restrict(vert_list) for c in color_list]
+    vert_list = _index_list(vertices, coll.n, "vertex")
+    sub = [
+        coll.tournaments[c].restrict(vert_list)
+        for c in _index_list(colors, coll.m, "color")
+    ]
     vmap = {old: new for new, old in enumerate(vert_list)}
     return TournamentCollection(sub), vmap
 
@@ -511,6 +462,7 @@ def is_strongly_connected(t: Tournament) -> bool:
         while frontier:
             nxt = 0
             m = frontier
+            # inline, not _bits: hot in every strongly connected draw
             while m:
                 low = m & -m
                 nxt |= masks[low.bit_length() - 1]

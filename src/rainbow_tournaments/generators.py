@@ -132,17 +132,8 @@ def _bits_to_tournament(n: int, bits: np.ndarray) -> Tournament:
     iu = _triu_cache(n)
     mat[iu] = bits
     mat[(iu[1], iu[0])] = 1 - bits
-    np.fill_diagonal(mat, 0)
-    # correct by construction: exactly one direction per pair, no loops,
-    # so skip the validating constructor
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    t = object.__new__(Tournament)
-    t.n = n
-    t.out = tuple(
-        int.from_bytes(packed[v].tobytes(), "little") for v in range(n)
-    )
-    t._hash = None
-    return t
+    # exactly one direction per pair and no loops by construction
+    return Tournament._unchecked(mat)
 
 
 def _draw_tournament(n: int, seed: int, index: int, attempt: int) -> Tournament:

@@ -17,7 +17,13 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import constructive, generators, oracle, pipeline
-from .core import Tournament, TournamentCollection, majority_subtournament
+from .core import (
+    Tournament,
+    TournamentCollection,
+    is_strongly_connected,
+    majority_subtournament,
+    validate_transversal,
+)
 from .errors import ExceptionalConfigurationError
 
 __all__ = [
@@ -87,19 +93,81 @@ def _all_collections(n: int, m: int):
 # theorem suites
 
 
-def _task_theorem_path(args) -> dict:
-    kind, n, payload = args
-    if kind == "exhaustive":
+def _task_theorem(args) -> dict:
+    what, mode, n, payload = args
+    if mode == "exhaustive":
         tc = TournamentCollection.from_json(payload)
-    else:
+    elif what == "path":
         tc = generators.random_collection(n, n - 1, seed=payload)
-    out = oracle.exact_transversal_ham_path(tc)
+    else:
+        tc = generators.random_collection(
+            n, n, seed=payload, strongly_connected_count=n - 1
+        )
+    if what == "path":
+        out = oracle.exact_transversal_ham_path(tc)
+    else:
+        out = oracle.exact_transversal_ham_cycle(tc)
     rec = {"status": out.status}
     if out.found:
         rec["witness_valid"] = bool(out.witness.is_hamilton(tc))
     if out.status == oracle.NOT_EXISTS or not rec.get("witness_valid", True):
         rec["instance"] = tc.to_json()
     return rec
+
+
+def _exhaustive_collections(what: str, n: int):
+    """Every path instance (m = n-1), or every cycle instance (m = n) with
+    at least n-1 strongly connected members."""
+    if what == "path":
+        yield from _all_collections(n, n - 1)
+        return
+    for tc in _all_collections(n, n):
+        strong = sum(1 for t in tc.tournaments if is_strongly_connected(t))
+        if strong >= n - 1:
+            yield tc
+
+
+def _verify_theorem(
+    what: str,
+    n_min: int,
+    n_max: int,
+    mode: str,
+    seeds: Sequence[int],
+    jobs: int,
+) -> SuiteReport:
+    t0 = time.perf_counter()
+    rep = SuiteReport(suite=f"theorem-{what}-{mode}")
+    if mode == "exhaustive":
+        limit = 4 if what == "path" else 3
+        if n_max > limit:
+            raise ValueError(
+                f"exhaustive {what} sweep is limited to n <= {limit}"
+            )
+        tasks = [
+            (what, mode, n, tc.to_json())
+            for n in range(n_min, n_max + 1)
+            for tc in _exhaustive_collections(what, n)
+        ]
+    else:
+        tasks = [
+            (what, mode, n, s) for n in range(n_min, n_max + 1) for s in seeds
+        ]
+    results = _run_tasks(_task_theorem, tasks, jobs)
+    not_exists = []
+    for rec in results:
+        rep.instances += 1
+        if rec.get("witness_valid") is False:
+            rep.failures.append(
+                {"kind": "invalid-witness", "instance": rec["instance"]}
+            )
+        if rec["status"] == oracle.NOT_EXISTS:
+            not_exists.append(rec["instance"])
+    rep.stats = {
+        "not_exists": len(not_exists),
+        "not_exists_instances": not_exists[:64],
+    }
+    rep.wall_secs = time.perf_counter() - t0
+    return rep
 
 
 def verify_theorem_path(
@@ -114,54 +182,7 @@ def verify_theorem_path(
     Exhaustive mode enumerates every collection (n <= 4); NotExists
     instances are inventoried, invalid witnesses are failures.
     """
-    t0 = time.perf_counter()
-    rep = SuiteReport(suite=f"theorem-path-{mode}")
-    tasks = []
-    if mode == "exhaustive":
-        if n_max > 4:
-            raise ValueError("exhaustive path sweep is limited to n <= 4")
-        for n in range(n_min, n_max + 1):
-            for tc in _all_collections(n, n - 1):
-                tasks.append(("exhaustive", n, tc.to_json()))
-    else:
-        for n in range(n_min, n_max + 1):
-            for s in seeds:
-                tasks.append(("random", n, s))
-    results = _run_tasks(_task_theorem_path, tasks, jobs)
-    not_exists = []
-    for task, rec in zip(tasks, results):
-        rep.instances += 1
-        if rec.get("witness_valid") is False:
-            rep.failures.append(
-                {"kind": "invalid-witness", "instance": rec["instance"]}
-            )
-        if rec["status"] == oracle.NOT_EXISTS:
-            not_exists.append(rec["instance"])
-    rep.stats = {
-        "not_exists": len(not_exists),
-        "not_exists_instances": not_exists[:64],
-    }
-    rep.wall_secs = time.perf_counter() - t0
-    return rep
-
-
-def _task_theorem_cycle(args) -> dict:
-    kind, n, payload = args
-    if kind == "exhaustive":
-        tc = TournamentCollection.from_json(payload)
-    else:
-        tc = generators.random_collection(
-            n, n, seed=payload, strongly_connected_count=n - 1
-        )
-    out = oracle.exact_transversal_ham_cycle(tc)
-    rec = {"status": out.status}
-    if out.found:
-        rec["witness_valid"] = bool(
-            out.witness.valid(tc) and len(out.witness.vertices) == tc.n
-        )
-    if out.status == oracle.NOT_EXISTS or not rec.get("witness_valid", True):
-        rec["instance"] = tc.to_json()
-    return rec
+    return _verify_theorem("path", n_min, n_max, mode, seeds, jobs)
 
 
 def verify_theorem_cycle(
@@ -173,41 +194,7 @@ def verify_theorem_cycle(
 ) -> SuiteReport:
     """Cycle-existence sweep with m = n and at least n-1 strongly connected
     members; exhaustive mode (n=3) filters the full enumeration."""
-    t0 = time.perf_counter()
-    rep = SuiteReport(suite=f"theorem-cycle-{mode}")
-    tasks = []
-    if mode == "exhaustive":
-        if n_max > 3:
-            raise ValueError("exhaustive cycle sweep is limited to n = 3")
-        from .core import is_strongly_connected
-
-        for n in range(n_min, n_max + 1):
-            for tc in _all_collections(n, n):
-                strong = sum(
-                    1 for t in tc.tournaments if is_strongly_connected(t)
-                )
-                if strong >= n - 1:
-                    tasks.append(("exhaustive", n, tc.to_json()))
-    else:
-        for n in range(n_min, n_max + 1):
-            for s in seeds:
-                tasks.append(("random", n, s))
-    results = _run_tasks(_task_theorem_cycle, tasks, jobs)
-    not_exists = []
-    for task, rec in zip(tasks, results):
-        rep.instances += 1
-        if rec.get("witness_valid") is False:
-            rep.failures.append(
-                {"kind": "invalid-witness", "instance": rec["instance"]}
-            )
-        if rec["status"] == oracle.NOT_EXISTS:
-            not_exists.append(rec["instance"])
-    rep.stats = {
-        "not_exists": len(not_exists),
-        "not_exists_instances": not_exists[:64],
-    }
-    rep.wall_secs = time.perf_counter() - t0
-    return rep
+    return _verify_theorem("cycle", n_min, n_max, mode, seeds, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +333,6 @@ def _lemma_absorber(args) -> Optional[dict]:
         except Exception:
             return {"kind": "absorber-absorb", "n": n, "seed": seed,
                     "cprime": list(cpr), "instance": tc.to_json()}
-        from .core import validate_transversal
-
         want = sorted(list(ab.A) + list(cpr))
         got = sorted(c for _, _, c in cd.arcs)
         if got != want or not validate_transversal(tc, cd):

@@ -2,8 +2,10 @@
 
 Availability is passed as one bitmask per slot (bit c set = color c usable).
 Kuhn's augmenting-path algorithm is enough at the sizes this package works
-with; the incremental variant keeps per-depth snapshots so backtracking
-search can push and pop slots in O(current matching size).
+with.  Augmenting paths are searched iteratively on an explicit stack, so
+no recursion limit caps the number of slots.  The incremental variant keeps
+per-depth snapshots so backtracking search can push and pop slots in
+O(current matching size).
 """
 
 from __future__ import annotations
@@ -23,24 +25,39 @@ def _try_augment(
     avail: Sequence[int],
     match_of_slot: list[int],
     match_of_color: dict[int, int],
-    visited: set[int],
 ) -> bool:
-    mask = avail[slot]
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        c = low.bit_length() - 1
-        if c in visited:
-            continue
-        visited.add(c)
-        holder = match_of_color.get(c)
-        if holder is None or _try_augment(
-            holder, avail, match_of_slot, match_of_color, visited
-        ):
-            match_of_color[c] = slot
-            match_of_slot[slot] = c
+    """Kuhn's augmenting-path search from one slot, depth first.
+
+    An explicit stack replaces recursion, so chains of any length fit.  At
+    each depth the colors not yet visited are tried lowest bit first, as
+    the recursive form did; the stack holds (slot, its untried colors, the
+    color it would take) for every depth above the current one.
+    """
+    stack: list[tuple[int, int, int]] = []
+    s, mask = slot, avail[slot]
+    seen = 0
+    while True:
+        # inline, not _bits: hot in every oracle-exhaustive search node
+        mask &= ~seen
+        if mask:
+            low = mask & -mask
+            mask ^= low
+            seen |= low
+            c = low.bit_length() - 1
+            holder = match_of_color.get(c)
+            if holder is not None:
+                stack.append((s, mask, c))
+                s, mask = holder, avail[holder]
+                continue
+            match_of_color[c] = s
+            match_of_slot[s] = c
+            for s, _, c in stack:
+                match_of_color[c] = s
+                match_of_slot[s] = c
             return True
-    return False
+        if not stack:
+            return False
+        s, mask, _ = stack.pop()
 
 
 def max_matching(avail: Sequence[int]) -> list[int]:
@@ -48,7 +65,7 @@ def max_matching(avail: Sequence[int]) -> list[int]:
     match_of_slot = [-1] * len(avail)
     match_of_color: dict[int, int] = {}
     for s in range(len(avail)):
-        _try_augment(s, avail, match_of_slot, match_of_color, set())
+        _try_augment(s, avail, match_of_slot, match_of_color)
     return match_of_slot
 
 
@@ -65,7 +82,7 @@ def perfect_matching(
     match_of_color = {c: s for s, c in enumerate(match_of_slot) if c != -1}
     for s in range(len(avail)):
         if match_of_slot[s] == -1 and not _try_augment(
-            s, avail, match_of_slot, match_of_color, set()
+            s, avail, match_of_slot, match_of_color
         ):
             return None
     return match_of_slot
@@ -124,7 +141,7 @@ def matching_with_forced_colors(
 
     for s in range(nslots):
         if match_of_slot[s] == -1:
-            if not _try_augment(s, avail, match_of_slot, match_of_color, set()):
+            if not _try_augment(s, avail, match_of_slot, match_of_color):
                 return None
     return match_of_slot
 
@@ -152,18 +169,15 @@ class IncrementalMatcher:
         self.match_of_slot.append(-1)
         s = len(self.avail) - 1
         ok = _try_augment(
-            s, self.avail, self.match_of_slot, self.match_of_color, set()
+            s, self.avail, self.match_of_slot, self.match_of_color
         )
         if not ok:
-            self._revert()
+            self.pop()
         return ok
 
-    def _revert(self) -> None:
+    def pop(self) -> None:
         self.avail.pop()
         self.match_of_slot, self.match_of_color = self._stack.pop()
-
-    def pop(self) -> None:
-        self._revert()
 
     def colors_in_use(self) -> list[int]:
         return list(self.match_of_slot)

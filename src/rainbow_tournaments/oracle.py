@@ -12,9 +12,15 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
-from .core import ColoredDigraph, RainbowCycle, RainbowPath, TournamentCollection
+from .core import (
+    ColoredDigraph,
+    RainbowCycle,
+    RainbowPath,
+    TournamentCollection,
+    _bits,
+)
 from .matching import IncrementalMatcher, perfect_matching
 
 __all__ = [
@@ -100,6 +106,19 @@ class OracleOutcome:
         }
 
 
+def _outcome(
+    t0: float,
+    status: str,
+    witness: Optional[object] = None,
+    nodes: int = 0,
+    notes: str = "",
+) -> OracleOutcome:
+    """An outcome timed from t0 (a time.perf_counter() reading)."""
+    return OracleOutcome(
+        status, witness, nodes, (time.perf_counter() - t0) * 1e3, notes
+    )
+
+
 def _arc_masks(tc: TournamentCollection) -> list[list[int]]:
     """masks[u][v] = bitmask of colors whose tournament has the arc u->v."""
     n = tc.n
@@ -107,6 +126,7 @@ def _arc_masks(tc: TournamentCollection) -> list[list[int]]:
     for c, t in enumerate(tc.tournaments):
         for u in range(n):
             out = t.out[u]
+            # inline, not _bits: hot in every oracle-exhaustive solve
             while out:
                 low = out & -out
                 v = low.bit_length() - 1
@@ -115,19 +135,45 @@ def _arc_masks(tc: TournamentCollection) -> list[list[int]]:
     return masks
 
 
+def _order_masks(
+    masks: list[list[int]], order: Sequence[int], cyclic: bool
+) -> Optional[list[int]]:
+    """Color masks of the arcs along order, with the closing arc when
+    cyclic; None as soon as an arc has no color."""
+    avail = []
+    u = order[0]
+    for v in (*order[1:], u) if cyclic else order[1:]:
+        mask = masks[u][v]
+        if not mask:
+            return None
+        avail.append(mask)
+        u = v
+    return avail
+
+
+def _witness(
+    masks: list[list[int]], order: Sequence[int], cyclic: bool
+) -> Optional[RainbowPath | RainbowCycle]:
+    """order colored by a perfect matching of its arcs, or None."""
+    avail = _order_masks(masks, order, cyclic)
+    colors = perfect_matching(avail) if avail is not None else None
+    if colors is None:
+        return None
+    kind = RainbowCycle if cyclic else RainbowPath
+    return kind(vertices=tuple(order), colors=tuple(colors))
+
+
 def _search_path(
     tc: TournamentCollection,
     budget: SearchBudget,
     start: Optional[int],
     end: Optional[int],
-    use_matching_prune: bool,
 ) -> tuple[str, Optional[RainbowPath]]:
     n = tc.n
     masks = _arc_masks(tc)
-    matcher = IncrementalMatcher() if use_matching_prune else None
+    matcher = IncrementalMatcher()
     order: list[int] = []
     used = 0
-    full = (1 << n) - 1
 
     def extend() -> Optional[list[int]]:
         nonlocal used
@@ -141,18 +187,14 @@ def _search_path(
             if end is not None and v == end and len(order) != n - 1:
                 continue
             mask = masks[last][v]
-            if not mask:
+            if not mask or not matcher.push(mask):
                 continue
-            if matcher is not None:
-                if not matcher.push(mask):
-                    continue
             order.append(v)
             used |= 1 << v
             got = extend()
             order.pop()
             used ^= 1 << v
-            if matcher is not None:
-                matcher.pop()
+            matcher.pop()
             if got is not None:
                 return got
         return None
@@ -166,27 +208,10 @@ def _search_path(
         budget.tick()
         got = extend()
         if got is not None:
-            return FOUND, _finish_path(tc, masks, got)
+            wit = _witness(masks, got, cyclic=False)
+            assert wit is not None
+            return FOUND, wit
     return NOT_EXISTS, None
-
-
-def _finish_path(
-    tc: TournamentCollection, masks, order: Sequence[int]
-) -> RainbowPath:
-    avail = [masks[order[i]][order[i + 1]] for i in range(len(order) - 1)]
-    colors = perfect_matching(avail)
-    assert colors is not None
-    return RainbowPath(vertices=tuple(order), colors=tuple(colors))
-
-
-def _finish_cycle(
-    tc: TournamentCollection, masks, order: Sequence[int]
-) -> RainbowCycle:
-    n = len(order)
-    avail = [masks[order[i]][order[(i + 1) % n]] for i in range(n)]
-    colors = perfect_matching(avail)
-    assert colors is not None
-    return RainbowCycle(vertices=tuple(order), colors=tuple(colors))
 
 
 def exact_transversal_ham_path(
@@ -207,21 +232,14 @@ def exact_transversal_ham_path(
     budget.start()
     t0 = time.perf_counter()
     if tc.m < tc.n - 1:
-        return OracleOutcome(
-            NOT_EXISTS,
-            nodes_expanded=0,
-            millis=(time.perf_counter() - t0) * 1e3,
-            notes="fewer colors than arcs needed",
-        )
+        return _outcome(t0, NOT_EXISTS, notes="fewer colors than arcs needed")
     if not use_matching_prune:
         return _path_leaf_checked(tc, budget, start, end, t0)
     try:
-        status, wit = _search_path(tc, budget, start, end, True)
+        status, wit = _search_path(tc, budget, start, end)
     except _BudgetExceeded:
         status, wit = BUDGET_EXHAUSTED, None
-    return OracleOutcome(
-        status, wit, budget.nodes, (time.perf_counter() - t0) * 1e3
-    )
+    return _outcome(t0, status, wit, budget.nodes)
 
 
 def _path_leaf_checked(tc, budget, start, end, t0) -> OracleOutcome:
@@ -230,11 +248,7 @@ def _path_leaf_checked(tc, budget, start, end, t0) -> OracleOutcome:
 
     def walk(order: list[int], used: int) -> Optional[RainbowPath]:
         if len(order) == n:
-            avail = [masks[order[i]][order[i + 1]] for i in range(n - 1)]
-            colors = perfect_matching(avail)
-            if colors is not None:
-                return RainbowPath(vertices=tuple(order), colors=tuple(colors))
-            return None
+            return _witness(masks, order, cyclic=False)
         budget.tick()
         last = order[-1]
         for v in range(n):
@@ -252,17 +266,10 @@ def _path_leaf_checked(tc, budget, start, end, t0) -> OracleOutcome:
             budget.tick()
             got = walk([s], 1 << s)
             if got is not None:
-                return OracleOutcome(
-                    FOUND, got, budget.nodes, (time.perf_counter() - t0) * 1e3
-                )
+                return _outcome(t0, FOUND, got, budget.nodes)
     except _BudgetExceeded:
-        return OracleOutcome(
-            BUDGET_EXHAUSTED, None, budget.nodes,
-            (time.perf_counter() - t0) * 1e3,
-        )
-    return OracleOutcome(
-        NOT_EXISTS, None, budget.nodes, (time.perf_counter() - t0) * 1e3
-    )
+        return _outcome(t0, BUDGET_EXHAUSTED, nodes=budget.nodes)
+    return _outcome(t0, NOT_EXISTS, nodes=budget.nodes)
 
 
 def exact_transversal_ham_cycle(
@@ -278,17 +285,9 @@ def exact_transversal_ham_cycle(
     t0 = time.perf_counter()
     n = tc.n
     if tc.m < n:
-        return OracleOutcome(
-            NOT_EXISTS, nodes_expanded=0,
-            millis=(time.perf_counter() - t0) * 1e3,
-            notes="fewer colors than arcs needed",
-        )
+        return _outcome(t0, NOT_EXISTS, notes="fewer colors than arcs needed")
     if n < 3:
-        return OracleOutcome(
-            NOT_EXISTS, nodes_expanded=0,
-            millis=(time.perf_counter() - t0) * 1e3,
-            notes="cycles need at least 3 vertices",
-        )
+        return _outcome(t0, NOT_EXISTS, notes="cycles need at least 3 vertices")
     masks = _arc_masks(tc)
     matcher = IncrementalMatcher()
     order = [0]
@@ -323,109 +322,55 @@ def exact_transversal_ham_cycle(
     try:
         got = extend()
     except _BudgetExceeded:
-        return OracleOutcome(
-            BUDGET_EXHAUSTED, None, budget.nodes,
-            (time.perf_counter() - t0) * 1e3,
-        )
+        return _outcome(t0, BUDGET_EXHAUSTED, nodes=budget.nodes)
     if got is None:
-        return OracleOutcome(
-            NOT_EXISTS, None, budget.nodes, (time.perf_counter() - t0) * 1e3
-        )
-    return OracleOutcome(
-        FOUND, _finish_cycle(tc, masks, got), budget.nodes,
-        (time.perf_counter() - t0) * 1e3,
-    )
+        return _outcome(t0, NOT_EXISTS, nodes=budget.nodes)
+    wit = _witness(masks, got, cyclic=True)
+    assert wit is not None
+    return _outcome(t0, FOUND, wit, budget.nodes)
+
+
+def _perm_search(
+    tc: TournamentCollection, budget: Optional[SearchBudget], cyclic: bool
+) -> OracleOutcome:
+    """Try every vertex order (cycles anchored at vertex 0) with one
+    matching each."""
+    budget = budget or SearchBudget()
+    budget.start()
+    t0 = time.perf_counter()
+    n = tc.n
+    if cyclic and (n < 3 or tc.m < n):
+        return _outcome(t0, NOT_EXISTS, notes="too few vertices or colors")
+    if not cyclic and tc.m < n - 1:
+        return _outcome(t0, NOT_EXISTS, notes="fewer colors than arcs needed")
+    masks = _arc_masks(tc)
+    if cyclic:
+        orders = ((0,) + rest for rest in itertools.permutations(range(1, n)))
+    else:
+        orders = itertools.permutations(range(n))
+    try:
+        for perm in orders:
+            budget.tick()
+            wit = _witness(masks, perm, cyclic)
+            if wit is not None:
+                return _outcome(t0, FOUND, wit, budget.nodes)
+    except _BudgetExceeded:
+        return _outcome(t0, BUDGET_EXHAUSTED, nodes=budget.nodes)
+    return _outcome(t0, NOT_EXISTS, nodes=budget.nodes)
 
 
 def exact_transversal_ham_path_perm(
     tc: TournamentCollection, budget: Optional[SearchBudget] = None
 ) -> OracleOutcome:
     """Permutation-enumeration oracle; independent of the fast search."""
-    budget = budget or SearchBudget()
-    budget.start()
-    t0 = time.perf_counter()
-    n = tc.n
-    if tc.m < n - 1:
-        return OracleOutcome(
-            NOT_EXISTS, nodes_expanded=0,
-            millis=(time.perf_counter() - t0) * 1e3,
-            notes="fewer colors than arcs needed",
-        )
-    masks = _arc_masks(tc)
-    try:
-        for perm in itertools.permutations(range(n)):
-            budget.tick()
-            avail = []
-            ok = True
-            for i in range(n - 1):
-                mask = masks[perm[i]][perm[i + 1]]
-                if not mask:
-                    ok = False
-                    break
-                avail.append(mask)
-            if not ok:
-                continue
-            colors = perfect_matching(avail)
-            if colors is not None:
-                wit = RainbowPath(vertices=tuple(perm), colors=tuple(colors))
-                return OracleOutcome(
-                    FOUND, wit, budget.nodes,
-                    (time.perf_counter() - t0) * 1e3,
-                )
-    except _BudgetExceeded:
-        return OracleOutcome(
-            BUDGET_EXHAUSTED, None, budget.nodes,
-            (time.perf_counter() - t0) * 1e3,
-        )
-    return OracleOutcome(
-        NOT_EXISTS, None, budget.nodes, (time.perf_counter() - t0) * 1e3
-    )
+    return _perm_search(tc, budget, cyclic=False)
 
 
 def exact_transversal_ham_cycle_perm(
     tc: TournamentCollection, budget: Optional[SearchBudget] = None
 ) -> OracleOutcome:
     """Permutation-enumeration cycle oracle, anchored at vertex 0."""
-    budget = budget or SearchBudget()
-    budget.start()
-    t0 = time.perf_counter()
-    n = tc.n
-    if n < 3 or tc.m < n:
-        return OracleOutcome(
-            NOT_EXISTS, nodes_expanded=0,
-            millis=(time.perf_counter() - t0) * 1e3,
-            notes="too few vertices or colors",
-        )
-    masks = _arc_masks(tc)
-    try:
-        for rest in itertools.permutations(range(1, n)):
-            budget.tick()
-            perm = (0,) + rest
-            avail = []
-            ok = True
-            for i in range(n):
-                mask = masks[perm[i]][perm[(i + 1) % n]]
-                if not mask:
-                    ok = False
-                    break
-                avail.append(mask)
-            if not ok:
-                continue
-            colors = perfect_matching(avail)
-            if colors is not None:
-                wit = RainbowCycle(vertices=perm, colors=tuple(colors))
-                return OracleOutcome(
-                    FOUND, wit, budget.nodes,
-                    (time.perf_counter() - t0) * 1e3,
-                )
-    except _BudgetExceeded:
-        return OracleOutcome(
-            BUDGET_EXHAUSTED, None, budget.nodes,
-            (time.perf_counter() - t0) * 1e3,
-        )
-    return OracleOutcome(
-        NOT_EXISTS, None, budget.nodes, (time.perf_counter() - t0) * 1e3
-    )
+    return _perm_search(tc, budget, cyclic=True)
 
 
 def count_transversal_ham_paths(tc: TournamentCollection) -> int:
@@ -440,17 +385,9 @@ def count_transversal_ham_paths(tc: TournamentCollection) -> int:
     masks = _arc_masks(tc)
     total = 0
     for perm in itertools.permutations(range(n)):
-        avail = []
-        ok = True
-        for i in range(n - 1):
-            mask = masks[perm[i]][perm[i + 1]]
-            if not mask:
-                ok = False
-                break
-            avail.append(mask)
-        if not ok:
-            continue
-        total += _count_matchings(avail, 0, 0)
+        avail = _order_masks(masks, perm, cyclic=False)
+        if avail is not None:
+            total += _count_matchings(avail, 0, 0)
     return total
 
 
@@ -458,11 +395,8 @@ def _count_matchings(avail: list[int], i: int, used: int) -> int:
     if i == len(avail):
         return 1
     total = 0
-    free = avail[i] & ~used
-    while free:
-        low = free & -free
-        free ^= low
-        total += _count_matchings(avail, i + 1, used | low)
+    for c in _bits(avail[i] & ~used):
+        total += _count_matchings(avail, i + 1, used | 1 << c)
     return total
 
 
@@ -508,18 +442,11 @@ def exact_rainbow_path(
     try:
         found = dfs(start)
     except _BudgetExceeded:
-        return OracleOutcome(
-            BUDGET_EXHAUSTED, None, budget.nodes,
-            (time.perf_counter() - t0) * 1e3,
-        )
+        return _outcome(t0, BUDGET_EXHAUSTED, nodes=budget.nodes)
     if not found:
-        return OracleOutcome(
-            NOT_EXISTS, None, budget.nodes, (time.perf_counter() - t0) * 1e3
-        )
+        return _outcome(t0, NOT_EXISTS, nodes=budget.nodes)
     wit = RainbowPath(vertices=tuple(path), colors=tuple(colors))
-    return OracleOutcome(
-        FOUND, wit, budget.nodes, (time.perf_counter() - t0) * 1e3
-    )
+    return _outcome(t0, FOUND, wit, budget.nodes)
 
 
 def is_strongly_rainbow_connected(cd: ColoredDigraph, n: int) -> bool:

@@ -20,6 +20,7 @@ import numpy as np
 from . import oracle
 from .constructive import (
     HPartition,
+    _fresh_color_for_arc,
     absorb,
     build_absorber,
     h_partition,
@@ -44,6 +45,7 @@ from .oracle import (
     NOT_EXISTS,
     OracleOutcome,
     SearchBudget,
+    _outcome,
 )
 
 __all__ = [
@@ -61,14 +63,13 @@ __all__ = [
 class PipelineParams:
     """Runtime constants for the constructive branch.
 
-    The hierarchy mu < gamma < beta < alpha <= 1/2 is enforced; the values
-    are configuration, not constants derived from an asymptotic proof.
+    The hierarchy mu < gamma < beta <= 1/2 is enforced; the values are
+    configuration, not constants derived from an asymptotic proof.
     """
 
     mu: float = 0.01
     gamma: float = 0.05
     beta: float = 0.1
-    alpha: float = 0.25
     seed: int = 0
     oracle_fallback_n: int = 9
     absorber_retries: int = 20
@@ -76,8 +77,8 @@ class PipelineParams:
     fallback_budget_nodes: int = 200_000
 
     def __post_init__(self):
-        if not (0 < self.mu < self.gamma < self.beta < self.alpha <= 0.5):
-            raise ValueError("need 0 < mu < gamma < beta < alpha <= 1/2")
+        if not (0 < self.mu < self.gamma < self.beta <= 0.5):
+            raise ValueError("need 0 < mu < gamma < beta <= 1/2")
 
 
 @dataclass
@@ -148,13 +149,16 @@ def _block_cap(n: int, params: PipelineParams) -> int:
     return max(24, math.ceil(params.mu * n), math.ceil(3 * math.sqrt(n)))
 
 
-def _greedy_color(
-    tc: TournamentCollection, u: int, v: int, used: set[int]
-) -> int:
-    for c in range(tc.m):
-        if c not in used and tc.tournaments[c].has_arc(u, v):
-            return c
-    raise StageFailure("greedy-color", f"no unused color has arc {u}->{v}")
+def _greedy_colors(
+    tc: TournamentCollection, arcs: Sequence[tuple[int, int]], used: set[int]
+) -> list[int]:
+    """A fresh color for each arc in turn, each added to used."""
+    cols = []
+    for u, v in arcs:
+        c = _fresh_color_for_arc(tc, u, v, used)
+        used.add(c)
+        cols.append(c)
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -221,22 +225,13 @@ def rainbow_dhp(
     for c in D:
         dmask |= 1 << c
 
-    # (P2)-style fast check: every candidate separator-incident arc should
-    # see more than 2r colors of D; at this scale it rarely holds, so its
-    # outcome is only traced and the later matching is the actual guarantee
-    if trace is not None:
-        _trace(trace, "step1", D=len(D), r=r, tau=tau, l1=l1, l2=l2,
-               p2=_p2_check(tc, blocks, seps, w0, wr, tau, dmask, r))
+    _trace(trace, "step1", D=len(D), r=r, tau=tau, l1=l1, l2=l2)
 
     # step 2: spanning paths for the absorber blocks, then the absorber
     q1_paths = {
         i: tournament_ham_path(tmaj, blocks[i], rng=rng) for i in l1
     }
-    q1_arcs = [
-        (p[k], p[k + 1])
-        for i in l1
-        for k, p in ((k, q1_paths[i]) for k in range(len(q1_paths[i]) - 1))
-    ]
+    q1_arcs = [a for i in l1 for a in zip(q1_paths[i], q1_paths[i][1:])]
     e_q1 = len(q1_arcs)
     c_used4 = len(blocks[tau]) + 1 - forced_extra
     ell = min(6, e_q1, max(1, c_used4))
@@ -260,7 +255,8 @@ def rainbow_dhp(
     _trace(trace, "step2", **ledger.snapshot(), e_q1=e_q1, ell=ell)
 
     # step 3: one-spare paths on the plain blocks over disjoint budgets
-    block_paths: dict[int, RainbowPath] = {}
+    block_paths = dict(q1_paths)  # vertex order of every block but tau
+    block_cols: dict[int, tuple[int, ...]] = {}  # their colors, l2 only
     b_at = 0
     for i in l2:
         w = blocks[i]
@@ -274,27 +270,18 @@ def rainbow_dhp(
             color_order=rng.permutation(len(budget)).tolist(),
         )
         cols = tuple(budget[c] for c in p.colors)
-        block_paths[i] = RainbowPath(
-            vertices=tuple(n2o[x] for x in p.vertices), colors=cols
-        )
+        block_paths[i] = [n2o[x] for x in p.vertices]
+        block_cols[i] = cols
         ledger.spend(cols)
         ledger.B_star.extend(c for c in budget if c not in cols)
-    for i in l1:
-        block_paths[i] = RainbowPath(
-            vertices=tuple(q1_paths[i]),
-            colors=tuple(range(-1, -len(q1_paths[i]), -1)),  # placeholder
-        )
 
     # reserved-color matching for the separator arcs (both sides of the
     # top-up block are excluded; they belong to step 4)
+    ends = [w0, *seps, wr]  # block i runs from ends[i] to ends[i + 1]
     spots: list[tuple[int, int]] = []
-    for i in range(r):
-        if i == tau:
-            continue
-        left = w0 if i == 0 else seps[i - 1]
-        right = wr if i == r - 1 else seps[i]
-        spots.append((left, block_paths[i].vertices[0]))
-        spots.append((block_paths[i].vertices[-1], right))
+    for i in others:
+        spots.append((ends[i], block_paths[i][0]))
+        spots.append((block_paths[i][-1], ends[i + 1]))
     avail = [tc.arc_color_mask(u, v) & dmask for (u, v) in spots]
     got = perfect_matching(avail)
     if got is None:
@@ -307,8 +294,6 @@ def rainbow_dhp(
 
     # step 4: force the stragglers through the top-up block, then absorb
     forced = sorted(set(ledger.B_star) | set(ledger.D_star))
-    a_left = w0 if tau == 0 else seps[tau - 1]
-    a_right = wr if tau == r - 1 else seps[tau]
     fc_mask = 0
     for c in forced + list(absorber.C):
         fc_mask |= 1 << c
@@ -316,12 +301,10 @@ def rainbow_dhp(
     tau_cols = None
     for _ in range(40):
         cand = tournament_ham_path(tmaj, blocks[tau], rng=rng)
-        arcs = (
-            [(a_left, cand[0])]
-            + [(cand[k], cand[k + 1]) for k in range(len(cand) - 1)]
-            + [(cand[-1], a_right)]
-        )
-        masks = [tc.arc_color_mask(u, v) & fc_mask for (u, v) in arcs]
+        stops = [ends[tau], *cand, ends[tau + 1]]
+        masks = [
+            tc.arc_color_mask(u, v) & fc_mask for u, v in zip(stops, stops[1:])
+        ]
         res = matching_with_forced_colors(masks, forced)
         if res is not None:
             tau_path, tau_cols = cand, res
@@ -341,54 +324,29 @@ def rainbow_dhp(
     ledger.spend(q1_color.values())
     _trace(trace, "step4", **ledger.snapshot())
 
-    # assemble, block by block
+    # assemble, block by block: the arc into the block, its path, the arc
+    # out of it
+    block_paths[tau] = tau_path
     verts = [w0]
     cols: list[int] = []
     for i in range(r):
-        left = w0 if i == 0 else seps[i - 1]
+        path = block_paths[i]
+        verts += path + [ends[i + 1]]
         if i == tau:
-            cols.append(tau_cols[0])
-            verts.extend(tau_path)
-            cols.extend(tau_cols[1:])
-            if i < r - 1:
-                verts.append(seps[i])
+            cols += tau_cols
             continue
-        bp = block_paths[i]
-        cols.append(sep_color[(left, bp.vertices[0])])
-        verts.extend(bp.vertices)
+        cols.append(sep_color[(ends[i], path[0])])
         if i in l1:
-            cols.extend(
-                q1_color[(bp.vertices[k], bp.vertices[k + 1])]
-                for k in range(len(bp.vertices) - 1)
-            )
+            cols += [q1_color[a] for a in zip(path, path[1:])]
         else:
-            cols.extend(bp.colors)
-        right = wr if i == r - 1 else seps[i]
-        cols.append(sep_color[(bp.vertices[-1], right)])
-        if i < r - 1:
-            verts.append(seps[i])
-    verts.append(wr)
+            cols += block_cols[i]
+        cols.append(sep_color[(path[-1], ends[i + 1])])
     out = RainbowPath(vertices=tuple(verts), colors=tuple(cols))
     if len(out.vertices) != n or set(out.colors) != set(colors):
         raise StageFailure("dhp-assemble", "color accounting failed")
     if not out.valid(tc):
         raise StageFailure("dhp-assemble", "assembled path is not transversal")
     return out
-
-
-def _p2_check(tc, blocks, seps, w0, wr, tau, dmask, r) -> bool:
-    need = 2 * r
-    for i, blk in enumerate(blocks):
-        if i == tau:
-            continue
-        left = w0 if i == 0 else seps[i - 1]
-        right = wr if i == len(blocks) - 1 else seps[i]
-        for v in blk:
-            if bin(tc.arc_color_mask(left, v) & dmask).count("1") <= need:
-                return False
-            if bin(tc.arc_color_mask(v, right) & dmask).count("1") <= need:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -433,28 +391,36 @@ def _constructive_path(
     used: set[int] = set()
     p0 = tournament_ham_path(tmaj, blocks[0], rng=rng)
     pl = tournament_ham_path(tmaj, blocks[-1], rng=rng)
-    head_cols = []
-    for k in range(len(p0) - 1):
-        c = _greedy_color(tc, p0[k], p0[k + 1], used)
-        used.add(c)
-        head_cols.append(c)
-    c = _greedy_color(tc, p0[-1], seps[0], used)
-    used.add(c)
-    head_cols.append(c)
-    tail_cols = []
-    c = _greedy_color(tc, seps[-1], pl[0], used)
-    used.add(c)
-    tail_cols.append(c)
-    for k in range(len(pl) - 1):
-        c = _greedy_color(tc, pl[k], pl[k + 1], used)
-        used.add(c)
-        tail_cols.append(c)
+    # the outer blocks and their arcs to the first and last separator
+    outer = (
+        list(zip(p0, p0[1:])) + [(p0[-1], seps[0]), (seps[-1], pl[0])]
+        + list(zip(pl, pl[1:]))
+    )
+    outer_cols = _greedy_colors(tc, outer, used)
     _trace(trace, "outer", outer_colors=len(used))
 
     mid = _middle_dhp(tc, tmaj, hp, used, params, seed, trace)
     verts = p0 + list(mid.vertices) + pl
-    cols = head_cols + list(mid.colors) + tail_cols
+    cols = outer_cols[:len(p0)] + list(mid.colors) + outer_cols[len(p0):]
     return RainbowPath(vertices=tuple(verts), colors=tuple(cols))
+
+
+def _attempts(kind: str, build, tc, params: PipelineParams, trace):
+    """Run build (the constructive path or cycle) with seeds params.seed,
+    params.seed + 1, ...; the first valid Hamilton witness comes back with
+    its note, or (None, None) once params.dhp_retries attempts failed."""
+    tmaj, hp = _partition_for(tc, params)
+    for attempt in range(params.dhp_retries):
+        try:
+            w = build(tc, tmaj, hp, params, params.seed + attempt, trace)
+            if not w.valid(tc) or len(w.vertices) != tc.n:
+                raise StageFailure(f"{kind}-assemble", "invalid witness")
+            return w, f"constructive, attempt {attempt}"
+        except StageFailure as exc:
+            _trace(trace, "attempt-failed", attempt=attempt, error=str(exc))
+            if exc.stage == f"{kind}-pre":
+                break  # the partition, hence this failure, ignores the seed
+    return None, None
 
 
 def transversal_ham_path(
@@ -474,36 +440,19 @@ def transversal_ham_path(
     t0 = time.perf_counter()
     n = tc.n
     if tc.m < n - 1:
-        return OracleOutcome(
-            NOT_EXISTS, millis=(time.perf_counter() - t0) * 1e3,
-            notes="fewer colors than arcs needed",
-        )
+        return _outcome(t0, NOT_EXISTS, notes="fewer colors than arcs needed")
     work = tc
     if tc.m > n - 1:
         work = restrict_colors(tc, list(range(n - 1)))
         _trace(trace, "reduce", kept_colors=n - 1)
     if mode == "exact" or (mode == "auto" and n <= params.oracle_fallback_n):
         return oracle.exact_transversal_ham_path(work, budget)
-    tmaj, hp = _partition_for(work, params)
-    for attempt in range(params.dhp_retries):
-        try:
-            p = _constructive_path(
-                work, tmaj, hp, params, params.seed + attempt, trace
-            )
-            if not p.valid(work) or len(p.vertices) != n:
-                raise StageFailure("path-assemble", "invalid witness")
-            return OracleOutcome(
-                FOUND, p, millis=(time.perf_counter() - t0) * 1e3,
-                notes=f"constructive, attempt {attempt}",
-            )
-        except StageFailure as exc:
-            _trace(trace, "attempt-failed", attempt=attempt, error=str(exc))
-            if exc.stage == "path-pre":
-                break  # the partition, hence this failure, ignores the seed
+    p, note = _attempts("path", _constructive_path, work, params, trace)
+    if p is not None:
+        return _outcome(t0, FOUND, p, notes=note)
     if mode == "constructive":
-        return OracleOutcome(
-            BUDGET_EXHAUSTED, millis=(time.perf_counter() - t0) * 1e3,
-            notes="constructive attempts exhausted",
+        return _outcome(
+            t0, BUDGET_EXHAUSTED, notes="constructive attempts exhausted"
         )
     budget = budget or SearchBudget(max_nodes=params.fallback_budget_nodes)
     out = oracle.exact_transversal_ham_path(work, budget)
@@ -640,25 +589,21 @@ def _constructive_cycle(
             c for c in range(tc.m) if tc.tournaments[c].has_arc(y, x)
         ]
         if close:
-            used: set[int] = set()
-            outer_verts = pl + p0
-            outer_cols: list[int] = []
-            used.add(close[0])
-            for k in range(len(outer_verts) - 1):
-                u2, v2 = outer_verts[k], outer_verts[k + 1]
-                c = close[0] if (u2, v2) == (y, x) else _greedy_color(
-                    tc, u2, v2, used
-                )
-                used.add(c)
-                outer_cols.append(c)
-            c_in = _greedy_color(tc, seps[-1], pl[0], used)
-            used.add(c_in)
-            c_out = _greedy_color(tc, p0[-1], seps[0], used)
-            used.add(c_out)
+            used = {close[0]}
+            # the arcs along pl and p0, then into pl and out of p0; the
+            # closing arc y->x between pl and p0 keeps close[0]
+            *block_cols, c_in, c_out = _greedy_colors(
+                tc,
+                list(zip(pl, pl[1:])) + list(zip(p0, p0[1:]))
+                + [(seps[-1], pl[0]), (p0[-1], seps[0])],
+                used,
+            )
+            k = len(pl) - 1
+            outer_cols = block_cols[:k] + [close[0]] + block_cols[k:]
             _trace(trace, "cycle-outer", case=1, outer=len(used))
 
             mid = _middle_dhp(tc, tmaj, hp, used, params, seed, trace)
-            verts = list(mid.vertices) + [pl[0]] + outer_verts[1:]
+            verts = list(mid.vertices) + pl + p0
             cols = list(mid.colors) + [c_in] + outer_cols + [c_out]
             # verts currently w0..wr then pl then p0; close p0[-1] -> w0
             return RainbowCycle(vertices=tuple(verts), colors=tuple(cols))
@@ -684,10 +629,7 @@ def transversal_ham_cycle(
     n = tc.n
     notes = []
     if tc.m < n or n < 3:
-        return OracleOutcome(
-            NOT_EXISTS, millis=(time.perf_counter() - t0) * 1e3,
-            notes="too few colors or vertices",
-        )
+        return _outcome(t0, NOT_EXISTS, notes="too few colors or vertices")
     work = tc
     if tc.m > n:
         work = restrict_colors(tc, list(range(n)))
@@ -705,31 +647,17 @@ def transversal_ham_cycle(
         if notes:
             out.notes = "; ".join(notes + ([out.notes] if out.notes else []))
         return out
-    tmaj, hp = _partition_for(work, params)
-    for attempt in range(params.dhp_retries):
-        try:
-            cyc = _constructive_cycle(
-                work, tmaj, hp, params, params.seed + attempt, trace
-            )
-            if not cyc.valid(work) or len(cyc.vertices) != n:
-                raise StageFailure("cycle-assemble", "invalid witness")
-            return OracleOutcome(
-                FOUND, cyc, millis=(time.perf_counter() - t0) * 1e3,
-                notes="; ".join(notes + [f"constructive, attempt {attempt}"]),
-            )
-        except StageFailure as exc:
-            _trace(trace, "attempt-failed", attempt=attempt, error=str(exc))
-            if exc.stage == "cycle-pre":
-                break  # the partition, hence this failure, ignores the seed
+    cyc, note = _attempts("cycle", _constructive_cycle, work, params, trace)
+    if cyc is not None:
+        return _outcome(t0, FOUND, cyc, notes="; ".join(notes + [note]))
     cyc = _case3_machine(tc=work, params=params, seed=params.seed, trace=trace)
     if cyc is not None and cyc.valid(work):
-        return OracleOutcome(
-            FOUND, cyc, millis=(time.perf_counter() - t0) * 1e3,
-            notes="; ".join(notes + ["longest-path machine"]),
+        return _outcome(
+            t0, FOUND, cyc, notes="; ".join(notes + ["longest-path machine"])
         )
     if mode == "constructive":
-        return OracleOutcome(
-            BUDGET_EXHAUSTED, millis=(time.perf_counter() - t0) * 1e3,
+        return _outcome(
+            t0, BUDGET_EXHAUSTED,
             notes="; ".join(notes + ["constructive attempts exhausted"]),
         )
     budget = budget or SearchBudget(max_nodes=params.fallback_budget_nodes)

@@ -61,7 +61,7 @@ class TestSolve:
 
     def test_solve_with_trace(self, inst, tmp_path, capsys):
         tr = tmp_path / "trace.jsonl"
-        code, out = run(capsys, "solve", "--mode", "path", "--auto",
+        code, out = run(capsys, "solve", "--mode", "path",
                         "--trace", str(tr), inst)
         assert code == 0
         # small n goes straight to the oracle; the trace file still exists
@@ -104,6 +104,41 @@ class TestSolve:
                             io.StringIO(open(inst).read()))
         code, out = run(capsys, "solve", "--mode", "path", "-")
         assert code == 0
+
+
+class TestMalformedInput:
+    """Unreadable instances exit 2 with one error line, no traceback."""
+
+    def solve_text(self, capsys, monkeypatch, text):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code = main(["solve", "-"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("rainbow-tournaments: error: ")
+        assert captured.err.count("\n") == 1
+        return captured.err
+
+    def test_missing_key(self, capsys, monkeypatch):
+        err = self.solve_text(capsys, monkeypatch, '{"n":3}')
+        assert "'m'" in err
+
+    def test_invalid_json(self, capsys, monkeypatch):
+        self.solve_text(capsys, monkeypatch, '{"n":3,')
+
+    def test_wrong_length_bit_string(self, capsys, monkeypatch):
+        err = self.solve_text(capsys, monkeypatch,
+                              '{"n":3,"m":1,"tournaments":["01"]}')
+        assert "length 3" in err
+
+    def test_missing_file(self, tmp_path, capsys):
+        code = main(["solve", str(tmp_path / "absent.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("rainbow-tournaments: error: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestVerify:

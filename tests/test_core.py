@@ -230,13 +230,26 @@ class TestMajoritySubtournament:
             d = threshold_digraph(tc, gamma=Fraction(1, 2))
             assert set(tmaj.arcs()) <= d.arcs
 
+    def test_colors_out_of_range_rejected(self):
+        tc = generators.random_collection(5, 3, seed=0)
+        for colors in ([], [3], [-1, 0]):
+            with pytest.raises(ValueError):
+                majority_subtournament(tc, colors)
+
     def test_vectorized_branch_matches_definition(self):
-        # n*n*m large enough to take the matrix path
-        tc = generators.random_collection(170, 170, seed=6)
-        got = majority_subtournament(tc)
-        for i, j in ((0, 1), (3, 99), (42, 169), (100, 101), (7, 150)):
-            cnt = tc.arc_color_mask(i, j).bit_count()
-            assert got.has_arc(i, j) == (2 * cnt >= 170)
+        # every pair; even m gives tied pairs, which go to the arc i->j
+        # with i < j
+        for n, m, seed in ((3, 2, 0), (10, 4, 1), (41, 8, 2), (130, 10, 3),
+                           (170, 170, 6)):
+            tc = generators.random_collection(n, m, seed=seed)
+            got = majority_subtournament(tc)
+            ties = 0
+            for i in range(n):
+                for j in range(i + 1, n):
+                    cnt = tc.arc_color_mask(i, j).bit_count()
+                    assert got.has_arc(i, j) == (2 * cnt >= m)
+                    ties += 2 * cnt == m
+            assert ties > 0 or m % 2
 
 
 class TestInducedCollection:

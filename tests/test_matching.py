@@ -88,6 +88,14 @@ class TestMaxMatching:
     def test_start_none_when_no_perfect_matching(self):
         assert perfect_matching([0b1, 0b1], start=[0, -1]) is None
 
+    def test_augmenting_chain_longer_than_recursion_limit(self):
+        # slot i takes color i until the last slot claims color 0; its
+        # augmenting path then shifts all 1500 slots one color up
+        avail = [(1 << i) | (1 << i + 1) for i in range(1500)] + [1]
+        want = list(range(1, 1501)) + [0]
+        assert perfect_matching(avail) == want
+        assert max_matching(avail) == want
+
     def test_start_agrees_with_from_scratch(self):
         rng = np.random.default_rng(4)
         for _ in range(300):

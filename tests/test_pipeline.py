@@ -21,7 +21,7 @@ from rainbow_tournaments.pipeline import (
 class TestParams:
     def test_defaults_are_ordered(self):
         p = PipelineParams()
-        assert 0 < p.mu < p.gamma < p.beta < p.alpha <= 0.5
+        assert 0 < p.mu < p.gamma < p.beta <= 0.5
 
     def test_bad_ordering_rejected(self):
         with pytest.raises(ValueError):
