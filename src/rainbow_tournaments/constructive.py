@@ -139,8 +139,8 @@ def low_degree_count_bound_check(t: Tournament, d: int) -> bool:
     out-degree.  Always true for tournaments; exposed as a test predicate."""
     if d < 0:
         raise ValueError("d must be nonnegative")
-    lo_in = sum(1 for v in range(t.n) if bin(t.in_mask(v)).count("1") <= d)
-    lo_out = sum(1 for v in range(t.n) if bin(t.out[v]).count("1") <= d)
+    lo_in = sum(1 for v in range(t.n) if t.in_degree(v) <= d)
+    lo_out = sum(1 for v in range(t.n) if t.out_degree(v) <= d)
     return lo_in <= 2 * d + 1 and lo_out <= 2 * d + 1
 
 
@@ -161,8 +161,8 @@ def split_block(
     best_v = -1
     best_min = -1
     for v in block:
-        dout = bin(t.out[v] & mask).count("1")
-        din = bin(t.in_mask(v) & mask).count("1")
+        dout = (t.out[v] & mask).bit_count()
+        din = (t.in_mask(v) & mask).bit_count()
         lo = min(din, dout)
         if lo > best_min:
             best_min = lo
@@ -368,7 +368,7 @@ def _is_exceptional(tc: TournamentCollection, i: int) -> bool:
 
 
 def _is_directed_triangle(t: Tournament) -> bool:
-    return t.n == 3 and all(bin(t.out[v]).count("1") == 1 for v in range(3))
+    return t.n == 3 and all(t.out_degree(v) == 1 for v in range(3))
 
 
 def _reverse_tournament(t: Tournament) -> Tournament:
@@ -429,7 +429,7 @@ def rainbow_ham_path_forcing_color(
             )
         raise StageFailure("forcing-color", "exhaustive base case found no path")
     tmaj = majority_subtournament(tc)
-    v = max(range(n), key=lambda u: bin(tmaj.out[u]).count("1"))
+    v = max(range(n), key=tmaj.out_degree)
     outs = sorted(_bits(tmaj.out[v]))
     ins = sorted(_bits(tmaj.in_mask(v)))
     assert len(outs) >= 4

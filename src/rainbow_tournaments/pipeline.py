@@ -420,6 +420,12 @@ def _attempts(kind: str, build, tc, params: PipelineParams, trace):
             _trace(trace, "attempt-failed", attempt=attempt, error=str(exc))
             if exc.stage == f"{kind}-pre":
                 break  # the partition, hence this failure, ignores the seed
+        except Exception as exc:
+            # a fault inside the assembly fails this attempt like a stage
+            # does; the retries and the fallback still run, and only the
+            # exhaustive oracle may report NotExists
+            error = f"[internal] {type(exc).__name__}: {exc}"
+            _trace(trace, "attempt-failed", attempt=attempt, error=error)
     return None, None
 
 

@@ -252,6 +252,57 @@ class TestMajoritySubtournament:
             assert ties > 0 or m % 2
 
 
+def _color_masks(tc):
+    """masks[u][v]: bitmask of the colors with the arc u->v (0 on the
+    diagonal), one arc_color_mask call per ordered pair."""
+    return [
+        [tc.arc_color_mask(u, v) if u != v else 0 for v in range(tc.n)]
+        for u in range(tc.n)
+    ]
+
+
+class TestVoteCountsAgainstDenseCount:
+    # byte boundaries in n, counter-width boundaries in m
+    SIZES = (1, 2, 7, 8, 9, 63, 64, 65)
+    COLOR_COUNTS = (1, 2, 3, 4, 7, 8, 15, 16, 17)
+    GAMMAS = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
+              Fraction(1))
+
+    @staticmethod
+    def _subsets(m):
+        """None (all colors), then an unsorted list with repeats."""
+        yield None
+        yield [m - 1, 0, m - 1, m // 2, 0]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_every_pair(self, n):
+        for m in self.COLOR_COUNTS:
+            tc = generators.random_collection(n, m, seed=100 * n + m)
+            masks = _color_masks(tc)
+            for colors in self._subsets(m):
+                chosen = set(range(m) if colors is None else colors)
+                sel = sum(1 << c for c in chosen)
+                k = len(chosen)
+                count = [[(masks[u][v] & sel).bit_count() for v in range(n)]
+                         for u in range(n)]
+                got = majority_subtournament(tc, colors)
+                ties = 0
+                for u in range(n):
+                    for v in range(u + 1, n):
+                        assert count[u][v] + count[v][u] == k
+                        # ties go to the arc u->v with u < v
+                        wins = count[u][v] >= count[v][u]
+                        assert got.has_arc(u, v) == wins
+                        ties += count[u][v] == count[v][u]
+                if n >= 7 and k % 2 == 0:
+                    assert ties > 0
+                for gamma in self.GAMMAS:
+                    need = max(-(-gamma.numerator * k // gamma.denominator), 1)
+                    want = {(u, v) for u in range(n) for v in range(n)
+                            if u != v and count[u][v] >= need}
+                    assert threshold_digraph(tc, colors, gamma).arcs == want
+
+
 class TestInducedCollection:
     def test_identity(self):
         tc = generators.random_collection(5, 4, seed=0)
@@ -277,6 +328,32 @@ class TestInducedCollection:
             assert set(t.arcs()) == want
 
 
+def _reaches_all(masks, n):
+    """Whether every vertex is reachable from vertex 0 along the masks."""
+    seen = frontier = 1
+    while frontier:
+        step = 0
+        for v in range(n):
+            if (frontier >> v) & 1:
+                step |= masks[v]
+        frontier = step & ~seen
+        seen |= frontier
+    return seen == (1 << n) - 1
+
+
+def _strong_by_reachability(t):
+    return _reaches_all(t.out, t.n) and _reaches_all(
+        [t.in_mask(v) for v in range(t.n)], t.n
+    )
+
+
+def _with_sink(t, s):
+    """t with vertex s turned into a sink: every other vertex beats it."""
+    out = [mask | (1 << s) for mask in t.out]
+    out[s] = 0
+    return Tournament(t.n, out)
+
+
 class TestStrongConnectivity:
     def test_triangle_true(self):
         assert is_strongly_connected(directed_triangle())
@@ -288,17 +365,31 @@ class TestStrongConnectivity:
             )
 
     def test_matches_reachability_brute_force(self):
-        for t in all_tournaments(4):
-            reach = {v: {v} for v in range(4)}
-            changed = True
-            while changed:
-                changed = False
-                for u in range(4):
-                    for v in range(4):
-                        if u != v and t.has_arc(u, v):
-                            new = reach[u] | reach[v]
-                            if new != reach[u]:
-                                reach[u] = new
-                                changed = True
-            brute = all(len(reach[v]) == 4 for v in range(4))
-            assert is_strongly_connected(t) == brute
+        for n in range(1, 6):
+            for t in all_tournaments(n):
+                assert is_strongly_connected(t) == _strong_by_reachability(t)
+
+    def test_seeded_random_tournaments(self):
+        seen = set()
+        for seed in range(2000):
+            t = generators.random_tournament(6 + seed % 7, seed=seed)
+            strong = _strong_by_reachability(t)
+            assert is_strongly_connected(t) == strong
+            seen.add(strong)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("n", [3, 4, 50, 51, 399, 400])
+    def test_named_families(self, n):
+        family = [
+            generators.transitive_tournament(n),
+            generators.prop14_tprime(n),
+            _with_sink(generators.random_tournament(n, seed=n), n // 2),
+        ]
+        if n % 2:
+            family.append(generators.rotational_tournament(n))
+        for t in family:
+            assert is_strongly_connected(t) == _strong_by_reachability(t)
+        assert not is_strongly_connected(family[0])
+        assert is_strongly_connected(family[1])
+        assert not is_strongly_connected(family[2])
+        assert n % 2 == 0 or is_strongly_connected(family[3])

@@ -192,6 +192,62 @@ class TestCycleSolver:
         assert out.witness.is_hamilton(tc)
 
 
+def _raise_index_error(*args, **kwargs):
+    raise IndexError("list index out of range")
+
+
+class TestInternalErrors:
+    """An exception other than StageFailure fails an attempt, not the solve."""
+
+    def test_constructive_mode_exhausts_instead_of_raising(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_constructive_path",
+                            _raise_index_error)
+        tc = generators.random_collection(30, 29, seed=5)
+        trace = []
+        out = transversal_ham_path(tc, mode="constructive", trace=trace)
+        assert out.status == BUDGET_EXHAUSTED
+        fails = [ev["error"] for ev in trace
+                 if ev["stage"] == "attempt-failed"]
+        assert fails == (
+            ["[internal] IndexError: list index out of range"]
+            * PipelineParams().dhp_retries
+        )
+
+    @pytest.mark.parametrize("budget", [None, SearchBudget(max_nodes=5)])
+    @pytest.mark.parametrize("what,tc", [
+        ("path", generators.random_collection(12, 11, seed=1)),
+        ("cycle", generators.random_collection(
+            12, 12, seed=1, strongly_connected_count=11)),
+        ("cycle", generators.prop14_collection(10)),
+    ])
+    def test_auto_mode_not_exists_only_from_the_oracle(
+        self, monkeypatch, what, tc, budget
+    ):
+        monkeypatch.setattr(pipeline, f"_constructive_{what}",
+                            _raise_index_error)
+        name = f"exact_transversal_ham_{what}"
+        real = getattr(oracle, name)
+        statuses = []
+
+        def recorded(*args, **kwargs):
+            out = real(*args, **kwargs)
+            statuses.append(out.status)
+            return out
+
+        monkeypatch.setattr(oracle, name, recorded)
+        if what == "path":
+            out = transversal_ham_path(tc, budget=budget)
+        else:
+            out = transversal_ham_cycle(tc, budget=budget)
+        if out.status == NOT_EXISTS:
+            assert statuses == [NOT_EXISTS]
+        if out.found:
+            assert out.witness.is_hamilton(tc)
+        if budget is not None and not statuses:
+            # the longest-path machine answered before any oracle call
+            assert out.found
+
+
 class TestDeterminism:
     def test_same_params_same_witness(self):
         tc = generators.random_collection(60, 59, seed=9)
