@@ -3,7 +3,9 @@
 Instance I/O uses the canonical collection JSON; solve emits an outcome
 JSON object and, with --trace, a JSON-lines stage log.  Exit status is 0
 exactly when no failure occurred; solve exits 1 when its budget ran out
-and 2, with one error line, when the instance cannot be read.
+and 2, with one error line, when the instance cannot be read; gen exits
+2, with one error line, when its arguments name no instance or the output
+file cannot be written.
 """
 
 from __future__ import annotations
@@ -84,17 +86,30 @@ def _read_collection(path: str) -> TournamentCollection:
         return TournamentCollection.from_json(fh.read())
 
 
+def _error(message: str) -> int:
+    """Report a bad argument or input as one line on stderr; exit code 2."""
+    print(f"rainbow-tournaments: error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_gen(args) -> int:
     n = args.n
     m = args.m if args.m is not None else n - 1
-    spec = generators.GeneratorSpec(args.kind, n, m, args.seed)
-    tc = generators.generate(spec)
+    try:
+        tc = generators.generate(
+            generators.GeneratorSpec(args.kind, n, m, args.seed)
+        )
+    except ValueError as exc:
+        return _error(f"cannot generate {args.kind}: {exc}")
     text = tc.to_json()
-    if args.out:
+    if not args.out:
+        print(text)
+        return 0
+    try:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        return _error(f"cannot write {args.out!r}: {exc}")
     return 0
 
 
@@ -103,9 +118,7 @@ def _cmd_solve(args) -> int:
         tc = _read_collection(args.input)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        print(f"rainbow-tournaments: error: cannot read instance "
-              f"{args.input!r}: {detail}", file=sys.stderr)
-        return 2
+        return _error(f"cannot read instance {args.input!r}: {detail}")
     if args.count_all:
         print(json.dumps(
             {"count": oracle.count_transversal_ham_paths(tc)}

@@ -13,8 +13,18 @@ The canonical interchange format for a collection is JSON::
 where each string has length n(n-1)/2 over {"0","1"}; position p runs over
 the pairs (i,j), i<j, in lexicographic order and "1" means the arc i->j.
 
-Costs of the collection-wide operations, for k colors on n vertices:
+Costs of the operations on whole matrices, for k colors on n vertices:
 
+- Placement: a 0/1 array in pair order (a generator draw, or a JSON
+  string read as ASCII bytes) becomes a tournament by two masked writes
+  into an n x n uint8 matrix through a cached strict-upper bool mask,
+  ``mat[up] = bits`` and ``mat.T[up] = bits ^ 1``; ``pair_bits`` reads
+  ``mat[up]`` back from the unpacked rows.  O(n^2) bytes, no Python step
+  per pair.
+- Packing (every trusted construction, including ``restrict`` and
+  ``majority_subtournament``): one ``packbits`` and one ``tobytes`` over
+  the whole matrix, then one ``int.from_bytes`` per row on a slice of
+  that buffer.
 - ``threshold_digraph`` and ``majority_subtournament`` count the colors
   of every ordered pair at once.  Each color's rows are laid out as one
   uint8 array of n*ceil(n/8) bytes and added into a bit-sliced counter
@@ -29,6 +39,7 @@ Costs of the collection-wide operations, for k colors on n vertices:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -131,19 +142,28 @@ class Tournament:
         return cls(n, out)
 
     @classmethod
+    def _from_pair_array(cls, n: int, bits: np.ndarray) -> "Tournament":
+        """From one 0/1 uint8 per pair (i, j), i < j, in lexicographic
+        order; 1 means the arc i->j.  Every pair is oriented exactly once
+        by construction, so the validating constructor is skipped."""
+        up = _upper_mask(n)
+        mat = np.zeros((n, n), dtype=np.uint8)
+        mat[up] = bits
+        # mat.T[up] is cell (j, i) of pair (i, j), in the same pair order
+        mat.T[up] = bits ^ 1
+        return cls._unchecked(mat)
+
+    @classmethod
     def from_pair_bits(cls, n: int, bits: str) -> "Tournament":
+        """From the JSON pair-bit string (see the module docstring)."""
+        if n < 1:
+            raise ValueError("tournament needs at least one vertex")
         want = n * (n - 1) // 2
-        if len(bits) != want or set(bits) - {"0", "1"}:
+        if (not isinstance(bits, str) or len(bits) != want
+                or set(bits) - {"0", "1"}):
             raise ValueError(f"need a {{0,1}} string of length {want}")
-        out = [0] * n
-        p = 0
-        for i, j in iter_pairs(n):
-            if bits[p] == "1":
-                out[i] |= 1 << j
-            else:
-                out[j] |= 1 << i
-            p += 1
-        return cls(n, out)
+        raw = np.frombuffer(bits.encode("ascii"), dtype=np.uint8)
+        return cls._from_pair_array(n, raw - ord("0"))
 
     @classmethod
     def from_bool_matrix(cls, mat: np.ndarray) -> "Tournament":
@@ -171,10 +191,8 @@ class Tournament:
                 yield u, v
 
     def pair_bits(self) -> str:
-        chunks = []
-        for i, j in iter_pairs(self.n):
-            chunks.append("1" if (self.out[i] >> j) & 1 else "0")
-        return "".join(chunks)
+        bits = self._bool_rows(range(self.n))[_upper_mask(self.n)]
+        return (bits + ord("0")).tobytes().decode("ascii")
 
     def restrict(self, vertices: Sequence[int]) -> "Tournament":
         """Induced subtournament; vertex k of the result is vertices[k]."""
@@ -396,7 +414,21 @@ def _unpack_rows(rows: np.ndarray, n: int) -> np.ndarray:
 def _pack_rows(mat: np.ndarray) -> tuple[int, ...]:
     """Each 0/1 row of mat as an int bitmask (column v is bit v)."""
     packed = np.packbits(mat, axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+    nb = packed.shape[1]
+    buf = packed.tobytes()
+    return tuple(
+        int.from_bytes(buf[i:i + nb], "little") for i in range(0, len(buf), nb)
+    )
+
+
+@functools.lru_cache(maxsize=16)
+def _upper_mask(n: int) -> np.ndarray:
+    """The strict upper triangle of an n x n matrix as a read-only bool
+    mask; its cells in row-major order are the pairs (i, j), i < j, in
+    lexicographic order."""
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.flags.writeable = False
+    return mask
 
 
 def _index_list(

@@ -3,14 +3,26 @@
 All randomness goes through numpy's PCG64 seeded from explicit
 ``SeedSequence`` keys, so identical (kind, n, m, seed) always produces
 byte-identical JSON on every platform.  Each tournament of a random
-collection draws from its own spawned stream, keyed by (seed, index,
-attempt); strong connectivity is obtained by rejection, which advances the
-attempt counter deterministically.
+collection draws from its own stream, keyed by (seed, index, attempt);
+strong connectivity is obtained by rejection, which advances the attempt
+counter deterministically.
+
+A tournament on n vertices reads ceil(N/8) raw 64-bit words of its
+stream, N = n(n-1)/2, and orients pair p (lexicographic order) by bit 7
+of byte p, the bytes of each word taken little-endian.  That is draw for
+draw ``Generator.integers(0, 2, N, dtype=np.uint8)`` on the same stream:
+numpy serves uint8 draws from 32-bit outputs low byte first, PCG64 serves
+32-bit outputs as the low then the high half of one word, and Lemire's
+multiply-shift bounded draw maps a byte b to (2b) >> 8 = b >> 7 with a
+rejection threshold of (256 - 2) mod 2 = 0, so no byte is ever redrawn.
+Per tournament the cost is one seeding, one word draw, one shift and the
+placement of ``Tournament._from_pair_array`` (two masked writes into an
+n x n uint8 matrix, then one packing of its rows): about 1 ms at n = 800
+and 20 us at n = 30.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,26 +134,15 @@ def fig1_counterexamples() -> tuple[TournamentCollection, TournamentCollection]:
     )
 
 
-@functools.lru_cache(maxsize=64)
-def _triu_cache(n: int):
-    return np.triu_indices(n, k=1)
-
-
-def _bits_to_tournament(n: int, bits: np.ndarray) -> Tournament:
-    mat = np.zeros((n, n), dtype=np.uint8)
-    iu = _triu_cache(n)
-    mat[iu] = bits
-    mat[(iu[1], iu[0])] = 1 - bits
-    # exactly one direction per pair and no loops by construction
-    return Tournament._unchecked(mat)
-
-
 def _draw_tournament(n: int, seed: int, index: int, attempt: int) -> Tournament:
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([seed, index, attempt]))
-    )
-    bits = rng.integers(0, 2, size=n * (n - 1) // 2, dtype=np.uint8)
-    return _bits_to_tournament(n, bits)
+    size = n * (n - 1) // 2
+    words = np.random.PCG64(
+        np.random.SeedSequence([seed, index, attempt])
+    ).random_raw((size + 7) // 8)
+    # bit 7 of each raw byte, bytes read little-endian: draw for draw the
+    # Generator.integers(0, 2, size, dtype=np.uint8) of the same stream
+    bits = words.astype("<u8", copy=False).view(np.uint8)[:size] >> 7
+    return Tournament._from_pair_array(n, bits)
 
 
 def random_tournament(
@@ -150,6 +151,8 @@ def random_tournament(
     """A uniformly random orientation of each pair, from a seeded stream."""
     if n < 1:
         raise ValueError("n must be positive")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     if strongly_connected and n < 3:
         raise ValueError("strong connectivity needs n >= 3")
     attempt = 0
@@ -174,6 +177,8 @@ def random_collection(
     first that many members (used for the cycle theorem's "all but one"
     hypothesis); ``strongly_connected=True`` applies it to all members.
     """
+    if n < 1:
+        raise ValueError("n must be positive")
     if m < 1:
         raise ValueError("m must be positive")
     k = m if strongly_connected else (strongly_connected_count or 0)

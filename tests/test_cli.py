@@ -43,6 +43,35 @@ class TestGen:
         assert a != b
 
 
+class TestGenErrors:
+    """Arguments that name no instance exit 2 with one error line."""
+
+    @pytest.mark.parametrize("argv, detail", [
+        (["--kind", "random_uniform", "--seed", "-1"], "seed"),
+        (["--kind", "random_uniform", "-n", "0"], "n must be positive"),
+        (["--kind", "transitive", "-n", "0"], "n must be positive"),
+        (["--kind", "random_uniform", "-m", "0"], "m must be positive"),
+        (["--kind", "directed_cycle_tournament", "-n", "4"], "odd n"),
+        (["--kind", "random_strongly_connected", "-n", "2"], "n >= 3"),
+    ])
+    def test_bad_arguments(self, capsys, argv, detail):
+        code = main(["gen", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("rainbow-tournaments: error: ")
+        assert captured.err.count("\n") == 1
+        assert detail in captured.err
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        dest = tmp_path / "absent" / "inst.json"
+        code = main(["gen", "--kind", "transitive", "--out", str(dest)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("rainbow-tournaments: error: ")
+        assert captured.err.count("\n") == 1
+
+
 class TestSolve:
     @pytest.fixture()
     def inst(self, tmp_path):

@@ -1,5 +1,6 @@
 """Core types: tournaments, collections, witnesses, threshold digraphs."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -112,6 +113,61 @@ class TestCollection:
                 mask = tc.arc_color_mask(u, v)
                 assert {c for c in range(5) if (mask >> c) & 1} == \
                     color_set_of_arc(tc, u, v)
+
+
+def _loop_from_pair_bits(n, bits):
+    """Reference: one Python step per pair."""
+    out = [0] * n
+    for p, (i, j) in enumerate(iter_pairs(n)):
+        if bits[p] == "1":
+            out[i] |= 1 << j
+        else:
+            out[j] |= 1 << i
+    return tuple(out)
+
+
+def _loop_pair_bits(t):
+    return "".join("1" if t.has_arc(i, j) else "0" for i, j in iter_pairs(t.n))
+
+
+class TestPairBitsAgainstLoop:
+    """The JSON pair-bit format against a pair-by-pair reference, at the
+    byte and word boundaries of the packed rows."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 63, 64, 65, 130])
+    def test_round_trip(self, n):
+        rng = np.random.default_rng(n)
+        want = n * (n - 1) // 2
+        for _ in range(3):
+            bits = "".join(map(str, rng.integers(0, 2, want).tolist()))
+            t = Tournament.from_pair_bits(n, bits)
+            assert t.out == _loop_from_pair_bits(n, bits)
+            assert t == Tournament(n, t.out)  # passes the validating check
+            assert t.pair_bits() == bits == _loop_pair_bits(t)
+        for t in (generators.transitive_tournament(n),
+                  generators.random_tournament(n, seed=n)):
+            assert t.pair_bits() == _loop_pair_bits(t)
+            assert Tournament.from_pair_bits(n, t.pair_bits()) == t
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 63, 64, 65, 130])
+    def test_malformed(self, n):
+        want = n * (n - 1) // 2
+        msg = f"need a {{0,1}} string of length {want}"
+        bits = "01" * (want // 2) + "1" * (want % 2)
+        bad = [bits + "0", bits[:-1] + "00", list(bits), None]
+        if want:
+            bad.append(bits[:-1])
+            for ch in "2 \x00\u00e9\u0661":
+                for p in {0, want // 2, want - 1}:
+                    bad.append(bits[:p] + ch + bits[p + 1:])
+        for b in bad:
+            with pytest.raises(ValueError, match=re.escape(msg)):
+                Tournament.from_pair_bits(n, b)
+
+    @pytest.mark.parametrize("n", [0, -1, -2])
+    def test_no_vertices(self, n):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            Tournament.from_pair_bits(n, "")
 
 
 class TestPairIndex:

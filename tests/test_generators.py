@@ -1,5 +1,8 @@
 """Instance generators: fixed families and seeded random instances."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from conftest import directed_triangle
@@ -92,6 +95,86 @@ class TestRandom:
             10, 9, seed=1, strongly_connected=True
         )
         assert all(is_strongly_connected(t) for t in tc.tournaments)
+
+
+# sha256 of random_collection(n, 3, seed[, strongly_connected_count=2])
+# over the grid below: the JSON text and every member's out-masks.  It
+# pins the per-(seed, index, attempt) streams and the pair order.
+GRID_SIZES = list(range(1, 70)) + [100, 129, 130, 255, 256, 257, 600]
+GRID_SEEDS = (0, 1, 12345, 2**40 + 3)
+GRID_DIGEST = "da93ba121a7d668f86b4a6a02dbae3b61e7dae6a6400a85461624a57d2324b5b"
+
+
+class TestStreamLock:
+    def test_collection_digest_grid(self):
+        h = hashlib.sha256()
+        for n in GRID_SIZES:
+            for seed in GRID_SEEDS:
+                for k in (None, 2):
+                    if k and n < 3:
+                        continue
+                    tc = generators.random_collection(
+                        n, 3, seed, strongly_connected_count=k
+                    )
+                    h.update(tc.to_json().encode())
+                    for t in tc.tournaments:
+                        h.update(repr(t.out).encode())
+        assert h.hexdigest() == GRID_DIGEST
+
+    @pytest.mark.parametrize(
+        "n", list(range(1, 71)) + [600, 1600]
+    )
+    def test_raw_word_draw_is_the_integers_draw(self, n):
+        for seed, index, attempt in ((0, 0, 0), (7, 3, 1), (2**40 + 3, 1, 5)):
+            rng = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence([seed, index, attempt])
+            ))
+            bits = rng.integers(0, 2, size=n * (n - 1) // 2, dtype=np.uint8)
+            t = generators._draw_tournament(n, seed, index, attempt)
+            assert t.pair_bits() == (bits + ord("0")).tobytes().decode()
+
+
+class TestDrawCount:
+    """Every draw is one _draw_tournament call: m per collection plus the
+    rejected draws of the strongly connected members."""
+
+    @staticmethod
+    def count_draws(monkeypatch, *args, **kwargs):
+        calls = []
+        draw = generators._draw_tournament
+
+        def counted(*a):
+            calls.append(a)
+            return draw(*a)
+
+        monkeypatch.setattr(generators, "_draw_tournament", counted)
+        generators.random_collection(*args, **kwargs)
+        monkeypatch.undo()
+        return calls
+
+    @staticmethod
+    def rejections(n, seed, index):
+        attempt = 0
+        while not is_strongly_connected(
+            generators._draw_tournament(n, seed, index, attempt)
+        ):
+            attempt += 1
+        return attempt
+
+    def test_uniform_draws_once_per_member(self, monkeypatch):
+        calls = self.count_draws(monkeypatch, 9, 8, seed=4)
+        assert calls == [(9, 4, i, 0) for i in range(8)]
+
+    def test_strongly_connected_members_add_their_rejections(
+        self, monkeypatch
+    ):
+        n, m, k, seed = 3, 12, 9, 2
+        calls = self.count_draws(
+            monkeypatch, n, m, seed, strongly_connected_count=k
+        )
+        rejected = sum(self.rejections(n, seed, i) for i in range(k))
+        assert rejected > 0
+        assert len(calls) == m + rejected
 
 
 class TestGenerateDispatch:
