@@ -236,9 +236,6 @@ class TournamentCollection:
         self.m = len(tournaments)
         self.tournaments = tuple(tournaments)
 
-    def colors(self) -> range:
-        return range(self.m)
-
     def arc_color_mask(self, u: int, v: int) -> int:
         """Bitmask over colors i with the arc u->v in tournament i."""
         if u == v or not (0 <= u < self.n and 0 <= v < self.n):

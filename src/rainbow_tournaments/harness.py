@@ -96,7 +96,7 @@ def _all_collections(n: int, m: int):
 def _task_theorem(args) -> dict:
     what, mode, n, payload = args
     if mode == "exhaustive":
-        tc = TournamentCollection.from_json(payload)
+        tc = payload
     elif what == "path":
         tc = generators.random_collection(n, n - 1, seed=payload)
     else:
@@ -144,7 +144,7 @@ def _verify_theorem(
                 f"exhaustive {what} sweep is limited to n <= {limit}"
             )
         tasks = [
-            (what, mode, n, tc.to_json())
+            (what, mode, n, tc)
             for n in range(n_min, n_max + 1)
             for tc in _exhaustive_collections(what, n)
         ]

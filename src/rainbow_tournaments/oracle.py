@@ -1,10 +1,12 @@
 """Exact search for transversal Hamilton paths and cycles.
 
-Two independent engines are provided.  The fast one backtracks over vertex
-sequences and prunes with an incremental arcs-vs-colors matching; the slow
-one enumerates vertex permutations outright and asks for one matching per
-permutation.  Agreement between the two on small instances is what the test
-suite leans on.
+Two independent engines are provided.  The fast one, ``_backtrack``, runs
+both the path and the cycle search depth first on an explicit stack (no
+recursion limit caps the instance size), pruning with an incremental
+arcs-vs-colors matching; ``nodes_expanded`` counts the vertex sequences it
+enters.  The slow one enumerates vertex permutations outright and asks for
+one matching per permutation.  Agreement between the two on small
+instances is what the test suite leans on.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ class OracleOutcome:
     """
 
     status: str
-    witness: Optional[object] = None
+    witness: Optional[RainbowPath | RainbowCycle] = None
     nodes_expanded: int = 0
     millis: float = 0.0
     notes: str = ""
@@ -89,14 +91,11 @@ class OracleOutcome:
         wit = None
         if self.witness is not None:
             w = self.witness
-            if isinstance(w, (RainbowPath, RainbowCycle)):
-                wit = {
-                    "vertices": list(w.vertices),
-                    "colors": list(w.colors),
-                    "kind": "cycle" if isinstance(w, RainbowCycle) else "path",
-                }
-            else:
-                wit = w
+            wit = {
+                "vertices": list(w.vertices),
+                "colors": list(w.colors),
+                "kind": "cycle" if isinstance(w, RainbowCycle) else "path",
+            }
         return {
             "status": self.status,
             "witness": wit,
@@ -109,7 +108,7 @@ class OracleOutcome:
 def _outcome(
     t0: float,
     status: str,
-    witness: Optional[object] = None,
+    witness: Optional[RainbowPath | RainbowCycle] = None,
     nodes: int = 0,
     notes: str = "",
 ) -> OracleOutcome:
@@ -163,55 +162,84 @@ def _witness(
     return kind(vertices=tuple(order), colors=tuple(colors))
 
 
-def _search_path(
-    tc: TournamentCollection,
-    budget: SearchBudget,
-    start: Optional[int],
+def _backtrack(
+    masks: list[list[int]],
+    roots: Sequence[int],
     end: Optional[int],
-) -> tuple[str, Optional[RainbowPath]]:
-    n = tc.n
-    masks = _arc_masks(tc)
+    cyclic: bool,
+    budget: SearchBudget,
+) -> Optional[list[int]]:
+    """The first vertex order found, roots in turn, whose arcs (and the
+    arc closing it when cyclic) take distinct colors; a path has end last.
+
+    Depth first on an explicit stack, children lowest vertex first, each
+    kept only when IncrementalMatcher.push accepts its arc.  A node is an
+    order the search enters and costs one budget tick, except that a path
+    root is ticked twice (by the root loop and as a node) and a path leaf,
+    a Hamilton path, none; a cycle leaf is ticked before its closing arc.
+    """
+    n = len(masks)
     matcher = IncrementalMatcher()
-    order: list[int] = []
-    used = 0
-
-    def extend() -> Optional[list[int]]:
-        nonlocal used
-        if len(order) == n:
-            return list(order)
-        budget.tick()
-        last = order[-1]
-        for v in range(n):
-            if (used >> v) & 1:
-                continue
-            if end is not None and v == end and len(order) != n - 1:
-                continue
-            mask = masks[last][v]
-            if not mask or not matcher.push(mask):
-                continue
-            order.append(v)
-            used |= 1 << v
-            got = extend()
-            order.pop()
-            used ^= 1 << v
-            matcher.pop()
-            if got is not None:
-                return got
-        return None
-
-    starts = [start] if start is not None else list(range(n))
-    for s in starts:
-        if end is not None and s == end and n > 1:
+    push, pop, tick = matcher.push, matcher.pop, budget.tick
+    full = (1 << n) - 1
+    not_end = full & ~(1 << end) if end is not None else full
+    for root in roots:
+        if root == end and n > 1:
             continue
-        order = [s]
-        used = 1 << s
-        budget.tick()
-        got = extend()
-        if got is not None:
-            wit = _witness(masks, got, cyclic=False)
-            assert wit is not None
-            return FOUND, wit
-    return NOT_EXISTS, None
+        if not cyclic:
+            tick()
+        if n == 1:
+            return [root]
+        tick()
+        order = [root]
+        used = 1 << root
+        # todo[d]: the children of order[d] not yet tried, as a vertex mask
+        todo = [~used & (not_end if n > 2 else full)]
+        while todo:
+            rest = todo[-1]
+            row = masks[order[-1]]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                mask = row[v]
+                if mask and push(mask):
+                    break
+            else:
+                # every child tried: back up to the parent
+                todo.pop()
+                if todo:
+                    used ^= 1 << order.pop()
+                    pop()
+                continue
+            todo[-1] = rest
+            depth = len(order) + 1
+            if depth == n and not cyclic:
+                return order + [v]
+            tick()
+            if depth < n:
+                order.append(v)
+                used |= low
+                todo.append(~used & (not_end if depth < n - 1 else full))
+            elif masks[v][root] and push(masks[v][root]):
+                return order + [v]  # the arc closing the cycle fits
+            else:
+                pop()
+    return None
+
+
+def _search(tc, budget, roots, end, cyclic, t0) -> OracleOutcome:
+    """The outcome of _backtrack on tc, its order colored by _witness."""
+    masks = _arc_masks(tc)
+    try:
+        got = _backtrack(masks, roots, end, cyclic, budget)
+    except _BudgetExceeded:
+        return _outcome(t0, BUDGET_EXHAUSTED, nodes=budget.nodes)
+    if got is None:
+        return _outcome(t0, NOT_EXISTS, nodes=budget.nodes)
+    wit = _witness(masks, got, cyclic)
+    assert wit is not None
+    return _outcome(t0, FOUND, wit, budget.nodes)
 
 
 def exact_transversal_ham_path(
@@ -235,11 +263,8 @@ def exact_transversal_ham_path(
         return _outcome(t0, NOT_EXISTS, notes="fewer colors than arcs needed")
     if not use_matching_prune:
         return _path_leaf_checked(tc, budget, start, end, t0)
-    try:
-        status, wit = _search_path(tc, budget, start, end)
-    except _BudgetExceeded:
-        status, wit = BUDGET_EXHAUSTED, None
-    return _outcome(t0, status, wit, budget.nodes)
+    roots = [start] if start is not None else range(tc.n)
+    return _search(tc, budget, roots, end, False, t0)
 
 
 def _path_leaf_checked(tc, budget, start, end, t0) -> OracleOutcome:
@@ -283,51 +308,11 @@ def exact_transversal_ham_cycle(
     budget = budget or SearchBudget()
     budget.start()
     t0 = time.perf_counter()
-    n = tc.n
-    if tc.m < n:
+    if tc.m < tc.n:
         return _outcome(t0, NOT_EXISTS, notes="fewer colors than arcs needed")
-    if n < 3:
+    if tc.n < 3:
         return _outcome(t0, NOT_EXISTS, notes="cycles need at least 3 vertices")
-    masks = _arc_masks(tc)
-    matcher = IncrementalMatcher()
-    order = [0]
-    used = 1
-
-    def extend() -> Optional[list[int]]:
-        nonlocal used
-        budget.tick()
-        last = order[-1]
-        if len(order) == n:
-            back = masks[last][0]
-            if back and matcher.push(back):
-                matcher.pop()
-                return list(order)
-            return None
-        for v in range(1, n):
-            if (used >> v) & 1:
-                continue
-            mask = masks[last][v]
-            if not mask or not matcher.push(mask):
-                continue
-            order.append(v)
-            used |= 1 << v
-            got = extend()
-            order.pop()
-            used ^= 1 << v
-            matcher.pop()
-            if got is not None:
-                return got
-        return None
-
-    try:
-        got = extend()
-    except _BudgetExceeded:
-        return _outcome(t0, BUDGET_EXHAUSTED, nodes=budget.nodes)
-    if got is None:
-        return _outcome(t0, NOT_EXISTS, nodes=budget.nodes)
-    wit = _witness(masks, got, cyclic=True)
-    assert wit is not None
-    return _outcome(t0, FOUND, wit, budget.nodes)
+    return _search(tc, budget, [0], None, True, t0)
 
 
 def _perm_search(

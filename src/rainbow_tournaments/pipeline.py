@@ -405,28 +405,52 @@ def _constructive_path(
     return RainbowPath(vertices=tuple(verts), colors=tuple(cols))
 
 
+def _guarded(trace: Optional[list], stage: str, info: dict, run, *args):
+    """(run(*args), None), or (None, exc) with a trace record of exc.  An
+    exception fails only its route: the later routes still run, the solver
+    never raises, and only the exhaustive oracle may report NotExists."""
+    try:
+        return run(*args), None
+    except Exception as exc:
+        error = str(exc) if isinstance(exc, StageFailure) else (
+            f"[internal] {type(exc).__name__}: {exc}")
+        _trace(trace, stage, **info, error=error)
+        return None, exc
+
+
 def _attempts(kind: str, build, tc, params: PipelineParams, trace):
     """Run build (the constructive path or cycle) with seeds params.seed,
     params.seed + 1, ...; the first valid Hamilton witness comes back with
     its note, or (None, None) once params.dhp_retries attempts failed."""
     tmaj, hp = _partition_for(tc, params)
-    for attempt in range(params.dhp_retries):
-        try:
-            w = build(tc, tmaj, hp, params, params.seed + attempt, trace)
-            if not w.valid(tc) or len(w.vertices) != tc.n:
-                raise StageFailure(f"{kind}-assemble", "invalid witness")
-            return w, f"constructive, attempt {attempt}"
-        except StageFailure as exc:
-            _trace(trace, "attempt-failed", attempt=attempt, error=str(exc))
-            if exc.stage == f"{kind}-pre":
-                break  # the partition, hence this failure, ignores the seed
-        except Exception as exc:
-            # a fault inside the assembly fails this attempt like a stage
-            # does; the retries and the fallback still run, and only the
-            # exhaustive oracle may report NotExists
-            error = f"[internal] {type(exc).__name__}: {exc}"
-            _trace(trace, "attempt-failed", attempt=attempt, error=error)
+
+    def attempt(seed: int):
+        w = build(tc, tmaj, hp, params, seed, trace)
+        if not w.valid(tc) or len(w.vertices) != tc.n:
+            raise StageFailure(f"{kind}-assemble", "invalid witness")
+        return w
+
+    for k in range(params.dhp_retries):
+        w, exc = _guarded(trace, "attempt-failed", {"attempt": k},
+                          attempt, params.seed + k)
+        if w is not None:
+            return w, f"constructive, attempt {k}"
+        if isinstance(exc, StageFailure) and exc.stage == f"{kind}-pre":
+            break  # the partition, hence this failure, ignores the seed
     return None, None
+
+
+def _oracle_fallback(search, work, params, budget, notes, trace, t0):
+    """The exact oracle search(work, budget) after the constructive routes,
+    by default under params.fallback_budget_nodes; a fault: BudgetExhausted."""
+    budget = budget or SearchBudget(max_nodes=params.fallback_budget_nodes)
+    out, _ = _guarded(trace, "route-failed", {"route": "oracle fallback"},
+                      search, work, budget)
+    if out is None:
+        out = _outcome(t0, BUDGET_EXHAUSTED, notes="internal error")
+    own = [out.notes] if out.notes else []
+    out.notes = "; ".join(notes + own + ["oracle fallback"])
+    return out
 
 
 def transversal_ham_path(
@@ -460,10 +484,8 @@ def transversal_ham_path(
         return _outcome(
             t0, BUDGET_EXHAUSTED, notes="constructive attempts exhausted"
         )
-    budget = budget or SearchBudget(max_nodes=params.fallback_budget_nodes)
-    out = oracle.exact_transversal_ham_path(work, budget)
-    out.notes = (out.notes + "; " if out.notes else "") + "oracle fallback"
-    return out
+    return _oracle_fallback(oracle.exact_transversal_ham_path, work, params,
+                            budget, [], trace, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +582,6 @@ def _case3_machine(
             p = nxt
         if len(p.vertices) < n:
             continue
-        state.P = p
-        state.x, state.y = p.vertices[0], p.vertices[-1]
         cyc = _close_from_ham_path(tc, p)
         if cyc is not None:
             _trace(trace, "case3", restarts_used=k + 1)
@@ -650,13 +670,13 @@ def transversal_ham_cycle(
         )
     if mode == "exact" or (mode == "auto" and n <= params.oracle_fallback_n):
         out = oracle.exact_transversal_ham_cycle(work, budget)
-        if notes:
-            out.notes = "; ".join(notes + ([out.notes] if out.notes else []))
+        out.notes = "; ".join(notes + ([out.notes] if out.notes else []))
         return out
     cyc, note = _attempts("cycle", _constructive_cycle, work, params, trace)
     if cyc is not None:
         return _outcome(t0, FOUND, cyc, notes="; ".join(notes + [note]))
-    cyc = _case3_machine(tc=work, params=params, seed=params.seed, trace=trace)
+    cyc, _ = _guarded(trace, "route-failed", {"route": "longest-path machine"},
+                      _case3_machine, work, params, params.seed, trace)
     if cyc is not None and cyc.valid(work):
         return _outcome(
             t0, FOUND, cyc, notes="; ".join(notes + ["longest-path machine"])
@@ -666,9 +686,5 @@ def transversal_ham_cycle(
             t0, BUDGET_EXHAUSTED,
             notes="; ".join(notes + ["constructive attempts exhausted"]),
         )
-    budget = budget or SearchBudget(max_nodes=params.fallback_budget_nodes)
-    out = oracle.exact_transversal_ham_cycle(work, budget)
-    out.notes = "; ".join(
-        notes + ([out.notes] if out.notes else []) + ["oracle fallback"]
-    )
-    return out
+    return _oracle_fallback(oracle.exact_transversal_ham_cycle, work, params,
+                            budget, notes, trace, t0)

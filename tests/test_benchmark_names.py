@@ -26,6 +26,10 @@ BINDINGS = {
     "matching.perfect_matching":
         ("matching", "constructive", "pipeline", "oracle"),
     "constructive.build_absorber": ("constructive", "pipeline"),
+    # the oracle.backtrack.* metrics; the callers reach both through the
+    # oracle module
+    "oracle.exact_transversal_ham_path": ("oracle",),
+    "oracle.exact_transversal_ham_cycle": ("oracle",),
 }
 
 

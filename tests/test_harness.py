@@ -60,6 +60,15 @@ class TestReports:
         b = harness.verify_theorem_path(4, 5, seeds=range(8), jobs=4)
         assert a.to_jsonl(False) == b.to_jsonl(False)
 
+    @pytest.mark.parametrize("verify", [harness.verify_theorem_path,
+                                        harness.verify_theorem_cycle])
+    def test_jobs_do_not_change_exhaustive_report(self, verify):
+        # exhaustive tasks carry the collections themselves to the workers
+        a = verify(3, 3, mode="exhaustive", jobs=1)
+        b = verify(3, 3, mode="exhaustive", jobs=2)
+        assert a.to_jsonl(False) == b.to_jsonl(False)
+        assert a.instances > 0 and a.stats["not_exists"] > 0
+
 
 class TestBench:
     def test_csv_shape(self):

@@ -1,8 +1,13 @@
 """Exact search oracles: backtracking, permutation enumeration, budgets."""
 
+import hashlib
+import itertools
+import json
+import sys
+
 import pytest
 
-from conftest import directed_triangle
+from conftest import all_collections, directed_triangle
 from rainbow_tournaments import generators, oracle
 from rainbow_tournaments.core import (
     ColoredDigraph,
@@ -164,3 +169,100 @@ class TestRainbowPathOracle:
         cd2 = ColoredDigraph(tuple((u, v, k)
                                    for k, (u, v) in enumerate(tri.arcs())))
         assert oracle.is_strongly_rainbow_connected(cd2, 3)
+
+
+def _lock_cases():
+    """(label, entry point, instance, keyword arguments) of the lock grid:
+    every collection with n <= 3 and m <= n + 1 (every start/end pair for
+    m <= 3), random instances with n = 4..8, prop14 with n = 3..12, and
+    node budgets cut off at 1, 2, 5, 17, nodes - 1 and nodes."""
+    path = oracle.exact_transversal_ham_path
+    cycle = oracle.exact_transversal_ham_cycle
+    for n in (1, 2, 3):
+        ends = [None, *range(n)]
+        for m in range(1, n + 2):
+            for k, tc in enumerate(all_collections(n, m)):
+                key = f"all n={n} m={m} #{k}"
+                pairs = (itertools.product(ends, ends) if m <= 3
+                         else [(None, None)])
+                for s, e in pairs:
+                    yield f"{key} path {s}-{e}", path, tc, dict(start=s, end=e)
+                yield f"{key} cycle", cycle, tc, {}
+    for n in range(4, 9):
+        for m in (n - 2, n - 1, n):
+            for seed in range(6):
+                tc = generators.random_collection(n, m, seed=seed)
+                key = f"random n={n} m={m} seed={seed}"
+                for s, e in ((None, None), (0, None), (None, n - 1),
+                             (0, n - 1), (1, 1)):
+                    yield f"{key} path {s}-{e}", path, tc, dict(start=s, end=e)
+                yield f"{key} cycle", cycle, tc, {}
+    for n in range(3, 13):
+        tc = generators.prop14_collection(n)
+        yield f"prop14 n={n} path", path, tc, {}
+        yield f"prop14 n={n} cycle", cycle, tc, {}
+    cut = [
+        ("prop14 n=7", generators.prop14_collection(7)),
+        ("random n=8 m=7 seed=0", generators.random_collection(8, 7, seed=0)),
+        ("random n=7 m=5 seed=1", generators.random_collection(7, 5, seed=1)),
+        ("fig1 path", generators.fig1_counterexamples()[0]),
+    ]
+    for key, tc in cut:
+        for what, entry in (("path", path), ("cycle", cycle)):
+            nodes = entry(tc).nodes_expanded
+            for limit in sorted({1, 2, 5, 17, max(1, nodes - 1), nodes}):
+                yield (f"{key} {what} max_nodes={limit}", entry, tc,
+                       dict(budget=SearchBudget(max_nodes=limit)))
+
+
+def oracle_lock_digest() -> tuple[int, str]:
+    """(number of cases, digest of every case's outcome)."""
+    h = hashlib.sha256()
+    count = 0
+    for label, entry, tc, kwargs in _lock_cases():
+        out = entry(tc, **kwargs)
+        w = out.witness
+        item = [label, out.status, out.nodes_expanded, out.notes,
+                list(w.vertices) if w is not None else None,
+                list(w.colors) if w is not None else None]
+        h.update(json.dumps(item).encode())
+        count += 1
+    return count, h.hexdigest()[:16]
+
+
+# recorded on the recursive engine that the iterative one replaced; print
+# the current value with  PYTHONPATH=src python tests/test_oracle.py
+ORACLE_LOCK = (18874, "c062de2a878e3bd0")
+
+
+class TestLock:
+    def test_backtracking_outcomes_unchanged(self):
+        """Status, nodes_expanded, notes and witness of both backtracking
+        entry points, over the grid of _lock_cases."""
+        assert oracle_lock_digest() == ORACLE_LOCK
+
+    def test_no_recursion_limit_on_instance_size(self):
+        """n = 150 searches run with 50 frames of headroom on the stack."""
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth += 1
+            frame = frame.f_back
+        old = sys.getrecursionlimit()
+        path_tc = generators.random_collection(150, 149, seed=0)
+        cycle_tc = generators.random_collection(
+            150, 150, seed=0, strongly_connected_count=149
+        )
+        sys.setrecursionlimit(depth + 50)
+        try:
+            path = oracle.exact_transversal_ham_path(path_tc)
+            cycle = oracle.exact_transversal_ham_cycle(cycle_tc)
+        finally:
+            sys.setrecursionlimit(old)
+        assert path.status == cycle.status == FOUND
+        assert path.witness.is_hamilton(path_tc)
+        assert cycle.witness.is_hamilton(cycle_tc)
+
+
+if __name__ == "__main__":
+    print(oracle_lock_digest())

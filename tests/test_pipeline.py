@@ -247,6 +247,53 @@ class TestInternalErrors:
             # the longest-path machine answered before any oracle call
             assert out.found
 
+    @staticmethod
+    def _route_failures(trace):
+        return [(ev["route"], ev["error"]) for ev in trace
+                if ev["stage"] == "route-failed"]
+
+    @pytest.mark.parametrize("mode", ["auto", "constructive"])
+    def test_longest_path_machine_fault(self, monkeypatch, mode):
+        monkeypatch.setattr(pipeline, "_constructive_cycle",
+                            _raise_index_error)
+        monkeypatch.setattr(pipeline, "_case3_machine", _raise_index_error)
+        tc = generators.random_collection(12, 12, seed=1,
+                                          strongly_connected_count=11)
+        trace = []
+        out = transversal_ham_cycle(tc, mode=mode, trace=trace)
+        assert self._route_failures(trace) == [
+            ("longest-path machine",
+             "[internal] IndexError: list index out of range")
+        ]
+        if mode == "constructive":
+            assert out.status == BUDGET_EXHAUSTED
+        else:
+            # the oracle fallback still runs and answers
+            assert out.found and out.witness.is_hamilton(tc)
+            assert out.notes.endswith("oracle fallback")
+
+    @pytest.mark.parametrize("what", ["path", "cycle"])
+    def test_oracle_fallback_fault_is_budget_exhausted(self, monkeypatch,
+                                                       what):
+        monkeypatch.setattr(pipeline, f"_constructive_{what}",
+                            _raise_index_error)
+        monkeypatch.setattr(pipeline, "_case3_machine", lambda *a: None)
+        monkeypatch.setattr(oracle, f"exact_transversal_ham_{what}",
+                            _raise_index_error)
+        trace = []
+        if what == "path":
+            tc = generators.random_collection(12, 11, seed=1)
+            out = transversal_ham_path(tc, trace=trace)
+        else:
+            tc = generators.prop14_collection(10)
+            out = transversal_ham_cycle(tc, trace=trace)
+        assert out.status == BUDGET_EXHAUSTED
+        assert self._route_failures(trace) == [
+            ("oracle fallback",
+             "[internal] IndexError: list index out of range")
+        ]
+        assert out.notes.endswith("internal error; oracle fallback")
+
 
 class TestDeterminism:
     def test_same_params_same_witness(self):
