@@ -4,6 +4,10 @@ Everything here is deterministic given (inputs, seed).  The module covers
 local median orders and degree splitting, H-partitions, the one-spare-color
 rainbow Hamilton path, forced-color and forced-set embeddings, rainbow
 connectivity via color layering, and the randomized color absorber.
+
+Rédei's insertion step (before the first path vertex the new one beats, or
+at the end) is written once, in _insertion_point, and in two-color form,
+for the one-spare builder and pipeline.exchange_step, in _spare_insert.
 """
 
 from __future__ import annotations
@@ -247,35 +251,63 @@ def h_partition(
 # one-spare-color rainbow Hamilton path
 
 
+def _insertion_point(path: Sequence[int], beaten: int) -> int:
+    """First k with path[k] in the vertex mask beaten, else len(path)."""
+    for k, u in enumerate(path):
+        if (beaten >> u) & 1:
+            return k
+    return len(path)
+
+
+def _spare_insert(
+    tc: TournamentCollection,
+    path: list[int],
+    colors: list[int],
+    used: set[int],
+    v: int,
+    c1: int,
+    c2: int,
+) -> int:
+    """Insert v into the rainbow path (in place, used kept up to date) with
+    the unused colors c1, c2 before path[k], the first path vertex it beats
+    in either, or at the end with c1; returns k.  The arc v -> path[k] takes
+    c1 if it can, else c2.  For k > 0, path[k-1] beats v in both (k is
+    minimal): the arc into v takes the other color, freeing the old one."""
+    out1 = tc.tournaments[c1].out[v]
+    k = _insertion_point(path, out1 | tc.tournaments[c2].out[v])
+    if k == len(path):
+        path.append(v)
+        colors.append(c1)
+        used.add(c1)
+        return k
+    hit, other = (c1, c2) if (out1 >> path[k]) & 1 else (c2, c1)
+    path.insert(k, v)
+    if k:
+        used.discard(colors[k - 1])
+        colors[k - 1] = other
+        used.add(other)
+    colors.insert(k, hit)
+    used.add(hit)
+    return k
+
+
 def tournament_ham_path(
     t: Tournament,
     vertices: Optional[Sequence[int]] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> list[int]:
-    """Hamilton path of a tournament by repeated insertion.
+    """Hamilton path of a tournament by repeated insertion (Rédei).
 
-    Every tournament has one; each new vertex lands either at an end or at
-    the first sign change along the path.  A generator shuffles the
-    insertion order, which is how callers get varied endpoints.
+    Every tournament has one; each new vertex goes before the first path
+    vertex it beats, or at the end.  A generator shuffles the insertion
+    order, which is how callers get varied endpoints.
     """
     verts = list(vertices) if vertices is not None else list(range(t.n))
     if rng is not None:
         verts = [verts[i] for i in rng.permutation(len(verts))]
-    if not verts:
-        return []
-    path = [verts[0]]
-    for v in verts[1:]:
-        if t.has_arc(v, path[0]):
-            path.insert(0, v)
-            continue
-        placed = False
-        for k in range(1, len(path)):
-            if t.has_arc(v, path[k]):
-                path.insert(k, v)
-                placed = True
-                break
-        if not placed:
-            path.append(v)
+    path: list[int] = []
+    for v in verts:
+        path.insert(_insertion_point(path, t.out[v]), v)
     return path
 
 
@@ -287,9 +319,10 @@ def rainbow_ham_path_one_spare(
 ) -> RainbowPath:
     """Rainbow Hamilton path when there is at least one spare color (m >= n).
 
-    Grows the path one vertex at a time.  With two unused colors c1 and c2
-    the new vertex is either prepended, spliced between two consecutive path
-    vertices, or appended; each step is O(path length) arc checks.
+    Grows the path one vertex at a time with _spare_insert and the first
+    two unused colors c1, c2 of the color order.  stats["arc_inspections"]
+    counts the arc checks of a scan testing c1, then c2, at each path
+    vertex: two per vertex passed and one or two at the hit.
     """
     n, m = tc.n, tc.m
     if m < n:
@@ -299,52 +332,15 @@ def rainbow_ham_path_one_spare(
     vorder = list(vertex_order) if vertex_order is not None else list(range(n))
     corder = list(color_order) if color_order is not None else list(range(m))
     inspections = 0
-
-    def arc_in(c: int, u: int, v: int) -> bool:
-        nonlocal inspections
-        inspections += 1
-        return tc.tournaments[c].has_arc(u, v)
-
     path = [vorder[0]]
     colors: list[int] = []
     used: set[int] = set()
     for v in vorder[1:]:
-        unused = [c for c in corder if c not in used][:2]
-        c1, c2 = unused
-        if arc_in(c1, v, path[0]):
-            path.insert(0, v)
-            colors.insert(0, c1)
-            used.add(c1)
-            continue
-        if arc_in(c2, v, path[0]):
-            path.insert(0, v)
-            colors.insert(0, c2)
-            used.add(c2)
-            continue
-        placed = False
-        for t in range(1, len(path)):
-            hit = None
-            if arc_in(c1, v, path[t]):
-                hit = c1
-            elif arc_in(c2, v, path[t]):
-                hit = c2
-            if hit is None:
-                continue
-            other = c2 if hit == c1 else c1
-            # by minimality the previous path vertex beats v in both spare
-            # colors, so the splice below is always legal
-            freed = colors[t - 1]
-            path.insert(t, v)
-            colors[t - 1:t] = [other, hit]
-            used.discard(freed)
-            used.update((other, hit))
-            placed = True
-            break
-        if placed:
-            continue
-        path.append(v)
-        colors.append(c1)
-        used.add(c1)
+        c1, c2 = [c for c in corder if c not in used][:2]
+        k = _spare_insert(tc, path, colors, used, v, c1, c2)
+        inspections += 2 * k
+        if k < len(path) - 1:
+            inspections += 1 if colors[k] == c1 else 2
     if stats is not None:
         stats["arc_inspections"] = stats.get("arc_inspections", 0) + inspections
     return RainbowPath(vertices=tuple(path), colors=tuple(colors))
@@ -583,10 +579,8 @@ def _layering(tc: TournamentCollection, x: int):
                 break
             raise NoProgressError(c)
         for vv in _bits(grow):
-            for uu in _bits(reached):
-                if t.has_arc(uu, vv):
-                    entry[vv] = (uu, c)
-                    break
+            first = t.in_mask(vv) & reached
+            entry[vv] = ((first & -first).bit_length() - 1, c)
         reached |= grow
         if reached == (1 << n) - 1:
             break

@@ -297,14 +297,6 @@ class ColoredDigraph:
         cols = [c for _, _, c in self.arcs]
         return len(cols) == len(set(cols))
 
-    def to_json(self) -> str:
-        return json.dumps([[t, h, c] for t, h, c in self.arcs],
-                          separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "ColoredDigraph":
-        return cls(tuple((t, h, c) for t, h, c in json.loads(text)))
-
 
 @dataclass(frozen=True)
 class _RainbowWalk:

@@ -3,7 +3,8 @@
 Availability is passed as one bitmask per slot (bit c set = color c usable).
 Kuhn's augmenting-path algorithm is enough at the sizes this package works
 with.  Augmenting paths are searched iteratively on an explicit stack, so
-no recursion limit caps the number of slots.  The incremental variant keeps
+no recursion limit caps the number of slots, and the same search serves
+the color side of a forced-color matching.  The incremental variant keeps
 per-depth snapshots so backtracking search can push and pop slots in
 O(current matching size).
 """
@@ -96,49 +97,27 @@ def matching_with_forced_colors(
     Phase 1 augments from the forced colors (color side), phase 2 from the
     still-unmatched slots.  Augmenting paths never unmatch a matched vertex,
     so forced colors stay used; by the transversal-matroid exchange property
-    the two phases find a witness whenever one exists.
+    the two phases find a witness whenever one exists.  In phase 1 forced
+    color k is _try_augment's "slot", and the slots offering it its "colors".
     """
     nslots = len(avail)
     forced = list(dict.fromkeys(forced))
     if len(forced) > nslots:
         return None
-    match_of_slot = [-1] * nslots
-    match_of_color: dict[int, int] = {}
-
-    slots_of_color: dict[int, list[int]] = {c: [] for c in forced}
-    for s, mask in enumerate(avail):
-        for c in forced:
-            if (mask >> c) & 1:
-                slots_of_color[c].append(s)
-
-    def augment_color(root: int) -> bool:
-        # Kuhn from the color side, depth first on an explicit stack of
-        # (color, its slots, the slot its parent color would take); during
-        # phase 1 every occupied slot is held by another forced color, which
-        # may itself be relocated
-        visited: set[int] = set()
-        stack = [(root, iter(slots_of_color[root]), -1)]
-        while stack:
-            s = next((x for x in stack[-1][1] if x not in visited), None)
-            if s is None:
-                stack.pop()
-                continue
-            visited.add(s)
-            occupant = match_of_slot[s]
-            if occupant != -1:
-                stack.append((occupant, iter(slots_of_color[occupant]), s))
-                continue
-            for c, _, via in reversed(stack):
-                match_of_slot[s] = c
-                match_of_color[c] = s
-                s = via
-            return True
-        return False
-
-    for c in forced:
-        if not augment_color(c):
+    slots_of = [
+        sum(1 << s for s, mask in enumerate(avail) if (mask >> c) & 1)
+        for c in forced
+    ]
+    slot_of = [-1] * len(forced)
+    holder: dict[int, int] = {}
+    for k in range(len(forced)):
+        if not _try_augment(k, slots_of, slot_of, holder):
             return None
 
+    match_of_slot = [-1] * nslots
+    for c, s in zip(forced, slot_of):
+        match_of_slot[s] = c
+    match_of_color = dict(zip(forced, slot_of))
     for s in range(nslots):
         if match_of_slot[s] == -1:
             if not _try_augment(s, avail, match_of_slot, match_of_color):

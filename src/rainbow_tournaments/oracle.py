@@ -6,7 +6,9 @@ recursion limit caps the instance size), pruning with an incremental
 arcs-vs-colors matching; ``nodes_expanded`` counts the vertex sequences it
 enters.  The slow one enumerates vertex permutations outright and asks for
 one matching per permutation.  Agreement between the two on small
-instances is what the test suite leans on.
+instances is what the test suite leans on.  ``exact_rainbow_path``, the
+rainbow-connectivity search in a colored digraph, also runs on an explicit
+stack.
 """
 
 from __future__ import annotations
@@ -404,32 +406,30 @@ def exact_rainbow_path(
     colors: list[int] = []
     seen = {start}
     used_colors: set[int] = set()
-
-    def dfs(u: int) -> bool:
+    # depth first on an explicit stack of arc iterators, one per path
+    # vertex; a vertex is ticked when entered, before the end test
+    arcs_left = [iter(out.get(start, ()))]
+    try:
         budget.tick()
-        if u == end:
-            return True
-        for v, c in out.get(u, ()):
-            if v in seen or c in used_colors:
+        while path[-1] != end:
+            for v, c in arcs_left[-1]:
+                if v not in seen and c not in used_colors:
+                    break
+            else:
+                arcs_left.pop()
+                if not colors:
+                    return _outcome(t0, NOT_EXISTS, nodes=budget.nodes)
+                seen.discard(path.pop())
+                used_colors.discard(colors.pop())
                 continue
             seen.add(v)
             used_colors.add(c)
             path.append(v)
             colors.append(c)
-            if dfs(v):
-                return True
-            path.pop()
-            colors.pop()
-            seen.discard(v)
-            used_colors.discard(c)
-        return False
-
-    try:
-        found = dfs(start)
+            arcs_left.append(iter(out.get(v, ())))
+            budget.tick()
     except _BudgetExceeded:
         return _outcome(t0, BUDGET_EXHAUSTED, nodes=budget.nodes)
-    if not found:
-        return _outcome(t0, NOT_EXISTS, nodes=budget.nodes)
     wit = RainbowPath(vertices=tuple(path), colors=tuple(colors))
     return _outcome(t0, FOUND, wit, budget.nodes)
 

@@ -21,6 +21,7 @@ from . import oracle
 from .constructive import (
     HPartition,
     _fresh_color_for_arc,
+    _spare_insert,
     absorb,
     build_absorber,
     h_partition,
@@ -59,6 +60,15 @@ __all__ = [
 ]
 
 
+# search effort per solve: absorber candidates per rainbow_dhp call,
+# constructive attempts, the oracle fallback's default node budget, and
+# vertex orders tried by the longest-path machine
+ABSORBER_RETRIES = 20
+DHP_RETRIES = 8
+FALLBACK_BUDGET_NODES = 200_000
+CASE3_RESTARTS = 24
+
+
 @dataclass(frozen=True)
 class PipelineParams:
     """Runtime constants for the constructive branch.
@@ -72,9 +82,6 @@ class PipelineParams:
     beta: float = 0.1
     seed: int = 0
     oracle_fallback_n: int = 9
-    absorber_retries: int = 20
-    dhp_retries: int = 8
-    fallback_budget_nodes: int = 200_000
 
     def __post_init__(self):
         if not (0 < self.mu < self.gamma < self.beta <= 0.5):
@@ -117,8 +124,6 @@ class CycleSearchState:
     D_unused: set[int] = field(default_factory=set)
     S_plus: set[int] = field(default_factory=set)
     S_minus: set[int] = field(default_factory=set)
-    x: Optional[int] = None
-    y: Optional[int] = None
 
     def refresh(self, tc: TournamentCollection) -> None:
         """Recompute S+/S- from the current path and unused colors."""
@@ -239,7 +244,7 @@ def rainbow_dhp(
     pool = [c for c in colors if not (dmask >> c) & 1]
     absorber = build_absorber(
         tc, q1_arcs, pool, ell, c_size,
-        retries=params.absorber_retries, seed=seed,
+        retries=ABSORBER_RETRIES, seed=seed,
     )
     ledger.A = list(absorber.A)
     ledger.C = list(absorber.C)
@@ -421,8 +426,13 @@ def _guarded(trace: Optional[list], stage: str, info: dict, run, *args):
 def _attempts(kind: str, build, tc, params: PipelineParams, trace):
     """Run build (the constructive path or cycle) with seeds params.seed,
     params.seed + 1, ...; the first valid Hamilton witness comes back with
-    its note, or (None, None) once params.dhp_retries attempts failed."""
-    tmaj, hp = _partition_for(tc, params)
+    its note, or (None, None) once DHP_RETRIES attempts failed or the
+    partition raised."""
+    part, _ = _guarded(trace, "route-failed", {"route": "constructive"},
+                       _partition_for, tc, params)
+    if part is None:
+        return None, None
+    tmaj, hp = part
 
     def attempt(seed: int):
         w = build(tc, tmaj, hp, params, seed, trace)
@@ -430,7 +440,7 @@ def _attempts(kind: str, build, tc, params: PipelineParams, trace):
             raise StageFailure(f"{kind}-assemble", "invalid witness")
         return w
 
-    for k in range(params.dhp_retries):
+    for k in range(DHP_RETRIES):
         w, exc = _guarded(trace, "attempt-failed", {"attempt": k},
                           attempt, params.seed + k)
         if w is not None:
@@ -440,16 +450,19 @@ def _attempts(kind: str, build, tc, params: PipelineParams, trace):
     return None, None
 
 
-def _oracle_fallback(search, work, params, budget, notes, trace, t0):
-    """The exact oracle search(work, budget) after the constructive routes,
-    by default under params.fallback_budget_nodes; a fault: BudgetExhausted."""
-    budget = budget or SearchBudget(max_nodes=params.fallback_budget_nodes)
-    out, _ = _guarded(trace, "route-failed", {"route": "oracle fallback"},
+def _oracle_route(search, work, budget, notes, trace, t0, fallback=False):
+    """The exact oracle search(work, budget), its notes after notes; a fault
+    gives BudgetExhausted.  As the fallback after the constructive routes
+    it runs by default under FALLBACK_BUDGET_NODES and says so last."""
+    route = "oracle fallback" if fallback else "oracle"
+    if fallback:
+        budget = budget or SearchBudget(max_nodes=FALLBACK_BUDGET_NODES)
+    out, _ = _guarded(trace, "route-failed", {"route": route},
                       search, work, budget)
     if out is None:
         out = _outcome(t0, BUDGET_EXHAUSTED, notes="internal error")
     own = [out.notes] if out.notes else []
-    out.notes = "; ".join(notes + own + ["oracle fallback"])
+    out.notes = "; ".join(notes + own + [route] * fallback)
     return out
 
 
@@ -476,7 +489,8 @@ def transversal_ham_path(
         work = restrict_colors(tc, list(range(n - 1)))
         _trace(trace, "reduce", kept_colors=n - 1)
     if mode == "exact" or (mode == "auto" and n <= params.oracle_fallback_n):
-        return oracle.exact_transversal_ham_path(work, budget)
+        return _oracle_route(oracle.exact_transversal_ham_path, work, budget,
+                             [], trace, t0)
     p, note = _attempts("path", _constructive_path, work, params, trace)
     if p is not None:
         return _outcome(t0, FOUND, p, notes=note)
@@ -484,8 +498,8 @@ def transversal_ham_path(
         return _outcome(
             t0, BUDGET_EXHAUSTED, notes="constructive attempts exhausted"
         )
-    return _oracle_fallback(oracle.exact_transversal_ham_path, work, params,
-                            budget, [], trace, t0)
+    return _oracle_route(oracle.exact_transversal_ham_path, work, budget,
+                         [], trace, t0, fallback=True)
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +511,9 @@ def exchange_step(
 ) -> Optional[RainbowPath]:
     """Extend a rainbow path by one vertex using two unused colors.
 
-    Returns None only when the path is already Hamilton; with two spare
-    colors an uncovered vertex can always be prepended, spliced, or
-    appended.
+    The lowest uncovered vertex is inserted by constructive._spare_insert
+    with the two lowest unused colors.  Returns None only when the path is
+    already Hamilton.
     """
     if len(p.vertices) == tc.n:
         return None
@@ -508,24 +522,9 @@ def exchange_step(
     c1, c2 = sorted(unused)[:2]
     on_path = set(p.vertices)
     v = next(z for z in range(tc.n) if z not in on_path)
-    path = list(p.vertices)
-    colors = list(p.colors)
-    t1, t2 = tc.tournaments[c1], tc.tournaments[c2]
-    if t1.has_arc(v, path[0]):
-        return RainbowPath((v, *path), (c1, *colors))
-    if t2.has_arc(v, path[0]):
-        return RainbowPath((v, *path), (c2, *colors))
-    for t in range(1, len(path)):
-        hit = c1 if t1.has_arc(v, path[t]) else (
-            c2 if t2.has_arc(v, path[t]) else None
-        )
-        if hit is None:
-            continue
-        other = c2 if hit == c1 else c1
-        newv = path[:t] + [v] + path[t:]
-        newc = colors[:t - 1] + [other, hit] + colors[t:]
-        return RainbowPath(tuple(newv), tuple(newc))
-    return RainbowPath((*path, v), (*colors, c1))
+    path, colors = list(p.vertices), list(p.colors)
+    _spare_insert(tc, path, colors, set(colors), v, c1, c2)
+    return RainbowPath(tuple(path), tuple(colors))
 
 
 def _close_from_ham_path(
@@ -557,7 +556,6 @@ def _case3_machine(
     params: PipelineParams,
     seed: int,
     trace: Optional[list],
-    restarts: int = 24,
 ) -> Optional[RainbowCycle]:
     """Exchange-saturated rainbow Hamilton paths with recolored closings.
 
@@ -566,7 +564,7 @@ def _case3_machine(
     """
     n = tc.n
     state = CycleSearchState()
-    for k in range(restarts):
+    for k in range(CASE3_RESTARTS):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([seed, 7, k]))
         )
@@ -586,7 +584,7 @@ def _case3_machine(
         if cyc is not None:
             _trace(trace, "case3", restarts_used=k + 1)
             return cyc
-    _trace(trace, "case3", restarts_used=restarts, closed=False)
+    _trace(trace, "case3", restarts_used=CASE3_RESTARTS, closed=False)
     return None
 
 
@@ -669,9 +667,8 @@ def transversal_ham_cycle(
             "strongly connected"
         )
     if mode == "exact" or (mode == "auto" and n <= params.oracle_fallback_n):
-        out = oracle.exact_transversal_ham_cycle(work, budget)
-        out.notes = "; ".join(notes + ([out.notes] if out.notes else []))
-        return out
+        return _oracle_route(oracle.exact_transversal_ham_cycle, work, budget,
+                             notes, trace, t0)
     cyc, note = _attempts("cycle", _constructive_cycle, work, params, trace)
     if cyc is not None:
         return _outcome(t0, FOUND, cyc, notes="; ".join(notes + [note]))
@@ -686,5 +683,5 @@ def transversal_ham_cycle(
             t0, BUDGET_EXHAUSTED,
             notes="; ".join(notes + ["constructive attempts exhausted"]),
         )
-    return _oracle_fallback(oracle.exact_transversal_ham_cycle, work, params,
-                            budget, notes, trace, t0)
+    return _oracle_route(oracle.exact_transversal_ham_cycle, work, budget,
+                         notes, trace, t0, fallback=True)

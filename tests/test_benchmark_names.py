@@ -26,6 +26,11 @@ BINDINGS = {
     "matching.perfect_matching":
         ("matching", "constructive", "pipeline", "oracle"),
     "constructive.build_absorber": ("constructive", "pipeline"),
+    "constructive.tournament_ham_path": ("constructive", "pipeline"),
+    "constructive.rainbow_ham_path_one_spare": ("constructive", "pipeline"),
+    "matching.matching_with_forced_colors":
+        ("matching", "constructive", "pipeline"),
+    "pipeline.exchange_step": ("pipeline",),
     # the oracle.backtrack.* metrics; the callers reach both through the
     # oracle module
     "oracle.exact_transversal_ham_path": ("oracle",),

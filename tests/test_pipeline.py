@@ -99,7 +99,7 @@ class TestPathSolver:
             assert out.status == BUDGET_EXHAUSTED
             fails = [ev["error"] for ev in trace
                      if ev["stage"] == "attempt-failed"]
-            assert len(fails) == PipelineParams().dhp_retries
+            assert len(fails) == pipeline.DHP_RETRIES
             assert all(e.startswith("[path-assemble]") for e in fails)
         # one partition per solve, however many attempts
         assert len(partitions) == 2
@@ -210,7 +210,7 @@ class TestInternalErrors:
                  if ev["stage"] == "attempt-failed"]
         assert fails == (
             ["[internal] IndexError: list index out of range"]
-            * PipelineParams().dhp_retries
+            * pipeline.DHP_RETRIES
         )
 
     @pytest.mark.parametrize("budget", [None, SearchBudget(max_nodes=5)])
@@ -293,6 +293,46 @@ class TestInternalErrors:
              "[internal] IndexError: list index out of range")
         ]
         assert out.notes.endswith("internal error; oracle fallback")
+
+    @pytest.mark.parametrize("what", ["path", "cycle"])
+    def test_partition_fault(self, monkeypatch, what):
+        monkeypatch.setattr(pipeline, "_partition_for", _raise_index_error)
+        monkeypatch.setattr(pipeline, "_case3_machine", lambda *a: None)
+        if what == "path":
+            tc = generators.random_collection(30, 29, seed=5)
+            solver = transversal_ham_path
+        else:
+            tc = generators.random_collection(30, 30, seed=5,
+                                              strongly_connected_count=29)
+            solver = transversal_ham_cycle
+        trace = []
+        out = solver(tc, mode="constructive", trace=trace)
+        assert out.status == BUDGET_EXHAUSTED
+        assert self._route_failures(trace) == [
+            ("constructive", "[internal] IndexError: list index out of range")
+        ]
+        # in auto mode the oracle fallback still runs and answers
+        out = solver(tc)
+        assert out.found and out.witness.is_hamilton(tc)
+        assert out.notes.endswith("oracle fallback")
+
+    @pytest.mark.parametrize("mode", ["auto", "exact"])
+    @pytest.mark.parametrize("what", ["path", "cycle"])
+    def test_direct_oracle_fault_is_budget_exhausted(self, monkeypatch,
+                                                     what, mode):
+        monkeypatch.setattr(oracle, f"exact_transversal_ham_{what}",
+                            _raise_index_error)
+        tc = generators.random_collection(6, 6, seed=1,
+                                          strongly_connected_count=5)
+        solver = (transversal_ham_path if what == "path"
+                  else transversal_ham_cycle)
+        trace = []
+        out = solver(tc, mode=mode, trace=trace)
+        assert out.status == BUDGET_EXHAUSTED
+        assert out.notes == "internal error"
+        assert self._route_failures(trace) == [
+            ("oracle", "[internal] IndexError: list index out of range")
+        ]
 
 
 class TestDeterminism:
