@@ -70,7 +70,7 @@ def restrict_colors(
     """Sub-collection keeping only the given colors, in the given order.
 
     Color k of the result is original color colors[k]."""
-    return TournamentCollection(tuple(tc.tournaments[c] for c in colors))
+    return tc._select(colors)
 
 
 # ---------------------------------------------------------------------------
@@ -164,16 +164,18 @@ def split_block(
         mask |= 1 << u
     best_v = -1
     best_min = -1
+    out = t.out
     for v in block:
-        dout = (t.out[v] & mask).bit_count()
-        din = (t.in_mask(v) & mask).bit_count()
-        lo = min(din, dout)
+        dout = (out[v] & mask).bit_count()
+        # v meets the other len(block) - 1 vertices, losing to the rest
+        lo = min(len(block) - 1 - dout, dout)
         if lo > best_min:
             best_min = lo
             best_v = v
     v = best_v
-    wminus = [u for u in block if t.has_arc(u, v)]
-    wplus = [u for u in block if t.has_arc(v, u)]
+    beats = out[v]
+    wminus = [u for u in block if u != v and not (beats >> u) & 1]
+    wplus = [u for u in block if (beats >> u) & 1]
     return wminus, v, wplus
 
 
@@ -306,8 +308,9 @@ def tournament_ham_path(
     if rng is not None:
         verts = [verts[i] for i in rng.permutation(len(verts))]
     path: list[int] = []
+    out = t.out
     for v in verts:
-        path.insert(_insertion_point(path, t.out[v]), v)
+        path.insert(_insertion_point(path, out[v]), v)
     return path
 
 
@@ -571,9 +574,10 @@ def _layering(tc: TournamentCollection, x: int):
     entry: dict[int, tuple[int, int]] = {}
     for c in range(tc.m):
         t = tc.tournaments[c]
+        out = t.out
         grow = 0
         for uu in _bits(reached):
-            grow |= t.out[uu] & ~reached
+            grow |= out[uu] & ~reached
         if grow == 0:
             if reached == (1 << n) - 1:
                 break

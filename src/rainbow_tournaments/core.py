@@ -1,40 +1,49 @@
 """Data model for tournaments, collections and colored subdigraphs.
 
 Vertices are ``0..n-1``.  A color is the index of a tournament inside a
-collection.  Orientation bits for one tournament are stored as per-vertex
-out-neighbour bitmasks (arbitrary-precision ints), which makes arc queries,
-degree counts and induced restrictions cheap even for a few thousand
-vertices.
+collection.
 
 The canonical interchange format for a collection is JSON::
 
     {"n": <int>, "m": <int>, "tournaments": ["010...", ...]}
 
-where each string has length n(n-1)/2 over {"0","1"}; position p runs over
-the pairs (i,j), i<j, in lexicographic order and "1" means the arc i->j.
+where each string has length N = n(n-1)/2 over {"0","1"}; position p runs
+over the pairs (i,j), i<j, in lexicographic order and "1" means the arc
+i->j.
 
-Costs of the operations on whole matrices, for k colors on n vertices:
+A tournament is stored as exactly these N pair bits, packed MSB-first
+into ceil(N/8) read-only bytes (``Tournament.packed``; the pad bits of the
+last byte are 0).  A collection built by the generator, by ``from_json``
+or by unpickling keeps its m rows in one (m, ceil(N/8)) uint8 array
+(``TournamentCollection.packed``), and each member's row is a view of it.
+Per-vertex out-neighbour bitmasks (``Tournament.out``, arbitrary-precision
+ints) are a cache, built on first read.  The constructions read them only
+on small or derived tournaments: the majority tournament, restricted
+blocks, the exact oracle and the one-spare builder.
 
-- Placement: a 0/1 array in pair order (a generator draw, or a JSON
-  string read as ASCII bytes) becomes a tournament by two masked writes
-  into an n x n uint8 matrix through a cached strict-upper bool mask,
-  ``mat[up] = bits`` and ``mat.T[up] = bits ^ 1``; ``pair_bits`` reads
-  ``mat[up]`` back from the unpacked rows.  O(n^2) bytes, no Python step
-  per pair.
-- Packing (every trusted construction, including ``restrict`` and
-  ``majority_subtournament``): one ``packbits`` and one ``tobytes`` over
-  the whole matrix, then one ``int.from_bytes`` per row on a slice of
-  that buffer.
-- ``threshold_digraph`` and ``majority_subtournament`` count the colors
-  of every ordered pair at once.  Each color's rows are laid out as one
-  uint8 array of n*ceil(n/8) bytes and added into a bit-sliced counter
-  (one array per bit of the count) by carry-save full adders: about five
-  word-parallel operations per color, O(k n^2 / 8) bytes of work in
-  total, plus one Python call per row to lay the rows out.  One MSB-first
-  comparison of the planes against the threshold gives the result, and
-  only that n x n matrix is unpacked.
-- ``is_strongly_connected`` sorts the n out-degrees and compares their
-  prefix sums with Landau's floor C(k,2): O(n log n), with no search.
+Costs, for k colors on n vertices:
+
+- Generation and ``from_json``: one ``packbits`` per tournament over its N
+  pair bytes, copied into the collection's row.  No n x n matrix.
+- ``has_arc(u, v)`` reads bit ``pair_index(min, max)`` and flips it when
+  u > v (or reads ``out`` when it is cached); ``arc_color_mask`` gathers
+  the pair's byte column of the collection array and packs the m bits.
+- ``restrict`` to b vertices gathers their b(b-1)/2 pair bits and packs
+  them.
+- ``threshold_digraph`` and ``majority_subtournament`` count the colors of
+  every pair at once: each color's packed row is added into a bit-sliced
+  counter (one array per bit of the count) by carry-save full adders,
+  about five word-parallel operations on ceil(N/8) bytes per color.  One
+  MSB-first comparison of the planes against the threshold gives the
+  majority tournament's pair bits directly; the threshold digraph takes
+  two (the count of v->u is k minus that of u->v).
+- ``Tournament.out``: the pair bits are placed into an n x n matrix by two
+  masked writes, packed into rows, and each row becomes an int in one
+  ``map(int.from_bytes, ...)``.  O(n^2) bytes, no Python step per pair.
+- ``Tournament.scores`` (out-degrees, cached) sums the rows and columns of
+  the upper triangle, or counts the bits of ``out`` when it is cached;
+  ``is_strongly_connected`` sorts them and compares their prefix sums with
+  Landau's floor C(k,2): O(n log n), with no search.
 """
 
 from __future__ import annotations
@@ -44,8 +53,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import eq
+from itertools import accumulate, chain, repeat
+from operator import eq, index
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -84,53 +93,47 @@ def pair_index(n: int, i: int, j: int) -> int:
     return i * n - i * (i + 1) // 2 + (j - i - 1)
 
 
+def _pair_count(n: int) -> int:
+    return n * (n - 1) // 2
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class Tournament:
     """A complete antisymmetric orientation on ``n`` labeled vertices."""
 
-    __slots__ = ("n", "out", "_hash")
+    __slots__ = ("n", "_packed", "_out", "_scores", "_hash")
 
     def __init__(self, n: int, out: Sequence[int]):
         if n < 1:
             raise ValueError("tournament needs at least one vertex")
         if len(out) != n:
             raise ValueError("out-mask count must equal n")
+        out = tuple(out)
+        mat = _check_rows(n, out)
         self.n = n
-        self.out = tuple(out)
+        self._packed = _frozen(np.packbits(mat[_upper_mask(n)]))
+        self._out = out
+        self._scores = None
         self._hash = None
-        self._check()
-
-    def _check(self) -> None:
-        full = (1 << self.n) - 1
-        for v, mask in enumerate(self.out):
-            if mask & ~full:
-                raise ValueError(f"out-mask of vertex {v} out of range")
-        mat = self._bool_rows(range(self.n)).astype(bool)
-        if mat.diagonal().any():
-            raise ValueError("self-loop present")
-        both = mat & mat.T
-        if both.any():
-            v, u = map(int, np.argwhere(both)[0])
-            raise ValueError(f"pair ({v},{u}) not oriented exactly once")
-        missing = ~(mat | mat.T)
-        np.fill_diagonal(missing, False)
-        if missing.any():
-            v, u = map(int, np.argwhere(missing)[0])
-            raise ValueError(f"pair ({v},{u}) not oriented exactly once")
-
-    def _bool_rows(self, rows: Sequence[int]) -> np.ndarray:
-        """Out-masks of the given vertices as 0/1 rows of length n."""
-        masks = [self.out[v] for v in rows]
-        return _unpack_rows(_row_array(masks, self.n), self.n)
 
     @classmethod
-    def _unchecked(cls, mat: np.ndarray) -> "Tournament":
-        """From 0/1 rows (mat[u, v] = 1 iff u->v) known to form a
-        tournament, skipping the validating constructor."""
+    def _from_packed(cls, n: int, packed: np.ndarray) -> "Tournament":
+        """From packed pair bits known to be canonical (pad bits 0),
+        skipping the validating constructor; packed becomes read-only."""
         t = object.__new__(cls)
-        t.n = mat.shape[0]
-        t.out = _pack_rows(mat)
+        t.n = n
+        t._packed = _frozen(packed)
+        t._out = None
+        t._scores = None
         t._hash = None
         return t
+
+    def __reduce__(self):
+        return Tournament._from_packed, (self.n, self._packed)
 
     # -- constructors -------------------------------------------------
 
@@ -142,75 +145,108 @@ class Tournament:
         return cls(n, out)
 
     @classmethod
-    def _from_pair_array(cls, n: int, bits: np.ndarray) -> "Tournament":
-        """From one 0/1 uint8 per pair (i, j), i < j, in lexicographic
-        order; 1 means the arc i->j.  Every pair is oriented exactly once
-        by construction, so the validating constructor is skipped."""
-        up = _upper_mask(n)
-        mat = np.zeros((n, n), dtype=np.uint8)
-        mat[up] = bits
-        # mat.T[up] is cell (j, i) of pair (i, j), in the same pair order
-        mat.T[up] = bits ^ 1
-        return cls._unchecked(mat)
-
-    @classmethod
     def from_pair_bits(cls, n: int, bits: str) -> "Tournament":
         """From the JSON pair-bit string (see the module docstring)."""
+        n = index(n)
         if n < 1:
             raise ValueError("tournament needs at least one vertex")
-        want = n * (n - 1) // 2
-        if (not isinstance(bits, str) or len(bits) != want
-                or set(bits) - {"0", "1"}):
-            raise ValueError(f"need a {{0,1}} string of length {want}")
-        raw = np.frombuffer(bits.encode("ascii"), dtype=np.uint8)
-        return cls._from_pair_array(n, raw - ord("0"))
+        want = _pair_count(n)
+        bad = ValueError(f"need a {{0,1}} string of length {want}")
+        if not isinstance(bits, str) or len(bits) != want:
+            raise bad
+        try:
+            raw = np.frombuffer(bits.encode("ascii"), dtype=np.uint8)
+        except UnicodeEncodeError:
+            raise bad from None
+        if ((raw | 1) != ord("1")).any():
+            raise bad
+        return cls._from_packed(n, np.packbits(raw & 1))
 
     @classmethod
     def from_bool_matrix(cls, mat: np.ndarray) -> "Tournament":
         """Build from a dense adjacency matrix (mat[u, v] truthy iff u->v)."""
         return cls(mat.shape[0], _pack_rows(mat.astype(np.uint8)))
 
+    # -- representations ----------------------------------------------
+
+    @property
+    def packed(self) -> np.ndarray:
+        """The pair bits, packed MSB-first (read-only uint8 array)."""
+        return self._packed
+
+    @property
+    def out(self) -> tuple[int, ...]:
+        """out[u] has bit v set iff u->v; built on first read, then cached."""
+        out = self._out
+        if out is None:
+            out = self._out = _out_rows(self.n, self._packed)
+        return out
+
+    @property
+    def scores(self) -> np.ndarray:
+        """The out-degree of every vertex (a read-only int array);
+        computed once, then cached."""
+        scores = self._scores
+        if scores is None:
+            if self._out is not None:
+                scores = np.fromiter(map(int.bit_count, self._out), np.intp)
+            else:
+                scores = _scores_from_pairs(self.n, self._packed)
+            self._scores = scores = _frozen(scores)
+        return scores
+
     # -- queries ------------------------------------------------------
 
     def has_arc(self, u: int, v: int) -> bool:
-        return bool((self.out[u] >> v) & 1)
+        out = self._out
+        if out is not None:
+            return bool((out[u] >> v) & 1)
+        if u == v:
+            return False
+        lo, hi = (u, v) if u < v else (v, u)
+        p = lo * (2 * self.n - lo - 3) // 2 + hi - 1  # pair_index(n, lo, hi)
+        return bool(self._packed[p >> 3] & (0x80 >> (p & 7))) != (u > v)
 
     def out_degree(self, v: int) -> int:
-        return self.out[v].bit_count()
+        return int(self.scores[v])
 
     def in_degree(self, v: int) -> int:
-        return self.n - 1 - self.out[v].bit_count()
+        return self.n - 1 - int(self.scores[v])
 
     def in_mask(self, v: int) -> int:
         full = (1 << self.n) - 1
         return full & ~self.out[v] & ~(1 << v)
 
     def arcs(self):
-        for u in range(self.n):
-            for v in _bits(self.out[u]):
+        for u, mask in enumerate(self.out):
+            for v in _bits(mask):
                 yield u, v
 
     def pair_bits(self) -> str:
-        bits = self._bool_rows(range(self.n))[_upper_mask(self.n)]
-        return (bits + ord("0")).tobytes().decode("ascii")
+        bits = np.unpackbits(self._packed, count=_pair_count(self.n))
+        return (bits | ord("0")).tobytes().decode("ascii")
 
     def restrict(self, vertices: Sequence[int]) -> "Tournament":
         """Induced subtournament; vertex k of the result is vertices[k]."""
         idx = np.asarray(vertices, dtype=np.intp)
-        # only the k selected rows are unpacked, not the full n x n matrix;
+        a, b = _pair_coords(len(idx))
+        u, v = idx[a], idx[b]
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        p = lo * (2 * self.n - lo - 3) // 2 + hi - 1  # as in has_arc
+        bits = (self._packed[p >> 3] & (0x80 >> (p & 7))) != 0
         # restriction of a valid tournament cannot break the invariants
-        return Tournament._unchecked(self._bool_rows(vertices)[:, idx])
+        return Tournament._from_packed(len(idx), np.packbits(bits != (u > v)))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Tournament)
             and self.n == other.n
-            and self.out == other.out
+            and np.array_equal(self._packed, other._packed)
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.n, self.out))
+            self._hash = hash((self.n, self._packed.tobytes()))
         return self._hash
 
     def __repr__(self) -> str:
@@ -223,7 +259,7 @@ class TournamentCollection:
     Colors are the family indices ``0..m-1``.
     """
 
-    __slots__ = ("n", "m", "tournaments")
+    __slots__ = ("n", "m", "tournaments", "_packed")
 
     def __init__(self, tournaments: Sequence[Tournament]):
         if not tournaments:
@@ -235,16 +271,70 @@ class TournamentCollection:
         self.n = n
         self.m = len(tournaments)
         self.tournaments = tuple(tournaments)
+        self._packed = None
+
+    @classmethod
+    def _assemble(
+        cls, n: int, m: int, members: Iterable[Tournament]
+    ) -> "TournamentCollection":
+        """From m new tournaments on n vertices: each one's pair bits are
+        copied into its row of one (m, ceil(N/8)) array as it arrives, and
+        the member then reads that row, so its own copy can go at once."""
+        rows = view = None
+        ts = []
+        for i, t in enumerate(members):
+            if rows is None:  # allocated once the first member is valid
+                rows = np.empty((m, t._packed.size), dtype=np.uint8)
+                view = _frozen(rows.view())
+            rows[i] = t._packed
+            t._packed = view[i]
+            ts.append(t)
+        tc = cls(ts)
+        tc._packed = view
+        return tc
+
+    @classmethod
+    def _from_rows(cls, n: int, rows: np.ndarray) -> "TournamentCollection":
+        """Members read the rows of a canonical (m, ceil(N/8)) array."""
+        rows = _frozen(rows)
+        tc = cls([Tournament._from_packed(n, row) for row in rows])
+        tc._packed = rows
+        return tc
+
+    def __reduce__(self):
+        return TournamentCollection._from_rows, (self.n, self.packed)
+
+    def _select(self, colors: Sequence[int]) -> "TournamentCollection":
+        """The members of the listed colors, in that order.  A run of
+        consecutive colors keeps reading this collection's rows."""
+        colors = list(colors)
+        sub = TournamentCollection([self.tournaments[c] for c in colors])
+        if self._packed is not None and colors == list(
+                range(colors[0], colors[0] + len(colors))):
+            sub._packed = self._packed[colors[0]:colors[0] + len(colors)]
+        return sub
+
+    @property
+    def packed(self) -> np.ndarray:
+        """The members' packed pair bits as the rows of one read-only
+        (m, ceil(N/8)) uint8 array.  A collection assembled from its own
+        rows returns that array; any other stacks the rows on first use."""
+        if self._packed is None:
+            self._packed = _frozen(
+                np.stack([t._packed for t in self.tournaments])
+            )
+        return self._packed
 
     def arc_color_mask(self, u: int, v: int) -> int:
         """Bitmask over colors i with the arc u->v in tournament i."""
         if u == v or not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"invalid arc ({u},{v}) for n={self.n}")
-        mask = 0
-        for i, t in enumerate(self.tournaments):
-            if (t.out[u] >> v) & 1:
-                mask |= 1 << i
-        return mask
+        lo, hi = (u, v) if u < v else (v, u)
+        p = pair_index(self.n, lo, hi)
+        hit = (self.packed[:, p >> 3] & (0x80 >> (p & 7))) != 0
+        if u > v:
+            hit = ~hit
+        return int.from_bytes(np.packbits(hit, bitorder="little"), "little")
 
     # -- JSON (canonical, bit-exact) ----------------------------------
 
@@ -263,7 +353,9 @@ class TournamentCollection:
         bits = obj["tournaments"]
         if len(bits) != m:
             raise ValueError("tournament count does not match m")
-        return cls([Tournament.from_pair_bits(n, b) for b in bits])
+        return cls._assemble(
+            n, len(bits), (Tournament.from_pair_bits(n, b) for b in bits)
+        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -385,39 +477,81 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _row_array(masks: Iterable[int], n: int) -> np.ndarray:
-    """The n-bit masks as consecutive little-endian rows of ceil(n/8)
-    bytes, in one uint8 array."""
+def _check_rows(n: int, out: tuple[int, ...]) -> np.ndarray:
+    """The out-masks as an n x n 0/1 matrix, after checking that they
+    orient every pair exactly once."""
+    full = (1 << n) - 1
+    for v, mask in enumerate(out):
+        if mask & ~full:
+            raise ValueError(f"out-mask of vertex {v} out of range")
     nb = (n + 7) // 8
-    buf = b"".join(map(int.to_bytes, masks, repeat(nb), repeat("little")))
-    return np.frombuffer(buf, dtype=np.uint8)
+    buf = b"".join(map(int.to_bytes, out, repeat(nb), repeat("little")))
+    mat = np.unpackbits(
+        np.frombuffer(buf, dtype=np.uint8).reshape(n, nb),
+        axis=1, count=n, bitorder="little",
+    ).view(bool)
+    if mat.diagonal().any():
+        raise ValueError("self-loop present")
+    both = mat & mat.T
+    if both.any():
+        v, u = map(int, np.argwhere(both)[0])
+        raise ValueError(f"pair ({v},{u}) not oriented exactly once")
+    missing = ~(mat | mat.T)
+    np.fill_diagonal(missing, False)
+    if missing.any():
+        v, u = map(int, np.argwhere(missing)[0])
+        raise ValueError(f"pair ({v},{u}) not oriented exactly once")
+    return mat
 
 
-def _unpack_rows(rows: np.ndarray, n: int) -> np.ndarray:
-    """The rows of a _row_array as 0/1 rows of length n."""
-    return np.unpackbits(
-        rows.reshape(-1, (n + 7) // 8), axis=1, count=n, bitorder="little"
-    )
+def _out_rows(n: int, packed: np.ndarray) -> tuple[int, ...]:
+    """The out-masks of the tournament with these pair bits."""
+    up = _upper_mask(n)
+    bits = np.unpackbits(packed, count=_pair_count(n))
+    mat = np.zeros((n, n), dtype=np.uint8)
+    mat[up] = bits
+    # mat.T[up] is cell (j, i) of pair (i, j), in the same pair order
+    mat.T[up] = bits ^ 1
+    return _pack_rows(mat)
+
+
+def _scores_from_pairs(n: int, packed: np.ndarray) -> np.ndarray:
+    """Out-degrees: u beats the later vertices of its upper-triangle row
+    and the earlier ones whose pair bit in column u is 0."""
+    up = np.zeros((n, n), dtype=np.uint8)
+    up[_upper_mask(n)] = np.unpackbits(packed, count=_pair_count(n))
+    acc = np.uint16 if n < 1 << 16 else np.uint32  # narrow sums are faster
+    later = up.sum(axis=1, dtype=acc).astype(np.intp)
+    return later + np.arange(n) - up.sum(axis=0, dtype=acc)
 
 
 def _pack_rows(mat: np.ndarray) -> tuple[int, ...]:
     """Each 0/1 row of mat as an int bitmask (column v is bit v)."""
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    nb = packed.shape[1]
-    buf = packed.tobytes()
-    return tuple(
-        int.from_bytes(buf[i:i + nb], "little") for i in range(0, len(buf), nb)
-    )
+    buf = np.packbits(mat, axis=1, bitorder="little").tobytes()
+    rows = map(buf.__getitem__, _row_slices(*mat.shape))
+    return tuple(map(int.from_bytes, rows, repeat("little")))
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=32)
+def _row_slices(n: int, width: int) -> tuple[slice, ...]:
+    """The n rows of a packed n x width bit matrix as byte slices."""
+    nb = (width + 7) // 8
+    return tuple(slice(i * nb, (i + 1) * nb) for i in range(n))
+
+
+@functools.lru_cache(maxsize=32)
 def _upper_mask(n: int) -> np.ndarray:
     """The strict upper triangle of an n x n matrix as a read-only bool
     mask; its cells in row-major order are the pairs (i, j), i < j, in
     lexicographic order."""
-    mask = np.triu(np.ones((n, n), dtype=bool), 1)
-    mask.flags.writeable = False
-    return mask
+    return _frozen(np.triu(np.ones((n, n), dtype=bool), 1))
+
+
+@functools.lru_cache(maxsize=32)
+def _pair_coords(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) of every pair i < j, in lexicographic order."""
+    i, j = np.nonzero(_upper_mask(n))
+    return _frozen(i), _frozen(j)
 
 
 def _index_list(
@@ -448,19 +582,19 @@ def _full_add(
 def _vote_planes(
     coll: TournamentCollection, color_list: Sequence[int]
 ) -> list[np.ndarray]:
-    """Bit-sliced count of the listed colors' arcs: bit v of row u of
-    planes[b] (laid out as by _row_array) is bit b of the number of colors
-    with the arc u->v.
+    """Bit-sliced count of the listed colors' pair bits: bit p of planes[b]
+    (packed as a pair row) is bit b of the number of colors with the arc
+    i->j, for pair p = (i, j), i < j.  The colors with j->i are the rest.
 
     A carry-save counter: addends wait, at most two per weight, and a
     third one of the same weight triggers a full adder that keeps the sum
     at that weight and moves the carry up, about five word-parallel
     operations per color.  (A ripple carry would pass through every plane
-    for every color: on n^2 pairs a carry is almost never 0.)
+    for every color: on N pairs a carry is almost never 0.)
     """
     pending: list[list[np.ndarray]] = []  # addends of weight 2**b
     for c in color_list:
-        x = _row_array(coll.tournaments[c].out, coll.n)
+        x = coll.tournaments[c].packed
         for waiting in pending:
             if len(waiting) < 2:
                 waiting.append(x)
@@ -508,12 +642,17 @@ def threshold_digraph(
     if not 0 < gamma <= 1:
         raise ValueError("gamma must lie in (0, 1]")
     color_list = _index_list(colors, coll.m, "color")
-    need = max(math.ceil(gamma * len(color_list)), 1)
-    hits = _at_least(_vote_planes(coll, color_list), need)
-    us, vs = np.nonzero(_unpack_rows(hits, coll.n))
-    return MajorityDigraph(
-        coll.n, gamma, frozenset(zip(us.tolist(), vs.tolist()))
-    )
+    k = len(color_list)
+    need = max(math.ceil(gamma * k), 1)
+    planes = _vote_planes(coll, color_list)
+    count = _pair_count(coll.n)
+    # i->j needs c >= need colors, j->i needs k - c >= need: c <= k - need
+    fwd = np.unpackbits(_at_least(planes, need), count=count).view(bool)
+    bwd = np.unpackbits(_at_least(planes, k - need + 1), count=count) == 0
+    i, j = _pair_coords(coll.n)
+    arcs = chain(zip(i[fwd].tolist(), j[fwd].tolist()),
+                 zip(j[bwd].tolist(), i[bwd].tolist()))
+    return MajorityDigraph(coll.n, gamma, frozenset(arcs))
 
 
 def majority_subtournament(
@@ -531,12 +670,11 @@ def majority_subtournament(
         raise ValueError("majority subtournament needs gamma <= 1/2")
     color_list = _index_list(colors, coll.m, "color")
     k = len(color_list)
-    # c(u,v) >= c(v,u) iff c(u,v) >= ceil(k/2), since c(u,v) + c(v,u) = k
+    # for i < j: c(i,j) >= c(j,i) iff c(i,j) >= ceil(k/2), since
+    # c(i,j) + c(j,i) = k; those are the pair bits of the result (its pad
+    # bits count 0 colors, so they stay 0)
     wins = _at_least(_vote_planes(coll, color_list), (k + 1) // 2)
-    up = np.triu(_unpack_rows(wins, coll.n), 1)
-    # below the diagonal u->v iff v->u lost above it: the complement of
-    # the transpose
-    return Tournament._unchecked(up | np.tril(1 - up.T, -1))
+    return Tournament._from_packed(coll.n, wins)
 
 
 def induced_collection(
@@ -562,7 +700,7 @@ def is_strongly_connected(t: Tournament) -> bool:
     all others; so the tournament is strong iff no proper prefix of its
     sorted scores meets that floor.
     """
-    scores = sorted(map(int.bit_count, t.out))
+    scores = sorted(t.scores.tolist())
     floor = accumulate(range(t.n - 1))
     return not any(map(eq, accumulate(scores[:-1]), floor))
 

@@ -15,10 +15,14 @@ numpy serves uint8 draws from 32-bit outputs low byte first, PCG64 serves
 32-bit outputs as the low then the high half of one word, and Lemire's
 multiply-shift bounded draw maps a byte b to (2b) >> 8 = b >> 7 with a
 rejection threshold of (256 - 2) mod 2 = 0, so no byte is ever redrawn.
-Per tournament the cost is one seeding, one word draw, one shift and the
-placement of ``Tournament._from_pair_array`` (two masked writes into an
-n x n uint8 matrix, then one packing of its rows): about 1 ms at n = 800
-and 20 us at n = 30.
+Per tournament the cost is one seeding, then per 8192 words (64 KiB) one
+draw, one comparison and one ``packbits`` into the tournament's packed
+pair bits, which ``random_collection`` copies into its row of the
+collection's array (see ``core``): about 0.2 ms at n = 800, with no
+n x n matrix and no per-row ints.  A strongly connected member also pays
+for its scores (the upper triangle summed by rows and columns, about
+0.3 ms at n = 400), which stay cached on it for later strong-connectivity
+tests.
 """
 
 from __future__ import annotations
@@ -134,15 +138,23 @@ def fig1_counterexamples() -> tuple[TournamentCollection, TournamentCollection]:
     )
 
 
+# raw words drawn per step: 64 KiB temporaries come from the heap, where
+# one large draw would map and fault in fresh pages for every tournament
+DRAW_CHUNK_WORDS = 8192
+
+
 def _draw_tournament(n: int, seed: int, index: int, attempt: int) -> Tournament:
     size = n * (n - 1) // 2
-    words = np.random.PCG64(
-        np.random.SeedSequence([seed, index, attempt])
-    ).random_raw((size + 7) // 8)
-    # bit 7 of each raw byte, bytes read little-endian: draw for draw the
-    # Generator.integers(0, 2, size, dtype=np.uint8) of the same stream
-    bits = words.astype("<u8", copy=False).view(np.uint8)[:size] >> 7
-    return Tournament._from_pair_array(n, bits)
+    stream = np.random.PCG64(np.random.SeedSequence([seed, index, attempt]))
+    # one word orients 8 pairs, and packs into one byte
+    packed = np.empty((size + 7) // 8, dtype=np.uint8)
+    for at in range(0, packed.size, DRAW_CHUNK_WORDS):
+        words = stream.random_raw(min(DRAW_CHUNK_WORDS, packed.size - at))
+        # bit 7 of each raw byte, bytes read little-endian: draw for draw
+        # the Generator.integers(0, 2, size, dtype=np.uint8) of the stream
+        raw = words.astype("<u8", copy=False).view(np.uint8)[:size - 8 * at]
+        packed[at:at + words.size] = np.packbits(raw >= 0x80)
+    return Tournament._from_packed(n, packed)
 
 
 def random_tournament(
@@ -184,12 +196,10 @@ def random_collection(
     k = m if strongly_connected else (strongly_connected_count or 0)
     if k > 0 and n < 3:
         raise ValueError("strong connectivity needs n >= 3")
-    return TournamentCollection(
-        [
-            random_tournament(n, seed, strongly_connected=(i < k), index=i)
-            for i in range(m)
-        ]
-    )
+    return TournamentCollection._assemble(n, m, (
+        random_tournament(n, seed, strongly_connected=(i < k), index=i)
+        for i in range(m)
+    ))
 
 
 def generate(spec: GeneratorSpec) -> TournamentCollection:

@@ -125,8 +125,7 @@ def _arc_masks(tc: TournamentCollection) -> list[list[int]]:
     n = tc.n
     masks = [[0] * n for _ in range(n)]
     for c, t in enumerate(tc.tournaments):
-        for u in range(n):
-            out = t.out[u]
+        for u, out in enumerate(t.out):
             # inline, not _bits: hot in every oracle-exhaustive solve
             while out:
                 low = out & -out

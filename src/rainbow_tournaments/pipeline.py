@@ -34,6 +34,7 @@ from .core import (
     RainbowPath,
     Tournament,
     TournamentCollection,
+    _bits,
     induced_collection,
     is_strongly_connected,
     majority_subtournament,
@@ -542,9 +543,7 @@ def _close_from_ham_path(
         tc.arc_color_mask(p.vertices[k], p.vertices[k + 1])
         for k in range(n - 1)
     ]
-    for c in range(tc.m):
-        if not tc.tournaments[c].has_arc(tail, head):
-            continue
+    for c in _bits(tc.arc_color_mask(tail, head)):
         got = perfect_matching([mk & ~(1 << c) for mk in masks])
         if got is not None:
             return RainbowCycle(vertices=p.vertices, colors=(*got, c))
@@ -609,9 +608,7 @@ def _constructive_cycle(
         pl = tournament_ham_path(tmaj, blocks[-1], rng=rng)
         p0 = tournament_ham_path(tmaj, blocks[0], rng=rng)
         y, x = pl[-1], p0[0]
-        close = [
-            c for c in range(tc.m) if tc.tournaments[c].has_arc(y, x)
-        ]
+        close = list(_bits(tc.arc_color_mask(y, x)))
         if close:
             used = {close[0]}
             # the arcs along pl and p0, then into pl and out of p0; the

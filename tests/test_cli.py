@@ -162,6 +162,11 @@ class TestMalformedInput:
                               '{"n":3,"m":1,"tournaments":["01"]}')
         assert "length 3" in err
 
+    def test_non_integer_vertex_count(self, capsys, monkeypatch):
+        err = self.solve_text(capsys, monkeypatch,
+                              '{"n":3.0,"m":1,"tournaments":["010"]}')
+        assert "integer" in err
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["solve", str(tmp_path / "absent.json")])
         captured = capsys.readouterr()
@@ -195,7 +200,7 @@ class TestBench:
                         "--format", "csv")
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "kind,n,seed,millis,extra"
+        assert lines[0] == "kind,n,seed,gen_millis,millis,extra"
         assert len(lines) == 5
 
     def test_json_output(self, capsys):

@@ -1,5 +1,6 @@
 """Core types: tournaments, collections, witnesses, threshold digraphs."""
 
+import pickle
 import re
 from fractions import Fraction
 
@@ -23,6 +24,8 @@ from rainbow_tournaments.core import (
     validate_transversal,
 )
 from rainbow_tournaments import generators
+from rainbow_tournaments.constructive import restrict_colors
+from rainbow_tournaments.pipeline import transversal_ham_path
 
 
 class TestTournament:
@@ -449,3 +452,138 @@ class TestStrongConnectivity:
         assert is_strongly_connected(family[1])
         assert not is_strongly_connected(family[2])
         assert n % 2 == 0 or is_strongly_connected(family[3])
+
+
+# ---------------------------------------------------------------------------
+# pair-native operations against out rows built pair by pair
+
+
+def _ref_matrix(out, n):
+    """mat[u, v] iff u->v, read off the out rows."""
+    return np.array([[(mask >> v) & 1 for v in range(n)] for mask in out],
+                    dtype=bool).reshape(n, n)
+
+
+def _ref_in_masks(out, n):
+    return [((1 << n) - 1) & ~mask & ~(1 << v) for v, mask in enumerate(out)]
+
+
+def _ref_strong(out, n):
+    return _reaches_all(out, n) and _reaches_all(_ref_in_masks(out, n), n)
+
+
+class TestPairNativeAgainstRows:
+    """Every operation that reads the packed pair bits, on tournaments
+    whose out rows were never built, against references computed from
+    out rows built one pair at a time from the same bit strings.  Sizes
+    cover every N mod 8 (pad bits in the last byte) and byte boundaries
+    of the rows."""
+
+    SIZES = list(range(1, 71)) + [129, 256, 257]
+    GAMMAS = (Fraction(1, 3), Fraction(1, 2), Fraction(1))
+
+    @staticmethod
+    def _collections(n):
+        """(collection, its members' bit strings): random members, shared
+        members as in prop14_collection, a generated collection, and (up
+        to n = 70) the pickled copy of each."""
+        rng = np.random.default_rng(n)
+        strings = ["".join(map(str, rng.integers(0, 2, n * (n - 1) // 2)))
+                   for _ in range(3)]
+        a, b = (Tournament.from_pair_bits(n, s) for s in strings[:2])
+        gen = generators.random_collection(n, 4, seed=n)
+        built = [
+            (TournamentCollection(
+                [Tournament.from_pair_bits(n, s) for s in strings]), strings),
+            (TournamentCollection([a, a, b, b]),
+             [strings[0], strings[0], strings[1], strings[1]]),
+            (gen, [t.pair_bits() for t in gen.tournaments]),
+        ]
+        if n > 70:
+            return built
+        return built + [(pickle.loads(pickle.dumps(tc)), s)
+                        for tc, s in built]
+
+    @staticmethod
+    def _pairs(n, rng):
+        """Every ordered pair for small n, else a sample."""
+        every = [(u, v) for u in range(n) for v in range(n) if u != v]
+        if n <= 70:
+            return every
+        return [every[i] for i in rng.choice(len(every), 600, replace=False)]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_operations(self, n):
+        rng = np.random.default_rng(1000 + n)
+        for tc, strings in self._collections(n):
+            outs = [_loop_from_pair_bits(n, s) for s in strings]
+            mats = np.array([_ref_matrix(out, n) for out in outs])
+            pairs = self._pairs(n, rng)
+            for t, s, out, mat in zip(tc.tournaments, strings, outs, mats):
+                assert t.pair_bits() == s
+                assert [t.has_arc(u, v) for u, v in pairs] == [
+                    mat[u, v] for u, v in pairs]
+                assert not t.has_arc(0, 0)
+                degrees = [mask.bit_count() for mask in out]
+                assert list(t.scores) == degrees
+                assert [t.out_degree(v) for v in range(n)] == degrees
+                assert [t.in_degree(v) for v in range(n)] == [
+                    n - 1 - d for d in degrees]
+                assert is_strongly_connected(t) == _ref_strong(out, n)
+                for keep in (sorted(rng.choice(n, (n + 1) // 2,
+                                               replace=False).tolist()),
+                             rng.permutation(n).tolist()):
+                    want = Tournament.from_bool_matrix(mat[np.ix_(keep, keep)])
+                    assert t.restrict(keep).pair_bits() == want.pair_bits()
+            for u, v in pairs:
+                want = sum(1 << c for c in range(tc.m) if mats[c, u, v])
+                assert tc.arc_color_mask(u, v) == want
+            for colors in (None, [tc.m - 1, 0, tc.m - 1], [1]):
+                chosen = sorted(set(range(tc.m) if colors is None else colors))
+                count = mats[chosen].sum(axis=0)
+                k = len(chosen)
+                tmaj = majority_subtournament(tc, colors)
+                wins = (2 * count >= k)[np.triu_indices(n, 1)]
+                assert tmaj.pair_bits() == "".join(map(str, wins.astype(int)))
+                for gamma in self.GAMMAS:
+                    need = max(-(-gamma.numerator * k // gamma.denominator), 1)
+                    us, vs = np.nonzero(count >= need)
+                    want = set(zip(us.tolist(), vs.tolist()))
+                    assert threshold_digraph(tc, colors, gamma).arcs == want
+            # none of the above built a row cache
+            assert all(t._out is None for t in tc.tournaments)
+            for t, out in zip(tc.tournaments, outs):
+                assert t.out == out
+                assert [t.in_mask(v) for v in range(n)] == _ref_in_masks(out, n)
+            again = TournamentCollection.from_json(tc.to_json())
+            assert again == tc and again.to_json() == tc.to_json()
+            assert [t.pair_bits() for t in again.tournaments] == strings
+            assert np.array_equal(again.packed, tc.packed)
+
+
+class TestSharedStorage:
+    def test_generated_members_read_one_array(self):
+        tc = generators.random_collection(9, 5, seed=3)
+        assert tc.packed.shape == (5, (9 * 8 // 2 + 7) // 8)
+        assert not tc.packed.flags.writeable
+        for c, t in enumerate(tc.tournaments):
+            assert np.shares_memory(t.packed, tc.packed)
+            assert np.array_equal(t.packed, tc.packed[c])
+            assert not t.packed.flags.writeable
+
+    def test_consecutive_colors_share_rows(self):
+        tc = generators.random_collection(9, 6, seed=5)
+        for colors in ([1, 2, 3], [0, 1, 2, 3, 4, 5], [4, 2], [5]):
+            sub = restrict_colors(tc, colors)
+            assert sub.tournaments == tuple(tc.tournaments[c] for c in colors)
+            assert np.array_equal(sub.packed, tc.packed[colors])
+            assert np.shares_memory(sub.packed, tc.packed) == (
+                colors != [4, 2])
+
+    def test_constructive_path_builds_no_member_rows(self):
+        tc = generators.random_collection(200, 199, seed=4)
+        out = transversal_ham_path(tc, mode="constructive")
+        assert out.status == "Found" and out.witness.is_hamilton(tc)
+        assert all(t._out is None for t in tc.tournaments)
+        assert all(np.shares_memory(t.packed, tc.packed)
+                   for t in tc.tournaments)

@@ -74,7 +74,7 @@ class TestBench:
     def test_csv_shape(self):
         rep = harness.bench("h_partition", [20, 40], seeds=range(2))
         lines = rep.stats["csv"].strip().splitlines()
-        assert lines[0] == "kind,n,seed,millis,extra"
+        assert lines[0] == "kind,n,seed,gen_millis,millis,extra"
         assert len(lines) == 5
 
     def test_unknown_kind(self):
