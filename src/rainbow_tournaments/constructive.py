@@ -38,6 +38,7 @@ from .errors import (
     StageFailure,
 )
 from .matching import (
+    IncrementalMatcher,
     matching_with_forced_colors,
     max_matching,
     perfect_matching,
@@ -658,13 +659,16 @@ def build_absorber(
     """Randomized absorber construction with a verification schedule.
 
     Candidate A and C are drawn at random; acceptance checks perfect
-    matchings for ell-subsets C' of C, exhaustively when there are at most
-    10^4 of them and otherwise by random plus adversarial (minimum-degree)
-    probes.  Acceptance is therefore probabilistic; absorb() re-verifies.
-    Probes are warm-started from one matching of A into the target arcs
-    (augmenting paths keep matched arcs matched).  A perfect matching with
-    A plus C' uses all of A, so if A alone cannot be matched the candidate
-    is rejected without probes.
+    matchings for ell-subsets C' of C.  When there are at most 10^4 of
+    them, all are checked in one depth-first walk of the ell-subset
+    combination tree on an IncrementalMatcher with colors as slots: one
+    augmentation per tree node, and a rejected prefix rejects at once.
+    Otherwise random plus adversarial (minimum-degree) probes are checked,
+    so acceptance is probabilistic; absorb() re-verifies.  The probes are
+    warm-started from one matching of A into the target arcs (augmenting
+    paths keep matched arcs matched).  A perfect matching with A plus C'
+    uses all of A, so if A alone cannot be matched the candidate is
+    rejected without probes.
     """
     target_arcs = tuple(target_arcs)
     if len(target_arcs) < ell:
@@ -705,17 +709,14 @@ def _verify_absorber(avail, a_mask, ccand, ell, rng) -> bool:
     base = max_matching([av & a_mask for av in avail])
     if len(base) - base.count(-1) < a_mask.bit_count():
         return False
+    if math.comb(len(ccand), ell) <= 10_000:
+        return _every_topup_matches(avail, a_mask, ccand, ell)
 
     def matching_ok(cset: Iterable[int]) -> bool:
         allow = a_mask | sum(1 << c for c in cset)
         masks = [av & allow for av in avail]
         return perfect_matching(masks, start=base) is not None
 
-    ncomb = math.comb(len(ccand), ell)
-    if ncomb <= 10_000:
-        return all(
-            matching_ok(cs) for cs in itertools.combinations(ccand, ell)
-        )
     # degree of a color = number of target arcs it can serve; the colors of
     # minimum degree make the hardest top-up set
     degs = sorted(
@@ -728,6 +729,41 @@ def _verify_absorber(avail, a_mask, ccand, ell, rng) -> bool:
         if not matching_ok([ccand[i] for i in cs]):
             return False
     return True
+
+
+def _every_topup_matches(avail, a_mask, ccand, ell) -> bool:
+    """Whether A plus every ell-subset of C matches the target arcs.
+
+    Colors are the matcher's slots, each masking the arcs it can serve;
+    with |A| + ell target arcs a color-saturating matching is a perfect
+    one.  A is pushed once, then the ell-subsets of C are walked depth
+    first as a combination tree, C in ascending order: one push per tree
+    node and a pop on backtrack.  Every node extends to an ell-subset, so
+    a rejected push fails the whole check.
+    """
+    def arcs_of(c: int) -> int:
+        return sum(1 << k for k, av in enumerate(avail) if (av >> c) & 1)
+
+    matcher = IncrementalMatcher()
+    for c in _bits(a_mask):
+        if not matcher.push(arcs_of(c)):
+            return False
+    cmasks = [arcs_of(c) for c in ccand]
+    spare = len(ccand) - ell  # a node at depth d picks an index <= spare + d
+    picked: list[int] = []
+    i = 0
+    while True:
+        depth = len(picked)
+        if depth < ell and i <= spare + depth:
+            if not matcher.push(cmasks[i]):
+                return False
+            picked.append(i)
+            i += 1
+        elif picked:
+            matcher.pop()
+            i = picked.pop() + 1
+        else:
+            return True
 
 
 def absorb(absorber: Absorber, cprime: Iterable[int]) -> ColoredDigraph:

@@ -131,7 +131,8 @@ class IncrementalMatcher:
     ``push(mask)`` adds a slot and reports whether the enlarged slot set
     still has a perfect matching; ``pop()`` restores the previous state.
     Snapshots are plain copies, which is the right trade at oracle sizes
-    (at most ~a dozen slots).
+    (at most ~a dozen slots) and for the absorber's combination-tree walk
+    (colors as slots: |A| + ell of them, one per target arc).
     """
 
     def __init__(self):

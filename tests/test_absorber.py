@@ -18,7 +18,7 @@ from rainbow_tournaments.errors import (
     AbsorberConstructionError,
     AbsorptionFailedError,
 )
-from rainbow_tournaments.matching import perfect_matching
+from rainbow_tournaments.matching import IncrementalMatcher, perfect_matching
 
 
 def dense_instance(n, m, seed=0):
@@ -158,18 +158,31 @@ class TestWarmStartedVerification:
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
         return got
 
+    # (ell, c_size, n_arcs) -> (densities, candidates) where the defaults
+    # would never reject or, against 8,008 reference probes, run too long
+    SHAPES = {
+        (6, 16, 12): ((0.2, 0.35, 0.5), 9),
+        (40, 41, 44): ((0.05, 0.08, 0.12), 60),
+    }
+
     @pytest.mark.parametrize("ell,c_size,n_arcs,branch", [
         (2, 8, 8, "exhaustive"),
         (0, 4, 6, "exhaustive"),
         (3, 50, 10, "sampled"),
+        (6, 16, 12, "exhaustive"),  # the shape auto-sweep runs
+        (5, 5, 9, "exhaustive"),  # ell = |C|: a single leaf
+        (40, 41, 44, "exhaustive"),  # ell = |C| - 1: a 40-deep tree
     ])
     def test_agrees_with_from_scratch_probes(self, ell, c_size, n_arcs,
                                              branch):
         assert (math.comb(c_size, ell) <= 10_000) == (branch == "exhaustive")
+        densities, candidates = self.SHAPES.get(
+            (ell, c_size, n_arcs), ((0.2, 0.35, 0.5), 60)
+        )
         rng = np.random.default_rng(ell)
         outcomes = set()
-        for k in range(60):
-            density = (0.2, 0.35, 0.5)[k % 3]
+        for k in range(candidates):
+            density = densities[k % 3]
             avail, a_mask, ccand = random_candidate(
                 rng, n_arcs, ell, c_size, density
             )
@@ -189,3 +202,52 @@ class TestWarmStartedVerification:
         rng = np.random.default_rng(0)
         assert not _verify_absorber(avail, a_mask, ccand, 1, rng)
         assert calls == []
+
+
+class TestCombinationTreeWalk:
+    """The exhaustive check pushes each node of the ell-subset tree of C
+    once, on top of A, and makes no per-subset matching."""
+
+    ELL, A_SIZE, C_SIZE = 6, 6, 16
+    ALL = (1 << (A_SIZE + C_SIZE)) - 1  # colors 0..5 are A, 6..21 are C
+
+    def _run(self, monkeypatch, avail):
+        pushes = []
+        push = IncrementalMatcher.push
+
+        def counted(matcher, mask):
+            pushes.append(mask)
+            return push(matcher, mask)
+
+        monkeypatch.setattr(IncrementalMatcher, "push", counted)
+        monkeypatch.setattr(
+            "rainbow_tournaments.constructive.perfect_matching",
+            lambda *a, **k: pytest.fail("perfect_matching called"),
+        )
+        a_mask = (1 << self.A_SIZE) - 1
+        ccand = tuple(range(self.A_SIZE, self.A_SIZE + self.C_SIZE))
+        assert math.comb(self.C_SIZE, self.ELL) <= 10_000
+        got = _verify_absorber(
+            avail, a_mask, ccand, self.ELL, np.random.default_rng(0)
+        )
+        return got, len(pushes)
+
+    def test_accepted_candidate_pushes_every_node_once(self, monkeypatch):
+        avail = [self.ALL] * (self.A_SIZE + self.ELL)
+        got, pushes = self._run(monkeypatch, avail)
+        nodes = sum(
+            math.comb(self.C_SIZE - self.ELL + k, k)
+            for k in range(1, self.ELL + 1)
+        )
+        assert nodes == 12_375
+        assert got is True
+        assert pushes == self.A_SIZE + nodes
+
+    def test_bad_prefix_stops_early(self, monkeypatch):
+        # C's two lowest colors serve only arc 0, so the prefix (6, 7) and
+        # every top-up set holding it fail: the walk stops at its 2nd push
+        low2 = 0b11 << self.A_SIZE
+        avail = [self.ALL] + [self.ALL & ~low2] * (self.A_SIZE + self.ELL - 1)
+        got, pushes = self._run(monkeypatch, avail)
+        assert got is False
+        assert pushes == self.A_SIZE + 2
