@@ -35,7 +35,6 @@ from .oracle import (
     exact_transversal_ham_path,
 )
 from .pipeline import (
-    PipelineParams,
     transversal_ham_cycle,
     transversal_ham_path,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "SearchBudget",
     "exact_transversal_ham_cycle",
     "exact_transversal_ham_path",
-    "PipelineParams",
     "transversal_ham_cycle",
     "transversal_ham_path",
     "__version__",

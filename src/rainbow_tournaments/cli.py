@@ -1,11 +1,12 @@
-"""Command-line interface: gen, solve, verify, bench.
+"""Command-line interface: gen, solve, verify, bench, each taking only
+the flags it reads.
 
 Instance I/O uses the canonical collection JSON; solve emits an outcome
 JSON object and, with --trace, a JSON-lines stage log.  Exit status is 0
-exactly when no failure occurred; solve exits 1 when its budget ran out
-and 2, with one error line, when the instance cannot be read; gen exits
-2, with one error line, when its arguments name no instance or the output
-file cannot be written.
+exactly when no failure occurred; solve exits 1 when its budget ran out,
+verify and bench when their report holds failures.  Exit 2, with one
+error line, means bad input: an instance that cannot be read, an output
+file that cannot be written, or arguments no generator or suite can run.
 """
 
 from __future__ import annotations
@@ -21,13 +22,6 @@ from .oracle import SearchBudget
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--jobs", type=int, default=1)
-    common.add_argument("--format", choices=["json", "csv"], default="json")
-    common.add_argument("--budget-nodes", type=int, default=None)
-    common.add_argument("--budget-secs", type=float, default=None)
-
     ap = argparse.ArgumentParser(
         prog="rainbow-tournaments",
         description="transversal Hamilton paths and cycles in collections "
@@ -35,28 +29,31 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    g = sub.add_parser("gen", help="generate an instance", parents=[common])
+    # no abbreviations: verify and bench must not take --seed for --seeds
+    g = sub.add_parser("gen", help="generate an instance", allow_abbrev=False)
+    g.add_argument("--seed", type=int, default=0)
     g.add_argument("--kind", choices=generators.KINDS, required=True)
     g.add_argument("-n", type=int, default=5)
     g.add_argument("-m", type=int, default=None)
     g.add_argument("--out", type=str, default=None)
 
-    s = sub.add_parser("solve", help="solve one instance", parents=[common])
+    s = sub.add_parser("solve", help="solve one instance", allow_abbrev=False)
+    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--budget-nodes", type=int, default=None)
+    s.add_argument("--budget-secs", type=float, default=None)
     s.add_argument("--mode", choices=["path", "cycle"], default="path")
     grp = s.add_mutually_exclusive_group()
     grp.add_argument("--exact", action="store_true")
     grp.add_argument("--constructive", action="store_true")
-    s.add_argument("--mu", type=float, default=0.01)
-    s.add_argument("--gamma", type=float, default=0.05)
-    s.add_argument("--beta", type=float, default=0.1)
-    s.add_argument("--fallback-n", type=int, default=9)
     s.add_argument("--trace", type=str, default=None)
     s.add_argument("--count-all", action="store_true",
                    help="debug: count all path witnesses (n <= 7)")
     s.add_argument("input", nargs="?", default="-",
                    help="instance file, '-' for stdin")
 
-    v = sub.add_parser("verify", help="run a verification suite", parents=[common])
+    v = sub.add_parser("verify", help="run a verification suite",
+                       allow_abbrev=False)
+    v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--suite", required=True,
                    choices=["theorem-path", "theorem-cycle"]
                    + [f"lemma-{k}" for k in sorted(harness.LEMMA_SUITES)])
@@ -71,7 +68,10 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--no-timing", action="store_true",
                    help="omit timing fields from the report")
 
-    b = sub.add_parser("bench", help="run a benchmark sweep", parents=[common])
+    b = sub.add_parser("bench", help="run a benchmark sweep",
+                       allow_abbrev=False)
+    b.add_argument("--jobs", type=int, default=1)
+    b.add_argument("--format", choices=["json", "csv"], default="json")
     b.add_argument("--kind", required=True,
                    choices=["oracle", "h_partition", "one_spare", "pipeline"])
     b.add_argument("--sizes", type=str, default="100,200")
@@ -92,15 +92,19 @@ def _error(message: str) -> int:
     return 2
 
 
+def _sizes(text: str) -> list[int]:
+    """The sizes of a comma-separated list of positive integers."""
+    if not all(x.strip().isdecimal() and int(x) for x in text.split(",")):
+        raise ValueError(f"--sizes {text!r} are not positive integers")
+    return [int(x) for x in text.split(",")]
+
+
 def _cmd_gen(args) -> int:
     n = args.n
     m = args.m if args.m is not None else n - 1
-    try:
-        tc = generators.generate(
-            generators.GeneratorSpec(args.kind, n, m, args.seed)
-        )
-    except ValueError as exc:
-        return _error(f"cannot generate {args.kind}: {exc}")
+    tc = generators.generate(
+        generators.GeneratorSpec(args.kind, n, m, args.seed)
+    )
     text = tc.to_json()
     if not args.out:
         print(text)
@@ -114,6 +118,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.seed < 0:
+        return _error(f"--seed {args.seed} is negative")
     try:
         tc = _read_collection(args.input)
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -134,17 +140,13 @@ def _cmd_solve(args) -> int:
         mode = "exact"
     elif args.constructive:
         mode = "constructive"
-    params = pipeline.PipelineParams(
-        mu=args.mu, gamma=args.gamma, beta=args.beta,
-        seed=args.seed, oracle_fallback_n=args.fallback_n,
-    )
     trace = [] if args.trace else None
     solver = (
         pipeline.transversal_ham_path
         if args.mode == "path"
         else pipeline.transversal_ham_cycle
     )
-    out = solver(tc, params, budget=budget, mode=mode, trace=trace)
+    out = solver(tc, args.seed, budget=budget, mode=mode, trace=trace)
     if args.trace:
         with open(args.trace, "w") as fh:
             for rec in trace:
@@ -166,7 +168,7 @@ def _cmd_verify(args) -> int:
     else:
         name = args.suite.removeprefix("lemma-")
         sizes = (
-            [int(x) for x in args.sizes.split(",")]
+            _sizes(args.sizes)
             if args.sizes
             else list(range(args.n_min, args.n_max + 1))
         )
@@ -176,7 +178,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(x) for x in args.sizes.split(",")]
+    sizes = _sizes(args.sizes)
     rep = harness.bench(args.kind, sizes, range(args.seeds), jobs=args.jobs)
     if args.format == "csv":
         sys.stdout.write(rep.stats["csv"])
@@ -187,15 +189,12 @@ def _cmd_bench(args) -> int:
 
 def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.cmd == "gen":
-        return _cmd_gen(args)
-    if args.cmd == "solve":
-        return _cmd_solve(args)
-    if args.cmd == "verify":
-        return _cmd_verify(args)
-    if args.cmd == "bench":
-        return _cmd_bench(args)
-    return 2
+    run = {"gen": _cmd_gen, "solve": _cmd_solve, "verify": _cmd_verify,
+           "bench": _cmd_bench}[args.cmd]
+    try:
+        return run(args)
+    except ValueError as exc:  # arguments no generator or suite can run
+        return _error(f"{args.cmd}: {exc}")
 
 
 if __name__ == "__main__":

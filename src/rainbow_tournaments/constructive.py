@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -65,6 +64,10 @@ __all__ = [
 ]
 
 
+# absorber candidates drawn per build_absorber call
+ABSORBER_RETRIES = 20
+
+
 def restrict_colors(
     tc: TournamentCollection, colors: Sequence[int]
 ) -> TournamentCollection:
@@ -72,6 +75,19 @@ def restrict_colors(
 
     Color k of the result is original color colors[k]."""
     return tc._select(colors)
+
+
+def _solve_block(tc, colors, vertices, solve, *args, **kwargs):
+    """solve(sub, *args, **kwargs), where sub is the collection tc induces
+    on vertices (in ascending order) and colors (color k of sub is
+    colors[k]); the path comes back in tc's vertex and color labels."""
+    verts = sorted(vertices)
+    sub, _ = induced_collection(restrict_colors(tc, colors), verts)
+    p = solve(sub, *args, **kwargs)
+    return RainbowPath(
+        vertices=tuple(verts[x] for x in p.vertices),
+        colors=tuple(colors[c] for c in p.colors),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +203,6 @@ class HPartition:
     blocks: tuple[tuple[int, ...], ...]
     separators: tuple[int, ...]
     ell: int
-    gamma: Fraction
 
     @property
     def r(self) -> int:
@@ -209,7 +224,7 @@ class HPartition:
         if len(set(self.separators)) != len(self.separators):
             return False
         for b in self.blocks:
-            if not (self.gamma * self.ell <= len(b) <= self.ell):
+            if not (self.ell <= 6 * len(b) <= 6 * self.ell):
                 return False
         for i, w in enumerate(self.separators):
             if any(not t.has_arc(u, w) for u in self.blocks[i]):
@@ -222,14 +237,15 @@ class HPartition:
 def h_partition(
     t: Tournament,
     ell: int,
-    gamma: Fraction = Fraction(1, 6),
     vertices: Optional[Sequence[int]] = None,
 ) -> HPartition:
     """Refine the trivial one-block partition until every block fits under
-    ell, splitting a largest oversized block each round."""
-    gamma = Fraction(gamma)
-    if not (0 < gamma <= Fraction(1, 6)):
-        raise ValueError("gamma must lie in (0, 1/6]")
+    ell, splitting a largest oversized block each round.
+
+    Every block then has between ceil(ell/6) and ell vertices (ell capped
+    at the vertex count): split_block leaves at least a sixth of a block
+    on each side of its separator.
+    """
     verts = list(vertices) if vertices is not None else list(range(t.n))
     if not (3 <= ell):
         raise ValueError("ell must be at least 3")
@@ -245,9 +261,7 @@ def h_partition(
         wminus, v, wplus = split_block(t, blocks[idx])
         blocks[idx:idx + 1] = [wminus, wplus]
         seps.insert(idx, v)
-    return HPartition(
-        tuple(tuple(b) for b in blocks), tuple(seps), ell, gamma
-    )
+    return HPartition(tuple(tuple(b) for b in blocks), tuple(seps), ell)
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +447,8 @@ def rainbow_ham_path_forcing_color(
     outs = sorted(_bits(tmaj.out[v]))
     ins = sorted(_bits(tmaj.in_mask(v)))
     assert len(outs) >= 4
-    sub, old_to_new = induced_collection(tc, outs)
-    new_to_old = {b: a for a, b in old_to_new.items()}
-    p = rainbow_ham_path_forcing_color(sub, i)
-    path = [new_to_old[x] for x in p.vertices]
+    p = _solve_block(tc, range(m), outs, rainbow_ham_path_forcing_color, i)
+    path = list(p.vertices)
     colors = list(p.colors)
     used = set(colors)
     c = _fresh_color_for_arc(tc, v, path[0], used)
@@ -445,15 +457,11 @@ def rainbow_ham_path_forcing_color(
     used.add(c)
     if ins:
         free = [c for c in range(m) if c not in used]
-        sub2, o2n = induced_collection(restrict_colors(tc, free), ins)
-        n2o = {b: a for a, b in o2n.items()}
-        q = rainbow_ham_path_one_spare(sub2)
-        qpath = [n2o[x] for x in q.vertices]
-        qcolors = [free[c] for c in q.colors]
-        used.update(qcolors)
-        c2 = _fresh_color_for_arc(tc, qpath[-1], path[0], used)
-        path = qpath + path
-        colors = qcolors + [c2] + colors
+        q = _solve_block(tc, free, ins, rainbow_ham_path_one_spare)
+        used.update(q.colors)
+        c2 = _fresh_color_for_arc(tc, q.vertices[-1], path[0], used)
+        path = list(q.vertices) + path
+        colors = list(q.colors) + [c2] + colors
     return RainbowPath(vertices=tuple(path), colors=tuple(colors))
 
 
@@ -496,7 +504,7 @@ def rainbow_ham_path_forcing_set(
 
     middle = [w for w in range(n) if w not in (u, v)]
     tmaj = majority_subtournament(tc)
-    hp = h_partition(tmaj, 24, Fraction(1, 6), vertices=middle)
+    hp = h_partition(tmaj, 24, vertices=middle)
     blocks = [list(b) for b in hp.blocks]
     seps = list(hp.separators)
     r = len(blocks)
@@ -515,19 +523,11 @@ def rainbow_ham_path_forcing_set(
 
     def block_path(bverts: list[int], force: Optional[int]) -> RainbowPath:
         if force is None:
-            budget = take(len(bverts) + 1)
-        else:
-            budget = take(2 * len(bverts) - 1) + [force]
-        sub, o2n = induced_collection(restrict_colors(tc, budget), bverts)
-        n2o = {b: a for a, b in o2n.items()}
-        if force is None:
-            p = rainbow_ham_path_one_spare(sub)
-        else:
-            p = rainbow_ham_path_forcing_color(sub, len(budget) - 1)
-        cols = [budget[c] for c in p.colors]
-        return RainbowPath(
-            vertices=tuple(n2o[x] for x in p.vertices), colors=tuple(cols)
-        )
+            return _solve_block(tc, take(len(bverts) + 1), bverts,
+                                rainbow_ham_path_one_spare)
+        budget = take(2 * len(bverts) - 1) + [force]
+        return _solve_block(tc, budget, bverts,
+                            rainbow_ham_path_forcing_color, len(budget) - 1)
 
     # each forced color is embedded inside its own block; the u and v arcs
     # are colored last, preferring leftover forced colors when they fit
@@ -653,16 +653,16 @@ def build_absorber(
     avail_colors: Sequence[int],
     ell: int,
     c_size: int,
-    retries: int = 20,
     seed: int = 0,
 ) -> Absorber:
     """Randomized absorber construction with a verification schedule.
 
-    Candidate A and C are drawn at random; acceptance checks perfect
-    matchings for ell-subsets C' of C.  When there are at most 10^4 of
-    them, all are checked in one depth-first walk of the ell-subset
-    combination tree on an IncrementalMatcher with colors as slots: one
-    augmentation per tree node, and a rejected prefix rejects at once.
+    Up to ABSORBER_RETRIES candidate pairs A and C are drawn at random;
+    acceptance checks perfect matchings for ell-subsets C' of C.  When
+    there are at most 10^4 of them, all are checked in one depth-first
+    walk of the ell-subset combination tree on an IncrementalMatcher with
+    colors as slots: one augmentation per tree node, and a rejected prefix
+    rejects at once.
     Otherwise random plus adversarial (minimum-degree) probes are checked,
     so acceptance is probabilistic; absorb() re-verifies.  The probes are
     warm-started from one matching of A into the target arcs (augmenting
@@ -686,7 +686,7 @@ def build_absorber(
     avail = tuple(
         tc.arc_color_mask(u, v) for (u, v) in target_arcs
     )
-    for attempt in range(retries):
+    for attempt in range(ABSORBER_RETRIES):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([seed, attempt]))
         )
@@ -701,7 +701,8 @@ def build_absorber(
         if _verify_absorber(avail, a_mask, ccand, ell, rng):
             return Absorber(acand, ccand, target_arcs, ell, avail)
     raise AbsorberConstructionError(
-        f"no candidate survived verification after {retries} attempts"
+        f"no candidate survived verification after {ABSORBER_RETRIES} "
+        "attempts"
     )
 
 

@@ -658,16 +658,12 @@ def threshold_digraph(
 def majority_subtournament(
     coll: TournamentCollection,
     colors: Optional[Iterable[int]] = None,
-    gamma: Fraction | float = Fraction(1, 2),
 ) -> Tournament:
-    """A tournament inside the gamma-threshold digraph (gamma <= 1/2).
+    """A tournament inside the 1/2-threshold digraph of the colors.
 
     Tie-breaking: the direction with the strictly larger count wins; on
     equal counts the arc u->v with u < v is chosen.
     """
-    gamma = Fraction(gamma) if not isinstance(gamma, Fraction) else gamma
-    if gamma > Fraction(1, 2):
-        raise ValueError("majority subtournament needs gamma <= 1/2")
     color_list = _index_list(colors, coll.m, "color")
     k = len(color_list)
     # for i < j: c(i,j) >= c(j,i) iff c(i,j) >= ceil(k/2), since

@@ -13,7 +13,6 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import constructive, generators, oracle, pipeline
@@ -207,7 +206,7 @@ def _lemma_hpartition(args) -> Optional[dict]:
     for ell in {3, 24, max(3, -(-n // 10)), max(3, n)}:
         if ell > n:
             continue
-        hp = constructive.h_partition(t, ell, Fraction(1, 6))
+        hp = constructive.h_partition(t, ell)
         if not hp.validate(t) or hp.vertices() != set(range(n)):
             return {"kind": "hpartition", "n": n, "seed": seed, "ell": ell,
                     "bits": t.pair_bits()}
@@ -400,7 +399,7 @@ def _bench_row(args) -> dict:
         )
         extra = f"{out.status}:{out.nodes_expanded}"
     elif kind == "h_partition":
-        constructive.h_partition(t, 24, Fraction(1, 6))
+        constructive.h_partition(t, 24)
     elif kind == "one_spare":
         stats: dict = {}
         constructive.rainbow_ham_path_one_spare(tc, stats)

@@ -248,54 +248,19 @@ def exact_transversal_ham_path(
     budget: Optional[SearchBudget] = None,
     start: Optional[int] = None,
     end: Optional[int] = None,
-    use_matching_prune: bool = True,
 ) -> OracleOutcome:
     """Backtracking search for a transversal Hamilton path.
 
     NotExists is only reported when the search space was exhausted within
-    budget.  With use_matching_prune=False the search checks color
-    feasibility only at the leaves, which is much slower but shares no
-    pruning logic (useful for cross-validation).
+    budget.
     """
     budget = budget or SearchBudget()
     budget.start()
     t0 = time.perf_counter()
     if tc.m < tc.n - 1:
         return _outcome(t0, NOT_EXISTS, notes="fewer colors than arcs needed")
-    if not use_matching_prune:
-        return _path_leaf_checked(tc, budget, start, end, t0)
     roots = [start] if start is not None else range(tc.n)
     return _search(tc, budget, roots, end, False, t0)
-
-
-def _path_leaf_checked(tc, budget, start, end, t0) -> OracleOutcome:
-    masks = _arc_masks(tc)
-    n = tc.n
-
-    def walk(order: list[int], used: int) -> Optional[RainbowPath]:
-        if len(order) == n:
-            return _witness(masks, order, cyclic=False)
-        budget.tick()
-        last = order[-1]
-        for v in range(n):
-            if (used >> v) & 1 or not masks[last][v]:
-                continue
-            if end is not None and v == end and len(order) != n - 1:
-                continue
-            got = walk(order + [v], used | (1 << v))
-            if got is not None:
-                return got
-        return None
-
-    try:
-        for s in [start] if start is not None else range(n):
-            budget.tick()
-            got = walk([s], 1 << s)
-            if got is not None:
-                return _outcome(t0, FOUND, got, budget.nodes)
-    except _BudgetExceeded:
-        return _outcome(t0, BUDGET_EXHAUSTED, nodes=budget.nodes)
-    return _outcome(t0, NOT_EXISTS, nodes=budget.nodes)
 
 
 def exact_transversal_ham_cycle(

@@ -4,7 +4,7 @@ The constructive branch mirrors the four-step assembly (separator color
 reservation, absorber setup, per-block paths, forced top-up block) plus the
 cycle-closing case analysis; every dead end is a first-class outcome that
 falls back to the exact oracle under a node budget.  Deterministic given
-(instance, params).
+(instance, seed).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,6 +20,7 @@ from . import oracle
 from .constructive import (
     HPartition,
     _fresh_color_for_arc,
+    _solve_block,
     _spare_insert,
     absorb,
     build_absorber,
@@ -35,7 +35,7 @@ from .core import (
     Tournament,
     TournamentCollection,
     _bits,
-    induced_collection,
+    induced_collection,  # not called; tests/test_benchmark_names.py needs it
     is_strongly_connected,
     majority_subtournament,
 )
@@ -51,7 +51,6 @@ from .oracle import (
 )
 
 __all__ = [
-    "PipelineParams",
     "ColorLedger",
     "CycleSearchState",
     "rainbow_dhp",
@@ -61,32 +60,13 @@ __all__ = [
 ]
 
 
-# search effort per solve: absorber candidates per rainbow_dhp call,
-# constructive attempts, the oracle fallback's default node budget, and
-# vertex orders tried by the longest-path machine
-ABSORBER_RETRIES = 20
+# search effort per solve: constructive attempts, the largest n that auto
+# mode hands straight to the oracle, the oracle fallback's default node
+# budget, and vertex orders tried by the longest-path machine
 DHP_RETRIES = 8
+ORACLE_MAX_N = 9
 FALLBACK_BUDGET_NODES = 200_000
 CASE3_RESTARTS = 24
-
-
-@dataclass(frozen=True)
-class PipelineParams:
-    """Runtime constants for the constructive branch.
-
-    The hierarchy mu < gamma < beta <= 1/2 is enforced; the values are
-    configuration, not constants derived from an asymptotic proof.
-    """
-
-    mu: float = 0.01
-    gamma: float = 0.05
-    beta: float = 0.1
-    seed: int = 0
-    oracle_fallback_n: int = 9
-
-    def __post_init__(self):
-        if not (0 < self.mu < self.gamma < self.beta <= 0.5):
-            raise ValueError("need 0 < mu < gamma < beta <= 1/2")
 
 
 @dataclass
@@ -149,10 +129,10 @@ def _trace(trace: Optional[list], stage: str, **info) -> None:
         trace.append({"stage": stage, **info})
 
 
-def _block_cap(n: int, params: PipelineParams) -> int:
-    """Effective block-size cap: the asymptotic mu*n is useless at desk
-    scale, so it is floored by 24 and ~3*sqrt(n)."""
-    return max(24, math.ceil(params.mu * n), math.ceil(3 * math.sqrt(n)))
+def _block_cap(n: int) -> int:
+    """Effective block-size cap: the asymptotic mu*n (mu = 0.01) is useless
+    at desk scale, so it is floored by 24 and ~3*sqrt(n)."""
+    return max(24, math.ceil(0.01 * n), math.ceil(3 * math.sqrt(n)))
 
 
 def _greedy_colors(
@@ -177,7 +157,6 @@ def rainbow_dhp(
     partition: HPartition,
     w0: int,
     wr: int,
-    params: PipelineParams,
     seed: int = 0,
     trace: Optional[list] = None,
     colors: Optional[Sequence[int]] = None,
@@ -206,7 +185,7 @@ def rainbow_dhp(
     # step 1: reserve separator colors D and fix the block roles
     tau = max(range(r), key=lambda i: len(blocks[i]))
     others = [i for i in range(r) if i != tau]
-    beta_target = params.beta * n
+    beta_target = 0.1 * n  # beta * n with beta = 0.1
     l1: list[int] = []
     esum = 0
     for i in others:
@@ -243,10 +222,7 @@ def rainbow_dhp(
     ell = min(6, e_q1, max(1, c_used4))
     c_size = ell + c_used4
     pool = [c for c in colors if not (dmask >> c) & 1]
-    absorber = build_absorber(
-        tc, q1_arcs, pool, ell, c_size,
-        retries=ABSORBER_RETRIES, seed=seed,
-    )
+    absorber = build_absorber(tc, q1_arcs, pool, ell, c_size, seed=seed)
     ledger.A = list(absorber.A)
     ledger.C = list(absorber.C)
     in_ac = set(absorber.A) | set(absorber.C)
@@ -268,18 +244,15 @@ def rainbow_dhp(
         w = blocks[i]
         budget = B[b_at:b_at + len(w)]
         b_at += len(w)
-        sub, o2n = induced_collection(restrict_colors(tc, budget), w)
-        n2o = {b2: a for a, b2 in o2n.items()}
-        p = rainbow_ham_path_one_spare(
-            sub,
+        p = _solve_block(
+            tc, budget, w, rainbow_ham_path_one_spare,
             vertex_order=rng.permutation(len(w)).tolist(),
             color_order=rng.permutation(len(budget)).tolist(),
         )
-        cols = tuple(budget[c] for c in p.colors)
-        block_paths[i] = [n2o[x] for x in p.vertices]
-        block_cols[i] = cols
-        ledger.spend(cols)
-        ledger.B_star.extend(c for c in budget if c not in cols)
+        block_paths[i] = list(p.vertices)
+        block_cols[i] = p.colors
+        ledger.spend(p.colors)
+        ledger.B_star.extend(c for c in budget if c not in p.colors)
 
     # reserved-color matching for the separator arcs (both sides of the
     # top-up block are excluded; they belong to step 4)
@@ -359,22 +332,19 @@ def rainbow_dhp(
 # full path solver
 
 
-def _partition_for(tc: TournamentCollection, params: PipelineParams):
+def _partition_for(tc: TournamentCollection):
     tmaj = majority_subtournament(tc)
-    ell = _block_cap(tc.n, params)
-    gamma = Fraction(params.gamma).limit_denominator(1000)
-    gamma = min(gamma, Fraction(1, 6))
-    hp = h_partition(tmaj, ell, gamma)
+    hp = h_partition(tmaj, _block_cap(tc.n))
     return tmaj, hp
 
 
-def _middle_dhp(tc, tmaj, hp, used: set[int], params, seed, trace):
+def _middle_dhp(tc, tmaj, hp, used: set[int], seed, trace):
     """rainbow_dhp between the outer blocks of hp, on the unused colors."""
     seps = hp.separators
-    middle = HPartition(hp.blocks[1:-1], seps[1:-1], hp.ell, hp.gamma)
+    middle = HPartition(hp.blocks[1:-1], seps[1:-1], hp.ell)
     free = [c for c in range(tc.m) if c not in used]
     return rainbow_dhp(
-        tc, tmaj, middle, seps[0], seps[-1], params,
+        tc, tmaj, middle, seps[0], seps[-1],
         seed=seed, trace=trace, colors=free,
     )
 
@@ -383,7 +353,6 @@ def _constructive_path(
     tc: TournamentCollection,
     tmaj: Tournament,
     hp: HPartition,
-    params: PipelineParams,
     seed: int,
     trace: Optional[list],
 ) -> RainbowPath:
@@ -405,7 +374,7 @@ def _constructive_path(
     outer_cols = _greedy_colors(tc, outer, used)
     _trace(trace, "outer", outer_colors=len(used))
 
-    mid = _middle_dhp(tc, tmaj, hp, used, params, seed, trace)
+    mid = _middle_dhp(tc, tmaj, hp, used, seed, trace)
     verts = p0 + list(mid.vertices) + pl
     cols = outer_cols[:len(p0)] + list(mid.colors) + outer_cols[len(p0):]
     return RainbowPath(vertices=tuple(verts), colors=tuple(cols))
@@ -424,26 +393,26 @@ def _guarded(trace: Optional[list], stage: str, info: dict, run, *args):
         return None, exc
 
 
-def _attempts(kind: str, build, tc, params: PipelineParams, trace):
-    """Run build (the constructive path or cycle) with seeds params.seed,
-    params.seed + 1, ...; the first valid Hamilton witness comes back with
-    its note, or (None, None) once DHP_RETRIES attempts failed or the
+def _attempts(kind: str, build, tc, seed: int, trace):
+    """Run build (the constructive path or cycle) with seeds seed,
+    seed + 1, ...; the first valid Hamilton witness comes back with its
+    note, or (None, None) once DHP_RETRIES attempts failed or the
     partition raised."""
     part, _ = _guarded(trace, "route-failed", {"route": "constructive"},
-                       _partition_for, tc, params)
+                       _partition_for, tc)
     if part is None:
         return None, None
     tmaj, hp = part
 
-    def attempt(seed: int):
-        w = build(tc, tmaj, hp, params, seed, trace)
+    def attempt(k: int):
+        w = build(tc, tmaj, hp, seed + k, trace)
         if not w.valid(tc) or len(w.vertices) != tc.n:
             raise StageFailure(f"{kind}-assemble", "invalid witness")
         return w
 
     for k in range(DHP_RETRIES):
         w, exc = _guarded(trace, "attempt-failed", {"attempt": k},
-                          attempt, params.seed + k)
+                          attempt, k)
         if w is not None:
             return w, f"constructive, attempt {k}"
         if isinstance(exc, StageFailure) and exc.stage == f"{kind}-pre":
@@ -469,18 +438,17 @@ def _oracle_route(search, work, budget, notes, trace, t0, fallback=False):
 
 def transversal_ham_path(
     tc: TournamentCollection,
-    params: Optional[PipelineParams] = None,
+    seed: int = 0,
     budget: Optional[SearchBudget] = None,
     mode: str = "auto",
     trace: Optional[list] = None,
 ) -> OracleOutcome:
     """Transversal Hamilton path: constructive assembly with oracle fallback.
 
-    mode is "auto" (constructive above the fallback threshold, oracle
-    below), "constructive", or "exact".  NotExists can only come from the
-    exhaustive oracle.
+    mode is "auto" (the oracle up to ORACLE_MAX_N vertices, constructive
+    above), "constructive", or "exact".  seed keys the constructive
+    attempts.  NotExists can only come from the exhaustive oracle.
     """
-    params = params or PipelineParams()
     t0 = time.perf_counter()
     n = tc.n
     if tc.m < n - 1:
@@ -489,10 +457,10 @@ def transversal_ham_path(
     if tc.m > n - 1:
         work = restrict_colors(tc, list(range(n - 1)))
         _trace(trace, "reduce", kept_colors=n - 1)
-    if mode == "exact" or (mode == "auto" and n <= params.oracle_fallback_n):
+    if mode == "exact" or (mode == "auto" and n <= ORACLE_MAX_N):
         return _oracle_route(oracle.exact_transversal_ham_path, work, budget,
                              [], trace, t0)
-    p, note = _attempts("path", _constructive_path, work, params, trace)
+    p, note = _attempts("path", _constructive_path, work, seed, trace)
     if p is not None:
         return _outcome(t0, FOUND, p, notes=note)
     if mode == "constructive":
@@ -552,7 +520,6 @@ def _close_from_ham_path(
 
 def _case3_machine(
     tc: TournamentCollection,
-    params: PipelineParams,
     seed: int,
     trace: Optional[list],
 ) -> Optional[RainbowCycle]:
@@ -591,7 +558,6 @@ def _constructive_cycle(
     tc: TournamentCollection,
     tmaj: Tournament,
     hp: HPartition,
-    params: PipelineParams,
     seed: int,
     trace: Optional[list],
 ) -> RainbowCycle:
@@ -623,7 +589,7 @@ def _constructive_cycle(
             outer_cols = block_cols[:k] + [close[0]] + block_cols[k:]
             _trace(trace, "cycle-outer", case=1, outer=len(used))
 
-            mid = _middle_dhp(tc, tmaj, hp, used, params, seed, trace)
+            mid = _middle_dhp(tc, tmaj, hp, used, seed, trace)
             verts = list(mid.vertices) + pl + p0
             cols = list(mid.colors) + [c_in] + outer_cols + [c_out]
             # verts currently w0..wr then pl then p0; close p0[-1] -> w0
@@ -633,7 +599,7 @@ def _constructive_cycle(
 
 def transversal_ham_cycle(
     tc: TournamentCollection,
-    params: Optional[PipelineParams] = None,
+    seed: int = 0,
     budget: Optional[SearchBudget] = None,
     mode: str = "auto",
     trace: Optional[list] = None,
@@ -642,10 +608,10 @@ def transversal_ham_cycle(
 
     Requires m = n (larger m is reduced by restriction).  At least n-1
     strongly connected members are expected; a violation is reported in the
-    outcome notes while the search still runs.  NotExists only comes from
-    the exhaustive oracle.
+    outcome notes while the search still runs.  seed keys the constructive
+    attempts and the longest-path machine.  NotExists only comes from the
+    exhaustive oracle.
     """
-    params = params or PipelineParams()
     t0 = time.perf_counter()
     n = tc.n
     notes = []
@@ -663,14 +629,14 @@ def transversal_ham_cycle(
             f"precondition unmet: only {n_strong} of {n} tournaments "
             "strongly connected"
         )
-    if mode == "exact" or (mode == "auto" and n <= params.oracle_fallback_n):
+    if mode == "exact" or (mode == "auto" and n <= ORACLE_MAX_N):
         return _oracle_route(oracle.exact_transversal_ham_cycle, work, budget,
                              notes, trace, t0)
-    cyc, note = _attempts("cycle", _constructive_cycle, work, params, trace)
+    cyc, note = _attempts("cycle", _constructive_cycle, work, seed, trace)
     if cyc is not None:
         return _outcome(t0, FOUND, cyc, notes="; ".join(notes + [note]))
     cyc, _ = _guarded(trace, "route-failed", {"route": "longest-path machine"},
-                      _case3_machine, work, params, params.seed, trace)
+                      _case3_machine, work, seed, trace)
     if cyc is not None and cyc.valid(work):
         return _outcome(
             t0, FOUND, cyc, notes="; ".join(notes + ["longest-path machine"])

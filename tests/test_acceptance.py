@@ -7,7 +7,6 @@ byte-level reproducibility of the verification harness.
 
 import itertools
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from rainbow_tournaments import constructive, generators, harness, oracle
 from rainbow_tournaments.constructive import absorb, build_absorber
 from rainbow_tournaments.oracle import FOUND, NOT_EXISTS
 from rainbow_tournaments.pipeline import (
-    PipelineParams,
     transversal_ham_cycle,
     transversal_ham_path,
 )
@@ -103,7 +101,7 @@ class TestPartitionContract:
         for n in range(1, 7):
             for t in all_tournaments(n):
                 for ell in self._ells(n):
-                    hp = constructive.h_partition(t, ell, Fraction(1, 6))
+                    hp = constructive.h_partition(t, ell)
                     assert hp.validate(t), (n, ell, t.out)
                 for d in range(n):
                     assert constructive.low_degree_count_bound_check(t, d)
@@ -120,7 +118,7 @@ class TestPartitionContract:
             n = int(rng.integers(lo, hi + 1))
             t = generators.random_tournament(n, seed=k)
             for ell in self._ells(n):
-                hp = constructive.h_partition(t, ell, Fraction(1, 6))
+                hp = constructive.h_partition(t, ell)
                 assert hp.validate(t), (n, ell, k)
             d = int(rng.integers(0, n))
             assert constructive.low_degree_count_bound_check(t, d)
@@ -128,7 +126,7 @@ class TestPartitionContract:
     def test_two_thousand_vertices_within_a_second(self):
         t = generators.random_tournament(2000, seed=0)
         t0 = time.perf_counter()
-        hp = constructive.h_partition(t, 24, Fraction(1, 6))
+        hp = constructive.h_partition(t, 24)
         assert time.perf_counter() - t0 < 1
         assert hp.validate(t)
 
@@ -216,9 +214,7 @@ class TestConstructiveAtScale:
             successes = 0
             for seed in seeds:
                 tc = generators.random_collection(n, n - 1, seed=seed)
-                out = transversal_ham_path(
-                    tc, PipelineParams(), mode="constructive"
-                )
+                out = transversal_ham_path(tc, mode="constructive")
                 if out.found:
                     successes += 1
                     assert out.witness.is_hamilton(tc), (n, seed)

@@ -11,6 +11,7 @@ from rainbow_tournaments.core import (
     TournamentCollection,
     validate_transversal,
 )
+from rainbow_tournaments.pipeline import transversal_ham_path
 
 
 def run(capsys, *argv):
@@ -134,6 +135,19 @@ class TestSolve:
         code, out = run(capsys, "solve", "--mode", "path", "-")
         assert code == 0
 
+    def test_seed_reaches_the_solver(self, tmp_path, capsys):
+        # n = 60 is answered by a constructive attempt, which the seed keys
+        tc = generators.random_collection(60, 59, seed=9)
+        p = tmp_path / "inst.json"
+        p.write_text(tc.to_json())
+        want = transversal_ham_path(tc, seed=4)
+        assert want.witness != transversal_ham_path(tc).witness
+        code, out = run(capsys, "solve", "--seed", "4", str(p))
+        assert code == 0
+        w = json.loads(out)["witness"]
+        assert (tuple(w["vertices"]), tuple(w["colors"])) == (
+            want.witness.vertices, want.witness.colors)
+
 
 class TestMalformedInput:
     """Unreadable instances exit 2 with one error line, no traceback."""
@@ -173,6 +187,31 @@ class TestMalformedInput:
         assert code == 2
         assert captured.err.startswith("rainbow-tournaments: error: ")
         assert captured.err.count("\n") == 1
+
+
+class TestBadSuiteArguments:
+    """Sizes, ranges and modes a suite cannot run exit 2 with one error
+    line, no traceback (exit 1 would read as failures found)."""
+
+    @pytest.mark.parametrize("argv, detail", [
+        (["verify", "--suite", "lemma-one_spare", "--sizes", "5,x"], "5,x"),
+        (["verify", "--suite", "lemma-one_spare", "--sizes", "0"], "'0'"),
+        (["bench", "--kind", "one_spare", "--sizes", "5,x"], "5,x"),
+        (["bench", "--kind", "one_spare", "--sizes", "0"], "'0'"),
+        (["verify", "--suite", "theorem-path", "--mode", "exhaustive",
+          "--n-max", "5"], "n <= 4"),
+        (["verify", "--suite", "lemma-forcing_set", "--sizes", "5"],
+         "n >= 25"),
+        (["solve", "--seed", "-1", "absent.json"], "negative"),
+    ])
+    def test_rejected(self, capsys, argv, detail):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("rainbow-tournaments: error: ")
+        assert captured.err.count("\n") == 1
+        assert detail in captured.err
 
 
 class TestVerify:
@@ -218,3 +257,30 @@ class TestParsing:
     def test_conflicting_modes(self, capsys):
         with pytest.raises(SystemExit):
             main(["solve", "--exact", "--constructive", "x.json"])
+
+    # flags a subcommand once accepted and ignored, and the solver knobs
+    # that are constants now
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--mu", "0.01"],
+        ["solve", "--gamma", "0.05"],
+        ["solve", "--beta", "0.1"],
+        ["solve", "--fallback-n", "9"],
+        ["solve", "--jobs", "2"],
+        ["solve", "--format", "csv"],
+        ["gen", "--kind", "transitive", "--jobs", "2"],
+        ["gen", "--kind", "transitive", "--format", "csv"],
+        ["gen", "--kind", "transitive", "--budget-nodes", "5"],
+        ["gen", "--kind", "transitive", "--budget-secs", "1"],
+        ["verify", "--suite", "lemma-one_spare", "--seed", "1"],
+        ["verify", "--suite", "lemma-one_spare", "--format", "csv"],
+        ["verify", "--suite", "lemma-one_spare", "--budget-nodes", "5"],
+        ["verify", "--suite", "lemma-one_spare", "--budget-secs", "1"],
+        ["bench", "--kind", "one_spare", "--seed", "1"],
+        ["bench", "--kind", "one_spare", "--budget-nodes", "5"],
+        ["bench", "--kind", "one_spare", "--budget-secs", "1"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_removed_flag(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["x.json"] * (argv[0] == "solve"))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,6 +1,5 @@
 """Constructive building blocks: orders, partitions, path builders."""
 
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -104,7 +103,7 @@ class TestHPartition:
 
     def test_random_invariants(self):
         t = generators.random_tournament(500, seed=1)
-        hp = h_partition(t, 24, Fraction(1, 6))
+        hp = h_partition(t, 24)
         assert hp.validate(t)
         assert hp.r >= 500 // 25
 
@@ -128,11 +127,6 @@ class TestHPartition:
             for ell in (3, 4, 5):
                 hp = h_partition(t, ell)
                 assert hp.validate(t)
-
-    def test_bad_gamma_rejected(self):
-        t = generators.random_tournament(10, seed=0)
-        with pytest.raises(ValueError):
-            h_partition(t, 5, Fraction(1, 2))
 
 
 class TestTournamentHamPath:

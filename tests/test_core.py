@@ -285,7 +285,7 @@ class TestMajoritySubtournament:
     def test_lives_inside_threshold_digraph(self):
         for seed in range(10):
             tc = generators.random_collection(6, 7, seed=seed)
-            tmaj = majority_subtournament(tc, gamma=Fraction(1, 2))
+            tmaj = majority_subtournament(tc)
             d = threshold_digraph(tc, gamma=Fraction(1, 2))
             assert set(tmaj.arcs()) <= d.arcs
 

@@ -11,21 +11,10 @@ from rainbow_tournaments.oracle import (
     SearchBudget,
 )
 from rainbow_tournaments.pipeline import (
-    PipelineParams,
     exchange_step,
     transversal_ham_cycle,
     transversal_ham_path,
 )
-
-
-class TestParams:
-    def test_defaults_are_ordered(self):
-        p = PipelineParams()
-        assert 0 < p.mu < p.gamma < p.beta <= 0.5
-
-    def test_bad_ordering_rejected(self):
-        with pytest.raises(ValueError):
-            PipelineParams(mu=0.2, gamma=0.1)
 
 
 class TestPathSolver:
@@ -338,9 +327,7 @@ class TestInternalErrors:
 class TestDeterminism:
     def test_same_params_same_witness(self):
         tc = generators.random_collection(60, 59, seed=9)
-        a = transversal_ham_path(tc, PipelineParams(seed=4),
-                                 mode="constructive")
-        b = transversal_ham_path(tc, PipelineParams(seed=4),
-                                 mode="constructive")
+        a = transversal_ham_path(tc, seed=4, mode="constructive")
+        b = transversal_ham_path(tc, seed=4, mode="constructive")
         assert a.status == b.status == FOUND
         assert a.witness == b.witness
