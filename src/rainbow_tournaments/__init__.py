@@ -8,16 +8,13 @@ suites plus the CLI (`harness`, `cli`).
 
 from .core import (
     ColoredDigraph,
-    MajorityDigraph,
     RainbowCycle,
     RainbowPath,
     Tournament,
     TournamentCollection,
-    color_set_of_arc,
     induced_collection,
     is_strongly_connected,
     majority_subtournament,
-    threshold_digraph,
     validate_transversal,
 )
 from .errors import (
@@ -43,16 +40,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ColoredDigraph",
-    "MajorityDigraph",
     "RainbowCycle",
     "RainbowPath",
     "Tournament",
     "TournamentCollection",
-    "color_set_of_arc",
     "induced_collection",
     "is_strongly_connected",
     "majority_subtournament",
-    "threshold_digraph",
     "validate_transversal",
     "AbsorberConstructionError",
     "AbsorptionFailedError",

@@ -1,9 +1,9 @@
 """Polynomial-time constructions behind the rainbow Hamilton path machinery.
 
 Everything here is deterministic given (inputs, seed).  The module covers
-local median orders and degree splitting, H-partitions, the one-spare-color
-rainbow Hamilton path, forced-color and forced-set embeddings, rainbow
-connectivity via color layering, and the randomized color absorber.
+degree splitting, H-partitions, the one-spare-color rainbow Hamilton path,
+forced-color and forced-set embeddings, rainbow connectivity via color
+layering, and the randomized color absorber.
 
 Rédei's insertion step (before the first path vertex the new one beats, or
 at the end) is written once, in _insertion_point, and in two-color form,
@@ -45,10 +45,8 @@ from .matching import (
 from .oracle import _arc_masks, _order_masks
 
 __all__ = [
-    "LocalMedianOrder",
     "HPartition",
     "Absorber",
-    "local_median_order",
     "low_degree_count_bound_check",
     "split_block",
     "h_partition",
@@ -91,68 +89,7 @@ def _solve_block(tc, colors, vertices, solve, *args, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# local median orders and degree counting
-
-
-@dataclass(frozen=True)
-class LocalMedianOrder:
-    """A vertex order stable under single-vertex relocation.
-
-    Stability implies each v_j has in-degree >= (j-1)/2 among its
-    predecessors and out-degree >= (n-j)/2 among its successors.
-    """
-
-    order: tuple[int, ...]
-
-    def check(self, t: Tournament) -> bool:
-        n = len(self.order)
-        for j in range(n):
-            v = self.order[j]
-            pre = self.order[:j]
-            post = self.order[j + 1:]
-            indeg = sum(1 for u in pre if t.has_arc(u, v))
-            outdeg = sum(1 for u in post if t.has_arc(v, u))
-            if 2 * indeg < j or 2 * outdeg < n - 1 - j:
-                return False
-        return True
-
-
-def local_median_order(t: Tournament) -> LocalMedianOrder:
-    """Local search maximizing forward arcs under single-vertex relocation.
-
-    Each accepted move strictly increases the forward-arc count, so at most
-    n(n-1)/2 moves happen before a local optimum.
-    """
-    order = list(range(t.n))
-    n = t.n
-    improved = True
-    while improved:
-        improved = False
-        for i in range(n):
-            v = order[i]
-            # delta of moving v just before position j (scanning left) or
-            # just after position j (scanning right), accumulated arc by arc
-            delta = 0
-            best_delta = 0
-            best_j = i
-            for j in range(i - 1, -1, -1):
-                u = order[j]
-                delta += 1 if t.has_arc(v, u) else -1
-                if delta > best_delta:
-                    best_delta = delta
-                    best_j = j
-            delta = 0
-            for j in range(i + 1, n):
-                u = order[j]
-                delta += 1 if t.has_arc(u, v) else -1
-                if delta > best_delta:
-                    best_delta = delta
-                    best_j = j
-            if best_delta > 0:
-                order.pop(i)
-                order.insert(best_j, v)
-                improved = True
-    return LocalMedianOrder(tuple(order))
+# degree counting and block splitting
 
 
 def low_degree_count_bound_check(t: Tournament, d: int) -> bool:

@@ -30,13 +30,12 @@ Costs, for k colors on n vertices:
   the pair's byte column of the collection array and packs the m bits.
 - ``restrict`` to b vertices gathers their b(b-1)/2 pair bits and packs
   them.
-- ``threshold_digraph`` and ``majority_subtournament`` count the colors of
-  every pair at once: each color's packed row is added into a bit-sliced
-  counter (one array per bit of the count) by carry-save full adders,
-  about five word-parallel operations on ceil(N/8) bytes per color.  One
-  MSB-first comparison of the planes against the threshold gives the
-  majority tournament's pair bits directly; the threshold digraph takes
-  two (the count of v->u is k minus that of u->v).
+- ``majority_subtournament`` counts the colors of every pair at once:
+  each color's packed row is added into a bit-sliced counter (one array
+  per bit of the count) by carry-save full adders, about five
+  word-parallel operations on ceil(N/8) bytes per color.  One MSB-first
+  comparison of the planes against ceil(k/2) gives the majority
+  tournament's pair bits directly.
 - ``Tournament.out``: the pair bits are placed into an n x n matrix by two
   masked writes, packed into rows, and each row becomes an int in one
   ``map(int.from_bytes, ...)``.  O(n^2) bytes, no Python step per pair.
@@ -50,10 +49,8 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from operator import eq, index
 from typing import Iterable, Optional, Sequence
 
@@ -65,9 +62,6 @@ __all__ = [
     "ColoredDigraph",
     "RainbowPath",
     "RainbowCycle",
-    "MajorityDigraph",
-    "color_set_of_arc",
-    "threshold_digraph",
     "majority_subtournament",
     "induced_collection",
     "is_strongly_connected",
@@ -448,25 +442,8 @@ class RainbowCycle(_RainbowWalk):
             raise ValueError("directed cycles need at least three vertices")
 
 
-@dataclass(frozen=True)
-class MajorityDigraph:
-    """Arcs present in at least ceil(gamma * |colors|) member tournaments."""
-
-    n: int
-    gamma: Fraction
-    arcs: frozenset[tuple[int, int]]
-
-    def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
-
-
 # ---------------------------------------------------------------------------
 # operations
-
-
-def color_set_of_arc(coll: TournamentCollection, u: int, v: int) -> set[int]:
-    """Colors whose tournament contains the arc u->v."""
-    return set(_bits(coll.arc_color_mask(u, v)))
 
 
 def _bits(mask: int):
@@ -632,34 +609,12 @@ def _at_least(planes: Sequence[np.ndarray], t: int) -> np.ndarray:
     return above | level
 
 
-def threshold_digraph(
-    coll: TournamentCollection,
-    colors: Optional[Iterable[int]] = None,
-    gamma: Fraction | float = Fraction(1, 2),
-) -> MajorityDigraph:
-    """The digraph of arcs present in at least ceil(gamma*|colors|) colors."""
-    gamma = Fraction(gamma).limit_denominator(10**9) if not isinstance(gamma, Fraction) else gamma
-    if not 0 < gamma <= 1:
-        raise ValueError("gamma must lie in (0, 1]")
-    color_list = _index_list(colors, coll.m, "color")
-    k = len(color_list)
-    need = max(math.ceil(gamma * k), 1)
-    planes = _vote_planes(coll, color_list)
-    count = _pair_count(coll.n)
-    # i->j needs c >= need colors, j->i needs k - c >= need: c <= k - need
-    fwd = np.unpackbits(_at_least(planes, need), count=count).view(bool)
-    bwd = np.unpackbits(_at_least(planes, k - need + 1), count=count) == 0
-    i, j = _pair_coords(coll.n)
-    arcs = chain(zip(i[fwd].tolist(), j[fwd].tolist()),
-                 zip(j[bwd].tolist(), i[bwd].tolist()))
-    return MajorityDigraph(coll.n, gamma, frozenset(arcs))
-
-
 def majority_subtournament(
     coll: TournamentCollection,
     colors: Optional[Iterable[int]] = None,
 ) -> Tournament:
-    """A tournament inside the 1/2-threshold digraph of the colors.
+    """A majority tournament of the colors: each arc lies in at least half
+    of them.
 
     Tie-breaking: the direction with the strictly larger count wins; on
     equal counts the arc u->v with u < v is chosen.

@@ -314,6 +314,9 @@ def _lemma_rainbow_connect(args) -> Optional[dict]:
 
 def _lemma_absorber(args) -> Optional[dict]:
     n, seed = args
+    if n < 7:
+        # |A| + |C| = (min(12, n - 1) - 2) + 10 exceeds the 2n colors
+        raise ValueError("the absorber suite needs n >= 7")
     tc = generators.random_collection(n, 2 * n, seed=seed)
     tmaj = majority_subtournament(tc)
     path = constructive.tournament_ham_path(tmaj)

@@ -158,6 +158,3 @@ class IncrementalMatcher:
     def pop(self) -> None:
         self.avail.pop()
         self.match_of_slot, self.match_of_color = self._stack.pop()
-
-    def colors_in_use(self) -> list[int]:
-        return list(self.match_of_slot)

@@ -6,9 +6,7 @@ recursion limit caps the instance size), pruning with an incremental
 arcs-vs-colors matching; ``nodes_expanded`` counts the vertex sequences it
 enters.  The slow one enumerates vertex permutations outright and asks for
 one matching per permutation.  Agreement between the two on small
-instances is what the test suite leans on.  ``exact_rainbow_path``, the
-rainbow-connectivity search in a colored digraph, also runs on an explicit
-stack.
+instances is what the test suite leans on.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .core import (
-    ColoredDigraph,
     RainbowCycle,
     RainbowPath,
     TournamentCollection,
@@ -35,8 +32,6 @@ __all__ = [
     "exact_transversal_ham_path_perm",
     "exact_transversal_ham_cycle_perm",
     "count_transversal_ham_paths",
-    "exact_rainbow_path",
-    "is_strongly_rainbow_connected",
 ]
 
 FOUND = "Found"
@@ -350,60 +345,3 @@ def _count_matchings(avail: list[int], i: int, used: int) -> int:
         total += _count_matchings(avail, i + 1, used | 1 << c)
     return total
 
-
-def exact_rainbow_path(
-    cd: ColoredDigraph,
-    start: int,
-    end: int,
-    budget: Optional[SearchBudget] = None,
-) -> OracleOutcome:
-    """Rainbow (all colors distinct) path from start to end in a colored
-    digraph.  Vertices need not all be visited."""
-    budget = budget or SearchBudget()
-    budget.start()
-    t0 = time.perf_counter()
-    out: dict[int, list[tuple[int, int]]] = {}
-    for u, v, c in cd.arcs:
-        out.setdefault(u, []).append((v, c))
-
-    path = [start]
-    colors: list[int] = []
-    seen = {start}
-    used_colors: set[int] = set()
-    # depth first on an explicit stack of arc iterators, one per path
-    # vertex; a vertex is ticked when entered, before the end test
-    arcs_left = [iter(out.get(start, ()))]
-    try:
-        budget.tick()
-        while path[-1] != end:
-            for v, c in arcs_left[-1]:
-                if v not in seen and c not in used_colors:
-                    break
-            else:
-                arcs_left.pop()
-                if not colors:
-                    return _outcome(t0, NOT_EXISTS, nodes=budget.nodes)
-                seen.discard(path.pop())
-                used_colors.discard(colors.pop())
-                continue
-            seen.add(v)
-            used_colors.add(c)
-            path.append(v)
-            colors.append(c)
-            arcs_left.append(iter(out.get(v, ())))
-            budget.tick()
-    except _BudgetExceeded:
-        return _outcome(t0, BUDGET_EXHAUSTED, nodes=budget.nodes)
-    wit = RainbowPath(vertices=tuple(path), colors=tuple(colors))
-    return _outcome(t0, FOUND, wit, budget.nodes)
-
-
-def is_strongly_rainbow_connected(cd: ColoredDigraph, n: int) -> bool:
-    """True when every ordered vertex pair is joined by a rainbow path."""
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            if not exact_rainbow_path(cd, x, y).found:
-                return False
-    return True

@@ -35,11 +35,13 @@ from .core import (
     Tournament,
     TournamentCollection,
     _bits,
-    induced_collection,  # not called; tests/test_benchmark_names.py needs it
+    # not called: tests/test_benchmark_names.py and
+    # perfbench/test_perfbench.py:142 pin this binding
+    induced_collection,
     is_strongly_connected,
     majority_subtournament,
 )
-from .errors import StageFailure
+from .errors import AbsorberConstructionError, StageFailure
 from .matching import matching_with_forced_colors, perfect_matching
 from .oracle import (
     BUDGET_EXHAUSTED,
@@ -222,7 +224,10 @@ def rainbow_dhp(
     ell = min(6, e_q1, max(1, c_used4))
     c_size = ell + c_used4
     pool = [c for c in colors if not (dmask >> c) & 1]
-    absorber = build_absorber(tc, q1_arcs, pool, ell, c_size, seed=seed)
+    try:
+        absorber = build_absorber(tc, q1_arcs, pool, ell, c_size, seed=seed)
+    except AbsorberConstructionError as exc:
+        raise StageFailure("dhp-step2", str(exc)) from exc
     ledger.A = list(absorber.A)
     ledger.C = list(absorber.C)
     in_ac = set(absorber.A) | set(absorber.C)

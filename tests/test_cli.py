@@ -203,6 +203,8 @@ class TestBadSuiteArguments:
         (["verify", "--suite", "lemma-forcing_set", "--sizes", "5"],
          "n >= 25"),
         (["solve", "--seed", "-1", "absent.json"], "negative"),
+        (["verify", "--suite", "lemma-absorber", "--sizes", "6"],
+         "n >= 7"),
     ])
     def test_rejected(self, capsys, argv, detail):
         code = main(argv)

@@ -1,4 +1,4 @@
-"""Constructive building blocks: orders, partitions, path builders."""
+"""Constructive building blocks: degree bounds, partitions, path builders."""
 
 
 import numpy as np
@@ -8,7 +8,6 @@ from conftest import all_collections, all_tournaments, directed_triangle
 from rainbow_tournaments import constructive, generators
 from rainbow_tournaments.constructive import (
     h_partition,
-    local_median_order,
     low_degree_count_bound_check,
     rainbow_connect,
     rainbow_connect_all,
@@ -25,30 +24,6 @@ from rainbow_tournaments.errors import (
     InsufficientColorsError,
 )
 from rainbow_tournaments.harness import _forcing_set_instance
-
-
-class TestLocalMedianOrder:
-    def test_triangle(self):
-        t = directed_triangle()
-        lmo = local_median_order(t)
-        assert lmo.check(t)
-        # any rotation of the cycle has 2 forward arcs; prefix in-degrees ok
-        a, b, c = lmo.order
-        assert t.has_arc(a, b) and t.has_arc(b, c)
-
-    def test_transitive_gives_source_to_sink(self):
-        t = generators.transitive_tournament(6)
-        lmo = local_median_order(t)
-        assert lmo.order == (0, 1, 2, 3, 4, 5)
-
-    def test_random_orders_pass_invariant(self):
-        for seed in (7, 8, 9):
-            t = generators.random_tournament(20, seed=seed)
-            assert local_median_order(t).check(t)
-
-    def test_all_small_tournaments(self):
-        for t in all_tournaments(4):
-            assert local_median_order(t).check(t)
 
 
 class TestLowDegreeBound:

@@ -1,8 +1,7 @@
-"""Core types: tournaments, collections, witnesses, threshold digraphs."""
+"""Core types: tournaments, collections, witnesses, majority tournaments."""
 
 import pickle
 import re
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,13 +13,11 @@ from rainbow_tournaments.core import (
     RainbowPath,
     Tournament,
     TournamentCollection,
-    color_set_of_arc,
     induced_collection,
     is_strongly_connected,
     iter_pairs,
     majority_subtournament,
     pair_index,
-    threshold_digraph,
     validate_transversal,
 )
 from rainbow_tournaments import generators
@@ -104,18 +101,8 @@ class TestCollection:
         # every pair is oriented one way or the other in each tournament
         tc = generators.random_collection(5, 4, seed=2)
         for u, v in iter_pairs(5):
-            both = color_set_of_arc(tc, u, v) | color_set_of_arc(tc, v, u)
-            assert both == set(range(4))
-
-    def test_arc_color_mask_matches_color_set(self):
-        tc = generators.random_collection(6, 5, seed=7)
-        for u in range(6):
-            for v in range(6):
-                if u == v:
-                    continue
-                mask = tc.arc_color_mask(u, v)
-                assert {c for c in range(5) if (mask >> c) & 1} == \
-                    color_set_of_arc(tc, u, v)
+            fwd, bwd = tc.arc_color_mask(u, v), tc.arc_color_mask(v, u)
+            assert fwd | bwd == 0b1111 and fwd & bwd == 0
 
 
 def _loop_from_pair_bits(n, bits):
@@ -224,54 +211,6 @@ class TestWitnesses:
         assert not cyc.valid(bad)
 
 
-class TestThresholdDigraph:
-    def test_opposite_triangles_half_has_all_arcs(self):
-        tc = TournamentCollection(
-            [directed_triangle(), directed_triangle(False)]
-        )
-        d = threshold_digraph(tc, gamma=Fraction(1, 2))
-        assert len(d.arcs) == 6
-
-    def test_single_tournament_gamma_one_is_itself(self):
-        t = generators.random_tournament(6, seed=8)
-        d = threshold_digraph(TournamentCollection([t]), gamma=1)
-        assert d.arcs == frozenset(t.arcs())
-
-    def test_impossibility_family_majority_is_transitive(self):
-        tc = generators.prop14_collection(3)
-        d = threshold_digraph(tc, gamma=Fraction(1, 2))
-        assert d.arcs == frozenset({(0, 1), (0, 2), (1, 2)})
-
-    def test_counts_match_definition(self):
-        # property (1): arc present iff its color count clears the threshold
-        tc = generators.random_collection(7, 6, seed=3)
-        gamma = Fraction(1, 3)
-        need = -(-len(range(6)) * 1 // 3)  # ceil(6/3)
-        d = threshold_digraph(tc, gamma=gamma)
-        for u in range(7):
-            for v in range(7):
-                if u == v:
-                    continue
-                cnt = len(color_set_of_arc(tc, u, v))
-                assert ((u, v) in d.arcs) == (cnt >= need)
-
-    def test_monotone_in_gamma(self):
-        # property (2): raising gamma only removes arcs
-        tc = generators.random_collection(6, 8, seed=5)
-        lo = threshold_digraph(tc, gamma=Fraction(1, 4)).arcs
-        hi = threshold_digraph(tc, gamma=Fraction(3, 4)).arcs
-        assert hi <= lo
-
-    def test_restricting_colors_consistent(self):
-        # property (3): the color argument behaves like an induced instance
-        tc = generators.random_collection(5, 6, seed=11)
-        sub_cols = [0, 2, 5]
-        d = threshold_digraph(tc, colors=sub_cols, gamma=Fraction(1, 2))
-        sub, _ = induced_collection(tc, colors=sub_cols)
-        d2 = threshold_digraph(sub, gamma=Fraction(1, 2))
-        assert d.arcs == d2.arcs
-
-
 class TestMajoritySubtournament:
     def test_single_tournament_is_itself(self):
         t = generators.random_tournament(8, seed=2)
@@ -281,13 +220,6 @@ class TestMajoritySubtournament:
         tc = generators.prop14_collection(3)
         tmaj = majority_subtournament(tc)
         assert set(tmaj.arcs()) == {(0, 1), (0, 2), (1, 2)}
-
-    def test_lives_inside_threshold_digraph(self):
-        for seed in range(10):
-            tc = generators.random_collection(6, 7, seed=seed)
-            tmaj = majority_subtournament(tc)
-            d = threshold_digraph(tc, gamma=Fraction(1, 2))
-            assert set(tmaj.arcs()) <= d.arcs
 
     def test_colors_out_of_range_rejected(self):
         tc = generators.random_collection(5, 3, seed=0)
@@ -324,8 +256,6 @@ class TestVoteCountsAgainstDenseCount:
     # byte boundaries in n, counter-width boundaries in m
     SIZES = (1, 2, 7, 8, 9, 63, 64, 65)
     COLOR_COUNTS = (1, 2, 3, 4, 7, 8, 15, 16, 17)
-    GAMMAS = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
-              Fraction(1))
 
     @staticmethod
     def _subsets(m):
@@ -355,11 +285,6 @@ class TestVoteCountsAgainstDenseCount:
                         ties += count[u][v] == count[v][u]
                 if n >= 7 and k % 2 == 0:
                     assert ties > 0
-                for gamma in self.GAMMAS:
-                    need = max(-(-gamma.numerator * k // gamma.denominator), 1)
-                    want = {(u, v) for u in range(n) for v in range(n)
-                            if u != v and count[u][v] >= need}
-                    assert threshold_digraph(tc, colors, gamma).arcs == want
 
 
 class TestInducedCollection:
@@ -480,7 +405,6 @@ class TestPairNativeAgainstRows:
     of the rows."""
 
     SIZES = list(range(1, 71)) + [129, 256, 257]
-    GAMMAS = (Fraction(1, 3), Fraction(1, 2), Fraction(1))
 
     @staticmethod
     def _collections(n):
@@ -545,11 +469,6 @@ class TestPairNativeAgainstRows:
                 tmaj = majority_subtournament(tc, colors)
                 wins = (2 * count >= k)[np.triu_indices(n, 1)]
                 assert tmaj.pair_bits() == "".join(map(str, wins.astype(int)))
-                for gamma in self.GAMMAS:
-                    need = max(-(-gamma.numerator * k // gamma.denominator), 1)
-                    us, vs = np.nonzero(count >= need)
-                    want = set(zip(us.tolist(), vs.tolist()))
-                    assert threshold_digraph(tc, colors, gamma).arcs == want
             # none of the above built a row cache
             assert all(t._out is None for t in tc.tournaments)
             for t, out in zip(tc.tournaments, outs):

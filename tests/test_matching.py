@@ -160,18 +160,18 @@ class TestIncrementalMatcher:
         im = IncrementalMatcher()
         assert im.push(0b01)
         assert im.push(0b11)
-        assert sorted(im.colors_in_use()) == [0, 1]
+        assert sorted(im.match_of_slot) == [0, 1]
         im.pop()
-        assert im.colors_in_use() == [0]
+        assert im.match_of_slot == [0]
 
     def test_push_fails_cleanly(self):
         im = IncrementalMatcher()
         assert im.push(0b1)
         assert not im.push(0b1)  # color 0 is taken and nothing else offered
         # the failed push must not leave residue
-        assert im.colors_in_use() == [0]
+        assert im.match_of_slot == [0]
         im.pop()
-        assert im.colors_in_use() == []
+        assert im.match_of_slot == []
 
     def test_agrees_with_batch_matching(self):
         rng = np.random.default_rng(2)

@@ -5,16 +5,11 @@ import itertools
 import json
 import sys
 
-import numpy as np
 import pytest
 
 from conftest import all_collections, directed_triangle
 from rainbow_tournaments import generators, oracle
-from rainbow_tournaments.core import (
-    ColoredDigraph,
-    Tournament,
-    TournamentCollection,
-)
+from rainbow_tournaments.core import TournamentCollection
 from rainbow_tournaments.oracle import (
     BUDGET_EXHAUSTED,
     FOUND,
@@ -129,97 +124,6 @@ class TestCounting:
         assert oracle.count_transversal_ham_paths(tc) == 2
 
 
-class TestRainbowPathOracle:
-    def test_single_arc(self):
-        t0 = Tournament.from_arcs(2, [(0, 1)])
-        cd = ColoredDigraph(((0, 1, 0),))
-        out = oracle.exact_rainbow_path(cd, 0, 1)
-        assert out.status == FOUND
-
-    def test_counterexample_short_hop(self):
-        path_inst, _ = generators.fig1_counterexamples()
-        arcs = []
-        for c, t in enumerate(path_inst.tournaments):
-            for u, v in t.arcs():
-                if (u, v) not in {(a, b) for a, b, _ in arcs}:
-                    arcs.append((u, v, c))
-        cd = ColoredDigraph(tuple(arcs))
-        out = oracle.exact_rainbow_path(cd, 0, 2)
-        assert out.status == FOUND
-
-    def test_transitive_sink_to_source(self):
-        t = generators.transitive_tournament(4)
-        cd = ColoredDigraph(tuple((u, v, 0) for u, v in t.arcs()))
-        out = oracle.exact_rainbow_path(cd, 3, 0)
-        assert out.status == NOT_EXISTS
-
-    def test_strong_rainbow_connectivity(self):
-        t = generators.transitive_tournament(3)
-        cd = ColoredDigraph(tuple((u, v, k)
-                                  for k, (u, v) in enumerate(t.arcs())))
-        assert not oracle.is_strongly_rainbow_connected(cd, 3)
-        tri = directed_triangle()
-        cd2 = ColoredDigraph(tuple((u, v, k)
-                                   for k, (u, v) in enumerate(tri.arcs())))
-        assert oracle.is_strongly_rainbow_connected(cd2, 3)
-
-    def test_long_path_at_default_recursion_limit(self):
-        n = 1500
-        cd = ColoredDigraph(tuple((v, v + 1, v) for v in range(n - 1)))
-        out = oracle.exact_rainbow_path(cd, 0, n - 1)
-        assert out.status == FOUND
-        assert out.witness.vertices == tuple(range(n))
-        assert out.nodes_expanded == n
-
-    def test_outcomes_unchanged(self):
-        """Status, nodes_expanded and witness over _rainbow_path_cases."""
-        assert rainbow_path_lock_digest() == RAINBOW_PATH_LOCK
-
-
-def _rainbow_path_cases():
-    """Random colored digraphs on 2..8 vertices, arcs in a shuffled order
-    with colors drawn from a small palette (so repeats occur), every
-    start/end pair, and node budgets of 1, 3 and 10."""
-    rng = np.random.default_rng(3)
-    for case in range(300):
-        n = int(rng.integers(2, 9))
-        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-        keep = rng.random(len(pairs)) < rng.random()
-        ncolors = int(rng.integers(1, n + 2))
-        arcs = tuple(
-            (u, v, int(rng.integers(0, ncolors)))
-            for k in rng.permutation(len(pairs)) if keep[k]
-            for u, v in [pairs[k]]
-        )
-        cd = ColoredDigraph(arcs)
-        for s, e in itertools.product(range(n), range(n)):
-            yield f"#{case} {s}-{e}", cd, s, e, None
-            if case % 10 == 0:
-                for limit in (1, 3, 10):
-                    yield (f"#{case} {s}-{e} max_nodes={limit}", cd, s, e,
-                           SearchBudget(max_nodes=limit))
-
-
-def rainbow_path_lock_digest() -> tuple[int, str]:
-    """(number of cases, digest of every case's outcome)."""
-    h = hashlib.sha256()
-    count = 0
-    for label, cd, s, e, budget in _rainbow_path_cases():
-        out = oracle.exact_rainbow_path(cd, s, e, budget)
-        w = out.witness
-        item = [label, out.status, out.nodes_expanded,
-                list(w.vertices) if w is not None else None,
-                list(w.colors) if w is not None else None]
-        h.update(json.dumps(item).encode())
-        count += 1
-    return count, h.hexdigest()[:16]
-
-
-# recorded on the recursive search; print the current value with
-#   PYTHONPATH=src python tests/test_oracle.py
-RAINBOW_PATH_LOCK = (11238, "752b11b99a9c1595")
-
-
 def _lock_cases():
     """(label, entry point, instance, keyword arguments) of the lock grid:
     every collection with n <= 3 and m <= n + 1 (every start/end pair for
@@ -315,4 +219,3 @@ class TestLock:
 
 if __name__ == "__main__":
     print(oracle_lock_digest())
-    print(rainbow_path_lock_digest())

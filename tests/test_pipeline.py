@@ -4,6 +4,7 @@ import pytest
 
 from rainbow_tournaments import generators, oracle, pipeline
 from rainbow_tournaments.core import RainbowPath
+from rainbow_tournaments.errors import AbsorberConstructionError
 from rainbow_tournaments.oracle import (
     BUDGET_EXHAUSTED,
     FOUND,
@@ -185,8 +186,24 @@ def _raise_index_error(*args, **kwargs):
     raise IndexError("list index out of range")
 
 
+def _raise_absorber_error(*args, **kwargs):
+    raise AbsorberConstructionError("absorber retries exhausted")
+
+
 class TestInternalErrors:
     """An exception other than StageFailure fails an attempt, not the solve."""
+
+    def test_absorber_failure_is_a_stage_failure(self, monkeypatch):
+        # an expected dead end, so not traced as [internal]
+        monkeypatch.setattr(pipeline, "build_absorber", _raise_absorber_error)
+        tc = generators.random_collection(60, 59, seed=5)
+        trace = []
+        out = transversal_ham_path(tc, trace=trace)
+        fails = [ev["error"] for ev in trace
+                 if ev["stage"] == "attempt-failed"]
+        assert fails == (["[dhp-step2] absorber retries exhausted"]
+                         * pipeline.DHP_RETRIES)
+        assert out.found and out.witness.is_hamilton(tc)
 
     def test_constructive_mode_exhausts_instead_of_raising(self, monkeypatch):
         monkeypatch.setattr(pipeline, "_constructive_path",
