@@ -2,6 +2,7 @@
 
 import itertools
 
+from rainbow_tournaments import generators
 from rainbow_tournaments.core import Tournament, TournamentCollection
 
 
@@ -24,3 +25,15 @@ def directed_triangle(forward=True):
     if forward:
         return Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
     return Tournament.from_arcs(3, [(1, 0), (2, 1), (0, 2)])
+
+
+def source_collection(n, seed):
+    """random_collection(n, n, seed) with vertex 0 beating every other
+    vertex in every color.  Nothing enters vertex 0, so no Hamilton cycle
+    exists, but the chain-cut bound does not see it: the exact search has
+    to walk its tree."""
+    others = (1 << n) - 2
+    return TournamentCollection([
+        Tournament(n, [others] + [out & ~1 for out in t.out[1:]])
+        for t in generators.random_collection(n, n, seed=seed).tournaments
+    ])

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import source_collection
 from rainbow_tournaments import generators
 from rainbow_tournaments.cli import main
 from rainbow_tournaments.core import (
@@ -98,7 +99,7 @@ class TestSolve:
         assert tr.exists()
 
     def test_solve_budget_exhausted_exit_code(self, tmp_path, capsys):
-        tc = generators.prop14_collection(10)
+        tc = source_collection(7, seed=0)
         p = tmp_path / "hard.json"
         p.write_text(tc.to_json())
         code, out = run(capsys, "solve", "--mode", "cycle", "--exact",

@@ -3,11 +3,12 @@
 import hashlib
 import itertools
 import json
+import random
 import sys
 
 import pytest
 
-from conftest import all_collections, directed_triangle
+from conftest import all_collections, directed_triangle, source_collection
 from rainbow_tournaments import generators, oracle
 from rainbow_tournaments.core import TournamentCollection
 from rainbow_tournaments.oracle import (
@@ -80,7 +81,7 @@ class TestHamCycleOracle:
 
 class TestBudgets:
     def test_node_budget_exhausts(self):
-        tc = generators.prop14_collection(10)
+        tc = source_collection(7, seed=0)
         out = oracle.exact_transversal_ham_cycle(
             tc, SearchBudget(max_nodes=50)
         )
@@ -89,7 +90,7 @@ class TestBudgets:
 
     def test_budget_monotone(self):
         # a bigger budget can only move BudgetExhausted toward a verdict
-        tc = generators.prop14_collection(8)
+        tc = source_collection(7, seed=0)
         small = oracle.exact_transversal_ham_cycle(
             tc, SearchBudget(max_nodes=10)
         )
@@ -106,6 +107,66 @@ class TestBudgets:
         assert {"status", "nodes_expanded", "millis", "notes"} <= set(d)
         if out.found:
             assert d["witness"]["kind"] == "path"
+
+
+class TestChainCut:
+    """The chain-cut bound that refutes cycle instances at the root."""
+
+    def test_sound_in_every_order(self):
+        # the lemma holds for any vertex order: on every collection of
+        # three tournaments on 3 vertices, a refutation in any order goes
+        # with a NotExists of the unpruned permutation engine
+        refuted = 0
+        for tc in all_collections(3, 3):
+            masks = oracle._arc_masks(tc)
+            if any(oracle._cuts_unmet(masks, order)
+                   for order in itertools.permutations(range(3))):
+                refuted += 1
+                perm = oracle.exact_transversal_ham_cycle_perm(tc)
+                assert perm.status == NOT_EXISTS
+        assert refuted == 60
+
+    def test_sound_on_random_collections(self):
+        # m = n with 0, n/2 or n-1 strong members, n = 4..7: a refutation by
+        # the search or in a random vertex order is a NotExists of the
+        # permutation engine (all 1,200 have a cycle, so neither fires)
+        rng = random.Random(0)
+        for n in range(4, 8):
+            for strong in (0, n // 2, n - 1):
+                for seed in range(100):
+                    tc = generators.random_collection(
+                        n, n, seed=seed, strongly_connected_count=strong)
+                    order = rng.sample(range(n), n)
+                    out = oracle.exact_transversal_ham_cycle(tc)
+                    if (out.notes.startswith("chain-cut bound") or
+                            oracle._cuts_unmet(oracle._arc_masks(tc), order)):
+                        perm = oracle.exact_transversal_ham_cycle_perm(tc)
+                        assert perm.status == out.status == NOT_EXISTS
+
+    @pytest.mark.parametrize("n", [8, 12, 20])
+    def test_score_order_catches_relabelled_prop14(self, n):
+        order = random.Random(n).sample(range(n), n)
+        prop14 = generators.prop14_collection(n)
+        tc = TournamentCollection([t.restrict(order)
+                                   for t in prop14.tournaments])
+        assert not oracle._cuts_unmet(oracle._arc_masks(tc), range(n))
+        out = oracle.exact_transversal_ham_cycle(tc)
+        assert (out.status, out.nodes_expanded) == (NOT_EXISTS, 0)
+        assert out.notes == "chain-cut bound, score order"
+
+    @pytest.mark.parametrize("n", [*range(4, 15), 60])
+    def test_prop14_refuted_without_search(self, n):
+        tc = generators.prop14_collection(n)
+        out = oracle.exact_transversal_ham_cycle(tc)
+        assert (out.status, out.nodes_expanded) == (NOT_EXISTS, 0)
+        assert out.notes.startswith("chain-cut bound")
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_source_vertex_needs_search(self, n):
+        # no arc enters vertex 0, which the bound does not see
+        out = oracle.exact_transversal_ham_cycle(source_collection(n, seed=0))
+        assert out.status == NOT_EXISTS
+        assert out.nodes_expanded > 0 and out.notes == ""
 
 
 class TestCounting:
@@ -168,24 +229,32 @@ def _lock_cases():
                        dict(budget=SearchBudget(max_nodes=limit)))
 
 
+def _lock_rows():
+    """[label, status, nodes_expanded, notes, vertices, colors] of every
+    case of _lock_cases, as JSON text."""
+    for label, entry, tc, kwargs in _lock_cases():
+        out = entry(tc, **kwargs)
+        w = out.witness
+        yield json.dumps([label, out.status, out.nodes_expanded, out.notes,
+                          list(w.vertices) if w is not None else None,
+                          list(w.colors) if w is not None else None])
+
+
 def oracle_lock_digest() -> tuple[int, str]:
     """(number of cases, digest of every case's outcome)."""
     h = hashlib.sha256()
     count = 0
-    for label, entry, tc, kwargs in _lock_cases():
-        out = entry(tc, **kwargs)
-        w = out.witness
-        item = [label, out.status, out.nodes_expanded, out.notes,
-                list(w.vertices) if w is not None else None,
-                list(w.colors) if w is not None else None]
-        h.update(json.dumps(item).encode())
+    for row in _lock_rows():
+        h.update(row.encode())
         count += 1
     return count, h.hexdigest()[:16]
 
 
-# recorded on the recursive engine that the iterative one replaced; print
-# the current value with  PYTHONPATH=src python tests/test_oracle.py
-ORACLE_LOCK = (18874, "c062de2a878e3bd0")
+# recorded when the chain-cut bound began to refute cycle instances at the
+# root; print the current value with  PYTHONPATH=src python
+# tests/test_oracle.py, or one JSON row per case with --rows to diff two
+# versions of the search
+ORACLE_LOCK = (18873, "1dc41d660b666a0e")
 
 
 class TestLock:
@@ -218,4 +287,8 @@ class TestLock:
 
 
 if __name__ == "__main__":
-    print(oracle_lock_digest())
+    if sys.argv[1:] == ["--rows"]:
+        for row in _lock_rows():
+            print(row)
+    else:
+        print(oracle_lock_digest())

@@ -157,6 +157,14 @@ class TestCycleSolver:
             out = transversal_ham_cycle(generators.prop14_collection(n))
             assert out.status == NOT_EXISTS
 
+    @pytest.mark.parametrize("n", [22, 40])
+    def test_impossibility_family_past_the_oracle_size(self, n):
+        # every constructive route fails; the oracle fallback refutes it
+        # with the chain-cut bound instead of running out of nodes
+        out = transversal_ham_cycle(generators.prop14_collection(n))
+        assert out.status == NOT_EXISTS
+        assert "oracle fallback" in out.notes
+
     def test_too_few_colors(self):
         tc = generators.random_collection(6, 5, seed=0)
         out = transversal_ham_cycle(tc)
