@@ -343,15 +343,24 @@ def _forcing_color_base(
     return None
 
 
-def _fresh_color_for_arc(
-    tc: TournamentCollection, u: int, v: int, used: set[int]
-) -> int:
-    for c in range(tc.m):
-        if c not in used and tc.tournaments[c].has_arc(u, v):
-            return c
-    raise StageFailure(
-        "greedy-color", f"no unused color contains arc {u}->{v}"
-    )
+def _greedy_colors(
+    tc: TournamentCollection, arcs: Iterable[tuple[int, int]], used: set[int]
+) -> list[int]:
+    """For each arc in turn the lowest color not in used whose tournament
+    has it, then added to used.  The has_arc scan stops at the first such
+    color, where arc_color_mask would read all m."""
+    cols = []
+    for u, v in arcs:
+        for c in range(tc.m):
+            if c not in used and tc.tournaments[c].has_arc(u, v):
+                break
+        else:
+            raise StageFailure(
+                "greedy-color", f"no unused color contains arc {u}->{v}"
+            )
+        used.add(c)
+        cols.append(c)
+    return cols
 
 
 def rainbow_ham_path_forcing_color(
@@ -385,21 +394,17 @@ def rainbow_ham_path_forcing_color(
     ins = sorted(_bits(tmaj.in_mask(v)))
     assert len(outs) >= 4
     p = _solve_block(tc, range(m), outs, rainbow_ham_path_forcing_color, i)
-    path = list(p.vertices)
-    colors = list(p.colors)
-    used = set(colors)
-    c = _fresh_color_for_arc(tc, v, path[0], used)
-    path.insert(0, v)
-    colors.insert(0, c)
-    used.add(c)
+    used = set(p.colors)
+    path = (v, *p.vertices)
+    colors = (*_greedy_colors(tc, [(v, p.vertices[0])], used), *p.colors)
     if ins:
         free = [c for c in range(m) if c not in used]
         q = _solve_block(tc, free, ins, rainbow_ham_path_one_spare)
         used.update(q.colors)
-        c2 = _fresh_color_for_arc(tc, q.vertices[-1], path[0], used)
-        path = list(q.vertices) + path
-        colors = list(q.colors) + [c2] + colors
-    return RainbowPath(vertices=tuple(path), colors=tuple(colors))
+        link = _greedy_colors(tc, [(q.vertices[-1], v)], used)
+        path = (*q.vertices, *path)
+        colors = (*q.colors, *link, *colors)
+    return RainbowPath(vertices=path, colors=colors)
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +471,7 @@ def rainbow_ham_path_forcing_set(
         return _solve_block(tc, budget, bverts,
                             rainbow_ham_path_forcing_color, len(budget) - 1)
 
-    # each forced color is embedded inside its own block; the u and v arcs
-    # are colored last, preferring leftover forced colors when they fit
+    # each forced color is embedded inside its own block
     if len(forced) > r:
         raise StageFailure(
             "forcing-set", "more forced colors than blocks to host them"
@@ -479,25 +483,17 @@ def rainbow_ham_path_forcing_set(
         used.update(p.colors)
         paths.append(p)
 
+    # u, block 0, separator 0, ..., v: every forced color is in used from
+    # the start, so the arcs between blocks take fresh colors in path order
     verts = [u]
-    c_start = _fresh_color_for_arc(tc, u, paths[0].vertices[0], used)
-    used.add(c_start)
-    cols = [c_start]
     for k, p in enumerate(paths):
-        verts.extend(p.vertices)
-        cols.extend(p.colors)
-        if k < r - 1:
-            w = seps[k]
-            c1 = _fresh_color_for_arc(tc, p.vertices[-1], w, used)
-            used.add(c1)
-            c2 = _fresh_color_for_arc(tc, w, paths[k + 1].vertices[0], used)
-            used.add(c2)
-            verts.append(w)
-            cols.extend((c1, c2))
-    c_end = _fresh_color_for_arc(tc, paths[-1].vertices[-1], v, used)
-    used.add(c_end)
+        verts += [*p.vertices, *seps[k:k + 1]]
     verts.append(v)
-    cols.append(c_end)
+    inner = {a: c for p in paths
+             for a, c in zip(zip(p.vertices, p.vertices[1:]), p.colors)}
+    arcs = list(zip(verts, verts[1:]))
+    links = iter(_greedy_colors(tc, [a for a in arcs if a not in inner], used))
+    cols = [inner[a] if a in inner else next(links) for a in arcs]
     return RainbowPath(vertices=tuple(verts), colors=tuple(cols))
 
 
@@ -644,11 +640,11 @@ def build_absorber(
 
 
 def _verify_absorber(avail, a_mask, ccand, ell, rng) -> bool:
+    if math.comb(len(ccand), ell) <= 10_000:
+        return _every_topup_matches(avail, a_mask, ccand, ell)
     base = max_matching([av & a_mask for av in avail])
     if len(base) - base.count(-1) < a_mask.bit_count():
         return False
-    if math.comb(len(ccand), ell) <= 10_000:
-        return _every_topup_matches(avail, a_mask, ccand, ell)
 
     def matching_ok(cset: Iterable[int]) -> bool:
         allow = a_mask | sum(1 << c for c in cset)

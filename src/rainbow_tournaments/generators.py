@@ -179,21 +179,20 @@ def random_collection(
     n: int,
     m: int,
     seed: int,
-    strongly_connected: bool = False,
     *,
     strongly_connected_count: int | None = None,
 ) -> TournamentCollection:
     """m independent random tournaments on n vertices.
 
     ``strongly_connected_count`` restricts the rejection sampling to the
-    first that many members (used for the cycle theorem's "all but one"
-    hypothesis); ``strongly_connected=True`` applies it to all members.
+    first that many members (m of them for an all-strong collection, m - 1
+    for the cycle theorem's "all but one" hypothesis).
     """
     if n < 1:
         raise ValueError("n must be positive")
     if m < 1:
         raise ValueError("m must be positive")
-    k = m if strongly_connected else (strongly_connected_count or 0)
+    k = strongly_connected_count or 0
     if k > 0 and n < 3:
         raise ValueError("strong connectivity needs n >= 3")
     return TournamentCollection._assemble(n, m, (
@@ -212,7 +211,7 @@ def generate(spec: GeneratorSpec) -> TournamentCollection:
     if kind == "random_uniform":
         return random_collection(n, m, seed)
     if kind == "random_strongly_connected":
-        return random_collection(n, m, seed, strongly_connected=True)
+        return random_collection(n, m, seed, strongly_connected_count=m)
     if kind == "prop14_collection":
         return prop14_collection(n)
     if kind == "fig1_path_counterexample":

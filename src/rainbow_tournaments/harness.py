@@ -295,7 +295,7 @@ def _lemma_forcing_set(args) -> Optional[dict]:
 def _lemma_rainbow_connect(args) -> Optional[dict]:
     n, seed = args
     tc = generators.random_collection(
-        n, n - 1, seed=seed, strongly_connected=True
+        n, n - 1, seed=seed, strongly_connected_count=n - 1
     )
     for x in range(n):
         paths = constructive.rainbow_connect_all(tc, x)

@@ -3,11 +3,12 @@
 Two independent engines are provided.  The fast one, ``_backtrack``, runs
 both the path and the cycle search depth first on an explicit stack (no
 recursion limit caps the instance size), pruning with an incremental
-arcs-vs-colors matching; ``nodes_expanded`` counts the vertex sequences it
-enters.  A cycle search on n >= 4 vertices first tries the chain-cut bound
-(``_cuts_unmet``) in index and in score order, which can answer NotExists
-at the root with no node expanded; at n = 3 the two anchored orders left
-cost less than the check.  The slow one enumerates vertex permutations
+arcs-vs-colors matching, which also colors the witness it accepts;
+``nodes_expanded`` counts the vertex sequences it enters.  A cycle search
+on n >= 4 vertices first tries the chain-cut bound (``_cuts_unmet``) in
+index and in score order, which can answer NotExists at the root with no
+node expanded; at n = 3 the two anchored orders left cost less than the
+check.  The slow one enumerates vertex permutations
 outright and asks for one matching per permutation, with no bound, so that
 agreement between the two on small instances, which the test suite leans
 on, stays a check of the bound too.
@@ -57,6 +58,7 @@ class SearchBudget:
     _deadline: Optional[float] = field(default=None, repr=False)
 
     def start(self) -> None:
+        self.nodes = 0
         if self.max_seconds is not None:
             self._deadline = time.monotonic() + self.max_seconds
 
@@ -150,33 +152,24 @@ def _order_masks(
     return avail
 
 
-def _witness(
-    masks: list[list[int]], order: Sequence[int], cyclic: bool
-) -> Optional[RainbowPath | RainbowCycle]:
-    """order colored by a perfect matching of its arcs, or None."""
-    avail = _order_masks(masks, order, cyclic)
-    colors = perfect_matching(avail) if avail is not None else None
-    if colors is None:
-        return None
-    kind = RainbowCycle if cyclic else RainbowPath
-    return kind(vertices=tuple(order), colors=tuple(colors))
-
-
 def _backtrack(
     masks: list[list[int]],
     roots: Sequence[int],
     end: Optional[int],
     cyclic: bool,
     budget: SearchBudget,
-) -> Optional[list[int]]:
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The first vertex order found, roots in turn, whose arcs (and the
-    arc closing it when cyclic) take distinct colors; a path has end last.
+    arc closing it when cyclic) take distinct colors, with those colors in
+    arc order; a path has end last.
 
     Depth first on an explicit stack, children lowest vertex first, each
     kept only when IncrementalMatcher.push accepts its arc.  A node is an
     order the search enters and costs one budget tick, except that a path
     root is ticked twice (by the root loop and as a node) and a path leaf,
     a Hamilton path, none; a cycle leaf is ticked before its closing arc.
+    The colors are the matcher's: pushes augment slot by slot from the
+    state the pops restore, as perfect_matching does from empty.
     """
     n = len(masks)
     matcher = IncrementalMatcher()
@@ -189,7 +182,7 @@ def _backtrack(
         if not cyclic:
             tick()
         if n == 1:
-            return [root]
+            return (root,), ()
         tick()
         order = [root]
         used = 1 << root
@@ -215,14 +208,14 @@ def _backtrack(
             todo[-1] = rest
             depth = len(order) + 1
             if depth == n and not cyclic:
-                return order + [v]
+                return (*order, v), tuple(matcher.match_of_slot)
             tick()
             if depth < n:
                 order.append(v)
                 used |= low
                 todo.append(~used & (not_end if depth < n - 1 else full))
-            elif masks[v][root] and push(masks[v][root]):
-                return order + [v]  # the arc closing the cycle fits
+            elif masks[v][root] and push(masks[v][root]):  # closes it
+                return (*order, v), tuple(matcher.match_of_slot)
             else:
                 pop()
     return None
@@ -254,9 +247,9 @@ def _cuts_unmet(masks: list[list[int]], order: Sequence[int]) -> bool:
 
 
 def _search(tc, budget, roots, end, cyclic, t0) -> OracleOutcome:
-    """The outcome of _backtrack on tc, its order colored by _witness,
-    unless the chain-cut bound refutes a cycle first.  Score order (total
-    out-degree descending) catches relabelled instances."""
+    """The outcome of _backtrack on tc, unless the chain-cut bound refutes
+    a cycle first.  Score order (total out-degree descending) catches
+    relabelled instances."""
     masks = _arc_masks(tc)
     n = len(masks)
     if cyclic and n >= 4:
@@ -272,9 +265,8 @@ def _search(tc, budget, roots, end, cyclic, t0) -> OracleOutcome:
         return _outcome(t0, BUDGET_EXHAUSTED, nodes=budget.nodes)
     if got is None:
         return _outcome(t0, NOT_EXISTS, nodes=budget.nodes)
-    wit = _witness(masks, got, cyclic)
-    assert wit is not None
-    return _outcome(t0, FOUND, wit, budget.nodes)
+    kind = RainbowCycle if cyclic else RainbowPath
+    return _outcome(t0, FOUND, kind(*got), budget.nodes)
 
 
 def exact_transversal_ham_path(
@@ -333,12 +325,15 @@ def _perm_search(
         orders = ((0,) + rest for rest in itertools.permutations(range(1, n)))
     else:
         orders = itertools.permutations(range(n))
+    kind = RainbowCycle if cyclic else RainbowPath
     try:
         for perm in orders:
             budget.tick()
-            wit = _witness(masks, perm, cyclic)
-            if wit is not None:
-                return _outcome(t0, FOUND, wit, budget.nodes)
+            avail = _order_masks(masks, perm, cyclic)
+            colors = perfect_matching(avail) if avail is not None else None
+            if colors is not None:
+                return _outcome(t0, FOUND, kind(perm, tuple(colors)),
+                                budget.nodes)
     except _BudgetExceeded:
         return _outcome(t0, BUDGET_EXHAUSTED, nodes=budget.nodes)
     return _outcome(t0, NOT_EXISTS, nodes=budget.nodes)

@@ -1,10 +1,10 @@
 """End-to-end transversal Hamilton path and cycle solvers.
 
-The constructive branch mirrors the four-step assembly (separator color
-reservation, absorber setup, per-block paths, forced top-up block) plus the
-cycle-closing case analysis; every dead end is a first-class outcome that
-falls back to the exact oracle under a node budget.  Deterministic given
-(instance, seed).
+The constructive branch mirrors the four-step assembly (separator colors
+D, absorber colors A and C, block budgets B, the leftovers forced through
+the top-up block), each color spent once by _spend, plus the cycle-closing
+case analysis; every dead end is a first-class outcome that falls back to
+the exact oracle under a node budget.  Deterministic given (instance, seed).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from . import oracle
 from .constructive import (
     HPartition,
-    _fresh_color_for_arc,
+    _greedy_colors,
     _solve_block,
     _spare_insert,
     absorb,
@@ -41,7 +41,8 @@ from .core import (
     is_strongly_connected,
     majority_subtournament,
 )
-from .errors import AbsorberConstructionError, StageFailure
+from .errors import (AbsorberConstructionError, AbsorptionFailedError,
+                     StageFailure)
 from .matching import matching_with_forced_colors, perfect_matching
 from .oracle import (
     BUDGET_EXHAUSTED,
@@ -53,7 +54,6 @@ from .oracle import (
 )
 
 __all__ = [
-    "ColorLedger",
     "CycleSearchState",
     "rainbow_dhp",
     "transversal_ham_path",
@@ -69,34 +69,6 @@ DHP_RETRIES = 8
 ORACLE_MAX_N = 9
 FALLBACK_BUDGET_NODES = 200_000
 CASE3_RESTARTS = 24
-
-
-@dataclass
-class ColorLedger:
-    """Tracks the color partition through the four assembly steps."""
-
-    D: list[int] = field(default_factory=list)
-    A: list[int] = field(default_factory=list)
-    C: list[int] = field(default_factory=list)
-    B: list[int] = field(default_factory=list)
-    used: set[int] = field(default_factory=set)
-    B_star: list[int] = field(default_factory=list)
-    C_star: list[int] = field(default_factory=list)
-    D_star: list[int] = field(default_factory=list)
-
-    def snapshot(self) -> dict:
-        return {
-            "D": len(self.D), "A": len(self.A), "C": len(self.C),
-            "B": len(self.B), "used": len(self.used),
-            "B_star": len(self.B_star), "C_star": len(self.C_star),
-            "D_star": len(self.D_star),
-        }
-
-    def spend(self, colors) -> None:
-        for c in colors:
-            if c in self.used:
-                raise StageFailure("ledger", f"color {c} spent twice")
-            self.used.add(c)
 
 
 @dataclass
@@ -137,16 +109,11 @@ def _block_cap(n: int) -> int:
     return max(24, math.ceil(0.01 * n), math.ceil(3 * math.sqrt(n)))
 
 
-def _greedy_colors(
-    tc: TournamentCollection, arcs: Sequence[tuple[int, int]], used: set[int]
-) -> list[int]:
-    """A fresh color for each arc in turn, each added to used."""
-    cols = []
-    for u, v in arcs:
-        c = _fresh_color_for_arc(tc, u, v, used)
+def _spend(used: set[int], colors) -> None:
+    for c in colors:
+        if c in used:
+            raise StageFailure("ledger", f"color {c} spent twice")
         used.add(c)
-        cols.append(c)
-    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +149,7 @@ def rainbow_dhp(
     if r < 2:
         raise StageFailure("dhp-pre", "need at least two blocks")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
-    ledger = ColorLedger()
+    used: set[int] = set()  # colors spent so far, by _spend
 
     # step 1: reserve separator colors D and fix the block roles
     tau = max(range(r), key=lambda i: len(blocks[i]))
@@ -207,10 +174,7 @@ def rainbow_dhp(
         )
     perm = rng.permutation(m)
     D = sorted(colors[c] for c in perm[:d_size])
-    ledger.D = D
-    dmask = 0
-    for c in D:
-        dmask |= 1 << c
+    dmask = sum(1 << c for c in D)
 
     _trace(trace, "step1", D=len(D), r=r, tau=tau, l1=l1, l2=l2)
 
@@ -228,18 +192,16 @@ def rainbow_dhp(
         absorber = build_absorber(tc, q1_arcs, pool, ell, c_size, seed=seed)
     except AbsorberConstructionError as exc:
         raise StageFailure("dhp-step2", str(exc)) from exc
-    ledger.A = list(absorber.A)
-    ledger.C = list(absorber.C)
     in_ac = set(absorber.A) | set(absorber.C)
     B = [c for c in pool if c not in in_ac]
-    ledger.B = B
     if len(B) != sum(len(blocks[i]) for i in l2):
         raise StageFailure(
             "dhp-step2",
             f"B has {len(B)} colors but the plain blocks need "
             f"{sum(len(blocks[i]) for i in l2)}",
         )
-    _trace(trace, "step2", **ledger.snapshot(), e_q1=e_q1, ell=ell)
+    _trace(trace, "step2", D=len(D), A=len(absorber.A), C=len(absorber.C),
+           B=len(B), e_q1=e_q1, ell=ell)
 
     # step 3: one-spare paths on the plain blocks over disjoint budgets
     block_paths = dict(q1_paths)  # vertex order of every block but tau
@@ -256,8 +218,8 @@ def rainbow_dhp(
         )
         block_paths[i] = list(p.vertices)
         block_cols[i] = p.colors
-        ledger.spend(p.colors)
-        ledger.B_star.extend(c for c in budget if c not in p.colors)
+        _spend(used, p.colors)
+    B_star = [c for c in B if c not in used]  # left over by the block paths
 
     # reserved-color matching for the separator arcs (both sides of the
     # top-up block are excluded; they belong to step 4)
@@ -272,15 +234,14 @@ def rainbow_dhp(
         raise StageFailure("dhp-step3", "reserved colors cannot cover the "
                            "separator arcs")
     sep_color = {spots[k]: got[k] for k in range(len(spots))}
-    ledger.spend(got)
-    ledger.D_star = [c for c in D if c not in got]
-    _trace(trace, "step3", **ledger.snapshot())
+    _spend(used, got)
+    D_star = [c for c in D if c not in got]
+    _trace(trace, "step3", used=len(used), B_star=len(B_star),
+           D_star=len(D_star))
 
     # step 4: force the stragglers through the top-up block, then absorb
-    forced = sorted(set(ledger.B_star) | set(ledger.D_star))
-    fc_mask = 0
-    for c in forced + list(absorber.C):
-        fc_mask |= 1 << c
+    forced = sorted(set(B_star) | set(D_star))
+    fc_mask = sum(1 << c for c in {*forced, *absorber.C})
     tau_path = None
     tau_cols = None
     for _ in range(40):
@@ -296,17 +257,19 @@ def rainbow_dhp(
     if tau_path is None:
         raise StageFailure("dhp-step4", "no top-up block path accepts all "
                            "straggler colors")
-    ledger.spend(tau_cols)
-    c_star = [c for c in absorber.C if c not in ledger.used]
-    ledger.C_star = c_star
+    _spend(used, tau_cols)
+    c_star = [c for c in absorber.C if c not in used]
     if len(c_star) != ell:
         raise StageFailure(
             "dhp-step4", f"absorption needs {ell} leftovers, found {len(c_star)}"
         )
-    colored_q1 = absorb(absorber, c_star)
+    try:
+        colored_q1 = absorb(absorber, c_star)
+    except AbsorptionFailedError as exc:
+        raise StageFailure("dhp-step4", str(exc)) from exc
     q1_color = {(u, v): c for (u, v, c) in colored_q1.arcs}
-    ledger.spend(q1_color.values())
-    _trace(trace, "step4", **ledger.snapshot())
+    _spend(used, q1_color.values())
+    _trace(trace, "step4", used=len(used), C_star=len(c_star))
 
     # assemble, block by block: the arc into the block, its path, the arc
     # out of it
@@ -385,6 +348,13 @@ def _constructive_path(
     return RainbowPath(vertices=tuple(verts), colors=tuple(cols))
 
 
+def _check_args(mode: str, seed: int) -> None:
+    if mode not in ("auto", "constructive", "exact"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
 def _guarded(trace: Optional[list], stage: str, info: dict, run, *args):
     """(run(*args), None), or (None, exc) with a trace record of exc.  An
     exception fails only its route: the later routes still run, the solver
@@ -452,8 +422,10 @@ def transversal_ham_path(
 
     mode is "auto" (the oracle up to ORACLE_MAX_N vertices, constructive
     above), "constructive", or "exact".  seed keys the constructive
-    attempts.  NotExists can only come from the exhaustive oracle.
+    attempts.  NotExists can only come from the exhaustive oracle.  Any
+    other mode or a negative seed raises ValueError.
     """
+    _check_args(mode, seed)
     t0 = time.perf_counter()
     n = tc.n
     if tc.m < n - 1:
@@ -615,8 +587,9 @@ def transversal_ham_cycle(
     strongly connected members are expected; a violation is reported in the
     outcome notes while the search still runs.  seed keys the constructive
     attempts and the longest-path machine.  NotExists only comes from the
-    exhaustive oracle.
+    exhaustive oracle.  A bad mode or a negative seed raises ValueError.
     """
+    _check_args(mode, seed)
     t0 = time.perf_counter()
     n = tc.n
     notes = []

@@ -6,14 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from rainbow_tournaments import generators
+from rainbow_tournaments import generators, harness
 from rainbow_tournaments.constructive import (
     Absorber,
     _verify_absorber,
     absorb,
     build_absorber,
+    tournament_ham_path,
 )
-from rainbow_tournaments.core import TournamentCollection
+from rainbow_tournaments.core import (
+    TournamentCollection,
+    majority_subtournament,
+)
 from rainbow_tournaments.errors import (
     AbsorberConstructionError,
     AbsorptionFailedError,
@@ -77,6 +81,28 @@ class TestBuildAbsorber:
             cprime = rng.choice(ab.C, size=3, replace=False)
             got = absorb(ab, [int(c) for c in cprime])
             assert got.is_rainbow()
+
+    def test_instance_without_any_absorber(self):
+        # the lemma-absorber suite's instance at n = 7, seed 2: 6 target
+        # arcs, ell = 2, |A| = 4 and |C| = 10 use all 14 colors, so A fixes
+        # C, and none of the C(14, 4) = 1001 choices of A is an absorber:
+        # the suite's failure there is the instance's, not build_absorber's
+        n, seed = 7, 2
+        assert harness._lemma_absorber((n, seed))["kind"] == "absorber-build"
+        tc = generators.random_collection(n, 2 * n, seed=seed)
+        path = tournament_ham_path(majority_subtournament(tc))
+        arcs = list(zip(path, path[1:]))
+        with pytest.raises(AbsorberConstructionError):
+            build_absorber(tc, arcs, range(tc.m), 2, c_size=10, seed=seed)
+        avail = [tc.arc_color_mask(u, v) for u, v in arcs]
+        for a in itertools.combinations(range(tc.m), 4):
+            a_mask = sum(1 << c for c in a)
+            ccand = [c for c in range(tc.m) if c not in a]
+            assert not all(
+                perfect_matching([av & (a_mask | 1 << c | 1 << d)
+                                  for av in avail]) is not None
+                for c, d in itertools.combinations(ccand, 2)
+            )
 
     def test_deterministic_given_seed(self):
         tc, arcs = dense_instance(10, 40, seed=1)
@@ -251,3 +277,15 @@ class TestCombinationTreeWalk:
         got, pushes = self._run(monkeypatch, avail)
         assert got is False
         assert pushes == self.A_SIZE + 2
+
+    def test_a_checked_by_its_pushes(self, monkeypatch):
+        # color 0 of A serves no target arc: its push rejects the candidate
+        # without a separate matching of A alone
+        monkeypatch.setattr(
+            "rainbow_tournaments.constructive.max_matching",
+            lambda *a, **k: pytest.fail("max_matching called"),
+        )
+        avail = [self.ALL & ~1] * (self.A_SIZE + self.ELL)
+        got, pushes = self._run(monkeypatch, avail)
+        assert got is False
+        assert pushes == 1

@@ -136,7 +136,7 @@ class TestRainbowConnectivity:
         for n in (10, 20, 30):
             for seed in range(100):
                 tc = generators.random_collection(
-                    n, n - 1, seed=seed, strongly_connected=True
+                    n, n - 1, seed=seed, strongly_connected_count=n - 1
                 )
                 for x in range(n):
                     got = constructive.rainbow_connect_all(tc, x)

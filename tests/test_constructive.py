@@ -221,7 +221,8 @@ class TestForcingSet:
 
 class TestRainbowConnect:
     def test_single_arc(self):
-        tc = generators.random_collection(5, 4, seed=0, strongly_connected=True)
+        tc = generators.random_collection(5, 4, seed=0,
+                                          strongly_connected_count=4)
         for y in range(1, 5):
             p = rainbow_connect(tc, 0, y)
             assert p.vertices[0] == 0 and p.vertices[-1] == y
@@ -237,7 +238,7 @@ class TestRainbowConnect:
     def test_all_pairs_random(self):
         for seed in range(5):
             tc = generators.random_collection(
-                12, 11, seed=seed, strongly_connected=True
+                12, 11, seed=seed, strongly_connected_count=11
             )
             for x in range(12):
                 got = rainbow_connect_all(tc, x)
@@ -249,7 +250,8 @@ class TestRainbowConnect:
                     assert colors == sorted(colors)
 
     def test_same_endpoints_rejected(self):
-        tc = generators.random_collection(5, 4, seed=0, strongly_connected=True)
+        tc = generators.random_collection(5, 4, seed=0,
+                                          strongly_connected_count=4)
         with pytest.raises(ValueError):
             rainbow_connect(tc, 2, 2)
 

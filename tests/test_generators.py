@@ -92,7 +92,7 @@ class TestRandom:
 
     def test_strongly_connected_all(self):
         tc = generators.random_collection(
-            10, 9, seed=1, strongly_connected=True
+            10, 9, seed=1, strongly_connected_count=9
         )
         assert all(is_strongly_connected(t) for t in tc.tournaments)
 

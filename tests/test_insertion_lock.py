@@ -118,8 +118,9 @@ def rainbow_connect_all_items():
     for n in range(3, 26):
         for seed in range(3):
             for m, strong in ((n, True), (2 * n, False)):
-                tc = generators.random_collection(n, m, seed=seed,
-                                                  strongly_connected=strong)
+                tc = generators.random_collection(
+                    n, m, seed=seed,
+                    strongly_connected_count=m if strong else 0)
                 for x in (0, n - 1):
                     try:
                         paths = rainbow_connect_all(tc, x)

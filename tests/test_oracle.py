@@ -100,6 +100,15 @@ class TestBudgets:
         assert small.status == BUDGET_EXHAUSTED
         assert big.status == NOT_EXISTS
 
+    def test_reused_budget_counts_from_zero(self):
+        # each search starts its own count, so a budget can be passed again
+        tc = generators.random_collection(7, 6, seed=0)
+        budget = SearchBudget(max_nodes=30)
+        runs = [oracle.exact_transversal_ham_path(tc, budget)
+                for _ in range(2)]
+        assert [out.status for out in runs] == [FOUND, FOUND]
+        assert runs[0].nodes_expanded == runs[1].nodes_expanded
+
     def test_outcome_json_shape(self):
         tc = generators.random_collection(4, 3, seed=0)
         out = oracle.exact_transversal_ham_path(tc)

@@ -4,7 +4,10 @@ import pytest
 
 from rainbow_tournaments import generators, oracle, pipeline
 from rainbow_tournaments.core import RainbowPath
-from rainbow_tournaments.errors import AbsorberConstructionError
+from rainbow_tournaments.errors import (
+    AbsorberConstructionError,
+    AbsorptionFailedError,
+)
 from rainbow_tournaments.oracle import (
     BUDGET_EXHAUSTED,
     FOUND,
@@ -198,6 +201,10 @@ def _raise_absorber_error(*args, **kwargs):
     raise AbsorberConstructionError("absorber retries exhausted")
 
 
+def _raise_absorption_error(*args, **kwargs):
+    raise AbsorptionFailedError("no rainbow coloring with this top-up set")
+
+
 class TestInternalErrors:
     """An exception other than StageFailure fails an attempt, not the solve."""
 
@@ -211,6 +218,20 @@ class TestInternalErrors:
                  if ev["stage"] == "attempt-failed"]
         assert fails == (["[dhp-step2] absorber retries exhausted"]
                          * pipeline.DHP_RETRIES)
+        assert out.found and out.witness.is_hamilton(tc)
+
+    def test_absorption_failure_is_a_stage_failure(self, monkeypatch):
+        # a top-up set the sampled absorber check missed: a dead end too
+        monkeypatch.setattr(pipeline, "absorb", _raise_absorption_error)
+        tc = generators.random_collection(60, 59, seed=5)
+        trace = []
+        out = transversal_ham_path(tc, trace=trace)
+        fails = [ev["error"] for ev in trace
+                 if ev["stage"] == "attempt-failed"]
+        assert fails == (
+            ["[dhp-step4] no rainbow coloring with this top-up set"]
+            * pipeline.DHP_RETRIES
+        )
         assert out.found and out.witness.is_hamilton(tc)
 
     def test_constructive_mode_exhausts_instead_of_raising(self, monkeypatch):
@@ -347,6 +368,22 @@ class TestInternalErrors:
         assert self._route_failures(trace) == [
             ("oracle", "[internal] IndexError: list index out of range")
         ]
+
+
+class TestArguments:
+    SOLVERS = [transversal_ham_path, transversal_ham_cycle]
+
+    @pytest.mark.parametrize("solve", SOLVERS)
+    def test_unknown_mode_rejected(self, solve):
+        tc = generators.random_collection(12, 12, seed=0)
+        with pytest.raises(ValueError, match="unknown mode 'Exact'"):
+            solve(tc, mode="Exact")
+
+    @pytest.mark.parametrize("solve", SOLVERS)
+    def test_negative_seed_rejected(self, solve):
+        tc = generators.random_collection(12, 12, seed=0)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            solve(tc, seed=-1)
 
 
 class TestDeterminism:
