@@ -6,7 +6,8 @@ JSON object and, with --trace, a JSON-lines stage log.  Exit status is 0
 exactly when no failure occurred; solve exits 1 when its budget ran out,
 verify and bench when their report holds failures.  Exit 2, with one
 error line, means bad input: an instance that cannot be read, an output
-file that cannot be written, or arguments no generator or suite can run.
+file that cannot be written, a negative seed or budget, or arguments no
+generator or suite can run (a grid with no instance among them).
 """
 
 from __future__ import annotations
@@ -120,6 +121,11 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     if args.seed < 0:
         return _error(f"--seed {args.seed} is negative")
+    budget: Optional[SearchBudget] = None
+    if args.budget_nodes is not None or args.budget_secs is not None:
+        budget = SearchBudget(
+            max_nodes=args.budget_nodes, max_seconds=args.budget_secs
+        )
     try:
         tc = _read_collection(args.input)
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -130,11 +136,6 @@ def _cmd_solve(args) -> int:
             {"count": oracle.count_transversal_ham_paths(tc)}
         ))
         return 0
-    budget: Optional[SearchBudget] = None
-    if args.budget_nodes is not None or args.budget_secs is not None:
-        budget = SearchBudget(
-            max_nodes=args.budget_nodes, max_seconds=args.budget_secs
-        )
     mode = "auto"
     if args.exact:
         mode = "exact"
@@ -157,13 +158,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     seeds = range(args.seeds)
-    if args.suite == "theorem-path":
-        rep = harness.verify_theorem_path(
-            args.n_min, args.n_max, args.mode, seeds, jobs=args.jobs
-        )
-    elif args.suite == "theorem-cycle":
-        rep = harness.verify_theorem_cycle(
-            args.n_min, args.n_max, args.mode, seeds, jobs=args.jobs
+    if args.suite.startswith("theorem-"):
+        rep = harness.verify_theorem(
+            args.suite.removeprefix("theorem-"), args.n_min, args.n_max,
+            args.mode, seeds, jobs=args.jobs,
         )
     else:
         name = args.suite.removeprefix("lemma-")

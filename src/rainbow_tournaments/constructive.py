@@ -370,6 +370,9 @@ def rainbow_ham_path_forcing_color(
 
     The one excluded configuration (a directed triangle against opposite
     triangles on three vertices) raises ExceptionalConfigurationError.
+
+    Above 7 vertices the majority's top vertex is peeled off, one level per
+    loop pass (no recursion, so no recursion limit caps n).
     """
     n, m = tc.n, tc.m
     if n < 2:
@@ -378,33 +381,35 @@ def rainbow_ham_path_forcing_color(
         raise InsufficientColorsError(f"need at least {2 * n} colors, got {m}")
     if not (0 <= i < m):
         raise ValueError("color index out of range")
-    if n <= 7:
-        got = _forcing_color_base(tc, i)
-        if got is not None:
-            return got
-        if _is_exceptional(tc, i):
-            raise ExceptionalConfigurationError(
-                "a directed triangle against opposite triangles has no "
-                "rainbow Hamilton path through the odd color"
-            )
+    levels = []  # (collection, v, in-neighbors, out-neighbors) in its labels
+    while tc.n > 7:
+        tmaj = majority_subtournament(tc)
+        v = max(range(tc.n), key=tmaj.out_degree)
+        outs = sorted(_bits(tmaj.out[v]))
+        assert len(outs) >= 4
+        levels.append((tc, v, sorted(_bits(tmaj.in_mask(v))), outs))
+        tc, _ = induced_collection(tc, outs)
+    p = _forcing_color_base(tc, i)
+    if p is None and _is_exceptional(tc, i):
+        raise ExceptionalConfigurationError(
+            "a directed triangle against opposite triangles has no "
+            "rainbow Hamilton path through the odd color"
+        )
+    if p is None:
         raise StageFailure("forcing-color", "exhaustive base case found no path")
-    tmaj = majority_subtournament(tc)
-    v = max(range(n), key=tmaj.out_degree)
-    outs = sorted(_bits(tmaj.out[v]))
-    ins = sorted(_bits(tmaj.in_mask(v)))
-    assert len(outs) >= 4
-    p = _solve_block(tc, range(m), outs, rainbow_ham_path_forcing_color, i)
-    used = set(p.colors)
-    path = (v, *p.vertices)
-    colors = (*_greedy_colors(tc, [(v, p.vertices[0])], used), *p.colors)
-    if ins:
-        free = [c for c in range(m) if c not in used]
-        q = _solve_block(tc, free, ins, rainbow_ham_path_one_spare)
-        used.update(q.colors)
-        link = _greedy_colors(tc, [(q.vertices[-1], v)], used)
-        path = (*q.vertices, *path)
-        colors = (*q.colors, *link, *colors)
-    return RainbowPath(vertices=path, colors=colors)
+    for tc, v, ins, outs in reversed(levels):
+        used = set(p.colors)
+        path = (v, *(outs[x] for x in p.vertices))
+        colors = (*_greedy_colors(tc, [(v, path[1])], used), *p.colors)
+        if ins:
+            free = [c for c in range(m) if c not in used]
+            q = _solve_block(tc, free, ins, rainbow_ham_path_one_spare)
+            used.update(q.colors)
+            link = _greedy_colors(tc, [(q.vertices[-1], v)], used)
+            path = (*q.vertices, *path)
+            colors = (*q.colors, *link, *colors)
+        p = RainbowPath(vertices=path, colors=colors)
+    return p
 
 
 # ---------------------------------------------------------------------------

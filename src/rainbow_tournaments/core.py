@@ -66,7 +66,6 @@ __all__ = [
     "induced_collection",
     "is_strongly_connected",
     "validate_transversal",
-    "transversal_violations",
     "pair_index",
     "iter_pairs",
 ]
@@ -656,30 +655,15 @@ def is_strongly_connected(t: Tournament) -> bool:
     return not any(map(eq, accumulate(scores[:-1]), floor))
 
 
-def transversal_violations(
-    coll: TournamentCollection, d: ColoredDigraph
-) -> list[str]:
-    """Diagnostics for a failed transversal check; empty list means valid."""
-    problems = []
-    seen_colors: dict[int, tuple[int, int]] = {}
-    for t, h, c in d.arcs:
-        if not (0 <= c < coll.m):
-            problems.append(f"arc ({t},{h}): color {c} out of range")
-            continue
-        if c in seen_colors:
-            problems.append(
-                f"color {c} repeated on ({t},{h}) and {seen_colors[c]}"
-            )
-        else:
-            seen_colors[c] = (t, h)
-        if not (0 <= t < coll.n and 0 <= h < coll.n):
-            problems.append(f"arc ({t},{h}) out of vertex range")
-            continue
-        if not coll.tournaments[c].has_arc(t, h):
-            problems.append(f"arc ({t},{h}) is not in tournament {c}")
-    return problems
-
-
 def validate_transversal(coll: TournamentCollection, d: ColoredDigraph) -> bool:
-    """True iff colors are pairwise distinct and each arc lies in its tournament."""
-    return not transversal_violations(coll, d)
+    """True iff every color is one of coll's m and used once, and every arc
+    joins two of its n vertices and lies in its color's tournament."""
+    seen: set[int] = set()
+    for t, h, c in d.arcs:
+        if not 0 <= c < coll.m or c in seen:
+            return False
+        seen.add(c)
+        if not (0 <= t < coll.n and 0 <= h < coll.n
+                and coll.tournaments[c].has_arc(t, h)):
+            return False
+    return True

@@ -1,9 +1,11 @@
 """Verification suites, benchmarks, and deterministic parallel execution.
 
-Suites assert witness validity and oracle agreement, and inventory
-counterexamples; they never turn the asymptotic theorems into pass/fail at
-sizes the statements do not cover.  Reports are JSON-lines and, for fixed
-seeds, byte-identical across worker counts once timing fields are dropped.
+One theorem sweep, verify_theorem, serves the path and the cycle theorem;
+lemma sweeps are named in LEMMA_SUITES.  Suites assert witness validity
+and oracle agreement, and inventory counterexamples; they never turn the
+asymptotic theorems into pass/fail at sizes the statements do not cover.
+Reports are JSON-lines and, for fixed seeds, byte-identical across worker
+counts once timing fields are dropped.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from .errors import ExceptionalConfigurationError
 
 __all__ = [
     "SuiteReport",
-    "verify_theorem_path",
-    "verify_theorem_cycle",
+    "verify_theorem",
     "verify_lemmas",
     "bench",
     "LEMMA_SUITES",
@@ -66,7 +67,10 @@ class SuiteReport:
 
 def _run_tasks(fn: Callable, tasks: list, jobs: int) -> list:
     """Run tasks in submission order; results are merged in that order so a
-    report is identical for any worker count."""
+    report is identical for any worker count.  A grid without a task is
+    a bad argument: its report would pass having checked nothing."""
+    if not tasks:
+        raise ValueError("the grid holds no instance")
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -126,14 +130,20 @@ def _exhaustive_collections(what: str, n: int):
             yield tc
 
 
-def _verify_theorem(
+def verify_theorem(
     what: str,
     n_min: int,
     n_max: int,
-    mode: str,
-    seeds: Sequence[int],
-    jobs: int,
+    mode: str = "random",
+    seeds: Sequence[int] = range(100),
+    jobs: int = 1,
 ) -> SuiteReport:
+    """Path sweep (what = "path", m = n-1) or cycle sweep (what = "cycle",
+    m = n, at least n-1 strongly connected members).  Exhaustive mode
+    enumerates every collection (n <= 4 for paths, n = 3 for cycles);
+    NotExists instances are inventoried, invalid witnesses are failures."""
+    if what not in ("path", "cycle"):
+        raise ValueError(f"unknown theorem {what!r}; choose path or cycle")
     t0 = time.perf_counter()
     rep = SuiteReport(suite=f"theorem-{what}-{mode}")
     if mode == "exhaustive":
@@ -167,33 +177,6 @@ def _verify_theorem(
     }
     rep.wall_secs = time.perf_counter() - t0
     return rep
-
-
-def verify_theorem_path(
-    n_min: int,
-    n_max: int,
-    mode: str = "random",
-    seeds: Sequence[int] = range(100),
-    jobs: int = 1,
-) -> SuiteReport:
-    """Path-existence sweep with m = n-1.
-
-    Exhaustive mode enumerates every collection (n <= 4); NotExists
-    instances are inventoried, invalid witnesses are failures.
-    """
-    return _verify_theorem("path", n_min, n_max, mode, seeds, jobs)
-
-
-def verify_theorem_cycle(
-    n_min: int,
-    n_max: int,
-    mode: str = "random",
-    seeds: Sequence[int] = range(100),
-    jobs: int = 1,
-) -> SuiteReport:
-    """Cycle-existence sweep with m = n and at least n-1 strongly connected
-    members; exhaustive mode (n=3) filters the full enumeration."""
-    return _verify_theorem("cycle", n_min, n_max, mode, seeds, jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,20 @@ def max_matching(avail: Sequence[int]) -> list[int]:
     return match_of_slot
 
 
+def _augment_all(
+    avail: Sequence[int], match_of_slot: list[int]
+) -> Optional[list[int]]:
+    """Augment a valid partial matching from each unmatched slot in order:
+    the saturating matching, or None at the first slot that fails."""
+    match_of_color = {c: s for s, c in enumerate(match_of_slot) if c != -1}
+    for s in range(len(avail)):
+        if match_of_slot[s] == -1 and not _try_augment(
+            s, avail, match_of_slot, match_of_color
+        ):
+            return None
+    return match_of_slot
+
+
 def perfect_matching(
     avail: Sequence[int], start: Optional[Sequence[int]] = None
 ) -> Optional[list[int]]:
@@ -79,14 +93,8 @@ def perfect_matching(
     unmatched) to extend.  Augmenting paths never unmatch a matched slot,
     so only the slots it leaves unmatched are augmented from.
     """
-    match_of_slot = [-1] * len(avail) if start is None else list(start)
-    match_of_color = {c: s for s, c in enumerate(match_of_slot) if c != -1}
-    for s in range(len(avail)):
-        if match_of_slot[s] == -1 and not _try_augment(
-            s, avail, match_of_slot, match_of_color
-        ):
-            return None
-    return match_of_slot
+    return _augment_all(
+        avail, [-1] * len(avail) if start is None else list(start))
 
 
 def matching_with_forced_colors(
@@ -117,12 +125,7 @@ def matching_with_forced_colors(
     match_of_slot = [-1] * nslots
     for c, s in zip(forced, slot_of):
         match_of_slot[s] = c
-    match_of_color = dict(zip(forced, slot_of))
-    for s in range(nslots):
-        if match_of_slot[s] == -1:
-            if not _try_augment(s, avail, match_of_slot, match_of_color):
-                return None
-    return match_of_slot
+    return _augment_all(avail, match_of_slot)
 
 
 class IncrementalMatcher:

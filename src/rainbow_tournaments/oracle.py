@@ -50,12 +50,18 @@ class _BudgetExceeded(Exception):
 
 @dataclass
 class SearchBudget:
-    """Node / wall-clock limits for exact search.  None means unlimited."""
+    """Node / wall-clock limits for exact search.  None means unlimited; a
+    negative limit raises ValueError."""
 
     max_nodes: Optional[int] = None
     max_seconds: Optional[float] = None
     nodes: int = 0
     _deadline: Optional[float] = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        for limit in (self.max_nodes, self.max_seconds):
+            if limit is not None and limit < 0:
+                raise ValueError(f"a search budget cannot be negative: {limit}")
 
     def start(self) -> None:
         self.nodes = 0
@@ -278,8 +284,11 @@ def exact_transversal_ham_path(
     """Backtracking search for a transversal Hamilton path.
 
     NotExists is only reported when the search space was exhausted within
-    budget.
+    budget.  A start or end outside range(n) raises ValueError.
     """
+    for name, v in (("start", start), ("end", end)):
+        if v is not None and not 0 <= v < tc.n:
+            raise ValueError(f"{name} {v} is not a vertex of range({tc.n})")
     budget = budget or SearchBudget()
     budget.start()
     t0 = time.perf_counter()

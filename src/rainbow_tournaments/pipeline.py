@@ -297,7 +297,7 @@ def rainbow_dhp(
 
 
 # ---------------------------------------------------------------------------
-# full path solver
+# path assembly, and the route helpers of both solvers
 
 
 def _partition_for(tc: TournamentCollection):
@@ -348,13 +348,6 @@ def _constructive_path(
     return RainbowPath(vertices=tuple(verts), colors=tuple(cols))
 
 
-def _check_args(mode: str, seed: int) -> None:
-    if mode not in ("auto", "constructive", "exact"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-
-
 def _guarded(trace: Optional[list], stage: str, info: dict, run, *args):
     """(run(*args), None), or (None, exc) with a trace record of exc.  An
     exception fails only its route: the later routes still run, the solver
@@ -368,11 +361,13 @@ def _guarded(trace: Optional[list], stage: str, info: dict, run, *args):
         return None, exc
 
 
-def _attempts(kind: str, build, tc, seed: int, trace):
-    """Run build (the constructive path or cycle) with seeds seed,
-    seed + 1, ...; the first valid Hamilton witness comes back with its
-    note, or (None, None) once DHP_RETRIES attempts failed or the
-    partition raised."""
+def _attempts(cyclic: bool, tc, seed: int, trace):
+    """Run the constructive path or cycle with seeds seed, seed + 1, ...;
+    the first valid Hamilton witness comes back with its note, or
+    (None, None) once DHP_RETRIES attempts failed or the partition
+    raised."""
+    kind = "cycle" if cyclic else "path"
+    build = _constructive_cycle if cyclic else _constructive_path
     part, _ = _guarded(trace, "route-failed", {"route": "constructive"},
                        _partition_for, tc)
     if part is None:
@@ -411,45 +406,8 @@ def _oracle_route(search, work, budget, notes, trace, t0, fallback=False):
     return out
 
 
-def transversal_ham_path(
-    tc: TournamentCollection,
-    seed: int = 0,
-    budget: Optional[SearchBudget] = None,
-    mode: str = "auto",
-    trace: Optional[list] = None,
-) -> OracleOutcome:
-    """Transversal Hamilton path: constructive assembly with oracle fallback.
-
-    mode is "auto" (the oracle up to ORACLE_MAX_N vertices, constructive
-    above), "constructive", or "exact".  seed keys the constructive
-    attempts.  NotExists can only come from the exhaustive oracle.  Any
-    other mode or a negative seed raises ValueError.
-    """
-    _check_args(mode, seed)
-    t0 = time.perf_counter()
-    n = tc.n
-    if tc.m < n - 1:
-        return _outcome(t0, NOT_EXISTS, notes="fewer colors than arcs needed")
-    work = tc
-    if tc.m > n - 1:
-        work = restrict_colors(tc, list(range(n - 1)))
-        _trace(trace, "reduce", kept_colors=n - 1)
-    if mode == "exact" or (mode == "auto" and n <= ORACLE_MAX_N):
-        return _oracle_route(oracle.exact_transversal_ham_path, work, budget,
-                             [], trace, t0)
-    p, note = _attempts("path", _constructive_path, work, seed, trace)
-    if p is not None:
-        return _outcome(t0, FOUND, p, notes=note)
-    if mode == "constructive":
-        return _outcome(
-            t0, BUDGET_EXHAUSTED, notes="constructive attempts exhausted"
-        )
-    return _oracle_route(oracle.exact_transversal_ham_path, work, budget,
-                         [], trace, t0, fallback=True)
-
-
 # ---------------------------------------------------------------------------
-# exchange step and the cycle solver
+# exchange step, cycle assembly, and the one route order of both solvers
 
 
 def exchange_step(
@@ -574,6 +532,74 @@ def _constructive_cycle(
     raise StageFailure("cycle-case1", "no closing arc found for any anchors")
 
 
+def _solve(tc, cyclic: bool, seed, budget, mode, trace) -> OracleOutcome:
+    """The route order of both solvers, on the first k colors: k = n - 1
+    for a path, k = n for a cycle, which also needs 3 vertices."""
+    if mode not in ("auto", "constructive", "exact"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    t0 = time.perf_counter()
+    n = tc.n
+    k = n if cyclic else n - 1
+    if tc.m < k or (cyclic and n < 3):
+        why = ("too few colors or vertices" if cyclic
+               else "fewer colors than arcs needed")
+        return _outcome(t0, NOT_EXISTS, notes=why)
+    work = tc
+    if tc.m > k:
+        work = restrict_colors(tc, list(range(k)))
+        _trace(trace, "reduce", kept_colors=k)
+    notes = []
+    if cyclic:
+        n_strong = sum(
+            1 for t in work.tournaments if is_strongly_connected(t)
+        )
+        if n_strong < n - 1:
+            notes.append(
+                f"precondition unmet: only {n_strong} of {n} tournaments "
+                "strongly connected"
+            )
+    search = (oracle.exact_transversal_ham_cycle if cyclic
+              else oracle.exact_transversal_ham_path)
+    if mode == "exact" or (mode == "auto" and n <= ORACLE_MAX_N):
+        return _oracle_route(search, work, budget, notes, trace, t0)
+    w, note = _attempts(cyclic, work, seed, trace)
+    if w is None and cyclic:
+        w, _ = _guarded(trace, "route-failed",
+                        {"route": "longest-path machine"},
+                        _case3_machine, work, seed, trace)
+        if w is not None and not w.valid(work):
+            w = None
+        note = "longest-path machine"
+    if w is not None:
+        return _outcome(t0, FOUND, w, notes="; ".join(notes + [note]))
+    if mode == "constructive":
+        return _outcome(
+            t0, BUDGET_EXHAUSTED,
+            notes="; ".join(notes + ["constructive attempts exhausted"]),
+        )
+    return _oracle_route(search, work, budget, notes, trace, t0,
+                         fallback=True)
+
+
+def transversal_ham_path(
+    tc: TournamentCollection,
+    seed: int = 0,
+    budget: Optional[SearchBudget] = None,
+    mode: str = "auto",
+    trace: Optional[list] = None,
+) -> OracleOutcome:
+    """Transversal Hamilton path: constructive assembly with oracle fallback.
+
+    mode is "auto" (the oracle up to ORACLE_MAX_N vertices, constructive
+    above), "constructive", or "exact".  seed keys the constructive
+    attempts.  NotExists can only come from the exhaustive oracle.  Any
+    other mode or a negative seed raises ValueError.
+    """
+    return _solve(tc, False, seed, budget, mode, trace)
+
+
 def transversal_ham_cycle(
     tc: TournamentCollection,
     seed: int = 0,
@@ -589,40 +615,4 @@ def transversal_ham_cycle(
     attempts and the longest-path machine.  NotExists only comes from the
     exhaustive oracle.  A bad mode or a negative seed raises ValueError.
     """
-    _check_args(mode, seed)
-    t0 = time.perf_counter()
-    n = tc.n
-    notes = []
-    if tc.m < n or n < 3:
-        return _outcome(t0, NOT_EXISTS, notes="too few colors or vertices")
-    work = tc
-    if tc.m > n:
-        work = restrict_colors(tc, list(range(n)))
-        _trace(trace, "reduce", kept_colors=n)
-    n_strong = sum(
-        1 for t in work.tournaments if is_strongly_connected(t)
-    )
-    if n_strong < n - 1:
-        notes.append(
-            f"precondition unmet: only {n_strong} of {n} tournaments "
-            "strongly connected"
-        )
-    if mode == "exact" or (mode == "auto" and n <= ORACLE_MAX_N):
-        return _oracle_route(oracle.exact_transversal_ham_cycle, work, budget,
-                             notes, trace, t0)
-    cyc, note = _attempts("cycle", _constructive_cycle, work, seed, trace)
-    if cyc is not None:
-        return _outcome(t0, FOUND, cyc, notes="; ".join(notes + [note]))
-    cyc, _ = _guarded(trace, "route-failed", {"route": "longest-path machine"},
-                      _case3_machine, work, seed, trace)
-    if cyc is not None and cyc.valid(work):
-        return _outcome(
-            t0, FOUND, cyc, notes="; ".join(notes + ["longest-path machine"])
-        )
-    if mode == "constructive":
-        return _outcome(
-            t0, BUDGET_EXHAUSTED,
-            notes="; ".join(notes + ["constructive attempts exhausted"]),
-        )
-    return _oracle_route(oracle.exact_transversal_ham_cycle, work, budget,
-                         notes, trace, t0, fallback=True)
+    return _solve(tc, True, seed, budget, mode, trace)

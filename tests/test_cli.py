@@ -206,6 +206,15 @@ class TestBadSuiteArguments:
         (["solve", "--seed", "-1", "absent.json"], "negative"),
         (["verify", "--suite", "lemma-absorber", "--sizes", "6"],
          "n >= 7"),
+        (["verify", "--suite", "theorem-path", "--seeds", "0"],
+         "no instance"),
+        (["verify", "--suite", "theorem-path", "--seeds", "-1"],
+         "no instance"),
+        (["verify", "--suite", "theorem-path", "--n-min", "5",
+          "--n-max", "3"], "no instance"),
+        (["bench", "--kind", "one_spare", "--seeds", "0"], "no instance"),
+        (["solve", "--budget-nodes", "-5", "absent.json"], "negative"),
+        (["solve", "--budget-secs", "-1", "absent.json"], "negative"),
     ])
     def test_rejected(self, capsys, argv, detail):
         code = main(argv)

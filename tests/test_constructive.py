@@ -1,5 +1,7 @@
 """Constructive building blocks: degree bounds, partitions, path builders."""
 
+import inspect
+import sys
 
 import numpy as np
 import pytest
@@ -182,6 +184,20 @@ class TestForcingColor:
         tc = generators.random_collection(5, 9, seed=0)
         with pytest.raises(InsufficientColorsError):
             rainbow_ham_path_forcing_color(tc, 0)
+
+    def test_no_recursion_limit(self):
+        # a transitive majority peels one vertex per level: 113 levels at
+        # n = 120, run with 100 frames to spare above this test's own
+        n = 120
+        tc = TournamentCollection([generators.transitive_tournament(n)]
+                                  * (2 * n))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            p = rainbow_ham_path_forcing_color(tc, 5)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert p.is_hamilton(tc) and 5 in p.colors
 
 
 class TestForcingSet:

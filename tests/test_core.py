@@ -193,6 +193,22 @@ class TestWitnesses:
         tc = TournamentCollection([t0])
         assert not RainbowPath((0, 1), (0,)).valid(tc)
 
+    @pytest.mark.parametrize("arcs", [
+        ((0, 1, 2), (1, 2, 1)),
+        ((0, 1, -1), (1, 2, 1)),
+        ((0, 1, 0), (1, 2, 0)),
+        ((0, 1, 0), (1, 3, 1)),
+        ((0, 1, 0), (2, 1, 1)),
+    ], ids=["color-equal-to-m", "color-negative", "color-twice",
+            "vertex-equal-to-n", "reversed-arc"])
+    def test_validate_transversal_rejects_each_defect(self, arcs):
+        # two transitive triangles (arc i->j iff i < j): 0->1->2 with
+        # colors 0, 1 is transversal, and each case breaks it once
+        t = generators.transitive_tournament(3)
+        tc = TournamentCollection([t, t])
+        assert validate_transversal(tc, ColoredDigraph(((0, 1, 0), (1, 2, 1))))
+        assert not validate_transversal(tc, ColoredDigraph(arcs))
+
     def test_validate_transversal_empty_digraph(self):
         tc = generators.random_collection(4, 3, seed=0)
         assert validate_transversal(tc, ColoredDigraph(()))

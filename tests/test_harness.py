@@ -7,25 +7,26 @@ from rainbow_tournaments import harness
 
 class TestTheoremSweeps:
     def test_exhaustive_path_n3(self):
-        rep = harness.verify_theorem_path(3, 3, mode="exhaustive")
+        rep = harness.verify_theorem("path", 3, 3, mode="exhaustive")
         assert rep.ok
         assert rep.instances == 64
         # the opposite-triangle pair, in both orders, is the only miss
         assert rep.stats["not_exists"] == 2
 
-    def test_random_path_sweep(self):
-        rep = harness.verify_theorem_path(4, 6, mode="random",
-                                          seeds=range(20))
+    @pytest.mark.parametrize("what", ["path", "cycle"])
+    def test_random_sweep(self, what):
+        rep = harness.verify_theorem(what, 4, 6, mode="random",
+                                     seeds=range(20))
         assert rep.ok and rep.instances == 60
-
-    def test_random_cycle_sweep(self):
-        rep = harness.verify_theorem_cycle(4, 6, mode="random",
-                                           seeds=range(20))
-        assert rep.ok and rep.instances == 60
+        assert rep.suite == f"theorem-{what}-random"
 
     def test_exhaustive_cycle_limit(self):
         with pytest.raises(ValueError):
-            harness.verify_theorem_cycle(3, 4, mode="exhaustive")
+            harness.verify_theorem("cycle", 3, 4, mode="exhaustive")
+
+    def test_unknown_theorem_rejected(self):
+        with pytest.raises(ValueError, match="choose path or cycle"):
+            harness.verify_theorem("walk", 4, 4, seeds=range(3))
 
 
 class TestLemmaSuites:
@@ -50,22 +51,21 @@ class TestLemmaSuites:
 
 class TestReports:
     def test_timing_fields_stripped(self):
-        rep = harness.verify_theorem_path(4, 4, seeds=range(3))
+        rep = harness.verify_theorem("path", 4, 4, seeds=range(3))
         line = rep.to_jsonl(include_timing=False)
         assert "wall_secs" not in line
         assert "wall_secs" in rep.to_jsonl(include_timing=True)
 
     def test_jobs_do_not_change_report(self):
-        a = harness.verify_theorem_path(4, 5, seeds=range(8), jobs=1)
-        b = harness.verify_theorem_path(4, 5, seeds=range(8), jobs=4)
+        a = harness.verify_theorem("path", 4, 5, seeds=range(8), jobs=1)
+        b = harness.verify_theorem("path", 4, 5, seeds=range(8), jobs=4)
         assert a.to_jsonl(False) == b.to_jsonl(False)
 
-    @pytest.mark.parametrize("verify", [harness.verify_theorem_path,
-                                        harness.verify_theorem_cycle])
-    def test_jobs_do_not_change_exhaustive_report(self, verify):
+    @pytest.mark.parametrize("what", ["path", "cycle"])
+    def test_jobs_do_not_change_exhaustive_report(self, what):
         # exhaustive tasks carry the collections themselves to the workers
-        a = verify(3, 3, mode="exhaustive", jobs=1)
-        b = verify(3, 3, mode="exhaustive", jobs=2)
+        a = harness.verify_theorem(what, 3, 3, mode="exhaustive", jobs=1)
+        b = harness.verify_theorem(what, 3, 3, mode="exhaustive", jobs=2)
         assert a.to_jsonl(False) == b.to_jsonl(False)
         assert a.instances > 0 and a.stats["not_exists"] > 0
 

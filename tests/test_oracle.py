@@ -43,6 +43,13 @@ class TestHamPathOracle:
             assert out.witness.vertices[0] == 0
             assert out.witness.vertices[-1] == 5
 
+    @pytest.mark.parametrize("name", ["start", "end"])
+    @pytest.mark.parametrize("vertex", [9, -1, 5])
+    def test_endpoint_outside_the_vertices_rejected(self, name, vertex):
+        tc = generators.random_collection(5, 4, seed=0)
+        with pytest.raises(ValueError, match="is not a vertex"):
+            oracle.exact_transversal_ham_path(tc, **{name: vertex})
+
     def test_permutation_oracle_agrees(self):
         for seed in range(60):
             tc = generators.random_collection(5, 4, seed=seed)
