@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["theorem-path", "theorem-cycle"]
                    + [f"lemma-{k}" for k in sorted(harness.LEMMA_SUITES)])
     v.add_argument("--mode", choices=["exhaustive", "random"],
-                   default="random")
+                   default=None, help="theorem suites (default random)")
     v.add_argument("--n-min", type=int, default=3)
     v.add_argument("--n-max", type=int, default=6)
     v.add_argument("--sizes", type=str, default=None,
@@ -147,9 +147,13 @@ def _cmd_solve(args) -> int:
         if args.mode == "path"
         else pipeline.transversal_ham_cycle
     )
+    try:  # before solving: an unwritable trace fails fast
+        fh = open(args.trace, "w") if args.trace else None
+    except OSError as exc:
+        return _error(f"cannot write {args.trace!r}: {exc}")
     out = solver(tc, args.seed, budget=budget, mode=mode, trace=trace)
-    if args.trace:
-        with open(args.trace, "w") as fh:
+    if fh is not None:
+        with fh:
             for rec in trace:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
     print(json.dumps(out.to_json(), sort_keys=True))
@@ -161,8 +165,10 @@ def _cmd_verify(args) -> int:
     if args.suite.startswith("theorem-"):
         rep = harness.verify_theorem(
             args.suite.removeprefix("theorem-"), args.n_min, args.n_max,
-            args.mode, seeds, jobs=args.jobs,
+            args.mode or "random", seeds, jobs=args.jobs,
         )
+    elif args.mode is not None:
+        raise ValueError("--mode applies to theorem suites only")
     else:
         name = args.suite.removeprefix("lemma-")
         sizes = (

@@ -144,6 +144,9 @@ def verify_theorem(
     NotExists instances are inventoried, invalid witnesses are failures."""
     if what not in ("path", "cycle"):
         raise ValueError(f"unknown theorem {what!r}; choose path or cycle")
+    if mode not in ("exhaustive", "random"):
+        raise ValueError(f"unknown mode {mode!r}; choose exhaustive or "
+                         "random")
     t0 = time.perf_counter()
     rep = SuiteReport(suite=f"theorem-{what}-{mode}")
     if mode == "exhaustive":

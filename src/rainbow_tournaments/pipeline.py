@@ -2,9 +2,11 @@
 
 The constructive branch mirrors the four-step assembly (separator colors
 D, absorber colors A and C, block budgets B, the leftovers forced through
-the top-up block), each color spent once by _spend, plus the cycle-closing
-case analysis; every dead end is a first-class outcome that falls back to
-the exact oracle under a node budget.  Deterministic given (instance, seed).
+the top-up block), each color spent once by _spend.  One builder serves
+both solvers: a cycle is the path assembly plus a closing arc whose color
+is reserved before the others are spent.  Every dead end is a first-class
+outcome that falls back to the exact oracle under a node budget.
+Deterministic given (instance, seed).
 """
 
 from __future__ import annotations
@@ -297,7 +299,7 @@ def rainbow_dhp(
 
 
 # ---------------------------------------------------------------------------
-# path assembly, and the route helpers of both solvers
+# the one constructive builder, and the route helpers of both solvers
 
 
 def _partition_for(tc: TournamentCollection):
@@ -306,35 +308,33 @@ def _partition_for(tc: TournamentCollection):
     return tmaj, hp
 
 
-def _middle_dhp(tc, tmaj, hp, used: set[int], seed, trace):
-    """rainbow_dhp between the outer blocks of hp, on the unused colors."""
-    seps = hp.separators
-    middle = HPartition(hp.blocks[1:-1], seps[1:-1], hp.ell)
-    free = [c for c in range(tc.m) if c not in used]
-    return rainbow_dhp(
-        tc, tmaj, middle, seps[0], seps[-1],
-        seed=seed, trace=trace, colors=free,
-    )
-
-
-def _constructive_path(
-    tc: TournamentCollection,
-    tmaj: Tournament,
-    hp: HPartition,
-    seed: int,
-    trace: Optional[list],
-) -> RainbowPath:
-    """One attempt of the four-step assembly on hp, free endpoints."""
+def _constructive(tc, tmaj, hp, seed, trace, cyclic: bool):
+    """One attempt of the four-step assembly on hp: spanning paths p0 and
+    pl of the outer blocks, greedy colors on their arcs and on the arcs to
+    the first and last separator, then rainbow_dhp between the separators
+    on the colors left.  A cycle also closes pl[-1] -> p0[0]: the outer
+    paths are redrawn until that arc has a color, and its lowest color is
+    reserved first."""
+    kind = "cycle" if cyclic else "path"
     blocks = [list(b) for b in hp.blocks]
     if len(blocks) < 4:
-        raise StageFailure("path-pre", "too few blocks for the assembly")
-    seps = list(hp.separators)
+        raise StageFailure(f"{kind}-pre", "too few blocks for the assembly")
+    seps = hp.separators
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1])))
 
-    used: set[int] = set()
-    p0 = tournament_ham_path(tmaj, blocks[0], rng=rng)
-    pl = tournament_ham_path(tmaj, blocks[-1], rng=rng)
-    # the outer blocks and their arcs to the first and last separator
+    closing: list[int] = []
+    for _ in range(30):
+        p0 = tournament_ham_path(tmaj, blocks[0], rng=rng)
+        pl = tournament_ham_path(tmaj, blocks[-1], rng=rng)
+        if not cyclic:
+            break
+        closing = list(_bits(tc.arc_color_mask(pl[-1], p0[0])))[:1]
+        if closing:
+            break
+    else:
+        raise StageFailure("cycle-case1", "no closing arc found for any "
+                           "anchors")
+    used = set(closing)
     outer = (
         list(zip(p0, p0[1:])) + [(p0[-1], seps[0]), (seps[-1], pl[0])]
         + list(zip(pl, pl[1:]))
@@ -342,10 +342,26 @@ def _constructive_path(
     outer_cols = _greedy_colors(tc, outer, used)
     _trace(trace, "outer", outer_colors=len(used))
 
-    mid = _middle_dhp(tc, tmaj, hp, used, seed, trace)
+    middle = HPartition(hp.blocks[1:-1], seps[1:-1], hp.ell)
+    mid = rainbow_dhp(
+        tc, tmaj, middle, seps[0], seps[-1], seed=seed, trace=trace,
+        colors=[c for c in range(tc.m) if c not in used],
+    )
     verts = p0 + list(mid.vertices) + pl
-    cols = outer_cols[:len(p0)] + list(mid.colors) + outer_cols[len(p0):]
-    return RainbowPath(vertices=tuple(verts), colors=tuple(cols))
+    cols = (outer_cols[:len(p0)] + list(mid.colors) + outer_cols[len(p0):]
+            + closing)
+    walk = RainbowCycle if cyclic else RainbowPath
+    return walk(vertices=tuple(verts), colors=tuple(cols))
+
+
+# one name per kind: _attempts calls these, perfbench counts them as
+# pipeline.attempts and tests/test_pipeline.py monkeypatches them
+def _constructive_path(tc, tmaj, hp, seed, trace) -> RainbowPath:
+    return _constructive(tc, tmaj, hp, seed, trace, cyclic=False)
+
+
+def _constructive_cycle(tc, tmaj, hp, seed, trace) -> RainbowCycle:
+    return _constructive(tc, tmaj, hp, seed, trace, cyclic=True)
 
 
 def _guarded(trace: Optional[list], stage: str, info: dict, run, *args):
@@ -407,7 +423,7 @@ def _oracle_route(search, work, budget, notes, trace, t0, fallback=False):
 
 
 # ---------------------------------------------------------------------------
-# exchange step, cycle assembly, and the one route order of both solvers
+# the longest-path machine, and the one route order of both solvers
 
 
 def exchange_step(
@@ -487,49 +503,6 @@ def _case3_machine(
             return cyc
     _trace(trace, "case3", restarts_used=CASE3_RESTARTS, closed=False)
     return None
-
-
-def _constructive_cycle(
-    tc: TournamentCollection,
-    tmaj: Tournament,
-    hp: HPartition,
-    seed: int,
-    trace: Optional[list],
-) -> RainbowCycle:
-    """On hp: outer arc from y back to x, inner assembly in between."""
-    blocks = [list(b) for b in hp.blocks]
-    if len(blocks) < 4:
-        raise StageFailure("cycle-pre", "too few blocks for the assembly")
-    seps = list(hp.separators)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 2])))
-
-    # outer piece runs w_r -> W_{r+1} -> (y -> ... -> x) -> W_0 -> w_0;
-    # regenerating the outer spanning paths varies the anchors x and y
-    for _ in range(30):
-        pl = tournament_ham_path(tmaj, blocks[-1], rng=rng)
-        p0 = tournament_ham_path(tmaj, blocks[0], rng=rng)
-        y, x = pl[-1], p0[0]
-        close = list(_bits(tc.arc_color_mask(y, x)))
-        if close:
-            used = {close[0]}
-            # the arcs along pl and p0, then into pl and out of p0; the
-            # closing arc y->x between pl and p0 keeps close[0]
-            *block_cols, c_in, c_out = _greedy_colors(
-                tc,
-                list(zip(pl, pl[1:])) + list(zip(p0, p0[1:]))
-                + [(seps[-1], pl[0]), (p0[-1], seps[0])],
-                used,
-            )
-            k = len(pl) - 1
-            outer_cols = block_cols[:k] + [close[0]] + block_cols[k:]
-            _trace(trace, "cycle-outer", case=1, outer=len(used))
-
-            mid = _middle_dhp(tc, tmaj, hp, used, seed, trace)
-            verts = list(mid.vertices) + pl + p0
-            cols = list(mid.colors) + [c_in] + outer_cols + [c_out]
-            # verts currently w0..wr then pl then p0; close p0[-1] -> w0
-            return RainbowCycle(vertices=tuple(verts), colors=tuple(cols))
-    raise StageFailure("cycle-case1", "no closing arc found for any anchors")
 
 
 def _solve(tc, cyclic: bool, seed, budget, mode, trace) -> OracleOutcome:

@@ -56,16 +56,16 @@ EXPECTED = {
     "cycle n=30 seed=2": "4c75607b49a05b93",
     "cycle n=30 seed=3": "2632b210b4f58383",
     "cycle n=30 seed=4": "1646e195c7e5c432",
-    "cycle n=80 seed=0": "816262ad1284beb2",
-    "cycle n=80 seed=1": "b0dabad8bb207e75",
-    "cycle n=80 seed=2": "51c6571270db0b20",
-    "cycle n=80 seed=3": "a752a6037db65b0f",
-    "cycle n=80 seed=4": "5f165e3f9fe76a9b",
-    "cycle n=200 seed=0": "651eb2826a916779",
-    "cycle n=200 seed=1": "f8a4a180ac231802",
-    "cycle n=200 seed=2": "4d9073069ce8cea3",
-    "cycle n=200 seed=3": "f76aee693257a300",
-    "cycle n=200 seed=4": "7573cc97c98c170e",
+    "cycle n=80 seed=0": "14b38506d265eee4",
+    "cycle n=80 seed=1": "8b935e310549a890",
+    "cycle n=80 seed=2": "521439fb0bba2c89",
+    "cycle n=80 seed=3": "4f64b1e82be5f3d9",
+    "cycle n=80 seed=4": "738f9a70a0e9051f",
+    "cycle n=200 seed=0": "709930b255e5c6f4",
+    "cycle n=200 seed=1": "b75d96a47e9bccad",
+    "cycle n=200 seed=2": "14cfd64bf5c23aca",
+    "cycle n=200 seed=3": "bdf57a9e77c8fa90",
+    "cycle n=200 seed=4": "8e56d725680afa89",
 }
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from conftest import source_collection
-from rainbow_tournaments import generators
+from rainbow_tournaments import generators, pipeline
 from rainbow_tournaments.cli import main
 from rainbow_tournaments.core import (
     RainbowCycle,
@@ -97,6 +97,21 @@ class TestSolve:
         assert code == 0
         # small n goes straight to the oracle; the trace file still exists
         assert tr.exists()
+
+    def test_unwritable_trace_fails_before_solving(self, inst, tmp_path,
+                                                   capsys, monkeypatch):
+        def solver(*args, **kwargs):
+            raise AssertionError("solved despite an unwritable trace")
+
+        monkeypatch.setattr(pipeline, "transversal_ham_path", solver)
+        tr = tmp_path / "absent" / "trace.jsonl"
+        code = main(["solve", "--trace", str(tr), inst])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("rainbow-tournaments: error: ")
+        assert captured.err.count("\n") == 1
+        assert "trace.jsonl" in captured.err
 
     def test_solve_budget_exhausted_exit_code(self, tmp_path, capsys):
         tc = source_collection(7, seed=0)
@@ -215,6 +230,8 @@ class TestBadSuiteArguments:
         (["bench", "--kind", "one_spare", "--seeds", "0"], "no instance"),
         (["solve", "--budget-nodes", "-5", "absent.json"], "negative"),
         (["solve", "--budget-secs", "-1", "absent.json"], "negative"),
+        (["verify", "--suite", "lemma-hpartition", "--mode", "exhaustive",
+          "--sizes", "5", "--seeds", "1"], "theorem suites only"),
     ])
     def test_rejected(self, capsys, argv, detail):
         code = main(argv)

@@ -28,6 +28,11 @@ class TestTheoremSweeps:
         with pytest.raises(ValueError, match="choose path or cycle"):
             harness.verify_theorem("walk", 4, 4, seeds=range(3))
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="choose exhaustive or random"):
+            harness.verify_theorem("path", 4, 4, mode="exhastive",
+                                   seeds=range(2))
+
 
 class TestLemmaSuites:
     def test_unknown_suite_rejected(self):

@@ -3,7 +3,11 @@
 import pytest
 
 from rainbow_tournaments import generators, oracle, pipeline
-from rainbow_tournaments.core import RainbowPath
+from rainbow_tournaments.core import (
+    RainbowPath,
+    TournamentCollection,
+    validate_transversal,
+)
 from rainbow_tournaments.errors import (
     AbsorberConstructionError,
     AbsorptionFailedError,
@@ -190,6 +194,21 @@ class TestCycleSolver:
         )
         out = transversal_ham_cycle(tc, mode="constructive")
         assert out.status == FOUND
+        assert out.witness.is_hamilton(tc)
+
+    def test_no_closing_arc_falls_to_the_longest_path_machine(self):
+        # every color is prop14_tprime, whose only backward arcs join
+        # consecutive vertices: no arc runs from the last outer block back
+        # to the first, so every attempt fails at the closing arc
+        tc = TournamentCollection([generators.prop14_tprime(100)] * 100)
+        trace = []
+        out = transversal_ham_cycle(tc, mode="constructive", trace=trace)
+        failed = [r for r in trace if r["stage"] == "attempt-failed"]
+        assert [r["attempt"] for r in failed] == list(range(8))
+        assert all(r["error"].startswith("[cycle-case1]") for r in failed)
+        assert out.status == FOUND
+        assert out.notes == "longest-path machine"
+        assert validate_transversal(tc, out.witness.arcs())
         assert out.witness.is_hamilton(tc)
 
 
