@@ -37,7 +37,7 @@ from .errors import (
     StageFailure,
 )
 from .matching import (
-    IncrementalMatcher,
+    FirstFreeMatcher,
     matching_with_forced_colors,
     max_matching,
     perfect_matching,
@@ -595,18 +595,20 @@ def build_absorber(
 ) -> Absorber:
     """Randomized absorber construction with a verification schedule.
 
-    Up to ABSORBER_RETRIES candidate pairs A and C are drawn at random;
-    acceptance checks perfect matchings for ell-subsets C' of C.  When
-    there are at most 10^4 of them, all are checked in one depth-first
-    walk of the ell-subset combination tree on an IncrementalMatcher with
-    colors as slots: one augmentation per tree node, and a rejected prefix
-    rejects at once.
-    Otherwise random plus adversarial (minimum-degree) probes are checked,
-    so acceptance is probabilistic; absorb() re-verifies.  The probes are
-    warm-started from one matching of A into the target arcs (augmenting
-    paths keep matched arcs matched).  A perfect matching with A plus C'
-    uses all of A, so if A alone cannot be matched the candidate is
-    rejected without probes.
+    Up to ABSORBER_RETRIES candidate pairs A and C are drawn at random
+    from avail_colors (colors of tc, else ValueError); acceptance checks
+    that A plus ell-subsets C' of C match the target arcs perfectly.  Only
+    existence is asked, so free colors are taken before any augmenting
+    path is searched.  When there are at most 10^4 subsets, all are checked
+    in one depth-first walk of the ell-subset combination tree on a
+    FirstFreeMatcher with colors as slots: one push per tree node, and a
+    rejected prefix rejects at once.  Otherwise random plus adversarial
+    (minimum-degree) probes are checked, so acceptance is probabilistic;
+    absorb() re-verifies.  Each probe starts from one matching of A into
+    the target arcs plus, per arc it leaves open, the lowest free C' color
+    (augmenting paths keep matched arcs matched).  A perfect matching with
+    A plus C' uses all of A, so if A alone cannot be matched the candidate
+    is rejected without probes.
     """
     target_arcs = tuple(target_arcs)
     if len(target_arcs) < ell:
@@ -616,6 +618,9 @@ def build_absorber(
     if c_size < ell:
         raise ValueError("C needs at least ell colors")
     avail_colors = list(dict.fromkeys(avail_colors))
+    for c in avail_colors:
+        if not 0 <= c < tc.m:
+            raise ValueError(f"color {c} is outside 0..{tc.m - 1}")
     a_size = len(target_arcs) - ell
     if a_size + c_size > len(avail_colors):
         raise AbsorberConstructionError(
@@ -652,9 +657,16 @@ def _verify_absorber(avail, a_mask, ccand, ell, rng) -> bool:
         return False
 
     def matching_ok(cset: Iterable[int]) -> bool:
-        allow = a_mask | sum(1 << c for c in cset)
-        masks = [av & allow for av in avail]
-        return perfect_matching(masks, start=base) is not None
+        free = sum(1 << c for c in cset)
+        masks = [av & (a_mask | free) for av in avail]
+        start = list(base)  # A's colors only, so all of C' is free
+        for k, c in enumerate(base):
+            low = masks[k] & free
+            if c == -1 and low:
+                low &= -low
+                start[k] = low.bit_length() - 1
+                free ^= low
+        return perfect_matching(masks, start=start) is not None
 
     # degree of a color = number of target arcs it can serve; the colors of
     # minimum degree make the hardest top-up set
@@ -683,7 +695,7 @@ def _every_topup_matches(avail, a_mask, ccand, ell) -> bool:
     def arcs_of(c: int) -> int:
         return sum(1 << k for k, av in enumerate(avail) if (av >> c) & 1)
 
-    matcher = IncrementalMatcher()
+    matcher = FirstFreeMatcher()
     for c in _bits(a_mask):
         if not matcher.push(arcs_of(c)):
             return False

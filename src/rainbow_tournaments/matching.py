@@ -6,7 +6,8 @@ with.  Augmenting paths are searched iteratively on an explicit stack, so
 no recursion limit caps the number of slots, and the same search serves
 the color side of a forced-color matching.  The incremental variant keeps
 per-depth snapshots so backtracking search can push and pop slots in
-O(current matching size).
+O(current matching size); FirstFreeMatcher, for callers that ask only
+whether a matching exists, takes a free color before augmenting.
 """
 
 from __future__ import annotations
@@ -134,8 +135,8 @@ class IncrementalMatcher:
     ``push(mask)`` adds a slot and reports whether the enlarged slot set
     still has a perfect matching; ``pop()`` restores the previous state.
     Snapshots are plain copies, which is the right trade at oracle sizes
-    (at most ~a dozen slots) and for the absorber's combination-tree walk
-    (colors as slots: |A| + ell of them, one per target arc).
+    (at most ~a dozen slots); the oracle reads its witnesses from the
+    matching this push keeps.
     """
 
     def __init__(self):
@@ -161,3 +162,23 @@ class IncrementalMatcher:
     def pop(self) -> None:
         self.avail.pop()
         self.match_of_slot, self.match_of_color = self._stack.pop()
+
+
+class FirstFreeMatcher(IncrementalMatcher):
+    """IncrementalMatcher whose push takes the slot's lowest free color when
+    it has one.  A free color is a length-1 augmenting path, so every push
+    accepts or rejects as IncrementalMatcher's does; only the matching kept
+    differs, so callers that read witnesses keep IncrementalMatcher."""
+
+    def push(self, mask: int) -> bool:
+        free = mask & ~sum(1 << c for c in self.match_of_color)
+        if not free:
+            return super().push(mask)
+        self._stack.append(
+            (list(self.match_of_slot), dict(self.match_of_color))
+        )
+        c = (free & -free).bit_length() - 1
+        self.match_of_color[c] = len(self.avail)
+        self.avail.append(mask)
+        self.match_of_slot.append(c)
+        return True

@@ -1,5 +1,6 @@
 """Color absorbers: randomized construction and exchange guarantees."""
 
+import collections
 import itertools
 import math
 
@@ -22,7 +23,7 @@ from rainbow_tournaments.errors import (
     AbsorberConstructionError,
     AbsorptionFailedError,
 )
-from rainbow_tournaments.matching import IncrementalMatcher, perfect_matching
+from rainbow_tournaments.matching import FirstFreeMatcher, perfect_matching
 
 
 def dense_instance(n, m, seed=0):
@@ -57,6 +58,15 @@ class TestBuildAbsorber:
         tc, arcs = dense_instance(8, 30)
         with pytest.raises(ValueError):
             build_absorber(tc, arcs, range(30), ell=3, c_size=2)
+
+    @pytest.mark.parametrize("bad", [-3, -1, 30, 31])
+    def test_color_outside_collection_rejected(self, bad):
+        # a negative color used to die inside the draws ("negative shift
+        # count"); a color >= m has no arcs, yet could be accepted into C
+        tc, arcs = dense_instance(8, 30)
+        with pytest.raises(ValueError, match=f"color {bad} "):
+            build_absorber(tc, arcs, [bad, *range(1, 30)], ell=1,
+                           c_size=6)
 
     def test_exhaustive_small_family(self):
         # all ell-subsets of C must absorb, checked one by one
@@ -215,6 +225,24 @@ class TestWarmStartedVerification:
             outcomes.add(self._agree(avail, a_mask, ccand, ell, seed=k))
         assert outcomes == {True, False}
 
+    def test_agrees_on_2000_random_candidates(self):
+        # the benchmark's recorded probes all accept, so the rejections of
+        # both branches are exercised here
+        shapes = [(2, 8, 8), (3, 7, 9), (1, 6, 5),  # exhaustive
+                  (3, 50, 10), (4, 30, 8), (2, 150, 6)]  # sampled
+        rng = np.random.default_rng(17)
+        seen = collections.Counter()
+        for k in range(2_000):
+            ell, c_size, n_arcs = shapes[k % len(shapes)]
+            density = (0.3, 0.45, 0.6)[k // len(shapes) % 3]
+            avail, a_mask, ccand = random_candidate(
+                rng, n_arcs, ell, c_size, density
+            )
+            got = self._agree(avail, a_mask, ccand, ell, seed=k)
+            seen[math.comb(c_size, ell) <= 10_000, got] += 1
+        assert len(seen) == 4
+        assert min(seen.values()) >= 250
+
     def test_unsaturable_a_rejected_without_probes(self, monkeypatch):
         # color 0 of A serves no target arc, so no top-up set can complete
         avail = [0b1111110, 0b1111110, 0b1111110]
@@ -239,13 +267,13 @@ class TestCombinationTreeWalk:
 
     def _run(self, monkeypatch, avail):
         pushes = []
-        push = IncrementalMatcher.push
+        push = FirstFreeMatcher.push
 
         def counted(matcher, mask):
             pushes.append(mask)
             return push(matcher, mask)
 
-        monkeypatch.setattr(IncrementalMatcher, "push", counted)
+        monkeypatch.setattr(FirstFreeMatcher, "push", counted)
         monkeypatch.setattr(
             "rainbow_tournaments.constructive.perfect_matching",
             lambda *a, **k: pytest.fail("perfect_matching called"),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rainbow_tournaments.matching import (
+    FirstFreeMatcher,
     IncrementalMatcher,
     matching_with_forced_colors,
     max_matching,
@@ -194,3 +195,43 @@ class TestIncrementalMatcher:
                 else:
                     assert not prefix_ok
                     break
+
+
+class TestFirstFreeMatcher:
+    def test_free_color_taken_without_search(self):
+        im = FirstFreeMatcher()
+        assert im.push(0b011)
+        assert im.push(0b011)  # color 0 is held, color 1 is free
+        assert im.match_of_slot == [0, 1]
+        assert not im.push(0b011)
+        assert im.match_of_slot == [0, 1]
+        assert im.push(0b110)  # color 2 is free
+        assert im.match_of_slot == [0, 1, 2]
+        im.pop()
+        assert im.match_of_slot == [0, 1]
+
+    def test_push_agrees_with_incremental_matcher(self):
+        # same push/pop sequence on both: the same accept or reject every
+        # time, and the first-free matching stays valid
+        rng = np.random.default_rng(5)
+        rejected = 0
+        for _ in range(300):
+            m = int(rng.integers(1, 9))
+            ref, im = IncrementalMatcher(), FirstFreeMatcher()
+            for _ in range(30):
+                if im.avail and rng.random() < 0.3:
+                    ref.pop()
+                    im.pop()
+                    continue
+                mask = int(rng.integers(0, 1 << m))
+                ok = im.push(mask)
+                assert ok == ref.push(mask)
+                rejected += not ok
+                assert im.avail == ref.avail
+                assert len(set(im.match_of_slot)) == len(im.avail)
+                assert all((av >> c) & 1
+                           for av, c in zip(im.avail, im.match_of_slot))
+                assert im.match_of_color == {
+                    c: s for s, c in enumerate(im.match_of_slot)
+                }
+        assert rejected > 1_000
