@@ -37,9 +37,8 @@ from .errors import (
     StageFailure,
 )
 from .matching import (
-    FirstFreeMatcher,
+    IncrementalMatcher,
     matching_with_forced_colors,
-    max_matching,
     perfect_matching,
 )
 from .oracle import _arc_masks, _order_masks
@@ -71,7 +70,8 @@ def restrict_colors(
 ) -> TournamentCollection:
     """Sub-collection keeping only the given colors, in the given order.
 
-    Color k of the result is original color colors[k]."""
+    Color k of the result is original color colors[k]; a color outside
+    range(m) raises ValueError."""
     return tc._select(colors)
 
 
@@ -599,16 +599,17 @@ def build_absorber(
     from avail_colors (colors of tc, else ValueError); acceptance checks
     that A plus ell-subsets C' of C match the target arcs perfectly.  Only
     existence is asked, so free colors are taken before any augmenting
-    path is searched.  When there are at most 10^4 subsets, all are checked
-    in one depth-first walk of the ell-subset combination tree on a
-    FirstFreeMatcher with colors as slots: one push per tree node, and a
-    rejected prefix rejects at once.  Otherwise random plus adversarial
-    (minimum-degree) probes are checked, so acceptance is probabilistic;
-    absorb() re-verifies.  Each probe starts from one matching of A into
+    path is searched.  A's colors are pushed first into an
+    IncrementalMatcher with colors as slots; a perfect matching with A
+    plus C' uses all of A, so a rejected push rejects the candidate with
+    no probe.  When there are at most 10^4 subsets, all are checked by
+    continuing that matcher through one depth-first walk of the ell-subset
+    combination tree: one push per tree node, and a rejected prefix
+    rejects at once.  Otherwise random plus adversarial (minimum-degree)
+    probes are checked, so acceptance is probabilistic; absorb()
+    re-verifies.  Each probe starts from the matcher's matching of A into
     the target arcs plus, per arc it leaves open, the lowest free C' color
-    (augmenting paths keep matched arcs matched).  A perfect matching with
-    A plus C' uses all of A, so if A alone cannot be matched the candidate
-    is rejected without probes.
+    (augmenting paths keep matched arcs matched).
     """
     target_arcs = tuple(target_arcs)
     if len(target_arcs) < ell:
@@ -650,11 +651,18 @@ def build_absorber(
 
 
 def _verify_absorber(avail, a_mask, ccand, ell, rng) -> bool:
+    def arcs_of(c: int) -> int:
+        return sum(1 << k for k, av in enumerate(avail) if (av >> c) & 1)
+
+    matcher = IncrementalMatcher()
+    for c in _bits(a_mask):
+        if not matcher.push(arcs_of(c)):
+            return False
     if math.comb(len(ccand), ell) <= 10_000:
-        return _every_topup_matches(avail, a_mask, ccand, ell)
-    base = max_matching([av & a_mask for av in avail])
-    if len(base) - base.count(-1) < a_mask.bit_count():
-        return False
+        return _every_topup_matches(matcher, [arcs_of(c) for c in ccand], ell)
+    base = [-1] * len(avail)  # the A color matched to each target arc
+    for c, k in zip(_bits(a_mask), matcher.match_of_slot):
+        base[k] = c
 
     def matching_ok(cset: Iterable[int]) -> bool:
         free = sum(1 << c for c in cset)
@@ -682,25 +690,17 @@ def _verify_absorber(avail, a_mask, ccand, ell, rng) -> bool:
     return True
 
 
-def _every_topup_matches(avail, a_mask, ccand, ell) -> bool:
+def _every_topup_matches(matcher, cmasks, ell) -> bool:
     """Whether A plus every ell-subset of C matches the target arcs.
 
-    Colors are the matcher's slots, each masking the arcs it can serve;
-    with |A| + ell target arcs a color-saturating matching is a perfect
-    one.  A is pushed once, then the ell-subsets of C are walked depth
-    first as a combination tree, C in ascending order: one push per tree
-    node and a pop on backtrack.  Every node extends to an ell-subset, so
-    a rejected push fails the whole check.
+    Colors are the matcher's slots, each masking the arcs it can serve
+    (cmasks for C, in ascending order); with |A| + ell target arcs a
+    color-saturating matching is a perfect one.  The matcher holds A
+    already; the ell-subsets of C are walked depth first as a combination
+    tree: one push per tree node and a pop on backtrack.  Every node
+    extends to an ell-subset, so a rejected push fails the whole check.
     """
-    def arcs_of(c: int) -> int:
-        return sum(1 << k for k, av in enumerate(avail) if (av >> c) & 1)
-
-    matcher = FirstFreeMatcher()
-    for c in _bits(a_mask):
-        if not matcher.push(arcs_of(c)):
-            return False
-    cmasks = [arcs_of(c) for c in ccand]
-    spare = len(ccand) - ell  # a node at depth d picks an index <= spare + d
+    spare = len(cmasks) - ell  # a node at depth d picks an index <= spare + d
     picked: list[int] = []
     i = 0
     while True:

@@ -220,8 +220,14 @@ class Tournament:
         return (bits | ord("0")).tobytes().decode("ascii")
 
     def restrict(self, vertices: Sequence[int]) -> "Tournament":
-        """Induced subtournament; vertex k of the result is vertices[k]."""
+        """Induced subtournament; vertex k of the result is vertices[k].
+        Repeated vertices or ones outside range(n) raise ValueError."""
         idx = np.asarray(vertices, dtype=np.intp)
+        vs = idx.tolist()  # plain ints: cheaper to check than the array
+        if vs and not 0 <= min(vs) <= max(vs) < self.n:
+            raise ValueError(f"vertices must lie in range({self.n})")
+        if len(set(vs)) < len(vs):
+            raise ValueError("vertices must be distinct")
         a, b = _pair_coords(len(idx))
         u, v = idx[a], idx[b]
         lo, hi = np.minimum(u, v), np.maximum(u, v)
@@ -299,8 +305,12 @@ class TournamentCollection:
 
     def _select(self, colors: Sequence[int]) -> "TournamentCollection":
         """The members of the listed colors, in that order.  A run of
-        consecutive colors keeps reading this collection's rows."""
+        consecutive colors keeps reading this collection's rows.  A color
+        outside range(m) raises ValueError."""
         colors = list(colors)
+        for c in colors:
+            if not 0 <= c < self.m:
+                raise ValueError(f"color {c} is outside 0..{self.m - 1}")
         sub = TournamentCollection([self.tournaments[c] for c in colors])
         if self._packed is not None and colors == list(
                 range(colors[0], colors[0] + len(colors))):

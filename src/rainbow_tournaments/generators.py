@@ -186,13 +186,16 @@ def random_collection(
 
     ``strongly_connected_count`` restricts the rejection sampling to the
     first that many members (m of them for an all-strong collection, m - 1
-    for the cycle theorem's "all but one" hypothesis).
+    for the cycle theorem's "all but one" hypothesis); a negative count
+    raises ValueError.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if m < 1:
         raise ValueError("m must be positive")
     k = strongly_connected_count or 0
+    if k < 0:
+        raise ValueError("strongly_connected_count cannot be negative")
     if k > 0 and n < 3:
         raise ValueError("strong connectivity needs n >= 3")
     return TournamentCollection._assemble(n, m, (

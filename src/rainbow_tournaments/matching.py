@@ -4,10 +4,12 @@ Availability is passed as one bitmask per slot (bit c set = color c usable).
 Kuhn's augmenting-path algorithm is enough at the sizes this package works
 with.  Augmenting paths are searched iteratively on an explicit stack, so
 no recursion limit caps the number of slots, and the same search serves
-the color side of a forced-color matching.  The incremental variant keeps
-per-depth snapshots so backtracking search can push and pop slots in
-O(current matching size); FirstFreeMatcher, for callers that ask only
-whether a matching exists, takes a free color before augmenting.
+the color side of a forced-color matching.  The incremental matcher lets
+backtracking search push and pop slots: a push takes the slot's lowest
+free color when it has one and augments otherwise, and a pop drops the
+last slot and its color, so nothing is copied.  It answers only whether a
+matching exists; callers that need a witness's colors ask
+perfect_matching, whose matching depends on the slots alone.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 __all__ = [
-    "max_matching",
     "perfect_matching",
     "matching_with_forced_colors",
     "IncrementalMatcher",
@@ -27,8 +28,9 @@ def _try_augment(
     avail: Sequence[int],
     match_of_slot: list[int],
     match_of_color: dict[int, int],
-) -> bool:
-    """Kuhn's augmenting-path search from one slot, depth first.
+) -> Optional[int]:
+    """Kuhn's augmenting-path search from one slot, depth first: the free
+    color the path ends on, or None, in which case nothing was written.
 
     An explicit stack replaces recursion, so chains of any length fit.  At
     each depth the colors not yet visited are tried lowest bit first, as
@@ -53,22 +55,14 @@ def _try_augment(
                 continue
             match_of_color[c] = s
             match_of_slot[s] = c
+            free = c
             for s, _, c in stack:
                 match_of_color[c] = s
                 match_of_slot[s] = c
-            return True
+            return free
         if not stack:
-            return False
+            return None
         s, mask, _ = stack.pop()
-
-
-def max_matching(avail: Sequence[int]) -> list[int]:
-    """Maximum matching; returns color per slot (-1 = unmatched)."""
-    match_of_slot = [-1] * len(avail)
-    match_of_color: dict[int, int] = {}
-    for s in range(len(avail)):
-        _try_augment(s, avail, match_of_slot, match_of_color)
-    return match_of_slot
 
 
 def _augment_all(
@@ -78,9 +72,9 @@ def _augment_all(
     the saturating matching, or None at the first slot that fails."""
     match_of_color = {c: s for s, c in enumerate(match_of_slot) if c != -1}
     for s in range(len(avail)):
-        if match_of_slot[s] == -1 and not _try_augment(
+        if match_of_slot[s] == -1 and _try_augment(
             s, avail, match_of_slot, match_of_color
-        ):
+        ) is None:
             return None
     return match_of_slot
 
@@ -120,7 +114,7 @@ def matching_with_forced_colors(
     slot_of = [-1] * len(forced)
     holder: dict[int, int] = {}
     for k in range(len(forced)):
-        if not _try_augment(k, slots_of, slot_of, holder):
+        if _try_augment(k, slots_of, slot_of, holder) is None:
             return None
 
     match_of_slot = [-1] * nslots
@@ -133,52 +127,41 @@ class IncrementalMatcher:
     """Arcs-vs-colors matching with push/pop for backtracking search.
 
     ``push(mask)`` adds a slot and reports whether the enlarged slot set
-    still has a perfect matching; ``pop()`` restores the previous state.
-    Snapshots are plain copies, which is the right trade at oracle sizes
-    (at most ~a dozen slots); the oracle reads its witnesses from the
-    matching this push keeps.
+    still has a perfect matching, keeping one; a rejected push leaves the
+    state as it was.  ``pop()`` drops the last slot and its color, which
+    leaves a perfect matching of the slots before it.  A free color is a
+    length-1 augmenting path, so taking one first accepts and rejects as
+    Kuhn's search would.
     """
 
     def __init__(self):
         self.avail: list[int] = []
-        self._stack: list[tuple[list[int], dict[int, int]]] = []
         self.match_of_slot: list[int] = []
         self.match_of_color: dict[int, int] = {}
+        self._held = 0  # bitmask of the colors in match_of_color
 
     def push(self, mask: int) -> bool:
-        self._stack.append(
-            (list(self.match_of_slot), dict(self.match_of_color))
-        )
+        s = len(self.avail)
         self.avail.append(mask)
-        self.match_of_slot.append(-1)
-        s = len(self.avail) - 1
-        ok = _try_augment(
-            s, self.avail, self.match_of_slot, self.match_of_color
-        )
-        if not ok:
-            self.pop()
-        return ok
+        free = mask & ~self._held
+        if free:
+            c = (free & -free).bit_length() - 1
+            self.match_of_color[c] = s
+            self.match_of_slot.append(c)
+        else:
+            self.match_of_slot.append(-1)
+            c = _try_augment(
+                s, self.avail, self.match_of_slot, self.match_of_color
+            )
+            if c is None:
+                self.avail.pop()
+                self.match_of_slot.pop()
+                return False
+        self._held |= 1 << c
+        return True
 
     def pop(self) -> None:
         self.avail.pop()
-        self.match_of_slot, self.match_of_color = self._stack.pop()
-
-
-class FirstFreeMatcher(IncrementalMatcher):
-    """IncrementalMatcher whose push takes the slot's lowest free color when
-    it has one.  A free color is a length-1 augmenting path, so every push
-    accepts or rejects as IncrementalMatcher's does; only the matching kept
-    differs, so callers that read witnesses keep IncrementalMatcher."""
-
-    def push(self, mask: int) -> bool:
-        free = mask & ~sum(1 << c for c in self.match_of_color)
-        if not free:
-            return super().push(mask)
-        self._stack.append(
-            (list(self.match_of_slot), dict(self.match_of_color))
-        )
-        c = (free & -free).bit_length() - 1
-        self.match_of_color[c] = len(self.avail)
-        self.avail.append(mask)
-        self.match_of_slot.append(c)
-        return True
+        c = self.match_of_slot.pop()
+        del self.match_of_color[c]
+        self._held ^= 1 << c

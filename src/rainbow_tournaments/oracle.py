@@ -3,12 +3,12 @@
 Two independent engines are provided.  The fast one, ``_backtrack``, runs
 both the path and the cycle search depth first on an explicit stack (no
 recursion limit caps the instance size), pruning with an incremental
-arcs-vs-colors matching, which also colors the witness it accepts;
-``nodes_expanded`` counts the vertex sequences it enters.  A cycle search
-on n >= 4 vertices first tries the chain-cut bound (``_cuts_unmet``) in
-index and in score order, which can answer NotExists at the root with no
-node expanded; at n = 3 the two anchored orders left cost less than the
-check.  The slow one enumerates vertex permutations
+arcs-vs-colors matching; one perfect_matching colors the witness it
+accepts.  ``nodes_expanded`` counts the vertex sequences it enters.  A
+cycle search on n >= 4 vertices first tries the chain-cut bound
+(``_cuts_unmet``) in index and in score order, which can answer NotExists
+at the root with no node expanded; at n = 3 the two anchored orders left
+cost less than the check.  The slow one enumerates vertex permutations
 outright and asks for one matching per permutation, with no bound, so that
 agreement between the two on small instances, which the test suite leans
 on, stays a check of the bound too.
@@ -51,7 +51,7 @@ class _BudgetExceeded(Exception):
 @dataclass
 class SearchBudget:
     """Node / wall-clock limits for exact search.  None means unlimited; a
-    negative limit raises ValueError."""
+    negative or NaN limit raises ValueError."""
 
     max_nodes: Optional[int] = None
     max_seconds: Optional[float] = None
@@ -60,8 +60,9 @@ class SearchBudget:
 
     def __post_init__(self) -> None:
         for limit in (self.max_nodes, self.max_seconds):
-            if limit is not None and limit < 0:
-                raise ValueError(f"a search budget cannot be negative: {limit}")
+            if limit is not None and not limit >= 0:  # NaN compares False
+                raise ValueError(
+                    f"a search budget cannot be negative or NaN: {limit}")
 
     def start(self) -> None:
         self.nodes = 0
@@ -164,18 +165,16 @@ def _backtrack(
     end: Optional[int],
     cyclic: bool,
     budget: SearchBudget,
-) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+) -> Optional[tuple[int, ...]]:
     """The first vertex order found, roots in turn, whose arcs (and the
-    arc closing it when cyclic) take distinct colors, with those colors in
-    arc order; a path has end last.
+    arc closing it when cyclic) can take distinct colors; a path has end
+    last.
 
     Depth first on an explicit stack, children lowest vertex first, each
     kept only when IncrementalMatcher.push accepts its arc.  A node is an
     order the search enters and costs one budget tick, except that a path
     root is ticked twice (by the root loop and as a node) and a path leaf,
     a Hamilton path, none; a cycle leaf is ticked before its closing arc.
-    The colors are the matcher's: pushes augment slot by slot from the
-    state the pops restore, as perfect_matching does from empty.
     """
     n = len(masks)
     matcher = IncrementalMatcher()
@@ -188,7 +187,7 @@ def _backtrack(
         if not cyclic:
             tick()
         if n == 1:
-            return (root,), ()
+            return (root,)
         tick()
         order = [root]
         used = 1 << root
@@ -214,14 +213,14 @@ def _backtrack(
             todo[-1] = rest
             depth = len(order) + 1
             if depth == n and not cyclic:
-                return (*order, v), tuple(matcher.match_of_slot)
+                return (*order, v)
             tick()
             if depth < n:
                 order.append(v)
                 used |= low
                 todo.append(~used & (not_end if depth < n - 1 else full))
             elif masks[v][root] and push(masks[v][root]):  # closes it
-                return (*order, v), tuple(matcher.match_of_slot)
+                return (*order, v)
             else:
                 pop()
     return None
@@ -266,13 +265,14 @@ def _search(tc, budget, roots, end, cyclic, t0) -> OracleOutcome:
                 return _outcome(t0, NOT_EXISTS,
                                 notes=f"chain-cut bound, {name} order")
     try:
-        got = _backtrack(masks, roots, end, cyclic, budget)
+        order = _backtrack(masks, roots, end, cyclic, budget)
     except _BudgetExceeded:
         return _outcome(t0, BUDGET_EXHAUSTED, nodes=budget.nodes)
-    if got is None:
+    if order is None:
         return _outcome(t0, NOT_EXISTS, nodes=budget.nodes)
+    colors = perfect_matching(_order_masks(masks, order, cyclic))
     kind = RainbowCycle if cyclic else RainbowPath
-    return _outcome(t0, FOUND, kind(*got), budget.nodes)
+    return _outcome(t0, FOUND, kind(order, tuple(colors)), budget.nodes)
 
 
 def exact_transversal_ham_path(

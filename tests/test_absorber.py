@@ -23,7 +23,7 @@ from rainbow_tournaments.errors import (
     AbsorberConstructionError,
     AbsorptionFailedError,
 )
-from rainbow_tournaments.matching import FirstFreeMatcher, perfect_matching
+from rainbow_tournaments.matching import IncrementalMatcher, perfect_matching
 
 
 def dense_instance(n, m, seed=0):
@@ -267,13 +267,13 @@ class TestCombinationTreeWalk:
 
     def _run(self, monkeypatch, avail):
         pushes = []
-        push = FirstFreeMatcher.push
+        push = IncrementalMatcher.push
 
         def counted(matcher, mask):
             pushes.append(mask)
             return push(matcher, mask)
 
-        monkeypatch.setattr(FirstFreeMatcher, "push", counted)
+        monkeypatch.setattr(IncrementalMatcher, "push", counted)
         monkeypatch.setattr(
             "rainbow_tournaments.constructive.perfect_matching",
             lambda *a, **k: pytest.fail("perfect_matching called"),
@@ -309,10 +309,6 @@ class TestCombinationTreeWalk:
     def test_a_checked_by_its_pushes(self, monkeypatch):
         # color 0 of A serves no target arc: its push rejects the candidate
         # without a separate matching of A alone
-        monkeypatch.setattr(
-            "rainbow_tournaments.constructive.max_matching",
-            lambda *a, **k: pytest.fail("max_matching called"),
-        )
         avail = [self.ALL & ~1] * (self.A_SIZE + self.ELL)
         got, pushes = self._run(monkeypatch, avail)
         assert got is False

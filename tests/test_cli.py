@@ -232,6 +232,7 @@ class TestBadSuiteArguments:
         (["solve", "--budget-secs", "-1", "absent.json"], "negative"),
         (["verify", "--suite", "lemma-hpartition", "--mode", "exhaustive",
           "--sizes", "5", "--seeds", "1"], "theorem suites only"),
+        (["solve", "--exact", "--budget-secs", "nan", "absent.json"], "NaN"),
     ])
     def test_rejected(self, capsys, argv, detail):
         code = main(argv)

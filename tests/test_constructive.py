@@ -279,3 +279,13 @@ class TestRestrictColors:
         assert sub.m == 2
         assert sub.tournaments[0] == tc.tournaments[4]
         assert sub.tournaments[1] == tc.tournaments[1]
+
+    @pytest.mark.parametrize("bad", [-1, 5, 6])
+    def test_color_outside_collection_rejected(self, bad):
+        # -1 used to give a collection whose packed rows were empty; 5 and
+        # 6 a bare IndexError
+        tc = generators.random_collection(6, 5, seed=0)
+        with pytest.raises(ValueError, match=f"color {bad} is outside 0..4"):
+            restrict_colors(tc, [bad])
+        with pytest.raises(ValueError, match=f"color {bad} is outside"):
+            restrict_colors(tc, [0, 1, bad])

@@ -65,6 +65,14 @@ class TestTournament:
         t = generators.random_tournament(8, seed=5)
         assert t.restrict(range(8)) == t
 
+    @pytest.mark.parametrize("keep", [[0, 0, 9], [0, 0, 1], [1, 6], [-1, 2]],
+                             ids=["repeat-and-outside", "repeat",
+                                  "equal-to-n", "negative"])
+    def test_restrict_rejects_bad_vertices(self, keep):
+        t = generators.random_tournament(6, seed=0)
+        with pytest.raises(ValueError, match="distinct|range"):
+            t.restrict(keep)
+
     @pytest.mark.parametrize("n", [7, 8, 9, 63, 64, 65, 130])
     def test_restrict_matches_dense_reference(self, n):
         # word and byte boundaries of the packed rows, unsorted vertex lists

@@ -96,6 +96,12 @@ class TestRandom:
         )
         assert all(is_strongly_connected(t) for t in tc.tournaments)
 
+    def test_negative_strongly_connected_count_rejected(self):
+        with pytest.raises(ValueError, match="cannot be negative"):
+            generators.random_collection(
+                6, 5, seed=0, strongly_connected_count=-1
+            )
+
 
 # sha256 of random_collection(n, 3, seed[, strongly_connected_count=2])
 # over the grid below: the JSON text and every member's out-masks.  It

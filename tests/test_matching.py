@@ -1,4 +1,4 @@
-"""Bitmask bipartite matching: maximum, forced-color, and incremental."""
+"""Bitmask bipartite matching: perfect, forced-color, and incremental."""
 
 import itertools
 
@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from rainbow_tournaments.matching import (
-    FirstFreeMatcher,
     IncrementalMatcher,
     matching_with_forced_colors,
-    max_matching,
     perfect_matching,
 )
 
@@ -42,29 +40,27 @@ def brute_forced_feasible(avail, m, forced):
 
 class TestMaxMatching:
     def test_empty(self):
-        assert max_matching([]) == []
+        assert perfect_matching([]) == []
 
     def test_single_slot(self):
-        assert max_matching([0b100]) == [2]
+        assert perfect_matching([0b100]) == [2]
 
     def test_unmatchable_slot(self):
-        got = max_matching([0b1, 0b1])
-        assert sorted(got) == [-1, 0]
+        assert perfect_matching([0b1, 0b1]) is None
+        assert perfect_matching([0b1, 0]) is None
 
     def test_sizes_match_brute_force(self):
+        # None exactly when the maximum matching leaves a slot unmatched
         rng = np.random.default_rng(0)
         for _ in range(300):
             k = int(rng.integers(1, 5))
             m = int(rng.integers(1, 6))
             avail = [int(rng.integers(0, 1 << m)) for _ in range(k)]
-            got = max_matching(avail)
-            size = sum(1 for c in got if c != -1)
-            assert size == brute_max_matching_size(avail, m)
-            used = [c for c in got if c != -1]
-            assert len(used) == len(set(used))
-            for s, c in enumerate(got):
-                if c != -1:
-                    assert (avail[s] >> c) & 1
+            got = perfect_matching(avail)
+            assert (got is None) == (brute_max_matching_size(avail, m) < k)
+            if got is not None:
+                assert len(set(got)) == k
+                assert all((avail[s] >> c) & 1 for s, c in enumerate(got))
 
     def test_perfect_matching_none_when_short(self):
         assert perfect_matching([0b1, 0b1]) is None
@@ -95,7 +91,9 @@ class TestMaxMatching:
         avail = [(1 << i) | (1 << i + 1) for i in range(1500)] + [1]
         want = list(range(1, 1501)) + [0]
         assert perfect_matching(avail) == want
-        assert max_matching(avail) == want
+        im = IncrementalMatcher()
+        assert all(im.push(mask) for mask in avail)
+        assert im.match_of_slot == want
 
     def test_start_agrees_with_from_scratch(self):
         rng = np.random.default_rng(4)
@@ -103,9 +101,14 @@ class TestMaxMatching:
             k = int(rng.integers(1, 6))
             m = int(rng.integers(1, 7))
             avail = [int(rng.integers(0, 1 << m)) for _ in range(k)]
-            # any valid partial matching: a maximum matching of a submask
+            # any valid partial matching: a greedy one on a submask
             keep = int(rng.integers(0, 1 << m))
-            start = max_matching([a & keep for a in avail])
+            start, used = [], 0
+            for a in avail:
+                free = a & keep & ~used
+                low = free & -free  # 0 when no color is left: slot open
+                start.append(low.bit_length() - 1)
+                used |= low
             got = perfect_matching(avail, start=start)
             want = perfect_matching(avail)
             assert (got is None) == (want is None)
@@ -196,10 +199,8 @@ class TestIncrementalMatcher:
                     assert not prefix_ok
                     break
 
-
-class TestFirstFreeMatcher:
     def test_free_color_taken_without_search(self):
-        im = FirstFreeMatcher()
+        im = IncrementalMatcher()
         assert im.push(0b011)
         assert im.push(0b011)  # color 0 is held, color 1 is free
         assert im.match_of_slot == [0, 1]
@@ -210,27 +211,30 @@ class TestFirstFreeMatcher:
         im.pop()
         assert im.match_of_slot == [0, 1]
 
-    def test_push_agrees_with_incremental_matcher(self):
-        # same push/pop sequence on both: the same accept or reject every
-        # time, and the first-free matching stays valid
+    def test_push_agrees_with_from_scratch(self):
+        # random pushes and pops: each push accepts exactly when the
+        # enlarged slot set has a perfect matching, and the kept matching
+        # stays valid after every push and every pop
         rng = np.random.default_rng(5)
         rejected = 0
         for _ in range(300):
             m = int(rng.integers(1, 9))
-            ref, im = IncrementalMatcher(), FirstFreeMatcher()
+            im, avail = IncrementalMatcher(), []
             for _ in range(30):
-                if im.avail and rng.random() < 0.3:
-                    ref.pop()
+                if avail and rng.random() < 0.3:
                     im.pop()
-                    continue
-                mask = int(rng.integers(0, 1 << m))
-                ok = im.push(mask)
-                assert ok == ref.push(mask)
-                rejected += not ok
-                assert im.avail == ref.avail
-                assert len(set(im.match_of_slot)) == len(im.avail)
+                    avail.pop()
+                else:
+                    mask = int(rng.integers(0, 1 << m))
+                    ok = im.push(mask)
+                    assert ok == (perfect_matching(avail + [mask]) is not None)
+                    rejected += not ok
+                    if ok:
+                        avail.append(mask)
+                assert im.avail == avail
+                assert len(set(im.match_of_slot)) == len(avail)
                 assert all((av >> c) & 1
-                           for av, c in zip(im.avail, im.match_of_slot))
+                           for av, c in zip(avail, im.match_of_slot))
                 assert im.match_of_color == {
                     c: s for s, c in enumerate(im.match_of_slot)
                 }

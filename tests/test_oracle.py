@@ -116,6 +116,12 @@ class TestBudgets:
         assert [out.status for out in runs] == [FOUND, FOUND]
         assert runs[0].nodes_expanded == runs[1].nodes_expanded
 
+    @pytest.mark.parametrize("limit", ["max_nodes", "max_seconds"])
+    def test_nan_limit_rejected(self, limit):
+        # NaN fails every comparison, so it used to mean no limit at all
+        with pytest.raises(ValueError, match="negative or NaN: nan"):
+            SearchBudget(**{limit: float("nan")})
+
     def test_outcome_json_shape(self):
         tc = generators.random_collection(4, 3, seed=0)
         out = oracle.exact_transversal_ham_path(tc)
