@@ -7,7 +7,8 @@ layering, and the randomized color absorber.
 
 Rédei's insertion step (before the first path vertex the new one beats, or
 at the end) is written once, in _insertion_point, and in two-color form,
-for the one-spare builder and pipeline.exchange_step, in _spare_insert.
+for the one-spare builder and pipeline.exchange_step, in _spare_insert,
+which reads single arcs from the pair bits and builds no out-rows.
 """
 
 from __future__ import annotations
@@ -177,27 +178,35 @@ def h_partition(
     vertices: Optional[Sequence[int]] = None,
 ) -> HPartition:
     """Refine the trivial one-block partition until every block fits under
-    ell, splitting a largest oversized block each round.
+    ell, splitting oversized blocks in order (left part, separator, right
+    part) with a work stack; a split depends only on its own block.
 
     Every block then has between ceil(ell/6) and ell vertices (ell capped
     at the vertex count): split_block leaves at least a sixth of a block
-    on each side of its separator.
+    on each side of its separator.  vertices, if given, must be one or
+    more distinct vertices of t.
     """
     verts = list(vertices) if vertices is not None else list(range(t.n))
     if not (3 <= ell):
         raise ValueError("ell must be at least 3")
+    if (not verts or len(set(verts)) < len(verts)
+            or not 0 <= min(verts) <= max(verts) < t.n):
+        raise ValueError("need one or more distinct vertices of t")
     # a cap beyond the vertex count means the trivial one-block partition;
     # record the attainable cap so the block-size bounds refer to it
     ell = min(ell, len(verts))
-    blocks: list[list[int]] = [verts]
+    blocks: list[list[int]] = []
     seps: list[int] = []
-    while True:
-        idx = max(range(len(blocks)), key=lambda i: len(blocks[i]))
-        if len(blocks[idx]) <= ell:
-            break
-        wminus, v, wplus = split_block(t, blocks[idx])
-        blocks[idx:idx + 1] = [wminus, wplus]
-        seps.insert(idx, v)
+    stack: list = [verts]
+    while stack:
+        item = stack.pop()
+        if not isinstance(item, list):
+            seps.append(item)
+        elif len(item) <= ell:
+            blocks.append(item)
+        else:
+            wminus, v, wplus = split_block(t, item)
+            stack += (wplus, v, wminus)
     return HPartition(tuple(tuple(b) for b in blocks), tuple(seps), ell)
 
 
@@ -226,17 +235,21 @@ def _spare_insert(
     the unused colors c1, c2 before path[k], the first path vertex it beats
     in either, or at the end with c1; returns k.  The arc v -> path[k] takes
     c1 if it can, else c2.  For k > 0, path[k-1] beats v in both (k is
-    minimal): the arc into v takes the other color, freeing the old one."""
-    out1 = tc.tournaments[c1].out[v]
-    k = _insertion_point(path, out1 | tc.tournaments[c2].out[v])
-    if k == len(path):
+    minimal): the arc into v takes the other color, freeing the old one.
+    The scan reads c1's arc, then c2's, with has_arc and builds no out-rows."""
+    t1, t2 = tc.tournaments[c1], tc.tournaments[c2]
+    for k, u in enumerate(path):
+        hit = c1 if t1.has_arc(v, u) else c2 if t2.has_arc(v, u) else None
+        if hit is not None:
+            break
+    else:
         path.append(v)
         colors.append(c1)
         used.add(c1)
-        return k
-    hit, other = (c1, c2) if (out1 >> path[k]) & 1 else (c2, c1)
+        return len(path) - 1
     path.insert(k, v)
     if k:
+        other = c2 if hit == c1 else c1
         used.discard(colors[k - 1])
         colors[k - 1] = other
         used.add(other)
@@ -276,8 +289,9 @@ def rainbow_ham_path_one_spare(
 
     Grows the path one vertex at a time with _spare_insert and the first
     two unused colors c1, c2 of the color order.  stats["arc_inspections"]
-    counts the arc checks of a scan testing c1, then c2, at each path
-    vertex: two per vertex passed and one or two at the hit.
+    counts the arc reads of _spare_insert's scan, which tests c1, then c2,
+    at each path vertex: two per vertex passed and one or two at the hit.
+    The orders must be permutations of range(n) and range(m).
     """
     n, m = tc.n, tc.m
     if m < n:
@@ -286,6 +300,9 @@ def rainbow_ham_path_one_spare(
         )
     vorder = list(vertex_order) if vertex_order is not None else list(range(n))
     corder = list(color_order) if color_order is not None else list(range(m))
+    if sorted(vorder) != list(range(n)) or sorted(corder) != list(range(m)):
+        raise ValueError("vertex_order and color_order must be permutations "
+                         "of range(n) and range(m)")
     inspections = 0
     path = [vorder[0]]
     colors: list[int] = []

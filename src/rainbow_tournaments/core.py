@@ -18,8 +18,8 @@ or by unpickling keeps its m rows in one (m, ceil(N/8)) uint8 array
 (``TournamentCollection.packed``), and each member's row is a view of it.
 Per-vertex out-neighbour bitmasks (``Tournament.out``, arbitrary-precision
 ints) are a cache, built on first read.  The constructions read them only
-on small or derived tournaments: the majority tournament, restricted
-blocks, the exact oracle and the one-spare builder.
+on small or derived tournaments: the majority tournament and the exact
+oracle (the one-spare builder's two-color step reads single pair bits).
 
 Costs, for k colors on n vertices:
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import all_collections, all_tournaments, directed_triangle
-from rainbow_tournaments import constructive, generators
+from rainbow_tournaments import constructive, core, generators
 from rainbow_tournaments.constructive import (
     h_partition,
     low_degree_count_bound_check,
@@ -105,6 +105,39 @@ class TestHPartition:
                 hp = h_partition(t, ell)
                 assert hp.validate(t)
 
+    @staticmethod
+    def largest_first(t, ell):
+        """The refinement h_partition used to run: split a largest
+        oversized block each round, in place."""
+        ell = min(ell, t.n)
+        blocks, seps = [list(range(t.n))], []
+        while True:
+            idx = max(range(len(blocks)), key=lambda i: len(blocks[i]))
+            if len(blocks[idx]) <= ell:
+                break
+            wminus, v, wplus = split_block(t, blocks[idx])
+            blocks[idx:idx + 1] = [wminus, wplus]
+            seps.insert(idx, v)
+        return tuple(tuple(b) for b in blocks), tuple(seps), ell
+
+    @pytest.mark.parametrize("n", [50, 200, 600])
+    def test_in_order_equals_largest_first(self, n):
+        # the ell values of the lemma-hpartition sweep
+        for seed in range(3):
+            t = generators.random_tournament(n, seed=seed)
+            for ell in {3, 24, max(3, -(-n // 10)), n}:
+                hp = h_partition(t, ell)
+                got = (hp.blocks, hp.separators, hp.ell)
+                assert got == self.largest_first(t, ell)
+
+    @pytest.mark.parametrize("vertices", [
+        [0, 0, 1, 2, 3, 4], [0, 1, 2, 3, 40], [-1, 0, 1, 2], [],
+    ], ids=["repeat", "outside", "negative", "empty"])
+    def test_bad_vertices_rejected(self, vertices):
+        t = generators.random_tournament(10, seed=2)
+        with pytest.raises(ValueError):
+            h_partition(t, 3, vertices=vertices)
+
 
 class TestTournamentHamPath:
     def test_every_tournament_has_one(self):
@@ -149,6 +182,75 @@ class TestOneSpare:
         a = rainbow_ham_path_one_spare(tc, vertex_order=range(8))
         b = rainbow_ham_path_one_spare(tc, vertex_order=reversed(range(8)))
         assert a.is_hamilton(tc) and b.is_hamilton(tc)
+
+    @pytest.mark.parametrize("orders", [
+        {"color_order": [-1, 0, 1, 2, 3, 4]},
+        {"color_order": [0, 1, 2, 3, 4, 7]},
+        {"color_order": [0, 1, 1, 2, 3, 4]},
+        {"color_order": [0, 1, 2, 3, 4]},
+        {"vertex_order": [0, 1, 2]},
+        {"vertex_order": [0, 1, 2, 3, 4, 7]},
+        {"vertex_order": [0, 0, 1, 2, 3, 4]},
+        {"vertex_order": [-1, 0, 1, 2, 3, 4]},
+    ], ids=["color-negative", "color-outside", "color-repeat",
+            "color-short", "vertex-short", "vertex-outside",
+            "vertex-repeat", "vertex-negative"])
+    def test_bad_orders_rejected(self, orders):
+        tc = generators.random_collection(6, 6, seed=1)
+        with pytest.raises(ValueError):
+            rainbow_ham_path_one_spare(tc, **orders)
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_spare_insert_matches_mask_rule(self, cached):
+        # reference: the old rule, the first path vertex in the OR of both
+        # colors' out-rows, with the hit color read from c1's row
+        rng = np.random.default_rng(19)
+        for trial in range(2000):
+            n = int(rng.integers(2, 13))
+            m = n + int(rng.integers(1, 4))
+            tc = generators.random_collection(n, m, seed=trial)
+            if cached:
+                for t in tc.tournaments:
+                    t.out  # builds and caches the rows
+            verts = [int(x) for x in rng.permutation(n)]
+            v, path = verts[0], verts[1:1 + int(rng.integers(1, n))]
+            cols = [int(x) for x in rng.permutation(m)]
+            c1, c2 = cols[:2]
+            colors = cols[2:2 + len(path) - 1]
+            used = set(colors)
+            ref_path, ref_colors = list(path), list(colors)
+            ref_used = set(used)
+            k = constructive._spare_insert(tc, path, colors, used, v, c1, c2)
+            if not cached:
+                assert all(t._out is None for t in tc.tournaments)
+            out1 = tc.tournaments[c1].out[v]
+            out2 = tc.tournaments[c2].out[v]
+            ref_k = constructive._insertion_point(ref_path, out1 | out2)
+            if ref_k == len(ref_path):
+                ref_path.append(v)
+                ref_colors.append(c1)
+                ref_used.add(c1)
+            else:
+                hit, other = ((c1, c2) if (out1 >> ref_path[ref_k]) & 1
+                              else (c2, c1))
+                ref_path.insert(ref_k, v)
+                if ref_k:
+                    ref_used.discard(ref_colors[ref_k - 1])
+                    ref_colors[ref_k - 1] = other
+                    ref_used.add(other)
+                ref_colors.insert(ref_k, hit)
+                ref_used.add(hit)
+            assert (k, path, colors, used) == (
+                ref_k, ref_path, ref_colors, ref_used)
+
+    def test_builds_no_out_rows(self, monkeypatch):
+        def no_rows(*args):
+            raise AssertionError("an out-row build")
+
+        monkeypatch.setattr(core, "_out_rows", no_rows)
+        for n in range(4, 51):
+            tc = generators.random_collection(n, n, seed=n)
+            assert rainbow_ham_path_one_spare(tc).is_hamilton(tc)
 
 
 class TestForcingColor:
