@@ -103,9 +103,7 @@ def _sizes(text: str) -> list[int]:
 def _cmd_gen(args) -> int:
     n = args.n
     m = args.m if args.m is not None else n - 1
-    tc = generators.generate(
-        generators.GeneratorSpec(args.kind, n, m, args.seed)
-    )
+    tc = generators.generate(args.kind, n, m, args.seed)
     text = tc.to_json()
     if not args.out:
         print(text)

@@ -28,6 +28,7 @@ from .core import (
     _bits,
     induced_collection,
     majority_subtournament,
+    restrict_colors,
 )
 from .errors import (
     AbsorberConstructionError,
@@ -58,7 +59,6 @@ __all__ = [
     "rainbow_connect_all",
     "build_absorber",
     "absorb",
-    "restrict_colors",
 ]
 
 
@@ -66,22 +66,12 @@ __all__ = [
 ABSORBER_RETRIES = 20
 
 
-def restrict_colors(
-    tc: TournamentCollection, colors: Sequence[int]
-) -> TournamentCollection:
-    """Sub-collection keeping only the given colors, in the given order.
-
-    Color k of the result is original color colors[k]; a color outside
-    range(m) raises ValueError."""
-    return tc._select(colors)
-
-
 def _solve_block(tc, colors, vertices, solve, *args, **kwargs):
     """solve(sub, *args, **kwargs), where sub is the collection tc induces
     on vertices (in ascending order) and colors (color k of sub is
     colors[k]); the path comes back in tc's vertex and color labels."""
     verts = sorted(vertices)
-    sub, _ = induced_collection(restrict_colors(tc, colors), verts)
+    sub = induced_collection(restrict_colors(tc, colors), verts)
     p = solve(sub, *args, **kwargs)
     return RainbowPath(
         vertices=tuple(verts[x] for x in p.vertices),
@@ -405,7 +395,7 @@ def rainbow_ham_path_forcing_color(
         outs = sorted(_bits(tmaj.out[v]))
         assert len(outs) >= 4
         levels.append((tc, v, sorted(_bits(tmaj.in_mask(v))), outs))
-        tc, _ = induced_collection(tc, outs)
+        tc = induced_collection(tc, outs)
     p = _forcing_color_base(tc, i)
     if p is None and _is_exceptional(tc, i):
         raise ExceptionalConfigurationError(

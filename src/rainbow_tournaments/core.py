@@ -21,13 +21,19 @@ ints) are a cache, built on first read.  The constructions read them only
 on small or derived tournaments: the majority tournament and the exact
 oracle (the one-spare builder's two-color step reads single pair bits).
 
+Sub-collections keep the listed order and check the list once:
+``restrict_colors`` picks colors and ``induced_collection`` vertices
+(``Tournament.restrict``, once per member, is its check).
+``majority_subtournament`` votes over all members.
+
 Costs, for k colors on n vertices:
 
 - Generation and ``from_json``: one ``packbits`` per tournament over its N
   pair bytes, copied into the collection's row.  No n x n matrix.
-- ``has_arc(u, v)`` reads bit ``pair_index(min, max)`` and flips it when
-  u > v (or reads ``out`` when it is cached); ``arc_color_mask`` gathers
-  the pair's byte column of the collection array and packs the m bits.
+- ``has_arc(u, v)`` checks u and v against range(n), reads bit
+  ``pair_index(min, max)`` and flips it when u > v (or reads ``out`` when
+  it is cached); ``arc_color_mask`` gathers the pair's byte column of the
+  collection array and packs the m bits.
 - ``restrict`` to b vertices gathers their b(b-1)/2 pair bits and packs
   them.
 - ``majority_subtournament`` counts the colors of every pair at once:
@@ -52,7 +58,7 @@ import json
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import eq, index
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -63,6 +69,7 @@ __all__ = [
     "RainbowPath",
     "RainbowCycle",
     "majority_subtournament",
+    "restrict_colors",
     "induced_collection",
     "is_strongly_connected",
     "validate_transversal",
@@ -191,6 +198,9 @@ class Tournament:
     # -- queries ------------------------------------------------------
 
     def has_arc(self, u: int, v: int) -> bool:
+        """Whether u->v; a vertex outside range(n) raises ValueError."""
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError(f"invalid arc ({u},{v}) for n={self.n}")
         out = self._out
         if out is not None:
             return bool((out[u] >> v) & 1)
@@ -221,11 +231,12 @@ class Tournament:
 
     def restrict(self, vertices: Sequence[int]) -> "Tournament":
         """Induced subtournament; vertex k of the result is vertices[k].
-        Repeated vertices or ones outside range(n) raise ValueError."""
+        No vertices, repeated ones or ones outside range(n) raise
+        ValueError."""
         idx = np.asarray(vertices, dtype=np.intp)
         vs = idx.tolist()  # plain ints: cheaper to check than the array
-        if vs and not 0 <= min(vs) <= max(vs) < self.n:
-            raise ValueError(f"vertices must lie in range({self.n})")
+        if not vs or not 0 <= min(vs) <= max(vs) < self.n:
+            raise ValueError(f"need one or more vertices in range({self.n})")
         if len(set(vs)) < len(vs):
             raise ValueError("vertices must be distinct")
         a, b = _pair_coords(len(idx))
@@ -302,20 +313,6 @@ class TournamentCollection:
 
     def __reduce__(self):
         return TournamentCollection._from_rows, (self.n, self.packed)
-
-    def _select(self, colors: Sequence[int]) -> "TournamentCollection":
-        """The members of the listed colors, in that order.  A run of
-        consecutive colors keeps reading this collection's rows.  A color
-        outside range(m) raises ValueError."""
-        colors = list(colors)
-        for c in colors:
-            if not 0 <= c < self.m:
-                raise ValueError(f"color {c} is outside 0..{self.m - 1}")
-        sub = TournamentCollection([self.tournaments[c] for c in colors])
-        if self._packed is not None and colors == list(
-                range(colors[0], colors[0] + len(colors))):
-            sub._packed = self._packed[colors[0]:colors[0] + len(colors)]
-        return sub
 
     @property
     def packed(self) -> np.ndarray:
@@ -540,23 +537,6 @@ def _pair_coords(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(i), _frozen(j)
 
 
-def _index_list(
-    items: Optional[Iterable[int]], size: int, what: str
-) -> list[int]:
-    """Sorted distinct items, all inside range(size); None means all of it.
-
-    what names the items in error messages ("color" or "vertex").
-    """
-    if items is None:
-        return list(range(size))
-    out = sorted(set(items))
-    if not out:
-        raise ValueError(f"{what} set must be nonempty")
-    if out[0] < 0 or out[-1] >= size:
-        raise ValueError(f"{what} indices out of range")
-    return out
-
-
 def _full_add(
     a: np.ndarray, b: np.ndarray, c: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -565,10 +545,8 @@ def _full_add(
     return d ^ c, (a & b) | (d & c)
 
 
-def _vote_planes(
-    coll: TournamentCollection, color_list: Sequence[int]
-) -> list[np.ndarray]:
-    """Bit-sliced count of the listed colors' pair bits: bit p of planes[b]
+def _vote_planes(coll: TournamentCollection) -> list[np.ndarray]:
+    """Bit-sliced count of the members' pair bits: bit p of planes[b]
     (packed as a pair row) is bit b of the number of colors with the arc
     i->j, for pair p = (i, j), i < j.  The colors with j->i are the rest.
 
@@ -579,8 +557,8 @@ def _vote_planes(
     for every color: on N pairs a carry is almost never 0.)
     """
     pending: list[list[np.ndarray]] = []  # addends of weight 2**b
-    for c in color_list:
-        x = coll.tournaments[c].packed
+    for t in coll.tournaments:
+        x = t.packed
         for waiting in pending:
             if len(waiting) < 2:
                 waiting.append(x)
@@ -618,38 +596,44 @@ def _at_least(planes: Sequence[np.ndarray], t: int) -> np.ndarray:
     return above | level
 
 
-def majority_subtournament(
-    coll: TournamentCollection,
-    colors: Optional[Iterable[int]] = None,
-) -> Tournament:
-    """A majority tournament of the colors: each arc lies in at least half
-    of them.
+def majority_subtournament(coll: TournamentCollection) -> Tournament:
+    """A majority tournament of the collection: each arc lies in at least
+    half of its members.
 
     Tie-breaking: the direction with the strictly larger count wins; on
     equal counts the arc u->v with u < v is chosen.
     """
-    color_list = _index_list(colors, coll.m, "color")
-    k = len(color_list)
-    # for i < j: c(i,j) >= c(j,i) iff c(i,j) >= ceil(k/2), since
-    # c(i,j) + c(j,i) = k; those are the pair bits of the result (its pad
+    # for i < j: c(i,j) >= c(j,i) iff c(i,j) >= ceil(m/2), since
+    # c(i,j) + c(j,i) = m; those are the pair bits of the result (its pad
     # bits count 0 colors, so they stay 0)
-    wins = _at_least(_vote_planes(coll, color_list), (k + 1) // 2)
+    wins = _at_least(_vote_planes(coll), (coll.m + 1) // 2)
     return Tournament._from_packed(coll.n, wins)
 
 
+def restrict_colors(
+    coll: TournamentCollection, colors: Sequence[int]
+) -> TournamentCollection:
+    """The members of the listed colors, in that order: color k of the
+    result is colors[k].  A run of consecutive colors keeps reading coll's
+    rows.  No colors, or one outside range(m), raise ValueError."""
+    colors = list(colors)
+    for c in colors:
+        if not 0 <= c < coll.m:
+            raise ValueError(f"color {c} is outside 0..{coll.m - 1}")
+    sub = TournamentCollection([coll.tournaments[c] for c in colors])
+    if coll._packed is not None and colors == list(
+            range(colors[0], colors[0] + len(colors))):
+        sub._packed = coll._packed[colors[0]:colors[0] + len(colors)]
+    return sub
+
+
 def induced_collection(
-    coll: TournamentCollection,
-    vertices: Optional[Iterable[int]] = None,
-    colors: Optional[Iterable[int]] = None,
-) -> tuple[TournamentCollection, dict[int, int]]:
-    """Vertex- and/or color-induced collection, with the old->new vertex map."""
-    vert_list = _index_list(vertices, coll.n, "vertex")
-    sub = [
-        coll.tournaments[c].restrict(vert_list)
-        for c in _index_list(colors, coll.m, "color")
-    ]
-    vmap = {old: new for new, old in enumerate(vert_list)}
-    return TournamentCollection(sub), vmap
+    coll: TournamentCollection, vertices: Sequence[int]
+) -> TournamentCollection:
+    """Every member restricted to the listed vertices: vertex k of the
+    result is vertices[k] (Tournament.restrict checks the list)."""
+    return TournamentCollection([t.restrict(vertices)
+                                 for t in coll.tournaments])
 
 
 def is_strongly_connected(t: Tournament) -> bool:

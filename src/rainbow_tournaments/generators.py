@@ -27,14 +27,11 @@ tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import Tournament, TournamentCollection, is_strongly_connected
 
 __all__ = [
-    "GeneratorSpec",
     "transitive_tournament",
     "rotational_tournament",
     "prop14_tprime",
@@ -55,18 +52,6 @@ KINDS = (
     "fig1_path_counterexample",
     "fig1_cycle_counterexample",
 )
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    kind: str
-    n: int
-    m: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
 
 
 def transitive_tournament(n: int) -> Tournament:
@@ -204,9 +189,10 @@ def random_collection(
     ))
 
 
-def generate(spec: GeneratorSpec) -> TournamentCollection:
-    """Materialize a GeneratorSpec; single tournaments come back as m=1."""
-    kind, n, m, seed = spec.kind, spec.n, spec.m, spec.seed
+def generate(kind: str, n: int, m: int = 1, seed: int = 0
+             ) -> TournamentCollection:
+    """The instance of one of KINDS; single tournaments come back as m=1,
+    and the fixed families ignore m (and the fig1 ones n)."""
     if kind == "transitive":
         return TournamentCollection([transitive_tournament(n)])
     if kind == "directed_cycle_tournament":

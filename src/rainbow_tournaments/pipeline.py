@@ -28,7 +28,6 @@ from .constructive import (
     build_absorber,
     h_partition,
     rainbow_ham_path_one_spare,
-    restrict_colors,
     tournament_ham_path,
 )
 from .core import (
@@ -42,6 +41,7 @@ from .core import (
     induced_collection,
     is_strongly_connected,
     majority_subtournament,
+    restrict_colors,
 )
 from .errors import (AbsorberConstructionError, AbsorptionFailedError,
                      StageFailure)

@@ -16,11 +16,10 @@ from rainbow_tournaments.constructive import (
     rainbow_ham_path_forcing_color,
     rainbow_ham_path_forcing_set,
     rainbow_ham_path_one_spare,
-    restrict_colors,
     split_block,
     tournament_ham_path,
 )
-from rainbow_tournaments.core import TournamentCollection
+from rainbow_tournaments.core import TournamentCollection, restrict_colors
 from rainbow_tournaments.errors import (
     ExceptionalConfigurationError,
     InsufficientColorsError,
@@ -391,3 +390,8 @@ class TestRestrictColors:
             restrict_colors(tc, [bad])
         with pytest.raises(ValueError, match=f"color {bad} is outside"):
             restrict_colors(tc, [0, 1, bad])
+
+    def test_no_colors_rejected(self):
+        tc = generators.random_collection(6, 5, seed=0)
+        with pytest.raises(ValueError, match="at least one tournament"):
+            restrict_colors(tc, [])

@@ -18,10 +18,10 @@ from rainbow_tournaments.core import (
     iter_pairs,
     majority_subtournament,
     pair_index,
+    restrict_colors,
     validate_transversal,
 )
 from rainbow_tournaments import generators
-from rainbow_tournaments.constructive import restrict_colors
 from rainbow_tournaments.pipeline import transversal_ham_path
 
 
@@ -72,6 +72,26 @@ class TestTournament:
         t = generators.random_tournament(6, seed=0)
         with pytest.raises(ValueError, match="distinct|range"):
             t.restrict(keep)
+
+    def test_restrict_to_no_vertices_rejected(self):
+        # used to return Tournament(n=0, bits=''), which the constructor
+        # forbids
+        t = generators.random_tournament(6, seed=0)
+        with pytest.raises(ValueError, match="one or more vertices"):
+            t.restrict([])
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_has_arc_rejects_vertices_outside_range(self, cached):
+        # uncached, these read other pairs' bits (or a pad bit); cached,
+        # they raised "negative shift count", IndexError, or read the last
+        # row for u = -1
+        t = generators.random_tournament(6, seed=1)
+        if cached:
+            t.out
+        for u, v in ((0, -1), (2, 6), (7, 9), (-1, 0), (6, 0)):
+            with pytest.raises(ValueError, match=r"invalid arc"):
+                t.has_arc(u, v)
+        assert (t._out is not None) == cached
 
     @pytest.mark.parametrize("n", [7, 8, 9, 63, 64, 65, 130])
     def test_restrict_matches_dense_reference(self, n):
@@ -245,12 +265,6 @@ class TestMajoritySubtournament:
         tmaj = majority_subtournament(tc)
         assert set(tmaj.arcs()) == {(0, 1), (0, 2), (1, 2)}
 
-    def test_colors_out_of_range_rejected(self):
-        tc = generators.random_collection(5, 3, seed=0)
-        for colors in ([], [3], [-1, 0]):
-            with pytest.raises(ValueError):
-                majority_subtournament(tc, colors)
-
     def test_vectorized_branch_matches_definition(self):
         # every pair; even m gives tied pairs, which go to the arc i->j
         # with i < j
@@ -293,12 +307,13 @@ class TestVoteCountsAgainstDenseCount:
             tc = generators.random_collection(n, m, seed=100 * n + m)
             masks = _color_masks(tc)
             for colors in self._subsets(m):
-                chosen = set(range(m) if colors is None else colors)
-                sel = sum(1 << c for c in chosen)
+                sub = tc if colors is None else restrict_colors(tc, colors)
+                chosen = range(m) if colors is None else colors
                 k = len(chosen)
-                count = [[(masks[u][v] & sel).bit_count() for v in range(n)]
-                         for u in range(n)]
-                got = majority_subtournament(tc, colors)
+                # a repeated color votes once per listing
+                count = [[sum(masks[u][v] >> c & 1 for c in chosen)
+                          for v in range(n)] for u in range(n)]
+                got = majority_subtournament(sub)
                 ties = 0
                 for u in range(n):
                     for v in range(u + 1, n):
@@ -314,23 +329,34 @@ class TestVoteCountsAgainstDenseCount:
 class TestInducedCollection:
     def test_identity(self):
         tc = generators.random_collection(5, 4, seed=0)
-        sub, vmap = induced_collection(tc)
+        sub = induced_collection(tc, range(5))
         assert list(sub.tournaments) == list(tc.tournaments)
-        assert vmap == {v: v for v in range(5)}
 
     def test_composition(self):
         tc = generators.random_collection(8, 6, seed=1)
-        once, m1 = induced_collection(tc, vertices=[0, 2, 3, 5, 7],
-                                      colors=[1, 2, 4, 5])
-        twice, m2 = induced_collection(once, vertices=[0, 1, 3],
-                                       colors=[0, 2])
-        direct, md = induced_collection(tc, vertices=[0, 2, 5],
-                                        colors=[1, 4])
+        once = induced_collection(restrict_colors(tc, [1, 2, 4, 5]),
+                                  [0, 2, 3, 5, 7])
+        twice = induced_collection(restrict_colors(once, [0, 2]), [0, 1, 3])
+        direct = induced_collection(restrict_colors(tc, [1, 4]), [0, 2, 5])
         assert list(twice.tournaments) == list(direct.tournaments)
+
+    def test_listed_order_kept(self):
+        tc = generators.random_collection(7, 3, seed=2)
+        sub = induced_collection(tc, [5, 0, 3])
+        assert sub.tournaments == tuple(t.restrict([5, 0, 3])
+                                        for t in tc.tournaments)
+
+    @pytest.mark.parametrize("vertices", [[], [0, 0, 1], [1, 7], [-1, 2]],
+                             ids=["empty", "repeat", "equal-to-n",
+                                  "negative"])
+    def test_bad_vertices_rejected(self, vertices):
+        tc = generators.random_collection(7, 3, seed=2)
+        with pytest.raises(ValueError, match="vertex|distinct|range"):
+            induced_collection(tc, vertices)
 
     def test_impossibility_family_restriction(self):
         tc = generators.prop14_collection(4)
-        sub, _ = induced_collection(tc, vertices=[0, 1, 2], colors=[2, 3])
+        sub = induced_collection(restrict_colors(tc, [2, 3]), [0, 1, 2])
         want = {(0, 2), (1, 0), (2, 1)}
         for t in sub.tournaments:
             assert set(t.arcs()) == want
@@ -487,10 +513,11 @@ class TestPairNativeAgainstRows:
                 want = sum(1 << c for c in range(tc.m) if mats[c, u, v])
                 assert tc.arc_color_mask(u, v) == want
             for colors in (None, [tc.m - 1, 0, tc.m - 1], [1]):
-                chosen = sorted(set(range(tc.m) if colors is None else colors))
-                count = mats[chosen].sum(axis=0)
+                sub = tc if colors is None else restrict_colors(tc, colors)
+                chosen = list(range(tc.m)) if colors is None else colors
+                count = mats[chosen].sum(axis=0)  # repeats count twice
                 k = len(chosen)
-                tmaj = majority_subtournament(tc, colors)
+                tmaj = majority_subtournament(sub)
                 wins = (2 * count >= k)[np.triu_indices(n, 1)]
                 assert tmaj.pair_bits() == "".join(map(str, wins.astype(int)))
             # none of the above built a row cache

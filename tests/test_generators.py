@@ -8,7 +8,6 @@ import pytest
 from conftest import directed_triangle
 from rainbow_tournaments import generators
 from rainbow_tournaments.core import is_strongly_connected
-from rainbow_tournaments.generators import GeneratorSpec
 
 
 class TestFixedFamilies:
@@ -185,17 +184,22 @@ class TestDrawCount:
 
 class TestGenerateDispatch:
     def test_kinds_dispatch(self):
-        for kind in generators.KINDS:
-            spec = GeneratorSpec(kind=kind, n=5, m=4, seed=0)
-            if kind == "fig1_path":
-                spec = GeneratorSpec(kind=kind, n=3, m=2)
-            elif kind == "fig1_cycle":
-                spec = GeneratorSpec(kind=kind, n=3, m=3)
-            elif kind == "prop14":
-                spec = GeneratorSpec(kind=kind, n=5, m=5)
-            tc = generators.generate(spec)
-            assert tc.n >= 3
+        # every kind asked for n = 5, m = 4: single tournaments come back
+        # with m = 1, and the fixed families keep their own sizes
+        want = {
+            "transitive": (5, 1),
+            "directed_cycle_tournament": (5, 1),
+            "random_uniform": (5, 4),
+            "random_strongly_connected": (5, 4),
+            "prop14_collection": (5, 5),
+            "fig1_path_counterexample": (3, 2),
+            "fig1_cycle_counterexample": (3, 3),
+        }
+        assert set(want) == set(generators.KINDS)
+        for kind, (n, m) in want.items():
+            tc = generators.generate(kind, 5, 4, seed=0)
+            assert (tc.n, tc.m) == (n, m), kind
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            generators.generate(GeneratorSpec(kind="nope", n=5))
+        with pytest.raises(ValueError, match="unknown kind"):
+            generators.generate("nope", 5)
