@@ -7,7 +7,8 @@ exactly when no failure occurred; solve exits 1 when its budget ran out,
 verify and bench when their report holds failures.  Exit 2, with one
 error line, means bad input: an instance that cannot be read, an output
 file that cannot be written, a negative seed or budget, or arguments no
-generator or suite can run (a grid with no instance among them).
+generator or suite can run (a grid with no instance among them, a size
+that a fixed family does not build).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate an instance", allow_abbrev=False)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--kind", choices=generators.KINDS, required=True)
-    g.add_argument("-n", type=int, default=5)
+    g.add_argument("-n", type=int, default=None)
     g.add_argument("-m", type=int, default=None)
     g.add_argument("--out", type=str, default=None)
 
@@ -101,9 +102,14 @@ def _sizes(text: str) -> list[int]:
 
 
 def _cmd_gen(args) -> int:
-    n = args.n
+    n = args.n if args.n is not None else 5
     m = args.m if args.m is not None else n - 1
     tc = generators.generate(args.kind, n, m, args.seed)
+    # the fixed families build their own sizes: an explicit other one fails
+    for flag, asked, built in (("-n", args.n, tc.n), ("-m", args.m, tc.m)):
+        if asked not in (None, built):
+            raise ValueError(f"--kind {args.kind} builds n = {tc.n}, "
+                             f"m = {tc.m}, not {flag} {asked}")
     text = tc.to_json()
     if not args.out:
         print(text)
@@ -134,17 +140,11 @@ def _cmd_solve(args) -> int:
             {"count": oracle.count_transversal_ham_paths(tc)}
         ))
         return 0
-    mode = "auto"
-    if args.exact:
-        mode = "exact"
-    elif args.constructive:
-        mode = "constructive"
+    mode = ("exact" if args.exact
+            else "constructive" if args.constructive else "auto")
     trace = [] if args.trace else None
-    solver = (
-        pipeline.transversal_ham_path
-        if args.mode == "path"
-        else pipeline.transversal_ham_cycle
-    )
+    solver = {"path": pipeline.transversal_ham_path,
+              "cycle": pipeline.transversal_ham_cycle}[args.mode]
     try:  # before solving: an unwritable trace fails fast
         fh = open(args.trace, "w") if args.trace else None
     except OSError as exc:

@@ -27,6 +27,7 @@ from .core import (
     TournamentCollection,
     _bits,
     induced_collection,
+    is_strongly_connected,
     majority_subtournament,
     restrict_colors,
 )
@@ -104,20 +105,15 @@ def split_block(
     block = sorted(block)
     if len(block) < 3:
         raise ValueError("blocks of size < 3 cannot be split")
-    mask = 0
-    for u in block:
-        mask |= 1 << u
-    best_v = -1
-    best_min = -1
+    mask = sum(1 << u for u in set(block))
     out = t.out
-    for v in block:
-        dout = (out[v] & mask).bit_count()
+
+    def balance(v: int) -> int:
         # v meets the other len(block) - 1 vertices, losing to the rest
-        lo = min(len(block) - 1 - dout, dout)
-        if lo > best_min:
-            best_min = lo
-            best_v = v
-    v = best_v
+        dout = (out[v] & mask).bit_count()
+        return min(len(block) - 1 - dout, dout)
+
+    v = max(block, key=balance)  # the first of the most balanced
     beats = out[v]
     wminus = [u for u in block if u != v and not (beats >> u) & 1]
     wplus = [u for u in block if (beats >> u) & 1]
@@ -137,10 +133,7 @@ class HPartition:
         return len(self.blocks)
 
     def vertices(self) -> set[int]:
-        out = set(self.separators)
-        for b in self.blocks:
-            out.update(b)
-        return out
+        return set(self.separators).union(*self.blocks)
 
     def validate(self, t: Tournament) -> bool:
         parts = [set(b) for b in self.blocks]
@@ -313,26 +306,12 @@ def rainbow_ham_path_one_spare(
 
 
 def _is_exceptional(tc: TournamentCollection, i: int) -> bool:
-    """One directed triangle against uniformly opposite triangles, n=3."""
-    if tc.n != 3:
-        return False
+    """One directed triangle against uniformly opposite triangles, n=3:
+    every color is one of the two directed triangles (the strongly
+    connected tournaments on 3 vertices), and only color i is color i's."""
     ti = tc.tournaments[i]
-    if not _is_directed_triangle(ti):
-        return False
-    rev = _reverse_tournament(ti)
-    return all(
-        t == rev for c, t in enumerate(tc.tournaments) if c != i
-    )
-
-
-def _is_directed_triangle(t: Tournament) -> bool:
-    return t.n == 3 and all(t.out_degree(v) == 1 for v in range(3))
-
-
-def _reverse_tournament(t: Tournament) -> Tournament:
-    return Tournament.from_arcs(
-        t.n, [(v, u) for (u, v) in t.arcs()]
-    )
+    return tc.n == 3 and all(is_strongly_connected(t) and (t == ti) == (c == i)
+                             for c, t in enumerate(tc.tournaments))
 
 
 def _forcing_color_base(
@@ -441,20 +420,11 @@ def rainbow_ham_path_forcing_set(
         raise ValueError("at most n/25 forced colors are allowed")
     if u == v:
         raise ValueError("endpoints must differ")
-    if len(forced) >= 2:
-        for w in range(n):
-            if w in (u, v):
-                continue
-            into = sum(1 for b in forced if tc.tournaments[b].has_arc(u, w))
-            outof = sum(1 for b in forced if tc.tournaments[b].has_arc(w, v))
-            if into < 2:
+    for w in range(n) if len(forced) >= 2 else ():
+        for x, y in ((u, w), (w, v)) if w not in (u, v) else ():
+            if sum(tc.tournaments[b].has_arc(x, y) for b in forced) < 2:
                 raise ValueError(
-                    f"arc {u}->{w} has fewer than two forced choices"
-                )
-            if outof < 2:
-                raise ValueError(
-                    f"arc {w}->{v} has fewer than two forced choices"
-                )
+                    f"arc {x}->{y} has fewer than two forced choices")
 
     middle = [w for w in range(n) if w not in (u, v)]
     tmaj = majority_subtournament(tc)
@@ -515,42 +485,35 @@ def rainbow_ham_path_forcing_set(
 
 def _layering(tc: TournamentCollection, x: int):
     """Grow L_c by the T_c-out-neighbors of L_{c-1}; record first entries."""
-    n = tc.n
+    full = (1 << tc.n) - 1
     reached = 1 << x
     entry: dict[int, tuple[int, int]] = {}
-    for c in range(tc.m):
-        t = tc.tournaments[c]
+    for c, t in enumerate(tc.tournaments):
+        if reached == full:
+            break
         out = t.out
         grow = 0
         for uu in _bits(reached):
             grow |= out[uu] & ~reached
         if grow == 0:
-            if reached == (1 << n) - 1:
-                break
             raise NoProgressError(c)
         for vv in _bits(grow):
             first = t.in_mask(vv) & reached
             entry[vv] = ((first & -first).bit_length() - 1, c)
         reached |= grow
-        if reached == (1 << n) - 1:
-            break
-    if reached != (1 << n) - 1:
+    if reached != full:
         raise NoProgressError(tc.m - 1)
     return entry
 
 
 def _walk_back(entry: dict[int, tuple[int, int]], x: int, y: int) -> RainbowPath:
-    verts = [y]
-    cols: list[int] = []
-    cur = y
-    while cur != x:
-        prev, c = entry[cur]
-        cols.append(c)
+    verts, cols = [y], []
+    while verts[-1] != x:
+        prev, c = entry[verts[-1]]
         verts.append(prev)
-        cur = prev
-    verts.reverse()
-    cols.reverse()
-    return RainbowPath(vertices=tuple(verts), colors=tuple(cols))
+        cols.append(c)
+    return RainbowPath(vertices=tuple(reversed(verts)),
+                       colors=tuple(reversed(cols)))
 
 
 def rainbow_connect(tc: TournamentCollection, x: int, y: int) -> RainbowPath:

@@ -113,9 +113,19 @@ class Tournament:
         if len(out) != n:
             raise ValueError("out-mask count must equal n")
         out = tuple(out)
-        mat = _check_rows(n, out)
+        if any(mask >> n for mask in out):
+            raise ValueError("out-mask out of range")
+        nb = (n + 7) // 8
+        buf = b"".join(map(int.to_bytes, out, repeat(nb), repeat("little")))
+        mat = np.unpackbits(np.frombuffer(buf, dtype=np.uint8).reshape(n, nb),
+                            axis=1, count=n, bitorder="little")
+        packed = np.packbits(mat[_upper_mask(n)])
+        # the masks come back from their upper triangle iff they orient
+        # every pair exactly once, with no self-loop
+        if _out_rows(n, packed) != out:
+            raise ValueError("out-masks must orient every pair exactly once")
         self.n = n
-        self._packed = _frozen(np.packbits(mat[_upper_mask(n)]))
+        self._packed = _frozen(packed)
         self._out = out
         self._scores = None
         self._hash = None
@@ -275,9 +285,8 @@ class TournamentCollection:
         if not tournaments:
             raise ValueError("collection must contain at least one tournament")
         n = tournaments[0].n
-        for t in tournaments:
-            if t.n != n:
-                raise ValueError("all tournaments must share the vertex set")
+        if any(t.n != n for t in tournaments):
+            raise ValueError("all tournaments must share the vertex set")
         self.n = n
         self.m = len(tournaments)
         self.tournaments = tuple(tournaments)
@@ -458,33 +467,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _check_rows(n: int, out: tuple[int, ...]) -> np.ndarray:
-    """The out-masks as an n x n 0/1 matrix, after checking that they
-    orient every pair exactly once."""
-    full = (1 << n) - 1
-    for v, mask in enumerate(out):
-        if mask & ~full:
-            raise ValueError(f"out-mask of vertex {v} out of range")
-    nb = (n + 7) // 8
-    buf = b"".join(map(int.to_bytes, out, repeat(nb), repeat("little")))
-    mat = np.unpackbits(
-        np.frombuffer(buf, dtype=np.uint8).reshape(n, nb),
-        axis=1, count=n, bitorder="little",
-    ).view(bool)
-    if mat.diagonal().any():
-        raise ValueError("self-loop present")
-    both = mat & mat.T
-    if both.any():
-        v, u = map(int, np.argwhere(both)[0])
-        raise ValueError(f"pair ({v},{u}) not oriented exactly once")
-    missing = ~(mat | mat.T)
-    np.fill_diagonal(missing, False)
-    if missing.any():
-        v, u = map(int, np.argwhere(missing)[0])
-        raise ValueError(f"pair ({v},{u}) not oriented exactly once")
-    return mat
 
 
 def _out_rows(n: int, packed: np.ndarray) -> tuple[int, ...]:

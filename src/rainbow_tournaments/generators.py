@@ -15,17 +15,20 @@ numpy serves uint8 draws from 32-bit outputs low byte first, PCG64 serves
 32-bit outputs as the low then the high half of one word, and Lemire's
 multiply-shift bounded draw maps a byte b to (2b) >> 8 = b >> 7 with a
 rejection threshold of (256 - 2) mod 2 = 0, so no byte is ever redrawn.
-Per tournament the cost is one seeding, then per 8192 words (64 KiB) one
-draw, one comparison and one ``packbits`` into the tournament's packed
-pair bits, which ``random_collection`` copies into its row of the
-collection's array (see ``core``): about 0.2 ms at n = 800, with no
-n x n matrix and no per-row ints.  A strongly connected member also pays
-for its scores (the upper triangle summed by rows and columns, about
-0.3 ms at n = 400), which stay cached on it for later strong-connectivity
-tests.
+A call of SEED_BATCH or more members seeds them in one array pass (about
+0.1 ms, plus 1 µs a member, against 18 µs a member seeded alone) and
+sets one PCG64 to each start in turn.  A draw is then, per 8192 words,
+one ``random_raw``, one comparison and one ``packbits`` into the pair
+bits, which ``random_collection`` copies into its row of the
+collection's array (see ``core``): about 0.2 ms at n = 800, with no n x n
+matrix.  A strongly connected member also pays for its scores (about 0.3
+ms at n = 400), cached on it for later strong-connectivity tests.
 """
 
 from __future__ import annotations
+
+import operator
+from itertools import repeat
 
 import numpy as np
 
@@ -66,12 +69,10 @@ def rotational_tournament(n: int) -> Tournament:
     """The cyclic tournament on odd n: arc i->j iff (j-i) mod n <= (n-1)/2."""
     if n < 3 or n % 2 == 0:
         raise ValueError("rotational tournament needs odd n >= 3")
-    half = (n - 1) // 2
-    out = [0] * n
-    for i in range(n):
-        for d in range(1, half + 1):
-            out[i] |= 1 << ((i + d) % n)
-    return Tournament(n, out)
+    full = (1 << n) - 1
+    ahead = full >> (n + 1) // 2 << 1  # 0 -> 1 .. (n-1)/2, rotated by i
+    return Tournament(n, [(ahead << i | ahead >> (n - i)) & full
+                          for i in range(n)])
 
 
 def prop14_tprime(n: int) -> Tournament:
@@ -79,13 +80,9 @@ def prop14_tprime(n: int) -> Tournament:
     and the backward arcs (i+1)->i."""
     if n < 3:
         raise ValueError("n must be at least 3")
-    out = [0] * n
-    for i in range(n):
-        for j in range(i + 2, n):
-            out[i] |= 1 << j
-        if i + 1 < n:
-            out[i + 1] |= 1 << i
-    return Tournament(n, out)
+    full = (1 << n) - 1
+    return Tournament(n, [full >> (i + 2) << (i + 2) | 1 << i >> 1
+                          for i in range(n)])
 
 
 def prop14_collection(n: int) -> TournamentCollection:
@@ -126,11 +123,81 @@ def fig1_counterexamples() -> tuple[TournamentCollection, TournamentCollection]:
 # raw words drawn per step: 64 KiB temporaries come from the heap, where
 # one large draw would map and fault in fresh pages for every tournament
 DRAW_CHUNK_WORDS = 8192
+# members from which a call seeds them in one array pass: the pass costs
+# about as much as seeding 10 members one at a time
+SEED_BATCH = 10
+
+# SeedSequence's hash constants and multipliers, pcg64's LCG multiplier
+_HASH_A, _HASH_B = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
 
 
-def _draw_tournament(n: int, seed: int, index: int, attempt: int) -> Tournament:
+def _words(value: int) -> list[int]:
+    """value as SeedSequence reads it: 32-bit words, lowest first."""
+    value = operator.index(value)  # a float seed is a TypeError, as in numpy
+    return [value >> s & 0xFFFFFFFF
+            for s in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _chain(h: int, mult: int, links: int, m: int) -> np.ndarray:
+    """h and its next links values (h *= mult), repeated over m columns."""
+    chain = np.full(links + 1, mult, np.uint32)
+    chain[0] = h
+    return np.cumprod(chain, dtype=np.uint32)[:, None].repeat(m, 1)
+
+
+def _hashmix(v: np.ndarray, chain: np.ndarray) -> np.ndarray:
+    """hashmix of row r of v (or of v for every r) with links r, r + 1."""
+    v = (v ^ chain[:-1]) * chain[1:]
+    return v ^ v >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ r >> 16
+
+
+def _starts(seed: int, indices: range, attempt: int):
+    """Yield the state of PCG64(SeedSequence([seed, i, attempt])) for each
+    i of indices (of equally many 32-bit words): numpy's SeedSequence, one
+    array operation per step on a uint32 column per member, then pcg64's
+    srandom_r on words 0-3 (state) and 4-7 (stream) of its output."""
+    m = len(indices)
+    if indices.stop > 1 << 32:
+        rows = list(np.array([_words(i) for i in indices], np.uint32).T)
+    else:
+        rows = [np.arange(indices.start, indices.stop, dtype=np.uint32)]
+    entropy = [*map(np.uint32, _words(seed)), *rows,
+               *map(np.uint32, _words(attempt))]
+    chain = _chain(*_HASH_A, 4 * max(4, len(entropy)), m)
+    pool = np.zeros((4, m), np.uint32)  # hashmix fills it from 4 words
+    for i, word in enumerate(entropy[:4]):
+        pool[i] = word
+    pool = _hashmix(pool, chain[:5])
+    for src in range(4):  # each pool word into the other three
+        dst = [d for d in range(4) if d != src]
+        hashed = _hashmix(pool[src], chain[4 + 3 * src:8 + 3 * src])
+        pool[dst] = _mix(pool[dst], hashed)
+    for k, word in enumerate(entropy[4:], 4):  # each later word into all
+        pool = _mix(pool, _hashmix(word, chain[4 * k:4 * k + 5]))
+    out = _hashmix(np.concatenate((pool, pool)), _chain(*_HASH_B, 8, m))
+    out = out[0::2] | out[1::2].astype(np.uint64) << 32
+    for s_hi, s_lo, i_hi, i_lo in out.T.tolist():
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+        state = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
+
+
+def _draw_tournament(
+    n: int, seed: int, index: int, attempt: int, stream=None
+) -> Tournament:
+    """The tournament of stream (seed, index, attempt): stream is a PCG64
+    set to its start, or else one is seeded here by numpy."""
+    if stream is None:
+        stream = np.random.PCG64(np.random.SeedSequence([seed, index, attempt]))
     size = n * (n - 1) // 2
-    stream = np.random.PCG64(np.random.SeedSequence([seed, index, attempt]))
     # one word orients 8 pairs, and packs into one byte
     packed = np.empty((size + 7) // 8, dtype=np.uint8)
     for at in range(0, packed.size, DRAW_CHUNK_WORDS):
@@ -142,22 +209,38 @@ def _draw_tournament(n: int, seed: int, index: int, attempt: int) -> Tournament:
     return Tournament._from_packed(n, packed)
 
 
+def _members(n: int, seed: int, indices: range, strong: int):
+    """The tournaments of indices in order, seeded in one array pass when
+    there are SEED_BATCH or more; the first strong of them are redrawn
+    (attempt 1, 2, ...) until strongly connected."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if not indices:
+        raise ValueError("m must be positive")
+    if strong < 0:
+        raise ValueError("strongly_connected_count cannot be negative")
+    if strong and n < 3:
+        raise ValueError("strong connectivity needs n >= 3")
+    if seed < 0 or indices.start < 0:
+        raise ValueError("seed and index must be non-negative")
+    stream = np.random.PCG64(0) if len(indices) >= SEED_BATCH else None
+    starts = _starts(seed, indices, 0) if stream is not None else repeat(None)
+    for pos, (i, start) in enumerate(zip(indices, starts)):
+        if start:
+            stream.state = start
+        t, attempt = _draw_tournament(n, seed, i, 0, stream), 0
+        while pos < strong and not is_strongly_connected(t):
+            attempt += 1
+            t = _draw_tournament(n, seed, i, attempt)
+        yield t
+
+
 def random_tournament(
     n: int, seed: int, *, strongly_connected: bool = False, index: int = 0
 ) -> Tournament:
     """A uniformly random orientation of each pair, from a seeded stream."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    if strongly_connected and n < 3:
-        raise ValueError("strong connectivity needs n >= 3")
-    attempt = 0
-    while True:
-        t = _draw_tournament(n, seed, index, attempt)
-        if not strongly_connected or is_strongly_connected(t):
-            return t
-        attempt += 1
+    return next(_members(n, seed, range(index, index + 1),
+                         int(strongly_connected)))
 
 
 def random_collection(
@@ -174,19 +257,8 @@ def random_collection(
     for the cycle theorem's "all but one" hypothesis); a negative count
     raises ValueError.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if m < 1:
-        raise ValueError("m must be positive")
-    k = strongly_connected_count or 0
-    if k < 0:
-        raise ValueError("strongly_connected_count cannot be negative")
-    if k > 0 and n < 3:
-        raise ValueError("strong connectivity needs n >= 3")
-    return TournamentCollection._assemble(n, m, (
-        random_tournament(n, seed, strongly_connected=(i < k), index=i)
-        for i in range(m)
-    ))
+    return TournamentCollection._assemble(n, m, _members(
+        n, seed, range(m), strongly_connected_count or 0))
 
 
 def generate(kind: str, n: int, m: int = 1, seed: int = 0

@@ -78,16 +78,10 @@ def _run_tasks(fn: Callable, tasks: list, jobs: int) -> list:
         return list(pool.map(fn, tasks, chunksize=chunk))
 
 
-def _all_tournament_bits(n: int):
-    npairs = n * (n - 1) // 2
-    for k in range(1 << npairs):
-        yield format(k, f"0{npairs}b") if npairs else ""
-
-
 def _all_collections(n: int, m: int):
-    space = [
-        Tournament.from_pair_bits(n, b) for b in _all_tournament_bits(n)
-    ]
+    pairs = n * (n - 1) // 2
+    space = [Tournament.from_pair_bits(n, format(k, f"0{pairs}b")[:pairs])
+             for k in range(1 << pairs)]
     for combo in itertools.product(space, repeat=m):
         yield TournamentCollection(combo)
 
@@ -243,19 +237,10 @@ def _forcing_set_instance(n, m, forced, u, v, seed) -> TournamentCollection:
     tc = generators.random_collection(n, m, seed=seed)
     ts = list(tc.tournaments)
     for b in forced:
-        seen = set()
-        arcs = []
-        for (x, y) in ts[b].arcs():
-            if y == u and x != v:
-                x, y = u, x
-            elif x == v and y != u:
-                x, y = y, v
-            key = frozenset((x, y))
-            if key in seen:
-                continue
-            seen.add(key)
-            arcs.append((x, y))
-        ts[b] = Tournament.from_arcs(n, arcs)
+        # each pair keeps one arc: x->u turns round, and so does v->y
+        ts[b] = Tournament.from_arcs(n, [
+            (u, x) if y == u and x != v else (y, v) if x == v and y != u
+            else (x, y) for x, y in ts[b].arcs()])
     return TournamentCollection(tuple(ts))
 
 

@@ -304,8 +304,7 @@ def rainbow_dhp(
 
 def _partition_for(tc: TournamentCollection):
     tmaj = majority_subtournament(tc)
-    hp = h_partition(tmaj, _block_cap(tc.n))
-    return tmaj, hp
+    return tmaj, h_partition(tmaj, _block_cap(tc.n))
 
 
 def _constructive(tc, tmaj, hp, seed, trace, cyclic: bool):

@@ -65,6 +65,21 @@ class TestGenErrors:
         assert captured.err.count("\n") == 1
         assert detail in captured.err
 
+    @pytest.mark.parametrize("argv, detail", [
+        (["--kind", "fig1_path_counterexample", "-n", "10", "-m", "4"],
+         "builds n = 3, m = 2, not -n 10"),
+        (["--kind", "transitive", "-n", "4", "-m", "7"],
+         "builds n = 4, m = 1, not -m 7"),
+    ])
+    def test_size_the_kind_does_not_build(self, capsys, argv, detail):
+        code = main(["gen", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("rainbow-tournaments: error: ")
+        assert captured.err.count("\n") == 1
+        assert detail in captured.err
+
     def test_unwritable_output(self, tmp_path, capsys):
         dest = tmp_path / "absent" / "inst.json"
         code = main(["gen", "--kind", "transitive", "--out", str(dest)])

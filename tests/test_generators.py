@@ -31,6 +31,18 @@ class TestFixedFamilies:
         t = generators.rotational_tournament(7)
         assert all(t.out_degree(v) == 3 for v in range(7))
 
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 31, 33, 65])
+    def test_rotational_arcs_follow_the_definition(self, n):
+        want = {(i, j) for i in range(n) for j in range(n)
+                if i != j and (j - i) % n <= (n - 1) // 2}
+        assert set(generators.rotational_tournament(n).arcs()) == want
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 33, 64, 65])
+    def test_tprime_arcs_follow_the_definition(self, n):
+        want = {(i, j) for i in range(n) for j in range(i + 2, n)}
+        want |= {(i + 1, i) for i in range(n - 1)}
+        assert set(generators.prop14_tprime(n).arcs()) == want
+
     def test_impossibility_family_n3(self):
         tc = generators.prop14_collection(3)
         assert (tc.n, tc.m) == (3, 3)
@@ -167,8 +179,9 @@ class TestDrawCount:
         return attempt
 
     def test_uniform_draws_once_per_member(self, monkeypatch):
+        # a first draw also gets the batch's PCG64 (None below SEED_BATCH)
         calls = self.count_draws(monkeypatch, 9, 8, seed=4)
-        assert calls == [(9, 4, i, 0) for i in range(8)]
+        assert [a[:4] for a in calls] == [(9, 4, i, 0) for i in range(8)]
 
     def test_strongly_connected_members_add_their_rejections(
         self, monkeypatch
@@ -180,6 +193,68 @@ class TestDrawCount:
         rejected = sum(self.rejections(n, seed, i) for i in range(k))
         assert rejected > 0
         assert len(calls) == m + rejected
+
+
+class TestBatchedSeeding:
+    """A collection seeds all its members in one array pass: the PCG64
+    state of each (seed, index, attempt) stream equals numpy's."""
+
+    @staticmethod
+    def numpy_state(seed, index, attempt):
+        ss = np.random.SeedSequence([seed, index, attempt])
+        return np.random.PCG64(ss).state
+
+    # seeds of 1, 2, 3 and 5 words; the last one mixes in entropy words
+    # past the pool's four
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3,
+                                      2**140 + 7])
+    @pytest.mark.parametrize("index", [0, 1, 999, 2**32 - 1, 2**32 + 1])
+    @pytest.mark.parametrize("attempt", [0, 1, 2**32])
+    def test_one_member_start_is_numpys(self, seed, index, attempt):
+        got = list(generators._starts(seed, range(index, index + 1), attempt))
+        assert got == [self.numpy_state(seed, index, attempt)]
+
+    @pytest.mark.parametrize("seed", [0, 12345, 2**140 + 7])
+    def test_a_batch_starts_each_member_as_numpy(self, seed):
+        got = list(generators._starts(seed, range(990, 1010), 3))
+        assert got == [self.numpy_state(seed, i, 3) for i in range(990, 1010)]
+
+    @pytest.mark.parametrize("m", [generators.SEED_BATCH - 1,
+                                   generators.SEED_BATCH, 40])
+    def test_members_are_their_streams_draws(self, m):
+        # below SEED_BATCH each member is seeded alone, from it in one pass
+        n, k = 5, m // 2
+        for seed in (0, 2**40 + 3):
+            tc = generators.random_collection(
+                n, m, seed, strongly_connected_count=k)
+            for i, t in enumerate(tc.tournaments):
+                assert t == generators.random_tournament(
+                    n, seed, strongly_connected=i < k, index=i)
+                if i >= k:
+                    assert t == generators._draw_tournament(n, seed, i, 0)
+
+    def test_index_past_32_bits_draws_its_own_stream(self):
+        index = 2**32 + 1
+        t = generators.random_tournament(12, seed=5, index=index)
+        assert t == generators._draw_tournament(12, 5, index, 0)
+
+    # m = 4 seeds members one at a time, m = 12 in one array pass
+    @pytest.mark.parametrize("call, exc", [
+        (lambda: generators.random_collection(5, 4, seed=-1), ValueError),
+        (lambda: generators.random_tournament(5, seed=-1), ValueError),
+        (lambda: generators.random_tournament(5, 0, index=-1), ValueError),
+        (lambda: generators.random_collection(5, 12, seed=-1), ValueError),
+        (lambda: generators.random_collection(5, 4, seed=1.5), TypeError),
+        (lambda: generators.random_collection(5, 12, seed=1.5), TypeError),
+        (lambda: generators.random_tournament(5, seed="1"), TypeError),
+        (lambda: generators.random_collection(0, 4, seed=0), ValueError),
+        (lambda: generators.random_collection(5, 0, seed=0), ValueError),
+        (lambda: generators.random_tournament(
+            2, 0, strongly_connected=True), ValueError),
+    ])
+    def test_bad_arguments_keep_their_exception_types(self, call, exc):
+        with pytest.raises(exc):
+            call()
 
 
 class TestGenerateDispatch:
