@@ -102,6 +102,8 @@ def _sizes(text: str) -> list[int]:
 
 
 def _cmd_gen(args) -> int:
+    if args.seed < 0:
+        return _error(f"--seed {args.seed} is negative")
     n = args.n if args.n is not None else 5
     m = args.m if args.m is not None else n - 1
     tc = generators.generate(args.kind, n, m, args.seed)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -71,7 +72,9 @@ def _run_tasks(fn: Callable, tasks: list, jobs: int) -> list:
     a bad argument: its report would pass having checked nothing."""
     if not tasks:
         raise ValueError("the grid holds no instance")
-    if jobs <= 1 or len(tasks) <= 1:
+    # a forked pool starts every worker at the first submit: cap them
+    jobs = min(jobs, len(tasks), os.cpu_count() or 1)
+    if jobs <= 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         chunk = max(1, len(tasks) // (jobs * 8))

@@ -75,29 +75,18 @@ CASE3_RESTARTS = 24
 
 @dataclass
 class CycleSearchState:
-    """Anchors and vertex sets for the longest-rainbow-path machine."""
+    """The longest-path machine's state: the path P and its unused colors.
+
+    Kept as a class, with refresh as a method, only because perfbench
+    spans both (tracing.EXTRA_SPANS, test_perfbench.MAPPED["auto-sweep"]).
+    """
 
     P: Optional[RainbowPath] = None
     D_unused: set[int] = field(default_factory=set)
-    S_plus: set[int] = field(default_factory=set)
-    S_minus: set[int] = field(default_factory=set)
 
     def refresh(self, tc: TournamentCollection) -> None:
-        """Recompute S+/S- from the current path and unused colors."""
-        self.S_plus = set()
-        self.S_minus = set()
-        if self.P is None or not self.D_unused:
-            return
-        head = self.P.vertices[0]
-        tail = self.P.vertices[-1]
-        on_path = set(self.P.vertices)
-        for z in range(tc.n):
-            if z in on_path:
-                continue
-            if all(tc.tournaments[i].has_arc(z, head) for i in self.D_unused):
-                self.S_plus.add(z)
-            if all(tc.tournaments[i].has_arc(tail, z) for i in self.D_unused):
-                self.S_minus.add(z)
+        """Recompute the unused colors from P."""
+        self.D_unused = set(range(tc.m)) - set(self.P.colors)
 
 
 def _trace(trace: Optional[list], stage: str, **info) -> None:
@@ -487,15 +476,9 @@ def _case3_machine(
         vorder = rng.permutation(n).tolist()
         p = RainbowPath((vorder[0],), ())
         while len(p.vertices) < n:
-            unused = set(range(tc.m)) - set(p.colors)
-            state.P, state.D_unused = p, unused
+            state.P = p
             state.refresh(tc)
-            nxt = exchange_step(p, unused, tc)
-            if nxt is None:
-                break
-            p = nxt
-        if len(p.vertices) < n:
-            continue
+            p = exchange_step(p, state.D_unused, tc)
         cyc = _close_from_ham_path(tc, p)
         if cyc is not None:
             _trace(trace, "case3", restarts_used=k + 1)

@@ -50,6 +50,8 @@ class TestGenErrors:
 
     @pytest.mark.parametrize("argv, detail", [
         (["--kind", "random_uniform", "--seed", "-1"], "seed"),
+        (["--kind", "transitive", "-n", "5", "--seed", "-1"], "seed"),
+        (["--kind", "prop14_collection", "-n", "5", "--seed", "-1"], "seed"),
         (["--kind", "random_uniform", "-n", "0"], "n must be positive"),
         (["--kind", "transitive", "-n", "0"], "n must be positive"),
         (["--kind", "random_uniform", "-m", "0"], "m must be positive"),

@@ -75,6 +75,32 @@ class TestReports:
         assert a.instances > 0 and a.stats["not_exists"] > 0
 
 
+class TestWorkers:
+    @pytest.mark.parametrize("cpus, want", [(8, 3), (2, 2)])
+    def test_workers_capped(self, monkeypatch, cpus, want):
+        workers = []
+
+        class SerialPool:
+            """Records max_workers and maps in this process."""
+
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        assert harness._run_tasks(abs, [-1, -2, -3], jobs=10**6) == [1, 2, 3]
+        assert workers == [want]
+
+
 class TestBench:
     def test_csv_shape(self):
         rep = harness.bench("h_partition", [20, 40], seeds=range(2))

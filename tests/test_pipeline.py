@@ -2,7 +2,7 @@
 
 import pytest
 
-from rainbow_tournaments import generators, oracle, pipeline
+from rainbow_tournaments import core, generators, oracle, pipeline
 from rainbow_tournaments.core import (
     RainbowPath,
     TournamentCollection,
@@ -210,6 +210,35 @@ class TestCycleSolver:
         assert out.notes == "longest-path machine"
         assert validate_transversal(tc, out.witness.arcs())
         assert out.witness.is_hamilton(tc)
+
+
+class TestLongestPathMachine:
+    def test_refresh_reads_no_arcs(self, monkeypatch):
+        tc = generators.random_collection(
+            12, 12, seed=4, strongly_connected_count=11
+        )
+        p = RainbowPath((0,), ())
+        for _ in range(5):
+            p = exchange_step(p, set(range(tc.m)) - set(p.colors), tc)
+        state = pipeline.CycleSearchState(P=p)
+        monkeypatch.setattr(core.Tournament, "has_arc", _raise_index_error)
+        state.refresh(tc)
+        assert state.D_unused == set(range(tc.m)) - set(p.colors)
+
+    def test_arc_reads_grow_with_n_squared(self, monkeypatch):
+        n = 200
+        tc = TournamentCollection([generators.prop14_tprime(n)] * n)
+        has_arc = core.Tournament.has_arc
+        calls = []
+
+        def counted(self, u, v):
+            calls.append(1)
+            return has_arc(self, u, v)
+
+        monkeypatch.setattr(core.Tournament, "has_arc", counted)
+        cyc = pipeline._case3_machine(tc, 0, None)
+        assert cyc is not None and cyc.is_hamilton(tc)
+        assert len(calls) <= n * n
 
 
 def _raise_index_error(*args, **kwargs):
