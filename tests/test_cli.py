@@ -50,13 +50,13 @@ class TestGenErrors:
 
     @pytest.mark.parametrize("argv, detail", [
         (["--kind", "random_uniform", "--seed", "-1"], "seed"),
-        (["--kind", "transitive", "-n", "5", "--seed", "-1"], "seed"),
-        (["--kind", "prop14_collection", "-n", "5", "--seed", "-1"], "seed"),
         (["--kind", "random_uniform", "-n", "0"], "n must be positive"),
         (["--kind", "transitive", "-n", "0"], "n must be positive"),
         (["--kind", "random_uniform", "-m", "0"], "m must be positive"),
         (["--kind", "directed_cycle_tournament", "-n", "4"], "odd n"),
         (["--kind", "random_strongly_connected", "-n", "2"], "n >= 3"),
+        (["--kind", "transitive", "-n", "5", "--seed", "-1"], "seed"),
+        (["--kind", "prop14_collection", "-n", "5", "--seed", "-1"], "seed"),
     ])
     def test_bad_arguments(self, capsys, argv, detail):
         code = main(["gen", *argv])
