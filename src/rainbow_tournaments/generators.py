@@ -126,6 +126,7 @@ DRAW_CHUNK_WORDS = 8192
 # members from which a call seeds them in one array pass: the pass costs
 # about as much as seeding 10 members one at a time
 SEED_BATCH = 10
+_BATCH_STREAM = np.random.PCG64(0)  # set to each start before its draw
 
 # SeedSequence's hash constants and multipliers, pcg64's LCG multiplier
 _HASH_A, _HASH_B = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
@@ -223,7 +224,7 @@ def _members(n: int, seed: int, indices: range, strong: int):
         raise ValueError("strong connectivity needs n >= 3")
     if seed < 0 or indices.start < 0:
         raise ValueError("seed and index must be non-negative")
-    stream = np.random.PCG64(0) if len(indices) >= SEED_BATCH else None
+    stream = _BATCH_STREAM if len(indices) >= SEED_BATCH else None
     starts = _starts(seed, indices, 0) if stream is not None else repeat(None)
     for pos, (i, start) in enumerate(zip(indices, starts)):
         if start:

@@ -1,6 +1,8 @@
 """Exact search for transversal Hamilton paths and cycles.
 
-Two independent engines are provided.  The fast one, ``_backtrack``, runs
+Two independent engines share one entry, ``_exact``, which starts the
+budget and answers NotExists when too few colors or vertices
+(``_too_few``) rule the witness out.  The fast one, ``_backtrack``, runs
 both the path and the cycle search depth first on an explicit stack (no
 recursion limit caps the instance size), pruning with an incremental
 arcs-vs-colors matching; one perfect_matching colors the witness it
@@ -160,15 +162,11 @@ def _order_masks(
 
 
 def _backtrack(
-    masks: list[list[int]],
-    roots: Sequence[int],
-    end: Optional[int],
-    cyclic: bool,
-    budget: SearchBudget,
+    masks: list[list[int]], cyclic: bool, budget: SearchBudget
 ) -> Optional[tuple[int, ...]]:
-    """The first vertex order found, roots in turn, whose arcs (and the
-    arc closing it when cyclic) can take distinct colors; a path has end
-    last.
+    """The first vertex order found, from every root in turn for a path
+    and from vertex 0 for a cycle, whose arcs (and the arc closing it when
+    cyclic) can take distinct colors.
 
     Depth first on an explicit stack, children lowest vertex first, each
     kept only when IncrementalMatcher.push accepts its arc.  A node is an
@@ -180,10 +178,7 @@ def _backtrack(
     matcher = IncrementalMatcher()
     push, pop, tick = matcher.push, matcher.pop, budget.tick
     full = (1 << n) - 1
-    not_end = full & ~(1 << end) if end is not None else full
-    for root in roots:
-        if root == end and n > 1:
-            continue
+    for root in [0] if cyclic else range(n):
         if not cyclic:
             tick()
         if n == 1:
@@ -192,7 +187,7 @@ def _backtrack(
         order = [root]
         used = 1 << root
         # todo[d]: the children of order[d] not yet tried, as a vertex mask
-        todo = [~used & (not_end if n > 2 else full)]
+        todo = [full ^ used]
         while todo:
             rest = todo[-1]
             row = masks[order[-1]]
@@ -218,7 +213,7 @@ def _backtrack(
             if depth < n:
                 order.append(v)
                 used |= low
-                todo.append(~used & (not_end if depth < n - 1 else full))
+                todo.append(full ^ used)
             elif masks[v][root] and push(masks[v][root]):  # closes it
                 return (*order, v)
             else:
@@ -251,115 +246,99 @@ def _cuts_unmet(masks: list[list[int]], order: Sequence[int]) -> bool:
     return True
 
 
-def _search(tc, budget, roots, end, cyclic, t0) -> OracleOutcome:
-    """The outcome of _backtrack on tc, unless the chain-cut bound refutes
-    a cycle first.  Score order (total out-degree descending) catches
-    relabelled instances."""
+def _too_few(tc: TournamentCollection, cyclic: bool) -> Optional[str]:
+    """Why tc has no transversal Hamilton path (or cycle) for want of
+    colors or vertices alone, or None."""
+    if tc.m < (tc.n if cyclic else tc.n - 1):
+        return "fewer colors than arcs needed"
+    if cyclic and tc.n < 3:
+        return "cycles need at least 3 vertices"
+    return None
+
+
+def _exact(tc, budget, cyclic: bool, engine) -> OracleOutcome:
+    """The outcome of engine(masks, cyclic, budget) on a started budget,
+    unless _too_few answers first.  The engine returns (order, colors,
+    notes): a colored vertex order, or None, None and why none exists."""
+    budget = budget or SearchBudget()
+    budget.start()
+    t0 = time.perf_counter()
+    if why := _too_few(tc, cyclic):
+        return _outcome(t0, NOT_EXISTS, notes=why)
     masks = _arc_masks(tc)
+    try:
+        order, colors, notes = engine(masks, cyclic, budget)
+    except _BudgetExceeded:
+        return _outcome(t0, BUDGET_EXHAUSTED, nodes=budget.nodes)
+    if order is None:
+        return _outcome(t0, NOT_EXISTS, nodes=budget.nodes, notes=notes)
+    kind = RainbowCycle if cyclic else RainbowPath
+    return _outcome(t0, FOUND, kind(order, tuple(colors)), budget.nodes)
+
+
+def _search(masks, cyclic, budget):
+    """_backtrack's order, colored by one perfect_matching, unless the
+    chain-cut bound refutes a cycle first.  Score order (total out-degree
+    descending) catches relabelled instances."""
     n = len(masks)
     if cyclic and n >= 4:
         score = [sum(mask.bit_count() for mask in row) for row in masks]
         by_score = sorted(range(n), key=lambda u: -score[u])
         for name, order in (("index", range(n)), ("score", by_score)):
             if _cuts_unmet(masks, order):
-                return _outcome(t0, NOT_EXISTS,
-                                notes=f"chain-cut bound, {name} order")
-    try:
-        order = _backtrack(masks, roots, end, cyclic, budget)
-    except _BudgetExceeded:
-        return _outcome(t0, BUDGET_EXHAUSTED, nodes=budget.nodes)
+                return None, None, f"chain-cut bound, {name} order"
+    order = _backtrack(masks, cyclic, budget)
     if order is None:
-        return _outcome(t0, NOT_EXISTS, nodes=budget.nodes)
-    colors = perfect_matching(_order_masks(masks, order, cyclic))
-    kind = RainbowCycle if cyclic else RainbowPath
-    return _outcome(t0, FOUND, kind(order, tuple(colors)), budget.nodes)
+        return None, None, ""
+    return order, perfect_matching(_order_masks(masks, order, cyclic)), ""
+
+
+def _perm_search(masks, cyclic, budget):
+    """The first of every vertex order (cycles anchored at vertex 0) whose
+    arcs can take distinct colors, with one matching each."""
+    anchor = (0,) if cyclic else ()
+    for rest in itertools.permutations(range(len(anchor), len(masks))):
+        budget.tick()
+        avail = _order_masks(masks, anchor + rest, cyclic)
+        colors = perfect_matching(avail) if avail is not None else None
+        if colors is not None:
+            return anchor + rest, colors, ""
+    return None, None, ""
 
 
 def exact_transversal_ham_path(
-    tc: TournamentCollection,
-    budget: Optional[SearchBudget] = None,
-    start: Optional[int] = None,
-    end: Optional[int] = None,
+    tc: TournamentCollection, budget: Optional[SearchBudget] = None
 ) -> OracleOutcome:
     """Backtracking search for a transversal Hamilton path.
 
     NotExists is only reported when the search space was exhausted within
-    budget.  A start or end outside range(n) raises ValueError.
+    budget.
     """
-    for name, v in (("start", start), ("end", end)):
-        if v is not None and not 0 <= v < tc.n:
-            raise ValueError(f"{name} {v} is not a vertex of range({tc.n})")
-    budget = budget or SearchBudget()
-    budget.start()
-    t0 = time.perf_counter()
-    if tc.m < tc.n - 1:
-        return _outcome(t0, NOT_EXISTS, notes="fewer colors than arcs needed")
-    roots = [start] if start is not None else range(tc.n)
-    return _search(tc, budget, roots, end, False, t0)
+    return _exact(tc, budget, False, _search)
 
 
 def exact_transversal_ham_cycle(
-    tc: TournamentCollection,
-    budget: Optional[SearchBudget] = None,
+    tc: TournamentCollection, budget: Optional[SearchBudget] = None
 ) -> OracleOutcome:
     """Backtracking search for a transversal Hamilton cycle.
 
     The cycle is anchored at vertex 0, which removes rotational symmetry.
     """
-    budget = budget or SearchBudget()
-    budget.start()
-    t0 = time.perf_counter()
-    if tc.m < tc.n:
-        return _outcome(t0, NOT_EXISTS, notes="fewer colors than arcs needed")
-    if tc.n < 3:
-        return _outcome(t0, NOT_EXISTS, notes="cycles need at least 3 vertices")
-    return _search(tc, budget, [0], None, True, t0)
-
-
-def _perm_search(
-    tc: TournamentCollection, budget: Optional[SearchBudget], cyclic: bool
-) -> OracleOutcome:
-    """Try every vertex order (cycles anchored at vertex 0) with one
-    matching each."""
-    budget = budget or SearchBudget()
-    budget.start()
-    t0 = time.perf_counter()
-    n = tc.n
-    if cyclic and (n < 3 or tc.m < n):
-        return _outcome(t0, NOT_EXISTS, notes="too few vertices or colors")
-    if not cyclic and tc.m < n - 1:
-        return _outcome(t0, NOT_EXISTS, notes="fewer colors than arcs needed")
-    masks = _arc_masks(tc)
-    if cyclic:
-        orders = ((0,) + rest for rest in itertools.permutations(range(1, n)))
-    else:
-        orders = itertools.permutations(range(n))
-    kind = RainbowCycle if cyclic else RainbowPath
-    try:
-        for perm in orders:
-            budget.tick()
-            avail = _order_masks(masks, perm, cyclic)
-            colors = perfect_matching(avail) if avail is not None else None
-            if colors is not None:
-                return _outcome(t0, FOUND, kind(perm, tuple(colors)),
-                                budget.nodes)
-    except _BudgetExceeded:
-        return _outcome(t0, BUDGET_EXHAUSTED, nodes=budget.nodes)
-    return _outcome(t0, NOT_EXISTS, nodes=budget.nodes)
+    return _exact(tc, budget, True, _search)
 
 
 def exact_transversal_ham_path_perm(
     tc: TournamentCollection, budget: Optional[SearchBudget] = None
 ) -> OracleOutcome:
     """Permutation-enumeration oracle; independent of the fast search."""
-    return _perm_search(tc, budget, cyclic=False)
+    return _exact(tc, budget, False, _perm_search)
 
 
 def exact_transversal_ham_cycle_perm(
     tc: TournamentCollection, budget: Optional[SearchBudget] = None
 ) -> OracleOutcome:
     """Permutation-enumeration cycle oracle, anchored at vertex 0."""
-    return _perm_search(tc, budget, cyclic=True)
+    return _exact(tc, budget, True, _perm_search)
 
 
 def count_transversal_ham_paths(tc: TournamentCollection) -> int:

@@ -53,6 +53,7 @@ from .oracle import (
     OracleOutcome,
     SearchBudget,
     _outcome,
+    _too_few,
 )
 
 __all__ = [
@@ -100,11 +101,13 @@ def _block_cap(n: int) -> int:
     return max(24, math.ceil(0.01 * n), math.ceil(3 * math.sqrt(n)))
 
 
-def _spend(used: set[int], colors) -> None:
-    for c in colors:
+def _spend(used: set[int], color_of: dict, arcs, colors) -> None:
+    """Give each arc its color in color_of, spending each color once."""
+    for arc, c in zip(arcs, colors, strict=True):
         if c in used:
             raise StageFailure("ledger", f"color {c} spent twice")
         used.add(c)
+        color_of[arc] = c
 
 
 # ---------------------------------------------------------------------------
@@ -117,19 +120,21 @@ def rainbow_dhp(
     partition: HPartition,
     w0: int,
     wr: int,
-    seed: int = 0,
-    trace: Optional[list] = None,
-    colors: Optional[Sequence[int]] = None,
+    colors: Sequence[int],
+    seed: int,
+    trace: Optional[list],
 ) -> RainbowPath:
     """Rainbow Hamilton path from w0 to wr through the partitioned
-    vertices, using every color of ``colors`` (default: all) exactly once.
+    vertices, using every color of ``colors`` exactly once.
 
     Labels are those of tc.  Expects m = |colors| = n - 1 where n counts
     the partitioned vertices plus the two endpoints; w0 must dominate the
-    first block and the last block must dominate wr in tmaj.  Raises
-    StageFailure on any dead end; the caller owns retries and fallback.
+    first block and the last block must dominate wr in tmaj.  Steps 3 and
+    4 give each arc its color in one map, color_of, read along the
+    assembled vertex walk.  Raises StageFailure on any dead end; the
+    caller owns retries and fallback.
     """
-    colors = sorted(colors) if colors is not None else list(range(tc.m))
+    colors = sorted(colors)
     blocks = [list(b) for b in partition.blocks]
     seps = list(partition.separators)
     n = 2 + len(seps) + sum(len(b) for b in blocks)
@@ -139,8 +144,9 @@ def rainbow_dhp(
     r = len(blocks)
     if r < 2:
         raise StageFailure("dhp-pre", "need at least two blocks")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
+    rng = np.random.default_rng([seed])
     used: set[int] = set()  # colors spent so far, by _spend
+    color_of: dict[tuple[int, int], int] = {}  # arc -> its color, by _spend
 
     # step 1: reserve separator colors D and fix the block roles
     tau = max(range(r), key=lambda i: len(blocks[i]))
@@ -195,8 +201,7 @@ def rainbow_dhp(
            B=len(B), e_q1=e_q1, ell=ell)
 
     # step 3: one-spare paths on the plain blocks over disjoint budgets
-    block_paths = dict(q1_paths)  # vertex order of every block but tau
-    block_cols: dict[int, tuple[int, ...]] = {}  # their colors, l2 only
+    block_paths = dict(q1_paths)  # vertex order of every block
     b_at = 0
     for i in l2:
         w = blocks[i]
@@ -208,8 +213,7 @@ def rainbow_dhp(
             color_order=rng.permutation(len(budget)).tolist(),
         )
         block_paths[i] = list(p.vertices)
-        block_cols[i] = p.colors
-        _spend(used, p.colors)
+        _spend(used, color_of, zip(p.vertices, p.vertices[1:]), p.colors)
     B_star = [c for c in B if c not in used]  # left over by the block paths
 
     # reserved-color matching for the separator arcs (both sides of the
@@ -224,8 +228,7 @@ def rainbow_dhp(
     if got is None:
         raise StageFailure("dhp-step3", "reserved colors cannot cover the "
                            "separator arcs")
-    sep_color = {spots[k]: got[k] for k in range(len(spots))}
-    _spend(used, got)
+    _spend(used, color_of, spots, got)
     D_star = [c for c in D if c not in got]
     _trace(trace, "step3", used=len(used), B_star=len(B_star),
            D_star=len(D_star))
@@ -233,22 +236,19 @@ def rainbow_dhp(
     # step 4: force the stragglers through the top-up block, then absorb
     forced = sorted(set(B_star) | set(D_star))
     fc_mask = sum(1 << c for c in {*forced, *absorber.C})
-    tau_path = None
-    tau_cols = None
     for _ in range(40):
         cand = tournament_ham_path(tmaj, blocks[tau], rng=rng)
         stops = [ends[tau], *cand, ends[tau + 1]]
-        masks = [
-            tc.arc_color_mask(u, v) & fc_mask for u, v in zip(stops, stops[1:])
-        ]
-        res = matching_with_forced_colors(masks, forced)
+        arcs = list(zip(stops, stops[1:]))
+        res = matching_with_forced_colors(
+            [tc.arc_color_mask(u, v) & fc_mask for u, v in arcs], forced)
         if res is not None:
-            tau_path, tau_cols = cand, res
             break
-    if tau_path is None:
+    else:
         raise StageFailure("dhp-step4", "no top-up block path accepts all "
                            "straggler colors")
-    _spend(used, tau_cols)
+    block_paths[tau] = cand
+    _spend(used, color_of, arcs, res)
     c_star = [c for c in absorber.C if c not in used]
     if len(c_star) != ell:
         raise StageFailure(
@@ -258,27 +258,15 @@ def rainbow_dhp(
         colored_q1 = absorb(absorber, c_star)
     except AbsorptionFailedError as exc:
         raise StageFailure("dhp-step4", str(exc)) from exc
-    q1_color = {(u, v): c for (u, v, c) in colored_q1.arcs}
-    _spend(used, q1_color.values())
+    _spend(used, color_of, [(u, v) for u, v, _ in colored_q1.arcs],
+           [c for _, _, c in colored_q1.arcs])
     _trace(trace, "step4", used=len(used), C_star=len(c_star))
 
-    # assemble, block by block: the arc into the block, its path, the arc
-    # out of it
-    block_paths[tau] = tau_path
+    # assemble: each block's path between its two ends, colored by color_of
     verts = [w0]
-    cols: list[int] = []
     for i in range(r):
-        path = block_paths[i]
-        verts += path + [ends[i + 1]]
-        if i == tau:
-            cols += tau_cols
-            continue
-        cols.append(sep_color[(ends[i], path[0])])
-        if i in l1:
-            cols += [q1_color[a] for a in zip(path, path[1:])]
-        else:
-            cols += block_cols[i]
-        cols.append(sep_color[(path[-1], ends[i + 1])])
+        verts += block_paths[i] + [ends[i + 1]]
+    cols = [color_of[a] for a in zip(verts, verts[1:])]
     out = RainbowPath(vertices=tuple(verts), colors=tuple(cols))
     if len(out.vertices) != n or set(out.colors) != set(colors):
         raise StageFailure("dhp-assemble", "color accounting failed")
@@ -308,7 +296,7 @@ def _constructive(tc, tmaj, hp, seed, trace, cyclic: bool):
     if len(blocks) < 4:
         raise StageFailure(f"{kind}-pre", "too few blocks for the assembly")
     seps = hp.separators
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1])))
+    rng = np.random.default_rng([seed, 1])
 
     closing: list[int] = []
     for _ in range(30):
@@ -331,10 +319,8 @@ def _constructive(tc, tmaj, hp, seed, trace, cyclic: bool):
     _trace(trace, "outer", outer_colors=len(used))
 
     middle = HPartition(hp.blocks[1:-1], seps[1:-1], hp.ell)
-    mid = rainbow_dhp(
-        tc, tmaj, middle, seps[0], seps[-1], seed=seed, trace=trace,
-        colors=[c for c in range(tc.m) if c not in used],
-    )
+    mid = rainbow_dhp(tc, tmaj, middle, seps[0], seps[-1],
+                      [c for c in range(tc.m) if c not in used], seed, trace)
     verts = p0 + list(mid.vertices) + pl
     cols = (outer_cols[:len(p0)] + list(mid.colors) + outer_cols[len(p0):]
             + closing)
@@ -465,16 +451,19 @@ def _case3_machine(
     """Exchange-saturated rainbow Hamilton paths with recolored closings.
 
     Grows paths with exchange_step until Hamilton, then attempts to free a
-    closing color by rematching path arcs; restarts vary the growth order.
+    closing color by rematching path arcs.  Restarts vary only the start
+    vertex, the first of restart k's own vertex order, since exchange_step
+    inserts the rest lowest first; a start already tried is skipped.
     """
     n = tc.n
     state = CycleSearchState()
+    tried: set[int] = set()
     for k in range(CASE3_RESTARTS):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([seed, 7, k]))
-        )
-        vorder = rng.permutation(n).tolist()
-        p = RainbowPath((vorder[0],), ())
+        start = np.random.default_rng([seed, 7, k]).permutation(n)[0].item()
+        if start in tried:
+            continue
+        tried.add(start)
+        p = RainbowPath((start,), ())
         while len(p.vertices) < n:
             state.P = p
             state.refresh(tc)
@@ -489,20 +478,19 @@ def _case3_machine(
 
 def _solve(tc, cyclic: bool, seed, budget, mode, trace) -> OracleOutcome:
     """The route order of both solvers, on the first k colors: k = n - 1
-    for a path, k = n for a cycle, which also needs 3 vertices."""
+    for a path, k = n for a cycle (all of them when k = 0).  The oracle's
+    _too_few rule answers first."""
     if mode not in ("auto", "constructive", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     t0 = time.perf_counter()
+    if why := _too_few(tc, cyclic):
+        return _outcome(t0, NOT_EXISTS, notes=why)
     n = tc.n
     k = n if cyclic else n - 1
-    if tc.m < k or (cyclic and n < 3):
-        why = ("too few colors or vertices" if cyclic
-               else "fewer colors than arcs needed")
-        return _outcome(t0, NOT_EXISTS, notes=why)
     work = tc
-    if tc.m > k:
+    if tc.m > k > 0:
         work = restrict_colors(tc, list(range(k)))
         _trace(trace, "reduce", kept_colors=k)
     notes = []

@@ -1,5 +1,7 @@
 """End-to-end solvers: constructive pipeline, exchange step, cycle closing."""
 
+import functools
+
 import pytest
 
 from rainbow_tournaments import core, generators, oracle, pipeline
@@ -240,6 +242,21 @@ class TestLongestPathMachine:
         assert cyc is not None and cyc.is_hamilton(tc)
         assert len(calls) <= n * n
 
+    def test_each_start_vertex_grown_once(self, monkeypatch):
+        # prop14 has no transversal cycle, so all 24 restarts fail; their
+        # draws hold 10 distinct start vertices, each grown by 11 steps
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return exchange_step(*args)
+
+        monkeypatch.setattr(pipeline, "exchange_step", counted)
+        out = transversal_ham_cycle(generators.prop14_collection(12),
+                                    mode="constructive")
+        assert out.status == BUDGET_EXHAUSTED
+        assert len(calls) == 110
+
 
 def _raise_index_error(*args, **kwargs):
     raise IndexError("list index out of range")
@@ -432,6 +449,46 @@ class TestArguments:
         tc = generators.random_collection(12, 12, seed=0)
         with pytest.raises(ValueError, match="seed must be non-negative"):
             solve(tc, seed=-1)
+
+
+class TestSmallCollections:
+    MODES = ["auto", "exact", "constructive"]
+
+    def test_one_vertex_path(self):
+        tc = generators.random_collection(1, 2, seed=0)
+        for mode in ("auto", "exact"):
+            out = transversal_ham_path(tc, mode=mode)
+            assert out.status == FOUND
+            assert out.witness == RainbowPath((0,), ())
+        out = transversal_ham_path(tc, mode="constructive")
+        assert out.status == BUDGET_EXHAUSTED
+
+    @pytest.mark.parametrize("n, m", [(n, m) for n in range(1, 5)
+                                      for m in range(1, n + 2)])
+    def test_every_entry_answers(self, n, m):
+        """The four oracle entries and both solvers in every mode answer;
+        a collection too small for the witness gets NotExists and one
+        note from all of them."""
+        tc = generators.random_collection(n, m, seed=0)
+        for cyclic in (False, True):
+            kind = "cycle" if cyclic else "path"
+            solve = transversal_ham_cycle if cyclic else transversal_ham_path
+            runs = [getattr(oracle, f"exact_transversal_ham_{kind}{perm}")
+                    for perm in ("", "_perm")]
+            runs += [functools.partial(solve, mode=mode)
+                     for mode in self.MODES]
+            note = None
+            if m < (n if cyclic else n - 1):
+                note = "fewer colors than arcs needed"
+            elif cyclic and n < 3:
+                note = "cycles need at least 3 vertices"
+            for run in runs:
+                out = run(tc)
+                assert out.status in (FOUND, NOT_EXISTS, BUDGET_EXHAUSTED)
+                if note is not None:
+                    assert (out.status, out.notes) == (NOT_EXISTS, note)
+                elif out.found:
+                    assert out.witness.is_hamilton(tc)
 
 
 class TestDeterminism:
