@@ -75,7 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--jobs", type=int, default=1)
     b.add_argument("--format", choices=["json", "csv"], default="json")
     b.add_argument("--kind", required=True,
-                   choices=["oracle", "h_partition", "one_spare", "pipeline"])
+                   choices=["oracle", "h_partition", "one_spare", "pipeline",
+                            "cycle"])
     b.add_argument("--sizes", type=str, default="100,200")
     b.add_argument("--seeds", type=int, default=3)
     return ap

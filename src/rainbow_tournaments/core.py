@@ -23,7 +23,7 @@ oracle (the one-spare builder's two-color step reads single pair bits).
 
 Sub-collections keep the listed order and check the list once:
 ``restrict_colors`` picks colors and ``induced_collection`` vertices
-(``Tournament.restrict``, once per member, is its check).
+(``Tournament.restrict`` on its first member is its check).
 ``majority_subtournament`` votes over all members.
 
 Costs, for k colors on n vertices:
@@ -34,8 +34,9 @@ Costs, for k colors on n vertices:
   ``pair_index(min, max)`` and flips it when u > v (or reads ``out`` when
   it is cached); ``arc_color_mask`` gathers the pair's byte column of the
   collection array and packs the m bits.
-- ``restrict`` to b vertices gathers their b(b-1)/2 pair bits and packs
-  them.
+- ``restrict`` to b vertices, and ``induced_collection`` once a call, find
+  the byte, bit mask and flip of the b(b-1)/2 pairs; each member then
+  costs one gather, AND, ``packbits`` and XOR, with O(b^2) bytes live.
 - ``majority_subtournament`` counts the colors of every pair at once:
   each color's packed row is added into a bit-sliced counter (one array
   per bit of the count) by carry-save full adders, about five
@@ -48,7 +49,8 @@ Costs, for k colors on n vertices:
 - ``Tournament.scores`` (out-degrees, cached) sums the rows and columns of
   the upper triangle, or counts the bits of ``out`` when it is cached;
   ``is_strongly_connected`` sorts them and compares their prefix sums with
-  Landau's floor C(k,2): O(n log n), with no search.
+  Landau's floor C(k,2): O(n log n), with no search; in numpy from
+  ``LANDAU_NUMPY_FROM`` vertices on (6.7 against 71 µs at n = 400).
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ import json
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import eq, index
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -241,21 +243,14 @@ class Tournament:
 
     def restrict(self, vertices: Sequence[int]) -> "Tournament":
         """Induced subtournament; vertex k of the result is vertices[k].
-        No vertices, repeated ones or ones outside range(n) raise
-        ValueError."""
-        idx = np.asarray(vertices, dtype=np.intp)
-        vs = idx.tolist()  # plain ints: cheaper to check than the array
+        A vertex that is not an int raises TypeError; no vertices,
+        repeated ones or ones outside range(n) raise ValueError."""
+        vs = list(map(index, vertices))
         if not vs or not 0 <= min(vs) <= max(vs) < self.n:
             raise ValueError(f"need one or more vertices in range({self.n})")
         if len(set(vs)) < len(vs):
             raise ValueError("vertices must be distinct")
-        a, b = _pair_coords(len(idx))
-        u, v = idx[a], idx[b]
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        p = lo * (2 * self.n - lo - 3) // 2 + hi - 1  # as in has_arc
-        bits = (self._packed[p >> 3] & (0x80 >> (p & 7))) != 0
-        # restriction of a valid tournament cannot break the invariants
-        return Tournament._from_packed(len(idx), np.packbits(bits != (u > v)))
+        return _restrictor(self.n, vs)(self)
 
     def __eq__(self, other) -> bool:
         return (
@@ -519,6 +514,26 @@ def _pair_coords(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(i), _frozen(j)
 
 
+def _restrictor(
+    n: int, vertices: Sequence[int]
+) -> Callable[[Tournament], Tournament]:
+    """The map from a tournament on n vertices to the one induced on the
+    listed (checked) vertices.  The byte, bit mask and flip of each pair
+    are found once here; each call gathers the bytes, masks them, packs
+    them (packbits counts any nonzero byte as a 1 bit) and flips the pairs
+    whose first listed vertex is the larger."""
+    idx = np.array(vertices, dtype=np.intp)
+    a, b = _pair_coords(len(idx))
+    u, v = idx[a], idx[b]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    p = lo * (2 * n - lo - 3) // 2 + hi - 1  # as in has_arc
+    byte, bit = p >> 3, (0x80 >> (p & 7)).astype(np.uint8)
+    flip = np.packbits(u > v)
+    # restriction of a valid tournament cannot break the invariants
+    return lambda t: Tournament._from_packed(
+        len(idx), np.packbits(t._packed[byte] & bit) ^ flip)
+
+
 def _full_add(
     a: np.ndarray, b: np.ndarray, c: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -613,9 +628,24 @@ def induced_collection(
     coll: TournamentCollection, vertices: Sequence[int]
 ) -> TournamentCollection:
     """Every member restricted to the listed vertices: vertex k of the
-    result is vertices[k] (Tournament.restrict checks the list)."""
-    return TournamentCollection([t.restrict(vertices)
-                                 for t in coll.tournaments])
+    result is vertices[k].  Tournament.restrict on the first member checks
+    the list; the others gather their pair bits with one shared index."""
+    vertices = list(map(index, vertices))
+    first, *rest = coll.tournaments
+    subs = [first.restrict(vertices)]
+    subs += map(_restrictor(coll.n, vertices), rest)
+    return TournamentCollection(subs)
+
+
+# Landau's test runs in numpy from this n on (2-vCPU x86-64, Python : numpy
+# µs: 1.7 : 3.8 at n = 8, 3.9 : 4.0 at 32, 5.9 : 4.4 at 48, 71 : 6.7 at 400)
+LANDAU_NUMPY_FROM = 40
+
+
+@functools.lru_cache(maxsize=32)
+def _landau_floor(n: int) -> np.ndarray:
+    """C(k,2) for k = 1..n-1 (read-only)."""
+    return _frozen(np.arange(n - 1).cumsum())
 
 
 def is_strongly_connected(t: Tournament) -> bool:
@@ -626,6 +656,9 @@ def is_strongly_connected(t: Tournament) -> bool:
     all others; so the tournament is strong iff no proper prefix of its
     sorted scores meets that floor.
     """
+    if t.n >= LANDAU_NUMPY_FROM:
+        prefix = np.sort(t.scores)[:-1].cumsum()
+        return not (prefix == _landau_floor(t.n)).any()
     scores = sorted(t.scores.tolist())
     floor = accumulate(range(t.n - 1))
     return not any(map(eq, accumulate(scores[:-1]), floor))

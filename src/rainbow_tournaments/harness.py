@@ -366,6 +366,10 @@ def _bench_row(args) -> dict:
         tc = generators.random_collection(n, n - 1, seed=seed)
     elif kind == "one_spare":
         tc = generators.random_collection(n, n, seed=seed)
+    elif kind == "cycle":
+        tc = generators.random_collection(
+            n, n, seed=seed, strongly_connected_count=n - 1
+        )
     else:
         raise ValueError(f"unknown bench kind {kind!r}")
     t1 = time.perf_counter()
@@ -381,6 +385,8 @@ def _bench_row(args) -> dict:
         stats: dict = {}
         constructive.rainbow_ham_path_one_spare(tc, stats)
         extra = str(stats["arc_inspections"])
+    elif kind == "cycle":
+        extra = pipeline.transversal_ham_cycle(tc, mode="constructive").status
     else:
         extra = pipeline.transversal_ham_path(tc, mode="constructive").status
     t2 = time.perf_counter()

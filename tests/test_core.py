@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import all_tournaments, directed_triangle
+from rainbow_tournaments import core
 from rainbow_tournaments.core import (
+    LANDAU_NUMPY_FROM,
     ColoredDigraph,
     RainbowCycle,
     RainbowPath,
@@ -72,6 +74,28 @@ class TestTournament:
         t = generators.random_tournament(6, seed=0)
         with pytest.raises(ValueError, match="distinct|range"):
             t.restrict(keep)
+
+    @pytest.mark.parametrize("keep", [[0.5, 1.7, 2.2], [0.2, 0.7],
+                                      [0, 1.0], np.array([0.0, 3.0])],
+                             ids=["fractions", "fractions-same-int",
+                                  "integral-float", "float-array"])
+    def test_restrict_rejects_non_integer_vertices(self, keep):
+        # used to truncate to 0, 1, 2 (or call 0.2, 0.7 repeated)
+        t = generators.random_tournament(6, seed=0)
+        with pytest.raises(TypeError):
+            t.restrict(keep)
+
+    def test_restrict_rejects_huge_vertex_as_out_of_range(self):
+        # used to raise OverflowError while building the index array
+        t = generators.random_tournament(6, seed=0)
+        with pytest.raises(ValueError, match="range"):
+            t.restrict([0, 1, 2**70])
+
+    def test_restrict_accepts_integer_types(self):
+        t = generators.random_tournament(9, seed=2)
+        want = t.restrict([7, 0, 4])
+        assert t.restrict(np.array([7, 0, 4], dtype=np.int16)) == want
+        assert t.restrict((np.int64(7), 0, np.uint8(4))) == want
 
     def test_restrict_to_no_vertices_rejected(self):
         # used to return Tournament(n=0, bits=''), which the constructor
@@ -354,6 +378,52 @@ class TestInducedCollection:
         with pytest.raises(ValueError, match="vertex|distinct|range"):
             induced_collection(tc, vertices)
 
+    @pytest.mark.parametrize("m", [1, 2, 49])
+    @pytest.mark.parametrize("n", [2, 9, 60])
+    def test_equals_member_by_member_restrict(self, n, m):
+        tc = generators.random_collection(n, m, seed=n * 100 + m)
+        rng = np.random.default_rng(n + m)
+        lists = [sorted(rng.choice(n, (n + 1) // 2, replace=False).tolist()),
+                 rng.permutation(n).tolist(), [n - 1], [0]]
+        subs = [tc, restrict_colors(tc, range(m // 2, m)),
+                restrict_colors(tc, [m - 1, 0, m // 2, 0])]
+        for base in subs:
+            for vs in lists:
+                got = induced_collection(base, vs)
+                want = tuple(t.restrict(vs) for t in base.tournaments)
+                assert got.n == len(vs) and got.m == base.m
+                assert got.tournaments == want
+                assert [t.pair_bits() for t in got.tournaments] == [
+                    t.pair_bits() for t in want]
+        # against a dense reference, which shares no code with restrict
+        last = tc.tournaments[-1]
+        dense = np.array([[last.has_arc(u, v) for v in range(n)]
+                          for u in range(n)])
+        vs = lists[1]
+        ref = Tournament.from_bool_matrix(dense[np.ix_(vs, vs)])
+        assert induced_collection(tc, vs).tournaments[-1] == ref
+
+    @pytest.mark.parametrize("vertices", [[], [3, 0, 3], [0, 9], [2, -1]],
+                             ids=["empty", "repeat", "equal-to-n",
+                                  "negative"])
+    def test_bad_list_fails_before_any_member(self, vertices, monkeypatch):
+        tc = generators.random_collection(9, 4, seed=6)
+        with pytest.raises(ValueError) as first:
+            tc.tournaments[0].restrict(vertices)
+
+        def built(*args):
+            raise AssertionError("a member was built")
+
+        monkeypatch.setattr(Tournament, "_from_packed", classmethod(built))
+        with pytest.raises(ValueError) as whole:
+            induced_collection(tc, vertices)
+        assert str(whole.value) == str(first.value)
+
+    def test_non_integer_vertices_rejected(self):
+        tc = generators.random_collection(7, 3, seed=2)
+        with pytest.raises(TypeError):
+            induced_collection(tc, [0.5, 1.7, 2.2])
+
     def test_impossibility_family_restriction(self):
         tc = generators.prop14_collection(4)
         sub = induced_collection(restrict_colors(tc, [2, 3]), [0, 1, 2])
@@ -427,6 +497,60 @@ class TestStrongConnectivity:
         assert is_strongly_connected(family[1])
         assert not is_strongly_connected(family[2])
         assert n % 2 == 0 or is_strongly_connected(family[3])
+
+
+def _split_strong(n, seed):
+    """Random strong tournaments on two halves A and B of range(n), in a
+    shuffled labelling, with every arc A -> B: the |B| lowest scores sum
+    to exactly C(|B|, 2), a floor met at a middle prefix."""
+    rng = np.random.default_rng(seed)
+    a = n // 2 + 1
+    mat = np.zeros((n, n), dtype=bool)
+    for lo, hi, part in ((0, a, 0), (a, n, 1)):
+        half = generators.random_tournament(
+            hi - lo, seed=seed, strongly_connected=True, index=part)
+        for u in range(hi - lo):
+            for v in range(hi - lo):
+                mat[lo + u, lo + v] = u != v and half.has_arc(u, v)
+    mat[:a, a:] = True
+    perm = rng.permutation(n)
+    return Tournament.from_bool_matrix(mat[np.ix_(perm, perm)]), n - a
+
+
+class TestLandauBranches:
+    """The Python and the numpy form of Landau's test, each forced by
+    moving the cutover, against reachability on both sides of it."""
+
+    SIZES = [LANDAU_NUMPY_FROM - 2, LANDAU_NUMPY_FROM + 2, 64, 130]
+
+    @pytest.mark.parametrize("branch", ["python", "numpy"])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_branches_agree_with_reachability(self, n, branch,
+                                              monkeypatch):
+        cutover = n + 1 if branch == "python" else 1
+        monkeypatch.setattr(core, "LANDAU_NUMPY_FROM", cutover)
+        split, low = _split_strong(n, seed=n)
+        scores = np.sort(split.scores)
+        assert scores[:low].sum() == low * (low - 1) // 2 and 1 < low < n - 1
+        family = [
+            split,
+            _split_strong(n, seed=n + 1)[0],
+            generators.transitive_tournament(n),
+            generators.prop14_tprime(n),
+            _with_sink(generators.random_tournament(n, seed=n), n // 2),
+        ] + [generators.random_tournament(n, seed=s) for s in range(4)]
+        got = [is_strongly_connected(t) for t in family]
+        assert got == [_strong_by_reachability(t) for t in family]
+        assert got[:4] == [False, False, False, True]
+
+    def test_branch_choice_keeps_the_answer(self, monkeypatch):
+        tournaments = [generators.random_tournament(n, seed=n)
+                       for n in range(1, 50)]
+        tournaments += [_split_strong(n, seed=n)[0] for n in range(7, 50, 6)]
+        want = [is_strongly_connected(t) for t in tournaments]
+        for cutover in (1, 10**9):
+            monkeypatch.setattr(core, "LANDAU_NUMPY_FROM", cutover)
+            assert [is_strongly_connected(t) for t in tournaments] == want
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,14 @@ class TestBench:
         assert lines[0] == "kind,n,seed,gen_millis,millis,extra"
         assert len(lines) == 5
 
+    def test_cycle_kind(self):
+        rep = harness.bench("cycle", [10, 30], seeds=range(2))
+        lines = rep.stats["csv"].strip().splitlines()
+        assert [line.split(",")[:3] for line in lines[1:]] == [
+            ["cycle", "10", "0"], ["cycle", "10", "1"],
+            ["cycle", "30", "0"], ["cycle", "30", "1"]]
+        assert all(line.endswith(",Found") for line in lines[1:])
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             harness.bench("nope", [5])
