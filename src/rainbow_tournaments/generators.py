@@ -23,8 +23,7 @@ bits, which ``random_collection`` copies into its row of the
 collection's array (see ``core``): about 0.2 ms at n = 800, with no n x n
 matrix.  A strongly connected member also pays for its scores (about 0.3
 ms at n = 400), cached on it for later strong-connectivity tests, and for
-one Landau test per draw (7 µs at n = 400, in numpy from
-``core.LANDAU_NUMPY_FROM`` vertices on).
+one Landau test per draw (7 µs at n = 400).
 """
 
 from __future__ import annotations
