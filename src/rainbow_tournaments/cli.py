@@ -128,6 +128,8 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     if args.seed < 0:
         return _error(f"--seed {args.seed} is negative")
+    if args.count_all and args.mode == "cycle":
+        return _error("--count-all counts paths, not --mode cycle")
     budget: Optional[SearchBudget] = None
     if args.budget_nodes is not None or args.budget_secs is not None:
         budget = SearchBudget(

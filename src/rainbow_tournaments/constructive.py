@@ -577,9 +577,11 @@ def build_absorber(
     combination tree: one push per tree node, and a rejected prefix
     rejects at once.  Otherwise random plus adversarial (minimum-degree)
     probes are checked, so acceptance is probabilistic; absorb()
-    re-verifies.  Each probe starts from the matcher's matching of A into
-    the target arcs plus, per arc it leaves open, the lowest free C' color
-    (augmenting paths keep matched arcs matched).
+    re-verifies.  Each probe is one perfect_matching with colors as slots:
+    A's, matched as the matcher left them, then the ell colors of C', open
+    (augmenting paths keep matched slots matched).  The target arcs are
+    renumbered once per candidate so that the ell arcs A leaves open come
+    first, and the search tries them before any augmenting path.
     """
     target_arcs = tuple(target_arcs)
     if len(target_arcs) < ell:
@@ -621,8 +623,8 @@ def build_absorber(
 
 
 def _verify_absorber(avail, a_mask, ccand, ell, rng) -> bool:
-    def arcs_of(c: int) -> int:
-        return sum(1 << k for k, av in enumerate(avail) if (av >> c) & 1)
+    def arcs_of(c: int, arcs: Sequence[int] = avail) -> int:
+        return sum(1 << k for k, av in enumerate(arcs) if (av >> c) & 1)
 
     matcher = IncrementalMatcher()
     for c in _bits(a_mask):
@@ -630,32 +632,28 @@ def _verify_absorber(avail, a_mask, ccand, ell, rng) -> bool:
             return False
     if math.comb(len(ccand), ell) <= 10_000:
         return _every_topup_matches(matcher, [arcs_of(c) for c in ccand], ell)
-    base = [-1] * len(avail)  # the A color matched to each target arc
-    for c, k in zip(_bits(a_mask), matcher.match_of_slot):
-        base[k] = c
+    # renumber the target arcs: the ell that A leaves open first, then A's
+    # i-th color's arc as arc ell + i, so each probe starts from A's
+    # matching and its top-up colors try the open arcs first
+    held = set(matcher.match_of_slot)
+    arcs = [av for k, av in enumerate(avail) if k not in held]
+    arcs += [avail[k] for k in matcher.match_of_slot]
+    a_slots = [arcs_of(c, arcs) for c in _bits(a_mask)]
+    c_slots = [arcs_of(c, arcs) for c in ccand]
+    start = [*range(ell, len(arcs))] + [-1] * ell
 
-    def matching_ok(cset: Iterable[int]) -> bool:
-        free = sum(1 << c for c in cset)
-        masks = [av & (a_mask | free) for av in avail]
-        start = list(base)  # A's colors only, so all of C' is free
-        for k, c in enumerate(base):
-            low = masks[k] & free
-            if c == -1 and low:
-                low &= -low
-                start[k] = low.bit_length() - 1
-                free ^= low
-        return perfect_matching(masks, start=start) is not None
+    def matching_ok(picked: Iterable[int]) -> bool:  # indices into ccand
+        slots = a_slots + [c_slots[i] for i in picked]
+        return perfect_matching(slots, start=start) is not None
 
     # degree of a color = number of target arcs it can serve; the colors of
     # minimum degree make the hardest top-up set
-    degs = sorted(
-        ccand, key=lambda c: sum(1 for av in avail if (av >> c) & 1)
-    )
+    degs = sorted(range(len(ccand)), key=lambda i: c_slots[i].bit_count())
     if not matching_ok(degs[:ell]):
         return False
     for _ in range(200):
         cs = rng.choice(len(ccand), size=ell, replace=False)
-        if not matching_ok([ccand[i] for i in cs]):
+        if not matching_ok(cs.tolist()):
             return False
     return True
 

@@ -168,9 +168,10 @@ def reference_verify(avail, a_mask, ccand, ell, rng) -> bool:
     return True
 
 
-def random_candidate(rng, n_arcs, ell, c_size, density):
-    """Target-arc masks over colors 0..m-1 and disjoint A (mask), C."""
-    m = n_arcs - ell + c_size + 5
+def random_candidate(rng, n_arcs, ell, c_size, density, m=None):
+    """Target-arc masks over colors 0..m-1 and disjoint A (mask), C; by
+    default m leaves 5 colors outside A and C."""
+    m = m or n_arcs - ell + c_size + 5
     avail = [
         sum(1 << c for c in range(m) if rng.random() < density)
         for _ in range(n_arcs)
@@ -243,6 +244,20 @@ class TestWarmStartedVerification:
         assert len(seen) == 4
         assert min(seen.values()) >= 250
 
+    def test_agrees_on_wide_masks(self):
+        # construct-large's n = 800 path absorber: 96 target arcs, |C| = 42
+        # and ell = 6, with colors spread over 0..799 (800-bit masks)
+        rng = np.random.default_rng(800)
+        outcomes = set()
+        for k in range(12):
+            density = (0.05, 0.06, 0.07)[k % 3]
+            avail, a_mask, ccand = random_candidate(
+                rng, 96, 6, 42, density, m=800
+            )
+            assert math.comb(len(ccand), 6) > 10_000
+            outcomes.add(self._agree(avail, a_mask, ccand, 6, seed=k))
+        assert outcomes == {True, False}
+
     def test_unsaturable_a_rejected_without_probes(self, monkeypatch):
         # color 0 of A serves no target arc, so no top-up set can complete
         avail = [0b1111110, 0b1111110, 0b1111110]
@@ -256,6 +271,70 @@ class TestWarmStartedVerification:
         rng = np.random.default_rng(0)
         assert not _verify_absorber(avail, a_mask, ccand, 1, rng)
         assert calls == []
+
+
+class TestSampledProbes:
+    """The sampled check makes one perfect_matching per probe, with A's
+    colors as the first slots, matched as the start, and the ell top-up
+    colors open after them."""
+
+    ELL, A_SIZE, C_SIZE = 4, 6, 40
+
+    def _run(self, monkeypatch, avail, seed=0):
+        calls = []
+
+        def counted(slots, start):
+            calls.append((slots, start))
+            return perfect_matching(slots, start=start)
+
+        monkeypatch.setattr(
+            "rainbow_tournaments.constructive.perfect_matching", counted
+        )
+        a_mask = (1 << self.A_SIZE) - 1
+        ccand = tuple(range(self.A_SIZE, self.A_SIZE + self.C_SIZE))
+        assert math.comb(self.C_SIZE, self.ELL) > 10_000
+        got = _verify_absorber(
+            avail, a_mask, ccand, self.ELL, np.random.default_rng(seed)
+        )
+        a, ell = self.A_SIZE, self.ELL
+        a_slots, a_arcs = calls[0][0][:a], calls[0][1][:a]
+        for slots, start in calls:
+            assert len(slots) == len(start) == a + ell
+            assert (slots[:a], start[:a]) == (a_slots, a_arcs)
+            assert start[a:] == [-1] * ell
+        # the start is a matching of A's slots
+        assert len(set(a_arcs)) == a
+        assert all((mask >> k) & 1 for mask, k in zip(a_slots, a_arcs))
+        return got, len(calls)
+
+    def test_accepted_candidate_probes_201_times(self, monkeypatch):
+        avail = [(1 << self.A_SIZE + self.C_SIZE) - 1] * (
+            self.A_SIZE + self.ELL
+        )
+        assert self._run(monkeypatch, avail) == (True, 201)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rejected_candidate_stops_at_its_failing_probe(self, monkeypatch,
+                                                           seed):
+        # A's color i serves only arc i, so A fills arcs 0..5 and leaves
+        # arcs 6..9 open.  C's first 4 colors serve arc 6 and A's arcs;
+        # the other 36 serve the 4 open arcs.  A probe fails exactly when
+        # it holds two of the first 4, which have the higher degree, so
+        # the minimum-degree probe passes.
+        a, ell = self.A_SIZE, self.ELL
+        bad = sum(1 << c for c in range(a, a + 4))
+        good = sum(1 << c for c in range(a + 4, a + self.C_SIZE))
+        avail = [1 << i | bad for i in range(a)]
+        avail += [bad | good] + [good] * (ell - 1)
+        rng = np.random.default_rng(seed)
+        for probes in range(2, 202):
+            cs = rng.choice(self.C_SIZE, size=ell, replace=False)
+            if sum(i < 4 for i in cs) >= 2:
+                break
+        else:
+            pytest.fail("no failing probe drawn")
+        assert 1 < probes < 201
+        assert self._run(monkeypatch, avail, seed) == (False, probes)
 
 
 class TestCombinationTreeWalk:

@@ -160,6 +160,22 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["count"] >= 0
 
+    def test_count_all_rejects_cycle_mode(self, tmp_path, capsys):
+        # it counts paths only: the cycle mode used to print the path count
+        dest = tmp_path / "sc.json"
+        run(capsys, "gen", "--kind", "random_strongly_connected", "-n", "5",
+            "-m", "5", "--seed", "3", "--out", str(dest))
+        code, out = run(capsys, "solve", "--count-all", "--mode", "path",
+                        str(dest))
+        assert (code, json.loads(out)) == (0, {"count": 896})
+        code = main(["solve", "--count-all", "--mode", "cycle", str(dest)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("rainbow-tournaments: error: ")
+        assert captured.err.count("\n") == 1
+        assert "--count-all" in captured.err
+
     def test_solve_stdin(self, inst, capsys, monkeypatch):
         import io
 

@@ -1,12 +1,15 @@
 """Bitmask bipartite matching: perfect, forced-color, and incremental."""
 
+import collections
 import itertools
 
 import numpy as np
 import pytest
 
+from rainbow_tournaments.core import _bits
 from rainbow_tournaments.matching import (
     IncrementalMatcher,
+    _try_augment,
     matching_with_forced_colors,
     perfect_matching,
 )
@@ -117,6 +120,57 @@ class TestMaxMatching:
                 assert all((avail[s] >> c) & 1 for s, c in enumerate(got))
                 # augmenting paths never unmatch a matched slot or color
                 assert {c for c in start if c != -1} <= set(got)
+
+
+def frozen_augment_all(avail, match_of_slot):
+    """A frozen copy of matching._augment_all: every slot open at the
+    start is augmented from, in slot order."""
+    match_of_color = {c: s for s, c in enumerate(match_of_slot) if c != -1}
+    for s in range(len(avail)):
+        if match_of_slot[s] == -1 and _try_augment(
+            s, avail, match_of_slot, match_of_color
+        ) is None:
+            return None
+    return match_of_slot
+
+
+class TestSameMatchingAsTheFrozenCopy:
+    """perfect_matching returns the very list of the frozen copy, so a
+    rewrite keeps every caller's witness colors, not only their validity."""
+
+    def test_random_starts(self):
+        rng = np.random.default_rng(25)
+        outcomes = collections.defaultdict(set)
+        partial = 0
+        for trial in range(3_000):
+            k = int(rng.integers(1, 13))
+            m = k + int(rng.integers(0, 7))
+            bits = rng.random((k, m)) < rng.uniform(0.1, 0.6)
+            avail = (bits @ (1 << np.arange(m))).tolist()
+            planted = rng.permutation(m)[:k].tolist()
+            kind = trial % 3
+            if trial % 2 or kind == 0:  # a perfect matching exists
+                avail = [a | 1 << c for a, c in zip(avail, planted)]
+            if kind == 0:  # no slot open
+                start = planted
+            elif kind == 1:  # some open: a greedy partial matching
+                start, used = [-1] * k, 0
+                for s in rng.permutation(k).tolist():
+                    free = avail[s] & ~used
+                    if free and rng.random() < 0.6:
+                        c = int(rng.choice([*_bits(free)]))
+                        start[s], used = c, used | 1 << c
+            else:  # every slot open
+                start = [-1] * k
+            want = frozen_augment_all(avail, list(start))
+            got = perfect_matching(avail, start=start)
+            assert got == want
+            if kind == 2:
+                assert perfect_matching(avail) == want
+            outcomes[kind].add(got is None)
+            partial += 0 < start.count(-1) < k
+        assert outcomes == {0: {False}, 1: {True, False}, 2: {True, False}}
+        assert partial > 500
 
 
 class TestForcedColors:
