@@ -6,9 +6,10 @@ JSON object and, with --trace, a JSON-lines stage log.  Exit status is 0
 exactly when no failure occurred; solve exits 1 when its budget ran out,
 verify and bench when their report holds failures.  Exit 2, with one
 error line, means bad input: an instance that cannot be read, an output
-file that cannot be written, a negative seed or budget, or arguments no
-generator or suite can run (a grid with no instance among them, a size
-that a fixed family does not build).
+file that cannot be written, a negative seed or budget, a solve flag
+that --count-all does not read, or arguments no generator or suite can
+run (a grid with no instance among them, a size that a fixed family does
+not build).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", type=str, default=None)
 
     s = sub.add_parser("solve", help="solve one instance", allow_abbrev=False)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=int, default=None, help="default 0")
     s.add_argument("--budget-nodes", type=int, default=None)
     s.add_argument("--budget-secs", type=float, default=None)
     s.add_argument("--mode", choices=["path", "cycle"], default="path")
@@ -126,10 +127,19 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if args.seed < 0:
-        return _error(f"--seed {args.seed} is negative")
-    if args.count_all and args.mode == "cycle":
-        return _error("--count-all counts paths, not --mode cycle")
+    if args.count_all:  # it counts paths by the oracle and reads no other flag
+        for flag, given in (
+            ("--mode cycle", args.mode == "cycle"), ("--exact", args.exact),
+            ("--constructive", args.constructive),
+            ("--budget-nodes", args.budget_nodes is not None),
+            ("--budget-secs", args.budget_secs is not None),
+            ("--seed", args.seed is not None), ("--trace", args.trace),
+        ):
+            if given:
+                return _error(f"--count-all does not take {flag}")
+    seed = 0 if args.seed is None else args.seed
+    if seed < 0:
+        return _error(f"--seed {seed} is negative")
     budget: Optional[SearchBudget] = None
     if args.budget_nodes is not None or args.budget_secs is not None:
         budget = SearchBudget(
@@ -154,7 +164,7 @@ def _cmd_solve(args) -> int:
         fh = open(args.trace, "w") if args.trace else None
     except OSError as exc:
         return _error(f"cannot write {args.trace!r}: {exc}")
-    out = solver(tc, args.seed, budget=budget, mode=mode, trace=trace)
+    out = solver(tc, seed, budget=budget, mode=mode, trace=trace)
     if fh is not None:
         with fh:
             for rec in trace:

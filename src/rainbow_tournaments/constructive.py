@@ -575,13 +575,11 @@ def build_absorber(
     no probe.  When there are at most 10^4 subsets, all are checked by
     continuing that matcher through one depth-first walk of the ell-subset
     combination tree: one push per tree node, and a rejected prefix
-    rejects at once.  Otherwise random plus adversarial (minimum-degree)
-    probes are checked, so acceptance is probabilistic; absorb()
-    re-verifies.  Each probe is one perfect_matching with colors as slots:
-    A's, matched as the matcher left them, then the ell colors of C', open
-    (augmenting paths keep matched slots matched).  The target arcs are
-    renumbered once per candidate so that the ell arcs A leaves open come
-    first, and the search tries them before any augmenting path.
+    rejects at once.  Otherwise a large C is accepted when A plus its ell
+    lowest-degree colors (fewest target arcs served; ties in C's order)
+    match, checked by one perfect_matching that starts from A's matching
+    with the ell top-up slots open; absorb() checks the top-up set it is
+    given.
     """
     target_arcs = tuple(target_arcs)
     if len(target_arcs) < ell:
@@ -614,7 +612,7 @@ def build_absorber(
             sorted(avail_colors[i] for i in picked[a_size:a_size + c_size])
         )
         a_mask = sum(1 << c for c in acand)
-        if _verify_absorber(avail, a_mask, ccand, ell, rng):
+        if _verify_absorber(avail, a_mask, ccand, ell):
             return Absorber(acand, ccand, target_arcs, ell, avail)
     raise AbsorberConstructionError(
         f"no candidate survived verification after {ABSORBER_RETRIES} "
@@ -622,40 +620,22 @@ def build_absorber(
     )
 
 
-def _verify_absorber(avail, a_mask, ccand, ell, rng) -> bool:
-    def arcs_of(c: int, arcs: Sequence[int] = avail) -> int:
-        return sum(1 << k for k, av in enumerate(arcs) if (av >> c) & 1)
+def _verify_absorber(avail, a_mask, ccand, ell) -> bool:
+    def arcs_of(c: int) -> int:
+        return sum(1 << k for k, av in enumerate(avail) if (av >> c) & 1)
 
     matcher = IncrementalMatcher()
     for c in _bits(a_mask):
         if not matcher.push(arcs_of(c)):
             return False
+    cmasks = [arcs_of(c) for c in ccand]
     if math.comb(len(ccand), ell) <= 10_000:
-        return _every_topup_matches(matcher, [arcs_of(c) for c in ccand], ell)
-    # renumber the target arcs: the ell that A leaves open first, then A's
-    # i-th color's arc as arc ell + i, so each probe starts from A's
-    # matching and its top-up colors try the open arcs first
-    held = set(matcher.match_of_slot)
-    arcs = [av for k, av in enumerate(avail) if k not in held]
-    arcs += [avail[k] for k in matcher.match_of_slot]
-    a_slots = [arcs_of(c, arcs) for c in _bits(a_mask)]
-    c_slots = [arcs_of(c, arcs) for c in ccand]
-    start = [*range(ell, len(arcs))] + [-1] * ell
-
-    def matching_ok(picked: Iterable[int]) -> bool:  # indices into ccand
-        slots = a_slots + [c_slots[i] for i in picked]
-        return perfect_matching(slots, start=start) is not None
-
-    # degree of a color = number of target arcs it can serve; the colors of
-    # minimum degree make the hardest top-up set
-    degs = sorted(range(len(ccand)), key=lambda i: c_slots[i].bit_count())
-    if not matching_ok(degs[:ell]):
-        return False
-    for _ in range(200):
-        cs = rng.choice(len(ccand), size=ell, replace=False)
-        if not matching_ok(cs.tolist()):
-            return False
-    return True
+        return _every_topup_matches(matcher, cmasks, ell)
+    # degree of a color = number of target arcs it can serve; the ell colors
+    # of minimum degree make the hardest top-up set
+    hard = sorted(cmasks, key=int.bit_count)[:ell]
+    start = matcher.match_of_slot + [-1] * ell
+    return perfect_matching(matcher.avail + hard, start=start) is not None
 
 
 def _every_topup_matches(matcher, cmasks, ell) -> bool:

@@ -382,13 +382,19 @@ def _attempts(cyclic: bool, tc, seed: int, trace):
 
 def _oracle_route(search, work, budget, notes, trace, t0, fallback=False):
     """The exact oracle search(work, budget), its notes after notes; a fault
-    gives BudgetExhausted.  As the fallback after the constructive routes
-    it runs by default under FALLBACK_BUDGET_NODES and says so last."""
+    or a Found whose witness is not a Hamilton transversal of work gives
+    BudgetExhausted.  As the fallback after the constructive routes it
+    runs by default under FALLBACK_BUDGET_NODES and says so last."""
     route = "oracle fallback" if fallback else "oracle"
     if fallback:
         budget = budget or SearchBudget(max_nodes=FALLBACK_BUDGET_NODES)
     out, _ = _guarded(trace, "route-failed", {"route": route},
                       search, work, budget)
+    if out is not None and out.found and (
+            out.witness is None or not out.witness.is_hamilton(work)):
+        _trace(trace, "route-failed", route=route, error="invalid witness")
+        out = _outcome(t0, BUDGET_EXHAUSTED, nodes=out.nodes_expanded,
+                       notes="invalid witness")
     if out is None:
         out = _outcome(t0, BUDGET_EXHAUSTED, notes="internal error")
     own = [out.notes] if out.notes else []

@@ -174,13 +174,15 @@ class TestAbsorberContract:
     def test_large_family_random_and_adversarial_probes(self):
         tc = generators.random_collection(60, 120, seed=6)
         arcs = _dense_targets(tc, 20)
-        # C(50, 3) > 10^4, so acceptance used probabilistic verification
+        # C(50, 3) > 10^4, so acceptance checked one top-up set only: the
+        # minimum-degree one below; absorb() checks each set it is given
         ab = build_absorber(tc, arcs, range(120), ell=3, c_size=50)
         rng = np.random.default_rng(3)
         for _ in range(500):
             cprime = [int(c) for c in rng.choice(ab.C, 3, replace=False)]
             assert absorb(ab, cprime).is_rainbow()
-        # adversarial: the top-up colors available on the fewest targets
+        # the set acceptance checked: the colors available on the fewest
+        # targets
         degree = {
             c: sum(1 for av in ab.avail if (av >> c) & 1) for c in ab.C
         }

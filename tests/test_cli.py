@@ -176,6 +176,23 @@ class TestSolve:
         assert captured.err.count("\n") == 1
         assert "--count-all" in captured.err
 
+    @pytest.mark.parametrize("flags", [
+        ["--exact"], ["--constructive"], ["--budget-nodes", "1"],
+        ["--budget-secs", "5"], ["--seed", "0"], ["--trace", "TRACE"],
+    ])
+    def test_count_all_rejects_flags_it_ignores(self, inst, tmp_path,
+                                                capsys, flags):
+        # they used to be dropped: the count printed, exit 0, no trace file
+        trace = tmp_path / "t.jsonl"
+        flags = [str(trace) if f == "TRACE" else f for f in flags]
+        code = main(["solve", "--count-all", *flags, inst])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"--count-all does not take {flags[0]}" in captured.err
+        assert not trace.exists()
+
     def test_solve_stdin(self, inst, capsys, monkeypatch):
         import io
 

@@ -434,6 +434,39 @@ class TestInternalErrors:
             ("oracle", "[internal] IndexError: list index out of range")
         ]
 
+    @pytest.mark.parametrize("mode", ["exact", "auto"])
+    @pytest.mark.parametrize("what", ["path", "cycle"])
+    def test_invalid_oracle_witness_is_budget_exhausted(self, monkeypatch,
+                                                        what, mode):
+        # at n = 12, auto mode reaches the oracle as the fallback
+        search = getattr(oracle, f"exact_transversal_ham_{what}")
+
+        def every_arc_reversed(tc, budget):
+            out = search(tc, budget)
+            w = out.witness
+            assert out.found and w.is_hamilton(tc)
+            cols = (w.colors[::-1] if what == "path"
+                    else w.colors[-2::-1] + w.colors[-1:])
+            out.witness = type(w)(w.vertices[::-1], cols)
+            return out
+
+        monkeypatch.setattr(oracle, f"exact_transversal_ham_{what}",
+                            every_arc_reversed)
+        monkeypatch.setattr(pipeline, f"_constructive_{what}",
+                            _raise_index_error)
+        monkeypatch.setattr(pipeline, "_case3_machine", lambda *a: None)
+        tc = generators.random_collection(12, 11 + (what == "cycle"), seed=1,
+                                          strongly_connected_count=11)
+        solver = (transversal_ham_path if what == "path"
+                  else transversal_ham_cycle)
+        trace = []
+        out = solver(tc, mode=mode, trace=trace)
+        route = "oracle" if mode == "exact" else "oracle fallback"
+        assert (out.status, out.witness) == (BUDGET_EXHAUSTED, None)
+        assert out.notes.endswith(
+            "invalid witness" + "; oracle fallback" * (mode == "auto"))
+        assert self._route_failures(trace) == [(route, "invalid witness")]
+
 
 class TestArguments:
     SOLVERS = [transversal_ham_path, transversal_ham_cycle]
