@@ -18,8 +18,9 @@ or by unpickling keeps its m rows in one (m, ceil(N/8)) uint8 array
 (``TournamentCollection.packed``), and each member's row is a view of it.
 Per-vertex out-neighbour bitmasks (``Tournament.out``, arbitrary-precision
 ints) are a cache, built on first read.  The constructions read them only
-on small or derived tournaments: the majority tournament and the exact
-oracle (the one-spare builder's two-color step reads single pair bits).
+on small or derived tournaments such as the majority tournament (the
+one-spare builder's two-color step reads single pair bits, and the exact
+oracle the packed rows).
 
 Sub-collections keep the listed order and check the list once:
 ``restrict_colors`` picks colors and ``induced_collection`` vertices

@@ -2,7 +2,11 @@
 
 Two independent engines share one entry, ``_exact``, which starts the
 budget and answers NotExists when too few colors or vertices
-(``_too_few``) rule the witness out.  The fast one, ``_backtrack``, runs
+(``_too_few``) rule the witness out.  Both read masks[u][v], the colors
+with the arc u->v, which ``_arc_masks`` builds from the packed pair rows
+at most ``_CHUNK_BYTES`` unpacked pair bits at a time: each pair's color
+bits are packed into the mask of its forward arc, and the reverse arc
+takes the other colors.  The fast one, ``_backtrack``, runs
 both the path and the cycle search depth first on an explicit stack (no
 recursion limit caps the instance size), pruning with an incremental
 arcs-vs-colors matching; one perfect_matching colors the witness it
@@ -23,11 +27,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .core import (
     RainbowCycle,
     RainbowPath,
     TournamentCollection,
     _bits,
+    _pack_rows,
 )
 from .matching import IncrementalMatcher, perfect_matching
 
@@ -44,6 +51,8 @@ __all__ = [
 FOUND = "Found"
 NOT_EXISTS = "NotExists"
 BUDGET_EXHAUSTED = "BudgetExhausted"
+
+_CHUNK_BYTES = 1 << 20  # or one pair byte's 8 * m bits, when more
 
 
 class _BudgetExceeded(Exception):
@@ -132,16 +141,19 @@ def _outcome(
 
 def _arc_masks(tc: TournamentCollection) -> list[list[int]]:
     """masks[u][v] = bitmask of colors whose tournament has the arc u->v."""
-    n = tc.n
-    masks = [[0] * n for _ in range(n)]
-    for c, t in enumerate(tc.tournaments):
-        for u, out in enumerate(t.out):
-            # inline, not _bits: hot in every oracle-exhaustive solve
-            while out:
-                low = out & -out
-                v = low.bit_length() - 1
-                out ^= low
-                masks[u][v] |= 1 << c
+    step = max(1, _CHUNK_BYTES // (8 * tc.m))  # pair bytes per chunk
+    fwd = []  # the colors of i->j for each pair i < j, then the pad bits
+    for b in range(0, tc.packed.shape[1], step):
+        bits = np.unpackbits(tc.packed[:, b:b + step], axis=1)
+        if tc.m <= 8:
+            fwd += np.packbits(bits, axis=0, bitorder="little")[0].tolist()
+        else:  # packbits runs about twice as fast on bits.T made contiguous
+            fwd += _pack_rows(bits.T.copy())
+    full = (1 << tc.m) - 1
+    masks = [[0] * tc.n for _ in range(tc.n)]
+    for (i, j), f in zip(itertools.combinations(range(tc.n), 2), fwd):
+        masks[i][j] = f
+        masks[j][i] = full ^ f
     return masks
 
 

@@ -3,14 +3,20 @@
 import hashlib
 import itertools
 import json
+import pickle
 import random
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import all_collections, directed_triangle, source_collection
 from rainbow_tournaments import generators, oracle
-from rainbow_tournaments.core import TournamentCollection
+from rainbow_tournaments.core import (
+    TournamentCollection,
+    induced_collection,
+    restrict_colors,
+)
 from rainbow_tournaments.oracle import (
     BUDGET_EXHAUSTED,
     FOUND,
@@ -171,6 +177,82 @@ class TestChainCut:
         out = oracle.exact_transversal_ham_cycle(source_collection(n, seed=0))
         assert out.status == NOT_EXISTS
         assert out.nodes_expanded > 0 and out.notes == ""
+
+
+def reference_arc_masks(tc):
+    """The arc-mask table by one loop over every set bit of every member's
+    out-masks: the reference for oracle._arc_masks."""
+    n = tc.n
+    masks = [[0] * n for _ in range(n)]
+    for c, t in enumerate(tc.tournaments):
+        for u, out in enumerate(t.out):
+            while out:
+                low = out & -out
+                v = low.bit_length() - 1
+                out ^= low
+                masks[u][v] |= 1 << c
+    return masks
+
+
+def _every_row_source(n, m, seed):
+    """(how, collection): the same kind of instance reaching _arc_masks
+    through each way a collection gets its packed rows."""
+    tc = generators.random_collection(n, m, seed=seed)
+    yield "assembled", tc
+    yield "stacked", TournamentCollection(
+        [generators.random_tournament(n, seed=seed + c) for c in range(m)])
+    wide = generators.random_collection(n, m + 3, seed=seed)
+    yield "row slice", restrict_colors(wide, range(2, m + 2))
+    big = generators.random_collection(n + 3, m, seed=seed)
+    order = random.Random(seed).sample(range(n + 3), n)
+    yield "induced", induced_collection(big, order)
+    yield "from_json", TournamentCollection.from_json(tc.to_json())
+    yield "pickled", pickle.loads(pickle.dumps(tc))
+
+
+class TestArcMasks:
+    """_arc_masks, built from the packed pair rows in bounded chunks,
+    against the per-bit loop over the out-masks."""
+
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 16, 17, 63, 64, 65])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 33])
+    def test_equals_reference_in_bounded_chunks(self, n, m, monkeypatch):
+        # step = None keeps the module's bound (one chunk at these sizes);
+        # a bound of step pair bytes gives several chunks from n = 9 on,
+        # the last one partial at step 4
+        shapes = []
+
+        def unpackbits(a, *args, **kwargs):
+            out = unpack(a, *args, **kwargs)
+            shapes.append(out.shape)
+            return out
+
+        unpack = np.unpackbits
+        monkeypatch.setattr(oracle.np, "unpackbits", unpackbits)
+        for step in (None, 1, 4):
+            bound = oracle._CHUNK_BYTES if step is None else 8 * m * step + 7
+            monkeypatch.setattr(oracle, "_CHUNK_BYTES", bound)
+            for how, tc in _every_row_source(n, m, seed=7 * n + m):
+                pair_bytes = tc.packed.shape[1]
+                shapes.clear()
+                got = oracle._arc_masks(tc)
+                if step is None:
+                    assert len(shapes) == (pair_bytes > 0), how
+                else:
+                    assert len(shapes) == -(-pair_bytes // step), how
+                assert all(rows == m and m * cols <= bound
+                           for rows, cols in shapes), how
+                # the reference unpacks too, so it runs after the count
+                assert got == reference_arc_masks(tc), how
+
+    def test_exact_search_leaves_out_masks_unbuilt(self):
+        # the search reads the packed rows only, so no member keeps its
+        # n out-mask ints after it
+        tc = generators.random_collection(
+            12, 12, seed=0, strongly_connected_count=11)
+        assert oracle.exact_transversal_ham_path(tc).found
+        assert oracle.exact_transversal_ham_cycle(tc).found
+        assert all(t._out is None for t in tc.tournaments)
 
 
 class TestCounting:
