@@ -1,15 +1,17 @@
-"""Command-line interface: gen, solve, verify, bench, each taking only
-the flags it reads.
+"""Command-line interface: gen, solve, count, verify, bench, each taking
+only the flags it reads.
 
 Instance I/O uses the canonical collection JSON; solve emits an outcome
-JSON object and, with --trace, a JSON-lines stage log.  Exit status is 0
-exactly when no failure occurred; solve exits 1 when its budget ran out,
-verify and bench when their report holds failures.  Exit 2, with one
-error line, means bad input: an instance that cannot be read, an output
-file that cannot be written, a negative seed or budget, a solve flag
-that --count-all does not read, or arguments no generator or suite can
-run (a grid with no instance among them, a size that a fixed family does
-not build).
+JSON object and, with --trace, a JSON-lines stage log; count prints the
+number of transversal Hamilton paths (n <= 7).  Exit status is 0 exactly
+when no failure occurred; solve exits 1 when its budget ran out, verify
+and bench when their report holds failures.  Exit 2, with one error
+line, means bad input: an instance that cannot be read, an output file
+that cannot be written, a negative seed or budget, a solve flag that its
+mode does not read (a budget with --constructive, --seed with --exact),
+--sizes with a theorem suite, or arguments no generator or suite can run
+(a grid with no instance among them, a size that a fixed family does not
+build, a count above n = 7).
 """
 
 from __future__ import annotations
@@ -49,10 +51,11 @@ def _build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--exact", action="store_true")
     grp.add_argument("--constructive", action="store_true")
     s.add_argument("--trace", type=str, default=None)
-    s.add_argument("--count-all", action="store_true",
-                   help="debug: count all path witnesses (n <= 7)")
-    s.add_argument("input", nargs="?", default="-",
-                   help="instance file, '-' for stdin")
+    c = sub.add_parser("count", help="count transversal Hamilton paths "
+                       "(n <= 7)", allow_abbrev=False)
+    for p in (s, c):
+        p.add_argument("input", nargs="?", default="-",
+                       help="instance file, '-' for stdin")
 
     v = sub.add_parser("verify", help="run a verification suite",
                        allow_abbrev=False)
@@ -84,10 +87,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_collection(path: str) -> TournamentCollection:
-    if path == "-":
-        return TournamentCollection.from_json(sys.stdin.read())
-    with open(path) as fh:
-        return TournamentCollection.from_json(fh.read())
+    """The instance of path ('-' for stdin); ValueError when unreadable."""
+    try:
+        if path == "-":
+            return TournamentCollection.from_json(sys.stdin.read())
+        with open(path) as fh:
+            return TournamentCollection.from_json(fh.read())
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"cannot read instance {path!r}: {detail}") from None
 
 
 def _error(message: str) -> int:
@@ -127,34 +135,21 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if args.count_all:  # it counts paths by the oracle and reads no other flag
-        for flag, given in (
-            ("--mode cycle", args.mode == "cycle"), ("--exact", args.exact),
-            ("--constructive", args.constructive),
-            ("--budget-nodes", args.budget_nodes is not None),
-            ("--budget-secs", args.budget_secs is not None),
-            ("--seed", args.seed is not None), ("--trace", args.trace),
-        ):
-            if given:
-                return _error(f"--count-all does not take {flag}")
+    budgeted = args.budget_nodes is not None or args.budget_secs is not None
+    if args.constructive and budgeted:  # constructive mode runs no oracle
+        return _error("--constructive does not take --budget-nodes or "
+                      "--budget-secs")
+    if args.exact and args.seed is not None:  # nor exact mode an attempt
+        return _error("--exact does not take --seed")
     seed = 0 if args.seed is None else args.seed
     if seed < 0:
         return _error(f"--seed {seed} is negative")
     budget: Optional[SearchBudget] = None
-    if args.budget_nodes is not None or args.budget_secs is not None:
+    if budgeted:
         budget = SearchBudget(
             max_nodes=args.budget_nodes, max_seconds=args.budget_secs
         )
-    try:
-        tc = _read_collection(args.input)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        return _error(f"cannot read instance {args.input!r}: {detail}")
-    if args.count_all:
-        print(json.dumps(
-            {"count": oracle.count_transversal_ham_paths(tc)}
-        ))
-        return 0
+    tc = _read_collection(args.input)
     mode = ("exact" if args.exact
             else "constructive" if args.constructive else "auto")
     trace = [] if args.trace else None
@@ -173,9 +168,17 @@ def _cmd_solve(args) -> int:
     return 0 if out.status != oracle.BUDGET_EXHAUSTED else 1
 
 
+def _cmd_count(args) -> int:
+    tc = _read_collection(args.input)
+    print(json.dumps({"count": oracle.count_transversal_ham_paths(tc)}))
+    return 0
+
+
 def _cmd_verify(args) -> int:
     seeds = range(args.seeds)
     if args.suite.startswith("theorem-"):
+        if args.sizes is not None:
+            raise ValueError("--sizes applies to lemma suites only")
         rep = harness.verify_theorem(
             args.suite.removeprefix("theorem-"), args.n_min, args.n_max,
             args.mode or "random", seeds, jobs=args.jobs,
@@ -206,8 +209,8 @@ def _cmd_bench(args) -> int:
 
 def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
-    run = {"gen": _cmd_gen, "solve": _cmd_solve, "verify": _cmd_verify,
-           "bench": _cmd_bench}[args.cmd]
+    run = {"gen": _cmd_gen, "solve": _cmd_solve, "count": _cmd_count,
+           "verify": _cmd_verify, "bench": _cmd_bench}[args.cmd]
     try:
         return run(args)
     except ValueError as exc:  # arguments no generator or suite can run

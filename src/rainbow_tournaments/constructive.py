@@ -41,6 +41,7 @@ from .errors import (
 )
 from .matching import (
     IncrementalMatcher,
+    _slots_holding,
     matching_with_forced_colors,
     perfect_matching,
 )
@@ -127,10 +128,6 @@ class HPartition:
     blocks: tuple[tuple[int, ...], ...]
     separators: tuple[int, ...]
     ell: int
-
-    @property
-    def r(self) -> int:
-        return len(self.blocks)
 
     def vertices(self) -> set[int]:
         return set(self.separators).union(*self.blocks)
@@ -621,14 +618,11 @@ def build_absorber(
 
 
 def _verify_absorber(avail, a_mask, ccand, ell) -> bool:
-    def arcs_of(c: int) -> int:
-        return sum(1 << k for k, av in enumerate(avail) if (av >> c) & 1)
-
-    matcher = IncrementalMatcher()
+    matcher = IncrementalMatcher()  # colors are its slots, arcs its colors
     for c in _bits(a_mask):
-        if not matcher.push(arcs_of(c)):
+        if not matcher.push(_slots_holding(avail, c)):
             return False
-    cmasks = [arcs_of(c) for c in ccand]
+    cmasks = [_slots_holding(avail, c) for c in ccand]
     if math.comb(len(ccand), ell) <= 10_000:
         return _every_topup_matches(matcher, cmasks, ell)
     # degree of a color = number of target arcs it can serve; the ell colors

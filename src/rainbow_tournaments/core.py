@@ -15,7 +15,8 @@ A tournament is stored as exactly these N pair bits, packed MSB-first
 into ceil(N/8) read-only bytes (``Tournament.packed``; the pad bits of the
 last byte are 0).  A collection built by the generator, by ``from_json``
 or by unpickling keeps its m rows in one (m, ceil(N/8)) uint8 array
-(``TournamentCollection.packed``), and each member's row is a view of it.
+(``TournamentCollection.packed``), and each member's row is a view of it:
+a pickle holds the members, which unpickling copies into a new array.
 Per-vertex out-neighbour bitmasks (``Tournament.out``, arbitrary-precision
 ints) are a cache, built on first read.  The constructions read them only
 on small or derived tournaments such as the majority tournament (the
@@ -50,7 +51,7 @@ Costs, for k colors on n vertices:
   masked writes, packed into rows, and each row becomes an int in one
   ``map(int.from_bytes, ...)``.  O(n^2) bytes, no Python step per pair.
 - ``Tournament.scores`` (out-degrees, cached) sums the rows and columns of
-  the upper triangle, or counts the bits of ``out`` when it is cached;
+  the upper triangle of the pair bits, whether or not ``out`` is cached;
   ``is_strongly_connected`` sorts them in numpy and compares their prefix
   sums with Landau's floor C(k,2), cached per n: O(n log n), with no
   search (about 7 µs at n = 400).
@@ -199,16 +200,11 @@ class Tournament:
 
     @property
     def scores(self) -> np.ndarray:
-        """The out-degree of every vertex (a read-only int array);
-        computed once, then cached."""
-        scores = self._scores
-        if scores is None:
-            if self._out is not None:
-                scores = np.fromiter(map(int.bit_count, self._out), np.intp)
-            else:
-                scores = _scores_from_pairs(self.n, self._packed)
-            self._scores = scores = _frozen(scores)
-        return scores
+        """The out-degree of every vertex (a read-only int array), from the
+        pair bits; computed once, then cached."""
+        if self._scores is None:
+            self._scores = _frozen(_scores_from_pairs(self.n, self._packed))
+        return self._scores
 
     # -- queries ------------------------------------------------------
 
@@ -310,16 +306,12 @@ class TournamentCollection:
         tc._packed = view
         return tc
 
-    @classmethod
-    def _from_rows(cls, n: int, rows: np.ndarray) -> "TournamentCollection":
-        """Members read the rows of a canonical (m, ceil(N/8)) array."""
-        rows = _frozen(rows)
-        tc = cls([Tournament._from_packed(n, row) for row in rows])
-        tc._packed = rows
-        return tc
-
     def __reduce__(self):
-        return TournamentCollection._from_rows, (self.n, self.packed)
+        return TournamentCollection._assemble, (self.n, self.m,
+                                                self.tournaments)
+
+    def __copy__(self):  # _assemble would move these members' rows
+        return self
 
     @property
     def packed(self) -> np.ndarray:

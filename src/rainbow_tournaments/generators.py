@@ -47,16 +47,6 @@ __all__ = [
     "KINDS",
 ]
 
-KINDS = (
-    "transitive",
-    "random_uniform",
-    "random_strongly_connected",
-    "directed_cycle_tournament",
-    "prop14_collection",
-    "fig1_path_counterexample",
-    "fig1_cycle_counterexample",
-)
-
 
 def transitive_tournament(n: int) -> Tournament:
     """Arc i->j iff i < j."""
@@ -100,12 +90,6 @@ def prop14_collection(n: int) -> TournamentCollection:
     return TournamentCollection([t, t] + [tp] * (n - 2))
 
 
-def _triangle(n3_forward: bool) -> Tournament:
-    if n3_forward:
-        return Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
-    return Tournament.from_arcs(3, [(1, 0), (2, 1), (0, 2)])
-
-
 def fig1_counterexamples() -> tuple[TournamentCollection, TournamentCollection]:
     """(path instance, cycle instance): the n=3 triangle counterexamples.
 
@@ -113,8 +97,8 @@ def fig1_counterexamples() -> tuple[TournamentCollection, TournamentCollection]:
     Hamilton path.  Cycle instance: two equal triangles plus the reverse
     (m=3), no transversal Hamilton cycle.
     """
-    fwd = _triangle(True)
-    rev = _triangle(False)
+    fwd = rotational_tournament(3)
+    rev = Tournament.from_arcs(3, [(1, 0), (2, 1), (0, 2)])
     return (
         TournamentCollection([fwd, rev]),
         TournamentCollection([fwd, fwd, rev]),
@@ -263,22 +247,26 @@ def random_collection(
         n, seed, range(m), strongly_connected_count or 0))
 
 
+# each kind's instance for (n, m, seed): single tournaments come back as
+# m=1, and the fixed families ignore m (and the fig1 ones n)
+_BUILDERS = {
+    "transitive": lambda n, m, seed: TournamentCollection(
+        [transitive_tournament(n)]),
+    "random_uniform": random_collection,
+    "random_strongly_connected": lambda n, m, seed: random_collection(
+        n, m, seed, strongly_connected_count=m),
+    "directed_cycle_tournament": lambda n, m, seed: TournamentCollection(
+        [rotational_tournament(n)]),
+    "prop14_collection": lambda n, m, seed: prop14_collection(n),
+    "fig1_path_counterexample": lambda n, m, seed: fig1_counterexamples()[0],
+    "fig1_cycle_counterexample": lambda n, m, seed: fig1_counterexamples()[1],
+}
+KINDS = tuple(_BUILDERS)
+
+
 def generate(kind: str, n: int, m: int = 1, seed: int = 0
              ) -> TournamentCollection:
-    """The instance of one of KINDS; single tournaments come back as m=1,
-    and the fixed families ignore m (and the fig1 ones n)."""
-    if kind == "transitive":
-        return TournamentCollection([transitive_tournament(n)])
-    if kind == "directed_cycle_tournament":
-        return TournamentCollection([rotational_tournament(n)])
-    if kind == "random_uniform":
-        return random_collection(n, m, seed)
-    if kind == "random_strongly_connected":
-        return random_collection(n, m, seed, strongly_connected_count=m)
-    if kind == "prop14_collection":
-        return prop14_collection(n)
-    if kind == "fig1_path_counterexample":
-        return fig1_counterexamples()[0]
-    if kind == "fig1_cycle_counterexample":
-        return fig1_counterexamples()[1]
-    raise ValueError(f"unknown kind {kind!r}")
+    """The instance of one of KINDS (see _BUILDERS)."""
+    if kind not in _BUILDERS:
+        raise ValueError(f"unknown kind {kind!r}")
+    return _BUILDERS[kind](n, m, seed)

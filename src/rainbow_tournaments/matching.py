@@ -79,6 +79,11 @@ def _augment_all(
     return match_of_slot
 
 
+def _slots_holding(avail: Sequence[int], c: int) -> int:
+    """The bitmask of the slots whose mask holds color c."""
+    return sum(1 << s for s, mask in enumerate(avail) if (mask >> c) & 1)
+
+
 def perfect_matching(
     avail: Sequence[int], start: Optional[Sequence[int]] = None
 ) -> Optional[list[int]]:
@@ -107,10 +112,7 @@ def matching_with_forced_colors(
     forced = list(dict.fromkeys(forced))
     if len(forced) > nslots:
         return None
-    slots_of = [
-        sum(1 << s for s, mask in enumerate(avail) if (mask >> c) & 1)
-        for c in forced
-    ]
+    slots_of = [_slots_holding(avail, c) for c in forced]
     slot_of = [-1] * len(forced)
     holder: dict[int, int] = {}
     for k in range(len(forced)):

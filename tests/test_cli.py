@@ -1,12 +1,15 @@
 """The command-line entry point, driven through main(argv)."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from conftest import source_collection
-from rainbow_tournaments import generators, pipeline
-from rainbow_tournaments.cli import main
+from rainbow_tournaments import generators, oracle, pipeline
+from rainbow_tournaments.cli import _build_parser, main
 from rainbow_tournaments.core import (
     RainbowCycle,
     TournamentCollection,
@@ -155,43 +158,80 @@ class TestSolve:
         assert len(cyc) == tc.n
         assert validate_transversal(tc, cyc.arcs())
 
+    # count: the number of transversal Hamilton paths (n <= 7), which reads
+    # the instance and no other flag
+
     def test_count_all(self, inst, capsys):
-        code, out = run(capsys, "solve", "--count-all", inst)
+        code, out = run(capsys, "count", inst)
+        tc = TournamentCollection.from_json(open(inst).read())
         assert code == 0
-        assert json.loads(out)["count"] >= 0
+        assert json.loads(out) == {
+            "count": oracle.count_transversal_ham_paths(tc)}
 
     def test_count_all_rejects_cycle_mode(self, tmp_path, capsys):
-        # it counts paths only: the cycle mode used to print the path count
+        # it counts paths only: solve --count-all --mode cycle used to print
+        # the path count
         dest = tmp_path / "sc.json"
         run(capsys, "gen", "--kind", "random_strongly_connected", "-n", "5",
             "-m", "5", "--seed", "3", "--out", str(dest))
-        code, out = run(capsys, "solve", "--count-all", "--mode", "path",
-                        str(dest))
+        code, out = run(capsys, "count", str(dest))
         assert (code, json.loads(out)) == (0, {"count": 896})
-        code = main(["solve", "--count-all", "--mode", "cycle", str(dest)])
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--mode", "cycle", str(dest)])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments: --mode" in captured.err
+
+    @pytest.mark.parametrize("flags", [
+        ["--exact"], ["--constructive"], ["--budget-nodes", "1"],
+        ["--budget-secs", "5"], ["--seed", "1"], ["--trace", "TRACE"],
+    ])
+    def test_count_all_rejects_flags_it_ignores(self, inst, tmp_path,
+                                                capsys, flags):
+        trace = tmp_path / "t.jsonl"
+        flags = [str(trace) if f == "TRACE" else f for f in flags]
+        with pytest.raises(SystemExit) as exc:
+            main(["count", *flags, inst])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flags[0]}" in captured.err
+        assert not trace.exists()
+
+    def test_count_reads_stdin(self, inst, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(open(inst).read()))
+        assert run(capsys, "count", "-") == run(capsys, "count", inst)
+
+    def test_count_above_seven_vertices_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "n8.json"
+        p.write_text(generators.random_collection(8, 7, seed=1).to_json())
+        code = main(["count", str(p)])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("rainbow-tournaments: error: ")
         assert captured.err.count("\n") == 1
-        assert "--count-all" in captured.err
+        assert "n <= 7" in captured.err
 
-    @pytest.mark.parametrize("flags", [
-        ["--exact"], ["--constructive"], ["--budget-nodes", "1"],
-        ["--budget-secs", "5"], ["--seed", "0"], ["--trace", "TRACE"],
+    @pytest.mark.parametrize("argv, detail", [
+        (["--constructive", "--budget-nodes", "5"], "--budget-nodes"),
+        (["--constructive", "--budget-secs", "1"], "--budget-secs"),
+        (["--exact", "--seed", "3"], "--exact does not take --seed"),
     ])
-    def test_count_all_rejects_flags_it_ignores(self, inst, tmp_path,
-                                                capsys, flags):
-        # they used to be dropped: the count printed, exit 0, no trace file
-        trace = tmp_path / "t.jsonl"
-        flags = [str(trace) if f == "TRACE" else f for f in flags]
-        code = main(["solve", "--count-all", *flags, inst])
+    def test_flag_its_mode_does_not_read(self, tmp_path, capsys, argv,
+                                         detail):
+        # checked before the instance is read: the file need not exist
+        code = main(["solve", *argv, str(tmp_path / "absent.json")])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
+        assert captured.err.startswith("rainbow-tournaments: error: ")
         assert captured.err.count("\n") == 1
-        assert f"--count-all does not take {flags[0]}" in captured.err
-        assert not trace.exists()
+        assert detail in captured.err
+        assert "absent.json" not in captured.err
 
     def test_solve_stdin(self, inst, capsys, monkeypatch):
         import io
@@ -283,6 +323,8 @@ class TestBadSuiteArguments:
         (["verify", "--suite", "lemma-hpartition", "--mode", "exhaustive",
           "--sizes", "5", "--seeds", "1"], "theorem suites only"),
         (["solve", "--exact", "--budget-secs", "nan", "absent.json"], "NaN"),
+        (["verify", "--suite", "theorem-path", "--sizes", "99", "--n-min",
+          "3", "--n-max", "3", "--seeds", "2"], "lemma suites only"),
     ])
     def test_rejected(self, capsys, argv, detail):
         code = main(argv)
@@ -364,3 +406,24 @@ class TestParsing:
             main(argv + ["x.json"] * (argv[0] == "solve"))
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _readme_command_lines():
+    """The rainbow-tournaments lines of the README's "Command line" block,
+    without their comments and redirections."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n+```sh\n(.*?)```", text, re.S)
+    lines = [line.split("#")[0] for line in block.group(1).splitlines()]
+    return [re.sub(r"\s[<>]\s*\S+", "", line).strip() for line in lines
+            if line.startswith("rainbow-tournaments ")]
+
+
+class TestReadme:
+    def test_the_block_has_every_subcommand(self):
+        used = {shlex.split(line)[1] for line in _readme_command_lines()}
+        assert used == {"gen", "solve", "count", "verify", "bench"}
+
+    @pytest.mark.parametrize("line", _readme_command_lines())
+    def test_command_line_parses(self, line):
+        # parsed only: nothing runs
+        _build_parser().parse_args(shlex.split(line)[1:])

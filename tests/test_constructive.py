@@ -81,7 +81,7 @@ class TestHPartition:
         t = generators.random_tournament(500, seed=1)
         hp = h_partition(t, 24)
         assert hp.validate(t)
-        assert hp.r >= 500 // 25
+        assert len(hp.blocks) >= 500 // 25
 
     def test_partition_covers_all_vertices(self):
         t = generators.random_tournament(60, seed=2)

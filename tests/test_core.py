@@ -1,5 +1,6 @@
 """Core types: tournaments, collections, witnesses, majority tournaments."""
 
+import copy
 import pickle
 import re
 
@@ -657,6 +658,28 @@ class TestSharedStorage:
             assert np.array_equal(sub.packed, tc.packed[colors])
             assert np.shares_memory(sub.packed, tc.packed) == (
                 colors != [4, 2])
+
+    @pytest.mark.parametrize("build", [
+        lambda: generators.prop14_collection(7),  # members repeat one object
+        lambda: TournamentCollection(  # rows stacked on first read of packed
+            [generators.random_tournament(9, seed=s) for s in range(4)]),
+    ], ids=["repeated-members", "stacked-lazily"])
+    def test_pickle_round_trip_reads_one_array(self, build):
+        tc = build()
+        again = pickle.loads(pickle.dumps(tc))
+        assert tc._packed is None  # a pickle holds the members, not packed
+        assert again == tc and again.tournaments == tc.tournaments
+        assert np.array_equal(again.packed, tc.packed)
+        assert not again.packed.flags.writeable
+        for c, t in enumerate(again.tournaments):
+            assert np.shares_memory(t.packed, again.packed)
+            assert np.array_equal(t.packed, again.packed[c])
+
+    def test_shallow_copy_leaves_members_on_their_rows(self):
+        tc = generators.random_collection(6, 3, seed=1)
+        assert copy.copy(tc) is tc
+        assert all(np.shares_memory(t.packed, tc.packed)
+                   for t in tc.tournaments)
 
     def test_constructive_path_builds_no_member_rows(self):
         tc = generators.random_collection(200, 199, seed=4)

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import directed_triangle
 from rainbow_tournaments import generators
+from rainbow_tournaments.cli import _build_parser
 from rainbow_tournaments.core import is_strongly_connected
 
 
@@ -74,6 +75,16 @@ class TestFixedFamilies:
             frozenset(directed_triangle(False).arcs()),
         }
         assert got == want
+
+    def test_counterexample_packed_rows_are_their_pair_bits(self):
+        # the forward triangle 0->1->2->0 is "101", its reverse "010"
+        path_inst, cyc_inst = generators.fig1_counterexamples()
+        for tc, want in ((path_inst, ["101", "010"]),
+                         (cyc_inst, ["101", "101", "010"])):
+            assert [t.pair_bits() for t in tc.tournaments] == want
+            assert tc.packed.tolist() == [
+                [0b10100000] if bits == "101" else [0b01000000]
+                for bits in want]
 
 
 class TestRandom:
@@ -274,6 +285,11 @@ class TestGenerateDispatch:
         for kind, (n, m) in want.items():
             tc = generators.generate(kind, 5, 4, seed=0)
             assert (tc.n, tc.m) == (n, m), kind
+
+    def test_kinds_are_the_gen_choices(self):
+        gen = _build_parser()._subparsers._group_actions[0].choices["gen"]
+        kind = next(a for a in gen._actions if a.dest == "kind")
+        assert set(generators.KINDS) == set(kind.choices)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown kind"):
