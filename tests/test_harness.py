@@ -7,7 +7,7 @@ from rainbow_tournaments import harness
 
 class TestTheoremSweeps:
     def test_exhaustive_path_n3(self):
-        rep = harness.verify_theorem("path", 3, 3, mode="exhaustive")
+        rep = harness.verify_theorem("path", [3], mode="exhaustive")
         assert rep.ok
         assert rep.instances == 64
         # the opposite-triangle pair, in both orders, is the only miss
@@ -15,22 +15,31 @@ class TestTheoremSweeps:
 
     @pytest.mark.parametrize("what", ["path", "cycle"])
     def test_random_sweep(self, what):
-        rep = harness.verify_theorem(what, 4, 6, mode="random",
+        rep = harness.verify_theorem(what, [4, 5, 6], mode="random",
                                      seeds=range(20))
         assert rep.ok and rep.instances == 60
         assert rep.suite == f"theorem-{what}-random"
 
     def test_exhaustive_cycle_limit(self):
         with pytest.raises(ValueError):
-            harness.verify_theorem("cycle", 3, 4, mode="exhaustive")
+            harness.verify_theorem("cycle", [3, 4], mode="exhaustive")
+
+    def test_exhaustive_limit_reads_the_largest_size(self):
+        with pytest.raises(ValueError, match="n <= 4"):
+            harness.verify_theorem("path", [5, 3], mode="exhaustive")
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "random"])
+    def test_no_size_is_no_instance(self, mode):
+        with pytest.raises(ValueError, match="no instance"):
+            harness.verify_theorem("path", [], mode=mode)
 
     def test_unknown_theorem_rejected(self):
         with pytest.raises(ValueError, match="choose path or cycle"):
-            harness.verify_theorem("walk", 4, 4, seeds=range(3))
+            harness.verify_theorem("walk", [4], seeds=range(3))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="choose exhaustive or random"):
-            harness.verify_theorem("path", 4, 4, mode="exhastive",
+            harness.verify_theorem("path", [4], mode="exhastive",
                                    seeds=range(2))
 
 
@@ -56,21 +65,21 @@ class TestLemmaSuites:
 
 class TestReports:
     def test_timing_fields_stripped(self):
-        rep = harness.verify_theorem("path", 4, 4, seeds=range(3))
+        rep = harness.verify_theorem("path", [4], seeds=range(3))
         line = rep.to_jsonl(include_timing=False)
         assert "wall_secs" not in line
         assert "wall_secs" in rep.to_jsonl(include_timing=True)
 
     def test_jobs_do_not_change_report(self):
-        a = harness.verify_theorem("path", 4, 5, seeds=range(8), jobs=1)
-        b = harness.verify_theorem("path", 4, 5, seeds=range(8), jobs=4)
+        a = harness.verify_theorem("path", [4, 5], seeds=range(8), jobs=1)
+        b = harness.verify_theorem("path", [4, 5], seeds=range(8), jobs=4)
         assert a.to_jsonl(False) == b.to_jsonl(False)
 
     @pytest.mark.parametrize("what", ["path", "cycle"])
     def test_jobs_do_not_change_exhaustive_report(self, what):
         # exhaustive tasks carry the collections themselves to the workers
-        a = harness.verify_theorem(what, 3, 3, mode="exhaustive", jobs=1)
-        b = harness.verify_theorem(what, 3, 3, mode="exhaustive", jobs=2)
+        a = harness.verify_theorem(what, [3], mode="exhaustive", jobs=1)
+        b = harness.verify_theorem(what, [3], mode="exhaustive", jobs=2)
         assert a.to_jsonl(False) == b.to_jsonl(False)
         assert a.instances > 0 and a.stats["not_exists"] > 0
 

@@ -6,6 +6,7 @@ import pytest
 
 from rainbow_tournaments import core, generators, oracle, pipeline
 from rainbow_tournaments.core import (
+    RainbowCycle,
     RainbowPath,
     TournamentCollection,
     validate_transversal,
@@ -369,6 +370,28 @@ class TestInternalErrors:
             assert out.status == BUDGET_EXHAUSTED
         else:
             # the oracle fallback still runs and answers
+            assert out.found and out.witness.is_hamilton(tc)
+            assert out.notes.endswith("oracle fallback")
+
+    @pytest.mark.parametrize("mode", ["auto", "constructive"])
+    def test_non_hamilton_machine_cycle_is_not_found(self, monkeypatch,
+                                                      mode):
+        # a transversal 3-cycle of a 12-vertex instance: valid, not Hamilton
+        short = RainbowCycle((0, 1, 2), (0, 2, 1))
+        monkeypatch.setattr(pipeline, "_constructive_cycle",
+                            _raise_index_error)
+        monkeypatch.setattr(pipeline, "_case3_machine", lambda *a: short)
+        tc = generators.random_collection(12, 12, seed=1,
+                                          strongly_connected_count=11)
+        assert short.valid(tc)
+        trace = []
+        out = transversal_ham_cycle(tc, mode=mode, trace=trace)
+        assert self._route_failures(trace) == [
+            ("longest-path machine", "invalid witness")
+        ]
+        if mode == "constructive":
+            assert out.status == BUDGET_EXHAUSTED
+        else:
             assert out.found and out.witness.is_hamilton(tc)
             assert out.notes.endswith("oracle fallback")
 
