@@ -89,9 +89,8 @@ def _read_collection(path: str) -> TournamentCollection:
             return TournamentCollection.from_json(sys.stdin.read())
         with open(path) as fh:
             return TournamentCollection.from_json(fh.read())
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise ValueError(f"cannot read instance {path!r}: {detail}") from None
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read instance {path!r}: {exc}") from None
 
 
 def _error(message: str) -> int:

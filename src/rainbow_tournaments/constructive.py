@@ -57,7 +57,6 @@ __all__ = [
     "rainbow_ham_path_one_spare",
     "rainbow_ham_path_forcing_color",
     "rainbow_ham_path_forcing_set",
-    "rainbow_connect",
     "rainbow_connect_all",
     "build_absorber",
     "absorb",
@@ -513,23 +512,10 @@ def _walk_back(entry: dict[int, tuple[int, int]], x: int, y: int) -> RainbowPath
                        colors=tuple(reversed(cols)))
 
 
-def rainbow_connect(tc: TournamentCollection, x: int, y: int) -> RainbowPath:
-    """Rainbow path from x to y with strictly increasing colors.
-
-    Layer L_c adds the T_c-out-neighbors of the previous layer; with every
-    color strongly connected the layers strictly grow, and walking back
-    through first-entry records gives ascending colors.
-    """
-    if x == y:
-        raise ValueError("endpoints must differ")
-    entry = _layering(tc, x)
-    return _walk_back(entry, x, y)
-
-
 def rainbow_connect_all(
     tc: TournamentCollection, x: int
 ) -> dict[int, RainbowPath]:
-    """Rainbow paths from x to every other vertex, one layering pass."""
+    """Ascending-color rainbow paths from x to every other vertex, one pass."""
     entry = _layering(tc, x)
     return {
         y: _walk_back(entry, x, y) for y in range(tc.n) if y != x
@@ -598,9 +584,7 @@ def build_absorber(
         tc.arc_color_mask(u, v) for (u, v) in target_arcs
     )
     for attempt in range(ABSORBER_RETRIES):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([seed, attempt]))
-        )
+        rng = np.random.default_rng([seed, attempt])
         picked = rng.permutation(len(avail_colors))
         acand = tuple(
             sorted(avail_colors[i] for i in picked[:a_size])

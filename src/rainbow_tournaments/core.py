@@ -7,9 +7,9 @@ The canonical interchange format for a collection is JSON::
 
     {"n": <int>, "m": <int>, "tournaments": ["010...", ...]}
 
-where each string has length N = n(n-1)/2 over {"0","1"}; position p runs
-over the pairs (i,j), i<j, in lexicographic order and "1" means the arc
-i->j.
+where n and m are integers (not booleans) and each string has length
+N = n(n-1)/2 over {"0","1"}; position p runs over the pairs (i,j), i<j,
+in lexicographic order and "1" means the arc i->j.
 
 A tournament is stored as exactly these N pair bits, packed MSB-first
 into ceil(N/8) read-only bytes (``Tournament.packed``; the pad bits of the
@@ -111,7 +111,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class Tournament:
     """A complete antisymmetric orientation on ``n`` labeled vertices."""
 
-    __slots__ = ("n", "_packed", "_out", "_scores", "_hash")
+    __slots__ = ("n", "_packed", "_out", "_scores")
 
     def __init__(self, n: int, out: Sequence[int]):
         if n < 1:
@@ -134,7 +134,6 @@ class Tournament:
         self._packed = _frozen(packed)
         self._out = out
         self._scores = None
-        self._hash = None
 
     @classmethod
     def _from_packed(cls, n: int, packed: np.ndarray) -> "Tournament":
@@ -145,7 +144,6 @@ class Tournament:
         t._packed = _frozen(packed)
         t._out = None
         t._scores = None
-        t._hash = None
         return t
 
     def __reduce__(self):
@@ -259,9 +257,7 @@ class Tournament:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.n, self._packed.tobytes()))
-        return self._hash
+        return hash((self.n, self._packed.tobytes()))
 
     def __repr__(self) -> str:
         return f"Tournament(n={self.n}, bits={self.pair_bits()!r})"
@@ -347,11 +343,21 @@ class TournamentCollection:
 
     @classmethod
     def from_json(cls, text: str) -> "TournamentCollection":
-        obj = json.loads(text)
-        n, m = obj["n"], obj["m"]
-        bits = obj["tournaments"]
-        if len(bits) != m:
-            raise ValueError("tournament count does not match m")
+        """From canonical JSON; ValueError for any defect of the document."""
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
+        if not isinstance(obj, dict):
+            raise ValueError("need a JSON object")
+        try:
+            n, m, bits = obj["n"], obj["m"], obj["tournaments"]
+        except KeyError as exc:
+            raise ValueError(f"missing key {exc}") from None
+        if type(n) is not int or type(m) is not int:
+            raise ValueError("n and m must be integers")
+        if not isinstance(bits, list) or len(bits) != m:
+            raise ValueError("tournaments must be a list of m bit strings")
         return cls._assemble(
             n, len(bits), (Tournament.from_pair_bits(n, b) for b in bits)
         )

@@ -13,9 +13,9 @@ class ExceptionalConfigurationError(ValueError):
 class NoProgressError(RuntimeError):
     """Layered rainbow reachability stalled; carries the stalled color."""
 
-    def __init__(self, color: int, message: str = ""):
+    def __init__(self, color: int):
         self.color = color
-        super().__init__(message or f"layer growth stalled at color {color}")
+        super().__init__(f"layer growth stalled at color {color}")
 
 
 class AbsorberConstructionError(RuntimeError):
@@ -29,6 +29,6 @@ class AbsorptionFailedError(RuntimeError):
 class StageFailure(RuntimeError):
     """A pipeline stage could not complete; carries the stage tag."""
 
-    def __init__(self, stage: str, message: str = ""):
+    def __init__(self, stage: str, message: str):
         self.stage = stage
-        super().__init__(f"[{stage}] {message}" if message else stage)
+        super().__init__(f"[{stage}] {message}")

@@ -41,10 +41,10 @@ __all__ = [
 @dataclass
 class SuiteReport:
     suite: str
-    instances: int = 0
-    failures: list = field(default_factory=list)
-    wall_secs: float = 0.0
-    stats: dict = field(default_factory=dict)
+    instances: int = field(default=0, init=False)
+    failures: list = field(default_factory=list, init=False)
+    wall_secs: float = field(default=0.0, init=False)
+    stats: dict = field(default_factory=dict, init=False)
 
     @property
     def ok(self) -> bool:

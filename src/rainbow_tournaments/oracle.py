@@ -66,8 +66,8 @@ class SearchBudget:
 
     max_nodes: Optional[int] = None
     max_seconds: Optional[float] = None
-    nodes: int = 0
-    _deadline: Optional[float] = field(default=None, repr=False)
+    nodes: int = field(default=0, init=False)
+    _deadline: Optional[float] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         for limit in (self.max_nodes, self.max_seconds):

@@ -261,43 +261,59 @@ class TestSolve:
 
 
 class TestMalformedInput:
-    """Unreadable instances exit 2 with one error line, no traceback."""
+    """Unreadable instances exit 2 with one error line, no traceback, from
+    both commands that read one."""
 
-    def solve_text(self, capsys, monkeypatch, text):
+    def rejected(self, capsys, monkeypatch, text, detail=""):
         import io
 
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
-        code = main(["solve", "-"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith("rainbow-tournaments: error: ")
-        assert captured.err.count("\n") == 1
-        return captured.err
+        for cmd in ("solve", "count"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            code = main([cmd, "-"])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err.startswith("rainbow-tournaments: error: ")
+            assert captured.err.count("\n") == 1
+            assert detail in captured.err
 
     def test_missing_key(self, capsys, monkeypatch):
-        err = self.solve_text(capsys, monkeypatch, '{"n":3}')
-        assert "'m'" in err
+        self.rejected(capsys, monkeypatch, '{"n":3}', "'m'")
 
     def test_invalid_json(self, capsys, monkeypatch):
-        self.solve_text(capsys, monkeypatch, '{"n":3,')
+        self.rejected(capsys, monkeypatch, '{"n":3,')
 
     def test_wrong_length_bit_string(self, capsys, monkeypatch):
-        err = self.solve_text(capsys, monkeypatch,
-                              '{"n":3,"m":1,"tournaments":["01"]}')
-        assert "length 3" in err
+        self.rejected(capsys, monkeypatch,
+                      '{"n":3,"m":1,"tournaments":["01"]}', "length 3")
 
     def test_non_integer_vertex_count(self, capsys, monkeypatch):
-        err = self.solve_text(capsys, monkeypatch,
-                              '{"n":3.0,"m":1,"tournaments":["010"]}')
-        assert "integer" in err
+        self.rejected(capsys, monkeypatch,
+                      '{"n":3.0,"m":1,"tournaments":["010"]}', "integer")
+
+    @pytest.mark.parametrize("text, detail", [
+        ("[" * 100_000 + "]" * 100_000, "nested"),
+        ('{"n":true,"m":1,"tournaments":[""]}', "integer"),
+        ('{"n":3,"m":1.0,"tournaments":["010"]}', "integer"),
+        ('{"n":3,"m":true,"tournaments":["010"]}', "integer"),
+        ('[3, 1, ["010"]]', "object"),
+        ('{"n":3,"m":1}', "'tournaments'"),
+        # a string is no list, though its characters are bit strings
+        ('{"n":2,"m":3,"tournaments":"010"}', "list"),
+        ('{"n":3,"m":2,"tournaments":["010"]}', "list of m"),
+    ], ids=["deep-nesting", "boolean-n", "float-m", "boolean-m",
+            "not-an-object", "no-tournaments", "string-tournaments",
+            "count-mismatch"])
+    def test_malformed_document(self, capsys, monkeypatch, text, detail):
+        self.rejected(capsys, monkeypatch, text, detail)
 
     def test_missing_file(self, tmp_path, capsys):
-        code = main(["solve", str(tmp_path / "absent.json")])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.err.startswith("rainbow-tournaments: error: ")
-        assert captured.err.count("\n") == 1
+        for cmd in ("solve", "count"):
+            code = main([cmd, str(tmp_path / "absent.json")])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.err.startswith("rainbow-tournaments: error: ")
+            assert captured.err.count("\n") == 1
 
 
 class TestBadSuiteArguments:

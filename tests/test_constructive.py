@@ -11,7 +11,6 @@ from rainbow_tournaments import constructive, core, generators
 from rainbow_tournaments.constructive import (
     h_partition,
     low_degree_count_bound_check,
-    rainbow_connect,
     rainbow_connect_all,
     rainbow_ham_path_forcing_color,
     rainbow_ham_path_forcing_set,
@@ -340,8 +339,7 @@ class TestRainbowConnect:
     def test_single_arc(self):
         tc = generators.random_collection(5, 4, seed=0,
                                           strongly_connected_count=4)
-        for y in range(1, 5):
-            p = rainbow_connect(tc, 0, y)
+        for y, p in rainbow_connect_all(tc, 0).items():
             assert p.vertices[0] == 0 and p.vertices[-1] == y
             assert p.valid(tc)
             assert list(p.colors) == sorted(p.colors)
@@ -349,7 +347,7 @@ class TestRainbowConnect:
     def test_two_triangles(self):
         tri = directed_triangle()
         tc = TournamentCollection([tri, tri])
-        p = rainbow_connect(tc, 0, 2)
+        p = rainbow_connect_all(tc, 0)[2]
         assert p.vertices == (0, 1, 2) and p.colors == (0, 1)
 
     def test_all_pairs_random(self):
@@ -366,11 +364,10 @@ class TestRainbowConnect:
                     colors = list(p.colors)
                     assert colors == sorted(colors)
 
-    def test_same_endpoints_rejected(self):
-        tc = generators.random_collection(5, 4, seed=0,
-                                          strongly_connected_count=4)
-        with pytest.raises(ValueError):
-            rainbow_connect(tc, 2, 2)
+    def test_one_pair_form_removed(self):
+        # rainbow_connect_all(tc, x)[y] is the one path from x to y
+        assert not hasattr(constructive, "rainbow_connect")
+        assert "rainbow_connect" not in constructive.__all__
 
 
 class TestRestrictColors:

@@ -6,6 +6,10 @@ entry still names it otherwise shows up only as an ``AttributeError`` on
 ``from rainbow_tournaments import *``.  The benchmark's tracer
 (perfbench/tracing.py) wraps only the functions a module lists and
 defines, and skips the others without a word.
+
+Constructors take only what their callers set: the fields a search or a
+sweep fills in are not arguments, a NoProgressError spells its own
+message from the colour, and a StageFailure must be given one.
 """
 
 import importlib
@@ -15,6 +19,8 @@ import pkgutil
 import pytest
 
 import rainbow_tournaments
+from rainbow_tournaments import NoProgressError, SearchBudget, StageFailure
+from rainbow_tournaments.harness import SuiteReport
 
 MODULES = ["rainbow_tournaments"] + [
     f"rainbow_tournaments.{info.name}"
@@ -40,3 +46,20 @@ def test_exported_definitions_live_in_their_module(modname):
         and obj.__module__ != modname
     ]
     assert borrowed == []
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SearchBudget(nodes=1),
+    lambda: SearchBudget(_deadline=1.0),
+    lambda: SuiteReport("x", instances=1),
+    lambda: SuiteReport("x", failures=[]),
+    lambda: SuiteReport("x", wall_secs=1.0),
+    lambda: SuiteReport("x", stats={}),
+    lambda: NoProgressError(3, "m"),
+    lambda: StageFailure("dhp-step1"),
+], ids=["budget-nodes", "budget-deadline", "report-instances",
+        "report-failures", "report-wall_secs", "report-stats",
+        "no-progress-message", "stage-failure-without-message"])
+def test_constructor_rejects_arguments_no_caller_sets(build):
+    with pytest.raises(TypeError):
+        build()

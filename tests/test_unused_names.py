@@ -1,0 +1,114 @@
+"""No package module imports a name it never uses or assigns a local it
+never reads.
+
+Each module under src/ is parsed with ``ast``.  An import is used when the
+module loads its name or lists it in ``__all__``.  A local is a name that a
+function body (outside its nested functions and classes) assigns, binds in
+a loop, comprehension, ``with`` or ``except`` clause, or defines by a nested
+``def`` or ``class``; it is read when that function or one nested in it
+loads the name.  Names starting with ``_`` are exempt, and so are names a
+function declares ``global`` or ``nonlocal``.
+
+The one allowed exception is pipeline's ``induced_collection`` import:
+tests/test_benchmark_names.py and perfbench pin it until the longest-path
+machine goes (ROADMAP item 1).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import rainbow_tournaments
+
+SOURCES = sorted(Path(rainbow_tournaments.__file__).parent.glob("*.py"))
+ALLOWED = {"pipeline: induced_collection"}
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _loaded(tree: ast.AST) -> set[str]:
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    return {
+        elt.value
+        for node in tree.body if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets)
+        for elt in node.value.elts
+    }
+
+
+def unused_imports(tree: ast.Module) -> set[str]:
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(alias.asname or alias.name).split(".")[0]
+                      for alias in node.names}
+    return bound - _loaded(tree) - _exported(tree)
+
+
+def _own_nodes(func: ast.AST):
+    """The nodes of func's body outside its nested functions and classes
+    (whose def or class node itself is included)."""
+    todo = list(ast.iter_child_nodes(func))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (*_DEFS, ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def unread_locals(tree: ast.Module) -> set[str]:
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, _DEFS):
+            continue
+        own = list(_own_nodes(func))
+        stored = {node.id for node in own if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Store)}
+        stored |= {node.name for node in own
+                   if isinstance(node, (*_DEFS, ast.ClassDef))
+                   or isinstance(node, ast.ExceptHandler) and node.name}
+        for node in own:
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                stored -= set(node.names)
+        found |= {f"{func.name}.{name}" for name in stored - _loaded(func)
+                  if not name.startswith("_")}
+    return found
+
+
+def _scan(check) -> set[str]:
+    return {f"{path.stem}: {name}" for path in SOURCES
+            for name in check(ast.parse(path.read_text(), str(path)))}
+
+
+def test_every_import_is_used():
+    assert _scan(unused_imports) == ALLOWED
+
+
+def test_every_local_is_read():
+    assert _scan(unread_locals) == set()
+
+
+@pytest.mark.parametrize("source, check, expected", [
+    ("import os\nimport numpy as np\nfrom a import b, c\nnp.zeros(c)\n",
+     unused_imports, {"os", "b"}),
+    ("from __future__ import annotations\nfrom a import b\n__all__ = ['b']\n",
+     unused_imports, set()),
+    ("def f(xs):\n    a = 1\n    b, _c = xs\n    for i in xs:\n        pass\n"
+     "    return b\n",
+     unread_locals, {"f.a", "f.i"}),
+    ("def f():\n    n = 0\n    def g():\n        nonlocal n\n        n += 1\n"
+     "    g()\n    return n\n",
+     unread_locals, set()),
+    ("def f():\n    count = 0\n    count += 1\n    def helper():\n"
+     "        pass\n",
+     unread_locals, {"f.count", "f.helper"}),
+])
+def test_the_scan_finds_what_it_should(source, check, expected):
+    assert check(ast.parse(source)) == expected
