@@ -555,14 +555,15 @@ def build_absorber(
     path is searched.  A's colors are pushed first into an
     IncrementalMatcher with colors as slots; a perfect matching with A
     plus C' uses all of A, so a rejected push rejects the candidate with
-    no probe.  When there are at most 10^4 subsets, all are checked by
-    continuing that matcher through one depth-first walk of the ell-subset
-    combination tree: one push per tree node, and a rejected prefix
-    rejects at once.  Otherwise a large C is accepted when A plus its ell
-    lowest-degree colors (fewest target arcs served; ties in C's order)
-    match, checked by one perfect_matching that starts from A's matching
-    with the ell top-up slots open; absorb() checks the top-up set it is
-    given.
+    no probe.  When there are at most 10^4 subsets, all are checked
+    exactly: by Hall over arc sets when there are fewer of them, else the
+    combination-tree walk, which continues that matcher depth first
+    through the ell-subset tree with one push per tree node, a rejected
+    prefix rejecting at once.  Otherwise a large C is accepted when A plus
+    its ell lowest-degree colors (fewest target arcs served; ties in C's
+    order) match, checked by one perfect_matching that starts from A's
+    matching with the ell top-up slots open; absorb() checks the top-up
+    set it is given.
     """
     target_arcs = tuple(target_arcs)
     if len(target_arcs) < ell:
@@ -603,11 +604,15 @@ def build_absorber(
 
 def _verify_absorber(avail, a_mask, ccand, ell) -> bool:
     matcher = IncrementalMatcher()  # colors are its slots, arcs its colors
-    for c in _bits(a_mask):
-        if not matcher.push(_slots_holding(avail, c)):
+    amasks = [_slots_holding(avail, c) for c in _bits(a_mask)]
+    for mask in amasks:
+        if not matcher.push(mask):
             return False
     cmasks = [_slots_holding(avail, c) for c in ccand]
-    if math.comb(len(ccand), ell) <= 10_000:
+    subsets = math.comb(len(ccand), ell)
+    if subsets <= 10_000:
+        if 1 << len(avail) < subsets:
+            return _hall_every_topup(len(avail), amasks, cmasks, ell)
         return _every_topup_matches(matcher, cmasks, ell)
     # degree of a color = number of target arcs it can serve; the ell colors
     # of minimum degree make the hardest top-up set
@@ -641,6 +646,29 @@ def _every_topup_matches(matcher, cmasks, ell) -> bool:
             i = picked.pop() + 1
         else:
             return True
+
+
+def _hall_every_topup(k, amasks, cmasks, ell) -> bool:
+    """Whether A plus every ell-subset of C matches the k target arcs,
+    by Hall's condition over the 2^k arc sets X instead of a walk.
+
+    amasks and cmasks mask the arcs each color of A and C serves, and
+    |A| + ell = k.  For a fixed C', a perfect matching exists iff every X
+    has |N(X)| >= |X|; the C' that is worst for X first takes the colors
+    of C serving no arc of X.  So every C' matches iff, for every X,
+    |N_A(X)| + max(0, ell - #{c in C serving no arc of X}) >= |X|.
+    Callers keep k <= 13, so int16 holds every arc set and count.
+    """
+    xs = np.arange(1 << k, dtype=np.int16)
+    need = np.zeros(len(xs), np.int16)  # |X| - |N_A(X)|
+    for b in range(k):
+        need += (xs >> b) & 1
+    for mask in amasks:
+        need -= (xs & mask) != 0
+    idle = np.zeros(len(xs), np.int16)  # colors of C serving no arc of X
+    for mask in cmasks:
+        idle += (xs & mask) == 0
+    return bool(np.all(need <= np.maximum(ell - idle, 0)))
 
 
 def absorb(absorber: Absorber, cprime: Iterable[int]) -> ColoredDigraph:

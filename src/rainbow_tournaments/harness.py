@@ -402,6 +402,12 @@ def bench(
     jobs: int = 1,
 ) -> SuiteReport:
     """Timing sweep; rows land in stats["csv"]."""
+    # an oracle or path instance has n - 1 colors; a cycle's strong ones
+    # need n >= 3
+    least = {"oracle": 2, "pipeline": 2, "cycle": 3}.get(kind, 1)
+    for n in sizes:
+        if n < least:
+            raise ValueError(f"the {kind} kind needs n >= {least}, not {n}")
     t0 = time.perf_counter()
     rep = SuiteReport(suite=f"bench-{kind}")
     tasks = [(kind, n, s) for n in sizes for s in seeds]

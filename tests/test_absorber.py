@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from rainbow_tournaments import generators, harness
+from rainbow_tournaments import constructive, generators, harness
 from rainbow_tournaments.constructive import (
     Absorber,
+    _every_topup_matches,
+    _hall_every_topup,
     _verify_absorber,
     absorb,
     build_absorber,
@@ -176,6 +178,41 @@ def random_candidate(rng, n_arcs, ell, c_size, density, m=None):
     return avail, a_mask, ccand
 
 
+def record_branches(monkeypatch) -> list:
+    """The checks _verify_absorber runs after A's pushes, as they are
+    called: "walk", "hall" or "sampled" (its one perfect_matching)."""
+    taken = []
+    for name, tag in (("_every_topup_matches", "walk"),
+                      ("_hall_every_topup", "hall"),
+                      ("perfect_matching", "sampled")):
+        def spy(*a, _run=getattr(constructive, name), _tag=tag, **k):
+            taken.append(_tag)
+            return _run(*a, **k)
+        monkeypatch.setattr(constructive, name, spy)
+    return taken
+
+
+def count_pushes(monkeypatch, avail, a_size, c_size, ell):
+    """_verify_absorber's verdict and IncrementalMatcher push count with
+    A = colors 0..a_size-1 and C the next c_size colors; a perfect_matching
+    call fails the test."""
+    pushes = []
+    push = IncrementalMatcher.push
+
+    def counted(matcher, mask):
+        pushes.append(mask)
+        return push(matcher, mask)
+
+    monkeypatch.setattr(IncrementalMatcher, "push", counted)
+    monkeypatch.setattr(
+        constructive, "perfect_matching",
+        lambda *a, **k: pytest.fail("perfect_matching called"),
+    )
+    ccand = tuple(range(a_size, a_size + c_size))
+    got = _verify_absorber(avail, (1 << a_size) - 1, ccand, ell)
+    return got, len(pushes)
+
+
 class TestWarmStartedVerification:
     """_verify_absorber decides as a from-scratch matching per probe does:
     every ell-subset of a small C, the minimum-degree one of a large C."""
@@ -193,16 +230,17 @@ class TestWarmStartedVerification:
     }
 
     @pytest.mark.parametrize("ell,c_size,n_arcs,branch", [
-        (2, 8, 8, "exhaustive"),
-        (0, 4, 6, "exhaustive"),
+        (2, 8, 8, "walk"),
+        (0, 4, 6, "walk"),
         (3, 50, 10, "sampled"),
-        (6, 16, 12, "exhaustive"),  # the shape auto-sweep runs
-        (5, 5, 9, "exhaustive"),  # ell = |C|: a single leaf
-        (40, 41, 44, "exhaustive"),  # ell = |C| - 1: a 40-deep tree
+        (6, 16, 12, "hall"),  # the shape auto-sweep runs
+        (3, 12, 7, "hall"),
+        (5, 5, 9, "walk"),  # ell = |C|: a single leaf
+        (40, 41, 44, "walk"),  # ell = |C| - 1: a 40-deep tree
     ])
-    def test_agrees_with_from_scratch_probes(self, ell, c_size, n_arcs,
-                                             branch):
-        assert (math.comb(c_size, ell) <= 10_000) == (branch == "exhaustive")
+    def test_agrees_with_from_scratch_probes(self, monkeypatch, ell, c_size,
+                                             n_arcs, branch):
+        taken = record_branches(monkeypatch)
         densities, candidates = self.SHAPES.get(
             (ell, c_size, n_arcs), ((0.2, 0.35, 0.5), 60)
         )
@@ -215,6 +253,7 @@ class TestWarmStartedVerification:
             )
             outcomes.add(self._agree(avail, a_mask, ccand, ell))
         assert outcomes == {True, False}
+        assert set(taken) == {branch}
 
     def test_agrees_on_2000_random_candidates(self):
         # the benchmark's recorded probes all accept, so the rejections of
@@ -305,30 +344,19 @@ class TestMinimumDegreeProbe:
 
 
 class TestCombinationTreeWalk:
-    """The exhaustive check pushes each node of the ell-subset tree of C
+    """The walk pushes each node of the ell-subset tree of C
     once, on top of A, and makes no per-subset matching."""
 
-    ELL, A_SIZE, C_SIZE = 6, 6, 16
-    ALL = (1 << (A_SIZE + C_SIZE)) - 1  # colors 0..5 are A, 6..21 are C
+    # 13 target arcs: 2^13 = 8,192 arc sets are no fewer than the 8,008
+    # top-up sets, so the walk runs, not Hall over arc sets
+    ELL, A_SIZE, C_SIZE = 6, 7, 16
+    ALL = (1 << (A_SIZE + C_SIZE)) - 1  # colors 0..6 are A, 7..22 are C
 
     def _run(self, monkeypatch, avail):
-        pushes = []
-        push = IncrementalMatcher.push
-
-        def counted(matcher, mask):
-            pushes.append(mask)
-            return push(matcher, mask)
-
-        monkeypatch.setattr(IncrementalMatcher, "push", counted)
-        monkeypatch.setattr(
-            "rainbow_tournaments.constructive.perfect_matching",
-            lambda *a, **k: pytest.fail("perfect_matching called"),
-        )
-        a_mask = (1 << self.A_SIZE) - 1
-        ccand = tuple(range(self.A_SIZE, self.A_SIZE + self.C_SIZE))
-        assert math.comb(self.C_SIZE, self.ELL) <= 10_000
-        got = _verify_absorber(avail, a_mask, ccand, self.ELL)
-        return got, len(pushes)
+        subsets = math.comb(self.C_SIZE, self.ELL)
+        assert subsets <= min(10_000, 1 << len(avail))
+        return count_pushes(monkeypatch, avail, self.A_SIZE, self.C_SIZE,
+                            self.ELL)
 
     def test_accepted_candidate_pushes_every_node_once(self, monkeypatch):
         avail = [self.ALL] * (self.A_SIZE + self.ELL)
@@ -342,7 +370,7 @@ class TestCombinationTreeWalk:
         assert pushes == self.A_SIZE + nodes
 
     def test_bad_prefix_stops_early(self, monkeypatch):
-        # C's two lowest colors serve only arc 0, so the prefix (6, 7) and
+        # C's two lowest colors serve only arc 0, so the prefix (7, 8) and
         # every top-up set holding it fail: the walk stops at its 2nd push
         low2 = 0b11 << self.A_SIZE
         avail = [self.ALL] + [self.ALL & ~low2] * (self.A_SIZE + self.ELL - 1)
@@ -357,3 +385,60 @@ class TestCombinationTreeWalk:
         got, pushes = self._run(monkeypatch, avail)
         assert got is False
         assert pushes == 1
+
+
+class TestHallOverArcSets:
+    """With fewer target-arc sets than top-up sets, the every-top-up
+    check is Hall's condition over the arc sets: no walk, no probe."""
+
+    def test_agrees_with_the_walk(self):
+        # 10,000 shapes with k <= 9 arcs, |C| from ell to ell + 4, and
+        # each color serving each arc with one probability per shape
+        rng = np.random.default_rng(32)
+        seen = collections.Counter()
+        for _ in range(10_000):
+            k = int(rng.integers(1, 10))
+            ell = int(rng.integers(0, k + 1))
+            c_size = ell + int(rng.integers(0, 5))
+            serves = rng.random((k - ell + c_size, k)) < rng.uniform(0.2, 0.8)
+            masks = [int(x) for x in serves @ (1 << np.arange(k))]
+            amasks, cmasks = masks[:k - ell], masks[k - ell:]
+            matcher = IncrementalMatcher()
+            walk = (all(matcher.push(mask) for mask in amasks)
+                    and _every_topup_matches(matcher, cmasks, ell))
+            assert _hall_every_topup(k, amasks, cmasks, ell) == walk
+            seen[walk] += 1
+            seen["ell = 0"] += ell == 0
+            seen["empty A"] += ell == k
+            seen["|C| = ell"] += c_size == ell
+        assert min(seen[True], seen[False]) >= 2_500
+        assert min(seen["ell = 0"], seen["empty A"], seen["|C| = ell"]) > 0
+
+    # the shape auto-sweep runs: 6 A colors (0..5), 12 target arcs,
+    # |C| = 16 (colors 6..21) and ell = 6, so 4,096 arc sets against 8,008
+    # top-up sets
+    ALL = (1 << 22) - 1
+
+    def test_auto_sweep_shape_pushes_only_a(self, monkeypatch):
+        assert 1 << 12 < math.comb(16, 6) <= 10_000
+        got = count_pushes(monkeypatch, [self.ALL] * 12, 6, 16, 6)
+        assert got == (True, 6)
+
+    def test_rejects_a_top_up_set_that_shares_arcs(self, monkeypatch):
+        # C's colors 6..11 serve arcs 0..4 only: as a top-up set they put
+        # six colors on five arcs
+        few = sum(1 << c for c in range(6, 12))
+        avail = [self.ALL] * 5 + [self.ALL & ~few] * 7
+        assert count_pushes(monkeypatch, avail, 6, 16, 6) == (False, 6)
+
+    @pytest.mark.parametrize("c_size, branch", [
+        (8, "walk"),  # 2^3 arc sets = C(8, 1) top-up sets
+        (9, "hall"),  # 8 < C(9, 1)
+    ])
+    def test_branch_boundary(self, monkeypatch, c_size, branch):
+        taken = record_branches(monkeypatch)
+        # 3 target arcs, A = {0, 1}, ell = 1: every color serves every arc
+        avail = [(1 << (2 + c_size)) - 1] * 3
+        ccand = tuple(range(2, 2 + c_size))
+        assert _verify_absorber(avail, 0b11, ccand, 1) is True
+        assert taken == [branch]

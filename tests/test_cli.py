@@ -345,6 +345,13 @@ class TestBadSuiteArguments:
         (["verify", "--suite", "lemma-hpartition", "--mode", "exhaustive",
           "--sizes", "5", "--seeds", "1"], "theorem suites only"),
         (["solve", "--exact", "--budget-secs", "nan", "absent.json"], "NaN"),
+        # the size the user gave is named, not the derived color count
+        (["bench", "--kind", "oracle", "--sizes", "3,1"],
+         "the oracle kind needs n >= 2, not 1"),
+        (["bench", "--kind", "pipeline", "--sizes", "1"],
+         "the pipeline kind needs n >= 2, not 1"),
+        (["bench", "--kind", "cycle", "--sizes", "2"],
+         "the cycle kind needs n >= 3, not 2"),
     ])
     def test_rejected(self, capsys, argv, detail):
         code = main(argv)
