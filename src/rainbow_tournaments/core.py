@@ -16,7 +16,7 @@ into ceil(N/8) read-only bytes (``Tournament.packed``; the pad bits of the
 last byte are 0).  A collection built by the generator, by ``from_json``
 or by unpickling keeps its m rows in one (m, ceil(N/8)) uint8 array
 (``TournamentCollection.packed``), and each member's row is a view of it:
-a pickle holds the members, which unpickling copies into a new array.
+the generator writes the rows in place, and a pickle holds them stacked.
 Per-vertex out-neighbour bitmasks (``Tournament.out``, arbitrary-precision
 ints) are a cache, built on first read.  The constructions read them only
 on small or derived tournaments such as the majority tournament (the
@@ -30,8 +30,9 @@ Sub-collections keep the listed order and check the list once:
 
 Costs, for k colors on n vertices:
 
-- Generation and ``from_json``: one ``packbits`` per tournament over its N
-  pair bytes, copied into the collection's row.  No n x n matrix.
+- Generation: one ``packbits`` per block of members over their pair
+  bytes, written into the collection's rows (see ``generators``);
+  ``from_json``: one per tournament, stacked once.  No n x n matrix.
 - ``has_arc(u, v)`` checks u and v against range(n), reads bit
   ``pair_index(min, max)`` and flips it when u > v (or reads ``out`` when
   it is cached); ``arc_color_mask`` gathers the pair's byte column of the
@@ -283,31 +284,18 @@ class TournamentCollection:
         self._packed = None
 
     @classmethod
-    def _assemble(
-        cls, n: int, m: int, members: Iterable[Tournament]
+    def _from_rows(
+        cls, n: int, rows: np.ndarray, members: Sequence[Tournament] = ()
     ) -> "TournamentCollection":
-        """From m new tournaments on n vertices: each one's pair bits are
-        copied into its row of one (m, ceil(N/8)) array as it arrives, and
-        the member then reads that row, so its own copy can go at once."""
-        rows = view = None
-        ts = []
-        for i, t in enumerate(members):
-            if rows is None:  # allocated once the first member is valid
-                rows = np.empty((m, t._packed.size), dtype=np.uint8)
-                view = _frozen(rows.view())
-            rows[i] = t._packed
-            t._packed = view[i]
-            ts.append(t)
-        tc = cls(ts)
-        tc._packed = view
+        """From canonical pair bits on n vertices, one member per row of
+        rows (frozen as packed), read by the given or by new members."""
+        tc = cls(members or [Tournament._from_packed(n, r) for r in rows])
+        tc._packed = _frozen(rows)
         return tc
 
     def __reduce__(self):
-        return TournamentCollection._assemble, (self.n, self.m,
-                                                self.tournaments)
-
-    def __copy__(self):  # _assemble would move these members' rows
-        return self
+        return TournamentCollection._from_rows, (
+            self.n, np.array([t._packed for t in self.tournaments]))
 
     @property
     def packed(self) -> np.ndarray:
@@ -358,9 +346,8 @@ class TournamentCollection:
             raise ValueError("n and m must be integers")
         if not isinstance(bits, list) or len(bits) != m:
             raise ValueError("tournaments must be a list of m bit strings")
-        return cls._assemble(
-            n, len(bits), (Tournament.from_pair_bits(n, b) for b in bits)
-        )
+        return cls._from_rows(n, np.array(
+            [Tournament.from_pair_bits(n, b)._packed for b in bits], np.uint8))
 
     def __eq__(self, other) -> bool:
         return (

@@ -16,24 +16,26 @@ numpy serves uint8 draws from 32-bit outputs low byte first, PCG64 serves
 multiply-shift bounded draw maps a byte b to (2b) >> 8 = b >> 7 with a
 rejection threshold of (256 - 2) mod 2 = 0, so no byte is ever redrawn.
 A call of SEED_BATCH or more members seeds them in one array pass (about
-0.1 ms, plus 1 µs a member, against 18 µs a member seeded alone) and
-sets one PCG64 to each start in turn.  A draw is then, per 8192 words,
-one ``random_raw``, one comparison and one ``packbits`` into the pair
-bits, which ``random_collection`` copies into its row of the
-collection's array (see ``core``): about 0.2 ms at n = 800, with no n x n
-matrix.  A strongly connected member also pays for its scores (about 0.3
-ms at n = 400), cached on it for later strong-connectivity tests, and for
-one Landau test per draw (7 µs at n = 400).
+0.07 ms, plus 1.5 µs a member, against 18 µs a member seeded alone).
+Members are drawn in blocks of up to DRAW_CHUNK_WORDS raw words: each
+sets a PCG64 to its start and fills its row of the block's uint64 array,
+then one comparison and one ``packbits`` write the block's pair bits into
+the collection's rows, which the members view (see ``core``): about 6 µs
+a member at n = 30 and 0.2 ms at n = 800, with no n x n matrix.  A
+strongly connected member also pays for its scores (about 0.3 ms at n =
+400), cached on it, and for one Landau test per draw (7 µs at n = 400).
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from itertools import repeat
 
 import numpy as np
 
-from .core import Tournament, TournamentCollection, is_strongly_connected
+from .core import (Tournament, TournamentCollection, _frozen,
+                   is_strongly_connected)
 
 __all__ = [
     "transitive_tournament",
@@ -105,13 +107,13 @@ def fig1_counterexamples() -> tuple[TournamentCollection, TournamentCollection]:
     )
 
 
-# raw words drawn per step: 64 KiB temporaries come from the heap, where
-# one large draw would map and fault in fresh pages for every tournament
+# raw words drawn per step and per block: 64 KiB temporaries come from the
+# heap, where one large draw would map and fault in fresh pages every time
 DRAW_CHUNK_WORDS = 8192
 # members from which a call seeds them in one array pass: the pass costs
 # about as much as seeding 10 members one at a time
 SEED_BATCH = 10
-_BATCH_STREAM = np.random.PCG64(0)  # set to each start before its draw
+_BATCH_STREAM = np.random.PCG64(0)  # set to a batch's starts in turn
 
 # SeedSequence's hash constants and multipliers, pcg64's LCG multiplier
 _HASH_A, _HASH_B = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
@@ -126,11 +128,12 @@ def _words(value: int) -> list[int]:
             for s in range(0, max(value.bit_length(), 1), 32)]
 
 
-def _chain(h: int, mult: int, links: int, m: int) -> np.ndarray:
-    """h and its next links values (h *= mult), repeated over m columns."""
+@functools.lru_cache(maxsize=16)
+def _chain(h: int, mult: int, links: int) -> np.ndarray:
+    """h and its next links values (h *= mult), as a read-only column."""
     chain = np.full(links + 1, mult, np.uint32)
     chain[0] = h
-    return np.cumprod(chain, dtype=np.uint32)[:, None].repeat(m, 1)
+    return _frozen(np.cumprod(chain, dtype=np.uint32)[:, None])
 
 
 def _hashmix(v: np.ndarray, chain: np.ndarray) -> np.ndarray:
@@ -142,6 +145,14 @@ def _hashmix(v: np.ndarray, chain: np.ndarray) -> np.ndarray:
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r = _MIX_L * x - _MIX_R * y
     return r ^ r >> 16
+
+
+# mixing step s hashes pool row s into row d != s with link 4 + 3s + d -
+# (d > s): one update with these links (a spare one for row s, which is
+# then restored) mixes the whole pool
+_s, _d = np.ogrid[:4, :4]
+_MIX_STEPS = list(zip(_chain(*_HASH_A, 17)[4 + 3 * _s + _d - (_d > _s)],
+                      _chain(*_HASH_A, 17)[5 + 3 * _s + _d - (_d > _s)]))
 
 
 def _starts(seed: int, indices: range, attempt: int):
@@ -156,18 +167,19 @@ def _starts(seed: int, indices: range, attempt: int):
         rows = [np.arange(indices.start, indices.stop, dtype=np.uint32)]
     entropy = [*map(np.uint32, _words(seed)), *rows,
                *map(np.uint32, _words(attempt))]
-    chain = _chain(*_HASH_A, 4 * max(4, len(entropy)), m)
+    chain = _chain(*_HASH_A, 4 * max(4, len(entropy)))
     pool = np.zeros((4, m), np.uint32)  # hashmix fills it from 4 words
     for i, word in enumerate(entropy[:4]):
         pool[i] = word
     pool = _hashmix(pool, chain[:5])
-    for src in range(4):  # each pool word into the other three
-        dst = [d for d in range(4) if d != src]
-        hashed = _hashmix(pool[src], chain[4 + 3 * src:8 + 3 * src])
-        pool[dst] = _mix(pool[dst], hashed)
+    for src, (head, tail) in enumerate(_MIX_STEPS):  # row src into the rest
+        row = pool[src].copy()
+        hashed = (row ^ head) * tail
+        pool = _mix(pool, hashed ^ hashed >> 16)
+        pool[src] = row
     for k, word in enumerate(entropy[4:], 4):  # each later word into all
         pool = _mix(pool, _hashmix(word, chain[4 * k:4 * k + 5]))
-    out = _hashmix(np.concatenate((pool, pool)), _chain(*_HASH_B, 8, m))
+    out = _hashmix(np.concatenate((pool, pool)), _chain(*_HASH_B, 8))
     out = out[0::2] | out[1::2].astype(np.uint64) << 32
     for s_hi, s_lo, i_hi, i_lo in out.T.tolist():
         inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
@@ -176,29 +188,32 @@ def _starts(seed: int, indices: range, attempt: int):
                "has_uint32": 0, "uinteger": 0}
 
 
-def _draw_tournament(
-    n: int, seed: int, index: int, attempt: int, stream=None
-) -> Tournament:
-    """The tournament of stream (seed, index, attempt): stream is a PCG64
-    set to its start, or else one is seeded here by numpy."""
-    if stream is None:
+def _draw_tournament(seed: int, index: int, attempt: int, start,
+                     words: np.ndarray) -> None:
+    """Fill words (uint64) with the raw words of stream (seed, index,
+    attempt): a PCG64 set to state start, or numpy's if start is None."""
+    if start is None:
         stream = np.random.PCG64(np.random.SeedSequence([seed, index, attempt]))
-    size = n * (n - 1) // 2
-    # one word orients 8 pairs, and packs into one byte
-    packed = np.empty((size + 7) // 8, dtype=np.uint8)
-    for at in range(0, packed.size, DRAW_CHUNK_WORDS):
-        words = stream.random_raw(min(DRAW_CHUNK_WORDS, packed.size - at))
-        # bit 7 of each raw byte, bytes read little-endian: draw for draw
-        # the Generator.integers(0, 2, size, dtype=np.uint8) of the stream
-        raw = words.astype("<u8", copy=False).view(np.uint8)[:size - 8 * at]
-        packed[at:at + words.size] = np.packbits(raw >= 0x80)
-    return Tournament._from_packed(n, packed)
+    else:
+        stream = _BATCH_STREAM
+        stream.state = start
+    for at in range(0, words.size, DRAW_CHUNK_WORDS):
+        words[at:at + DRAW_CHUNK_WORDS] = stream.random_raw(
+            min(DRAW_CHUNK_WORDS, words.size - at))
 
 
-def _members(n: int, seed: int, indices: range, strong: int):
-    """The tournaments of indices in order, seeded in one array pass when
-    there are SEED_BATCH or more; the first strong of them are redrawn
-    (attempt 1, 2, ...) until strongly connected."""
+def _pair_bits(words: np.ndarray, size: int) -> np.ndarray:
+    """Packed pair bits of the raw words in each row of words: bit 7 of
+    each byte, bytes read little-endian (see the module docstring)."""
+    raw = words.view(np.uint8)[:, :size]  # flags overwrite their bytes
+    return np.packbits(np.greater_equal(raw, 0x80, out=raw.view(bool)), axis=1)
+
+
+def _collection(n: int, seed: int, indices: range,
+                strong: int) -> TournamentCollection:
+    """The tournaments of indices, drawn a block at a time (see the module
+    docstring); the first strong are redrawn until strongly connected."""
+    n = operator.index(n)  # a bool n is an int here, a float a TypeError
     if n < 1:
         raise ValueError("n must be positive")
     if not indices:
@@ -209,24 +224,34 @@ def _members(n: int, seed: int, indices: range, strong: int):
         raise ValueError("strong connectivity needs n >= 3")
     if seed < 0 or indices.start < 0:
         raise ValueError("seed and index must be non-negative")
-    stream = _BATCH_STREAM if len(indices) >= SEED_BATCH else None
-    starts = _starts(seed, indices, 0) if stream is not None else repeat(None)
-    for pos, (i, start) in enumerate(zip(indices, starts)):
-        if start:
-            stream.state = start
-        t, attempt = _draw_tournament(n, seed, i, 0, stream), 0
-        while pos < strong and not is_strongly_connected(t):
-            attempt += 1
-            t = _draw_tournament(n, seed, i, attempt)
-        yield t
+    m, size = len(indices), n * (n - 1) // 2
+    rows = np.empty((m, (size + 7) // 8), np.uint8)  # one word packs to a byte
+    block = max(1, DRAW_CHUNK_WORDS // max(rows.shape[1], 1))
+    words = np.empty((min(block, m), rows.shape[1]), "<u8")
+    starts = _starts(seed, indices, 0) if m >= SEED_BATCH else repeat(None)
+    members = []
+    for lo in range(0, m, block):
+        # starts comes last, so zip takes none past the block's members
+        for row, i, start in zip(words, indices[lo:lo + block], starts):
+            _draw_tournament(seed, i, 0, start, row)
+        rows[lo:lo + block] = _pair_bits(words[:m - lo], size)
+        for pos in range(lo, min(lo + block, m)):
+            t, attempt = Tournament._from_packed(n, rows[pos]), 0
+            while pos < strong and not is_strongly_connected(t):
+                attempt += 1
+                _draw_tournament(seed, indices[pos], attempt, None, words[0])
+                rows[pos] = _pair_bits(words[:1], size)[0]
+                t = Tournament._from_packed(n, rows[pos])
+            members.append(t)  # the object tested, with its scores cached
+    return TournamentCollection._from_rows(n, rows, members)
 
 
 def random_tournament(
     n: int, seed: int, *, strongly_connected: bool = False, index: int = 0
 ) -> Tournament:
     """A uniformly random orientation of each pair, from a seeded stream."""
-    return next(_members(n, seed, range(index, index + 1),
-                         int(strongly_connected)))
+    return _collection(n, seed, range(index, index + 1),
+                       int(strongly_connected)).tournaments[0]
 
 
 def random_collection(
@@ -243,8 +268,7 @@ def random_collection(
     for the cycle theorem's "all but one" hypothesis); a negative count
     raises ValueError.
     """
-    return TournamentCollection._assemble(n, m, _members(
-        n, seed, range(m), strongly_connected_count or 0))
+    return _collection(n, seed, range(m), strongly_connected_count or 0)
 
 
 # each kind's instance for (n, m, seed): single tournaments come back as
@@ -269,4 +293,4 @@ def generate(kind: str, n: int, m: int = 1, seed: int = 0
     """The instance of one of KINDS (see _BUILDERS)."""
     if kind not in _BUILDERS:
         raise ValueError(f"unknown kind {kind!r}")
-    return _BUILDERS[kind](n, m, seed)
+    return _BUILDERS[kind](operator.index(n), m, seed)

@@ -12,6 +12,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PACKAGE = "rainbow_tournaments"
@@ -72,3 +73,39 @@ def test_tracer_installs_and_restores(tracing):
         name = func.split(".")[1]
         for m in modules:
             assert getattr(_module(m), name) is originals[func]
+
+
+def _rejections(n, seed, index):
+    """Draws of stream (seed, index, attempt = 0, 1, ...) that are not
+    strongly connected before the first that is, each drawn by numpy's
+    Generator.integers (the draw the generator reproduces)."""
+    core = _module("core")
+    for attempt in range(1000):
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence([seed, index, attempt])))
+        bits = rng.integers(0, 2, n * (n - 1) // 2, dtype=np.uint8)
+        t = core.Tournament.from_pair_bits(
+            n, (bits + ord("0")).tobytes().decode())
+        if core.is_strongly_connected(t):
+            return attempt
+    raise AssertionError("no strong draw in 1000 attempts")
+
+
+# m = 4 seeds each member alone, m = 12 all of them in one array pass
+@pytest.mark.parametrize("m, k", [(4, 3), (12, 9), (12, 0)])
+def test_tracer_counts_every_draw_and_strong_test(tracing, m, k):
+    """One random_collection counts m draws plus the rejected ones, and one
+    strong-connectivity test per strong candidate: k plus the rejected."""
+    n, seed = 3, 2
+    rejected = sum(_rejections(n, seed, i) for i in range(k))
+    assert rejected > 0 or k == 0
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        _module("generators").random_collection(
+            n, m, seed, strongly_connected_count=k)
+    finally:
+        tracer.remove()
+    assert tracer.counts["generators.random_tournament.calls"] == m + rejected
+    strong_tests = tracer.span_stats().get("core.is_strongly_connected", {})
+    assert strong_tests.get("calls", 0) == k + rejected

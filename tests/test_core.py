@@ -650,6 +650,18 @@ class TestSharedStorage:
             assert np.array_equal(t.packed, tc.packed[c])
             assert not t.packed.flags.writeable
 
+    # m = 4 seeds each member alone, m = 12 all of them in one array pass
+    @pytest.mark.parametrize("m", [4, 12])
+    def test_strong_members_keep_their_scores_on_their_rows(self, m):
+        # at n = 3 a draw is strong one time in four, so most are redrawn;
+        # each kept member is the one tested, with its scores cached
+        tc = generators.random_collection(
+            3, m, seed=2, strongly_connected_count=m - 1)
+        for c, t in enumerate(tc.tournaments):
+            assert np.shares_memory(t.packed, tc.packed)
+            assert np.array_equal(t.packed, tc.packed[c])
+            assert (t._scores is not None) == (c < m - 1)
+
     def test_consecutive_colors_share_rows(self):
         tc = generators.random_collection(9, 6, seed=5)
         for colors in ([1, 2, 3], [0, 1, 2, 3, 4, 5], [4, 2], [5]):
@@ -667,7 +679,7 @@ class TestSharedStorage:
     def test_pickle_round_trip_reads_one_array(self, build):
         tc = build()
         again = pickle.loads(pickle.dumps(tc))
-        assert tc._packed is None  # a pickle holds the members, not packed
+        assert tc._packed is None  # pickling stacks rows, caching none
         assert again == tc and again.tournaments == tc.tournaments
         assert np.array_equal(again.packed, tc.packed)
         assert not again.packed.flags.writeable
@@ -677,9 +689,11 @@ class TestSharedStorage:
 
     def test_shallow_copy_leaves_members_on_their_rows(self):
         tc = generators.random_collection(6, 3, seed=1)
-        assert copy.copy(tc) is tc
-        assert all(np.shares_memory(t.packed, tc.packed)
-                   for t in tc.tournaments)
+        again = copy.copy(tc)
+        assert again == tc and again.tournaments[0] is not tc.tournaments[0]
+        for coll in (tc, again):
+            assert all(np.shares_memory(t.packed, coll.packed)
+                       for t in coll.tournaments)
 
     def test_constructive_path_builds_no_member_rows(self):
         tc = generators.random_collection(200, 199, seed=4)

@@ -8,7 +8,17 @@ import pytest
 from conftest import directed_triangle
 from rainbow_tournaments import generators
 from rainbow_tournaments.cli import _build_parser
-from rainbow_tournaments.core import is_strongly_connected
+from rainbow_tournaments.core import (Tournament, TournamentCollection,
+                                      is_strongly_connected)
+
+
+def drawn(n, seed, index, attempt):
+    """The tournament of stream (seed, index, attempt), seeded by numpy:
+    one _draw_tournament into a row of raw words, then their pair bits."""
+    size = n * (n - 1) // 2
+    words = np.empty((1, (size + 7) // 8), "<u8")
+    generators._draw_tournament(seed, index, attempt, None, words[0])
+    return Tournament._from_packed(n, generators._pair_bits(words, size)[0])
 
 
 class TestFixedFamilies:
@@ -131,6 +141,11 @@ class TestRandom:
 GRID_SIZES = list(range(1, 70)) + [100, 129, 130, 255, 256, 257, 600]
 GRID_SEEDS = (0, 1, 12345, 2**40 + 3)
 GRID_DIGEST = "da93ba121a7d668f86b4a6a02dbae3b61e7dae6a6400a85461624a57d2324b5b"
+# the same over random_collection(n, m, seed, strongly_connected_count=k)
+# for m in {9, 10, 11, 40}, k in {0, m - 1}, seeds 0 and 2**40 + 3
+BATCH_SIZES = list(range(1, 17)) + [130]
+BATCH_DIGEST = (
+    "c78f222c2ea98678285320c137de964837bd046755b38c3192126d9372917949")
 
 
 class TestStreamLock:
@@ -149,6 +164,24 @@ class TestStreamLock:
                         h.update(repr(t.out).encode())
         assert h.hexdigest() == GRID_DIGEST
 
+    def test_batched_collection_digest(self):
+        # m of SEED_BATCH - 1 (each member seeded alone), SEED_BATCH and
+        # above (one array pass); n = 1..16 covers every N mod 8, and at
+        # n = 130 a block holds 7 members, so m = 40 takes 6 blocks
+        h = hashlib.sha256()
+        for n in BATCH_SIZES:
+            for m in (9, 10, 11, 40):
+                for seed in (0, 2**40 + 3):
+                    for k in (0, m - 1):
+                        if k and n < 3:
+                            continue
+                        tc = generators.random_collection(
+                            n, m, seed, strongly_connected_count=k)
+                        h.update(tc.to_json().encode())
+                        for t in tc.tournaments:
+                            h.update(repr(t.out).encode())
+        assert h.hexdigest() == BATCH_DIGEST
+
     @pytest.mark.parametrize(
         "n", list(range(1, 71)) + [600, 1600]
     )
@@ -158,7 +191,7 @@ class TestStreamLock:
                 np.random.SeedSequence([seed, index, attempt])
             ))
             bits = rng.integers(0, 2, size=n * (n - 1) // 2, dtype=np.uint8)
-            t = generators._draw_tournament(n, seed, index, attempt)
+            t = drawn(n, seed, index, attempt)
             assert t.pair_bits() == (bits + ord("0")).tobytes().decode()
 
 
@@ -183,16 +216,14 @@ class TestDrawCount:
     @staticmethod
     def rejections(n, seed, index):
         attempt = 0
-        while not is_strongly_connected(
-            generators._draw_tournament(n, seed, index, attempt)
-        ):
+        while not is_strongly_connected(drawn(n, seed, index, attempt)):
             attempt += 1
         return attempt
 
     def test_uniform_draws_once_per_member(self, monkeypatch):
-        # a first draw also gets the batch's PCG64 (None below SEED_BATCH)
+        # each draw also gets its start (None below SEED_BATCH) and row
         calls = self.count_draws(monkeypatch, 9, 8, seed=4)
-        assert [a[:4] for a in calls] == [(9, 4, i, 0) for i in range(8)]
+        assert [a[:3] for a in calls] == [(4, i, 0) for i in range(8)]
 
     def test_strongly_connected_members_add_their_rejections(
         self, monkeypatch
@@ -242,12 +273,12 @@ class TestBatchedSeeding:
                 assert t == generators.random_tournament(
                     n, seed, strongly_connected=i < k, index=i)
                 if i >= k:
-                    assert t == generators._draw_tournament(n, seed, i, 0)
+                    assert t == drawn(n, seed, i, 0)
 
     def test_index_past_32_bits_draws_its_own_stream(self):
         index = 2**32 + 1
         t = generators.random_tournament(12, seed=5, index=index)
-        assert t == generators._draw_tournament(12, 5, index, 0)
+        assert t == drawn(12, 5, index, 0)
 
     # m = 4 seeds members one at a time, m = 12 in one array pass
     @pytest.mark.parametrize("call, exc", [
@@ -266,6 +297,28 @@ class TestBatchedSeeding:
     def test_bad_arguments_keep_their_exception_types(self, call, exc):
         with pytest.raises(exc):
             call()
+
+
+class TestVertexCount:
+    """n goes through operator.index where generation starts, as the seed
+    does: a bool is the int it stands for, a float a TypeError."""
+
+    @pytest.mark.parametrize("kind", ["random_uniform", "transitive"])
+    def test_boolean_n_writes_json_that_reads_back(self, kind):
+        tc = generators.generate(kind, True, 1, 0)
+        assert type(tc.n) is int and tc.to_json().startswith('{"n":1,')
+        assert TournamentCollection.from_json(tc.to_json()) == tc
+
+    def test_boolean_n_tournament_has_an_int_n(self):
+        t = generators.random_tournament(True, 4)
+        assert type(t.n) is int and repr(t) == "Tournament(n=1, bits='')"
+
+    # m = 4 seeds members one at a time, m = 12 in one array pass
+    @pytest.mark.parametrize("m", [4, 12])
+    def test_float_n_is_refused_before_any_draw(self, m):
+        with pytest.raises(TypeError, match="'float'") as exc:
+            generators.random_collection(5.0, m, seed=0)
+        assert exc.traceback[-1].name == "_collection"
 
 
 class TestGenerateDispatch:
