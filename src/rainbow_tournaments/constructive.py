@@ -246,9 +246,12 @@ def tournament_ham_path(
 
     Every tournament has one; each new vertex goes before the first path
     vertex it beats, or at the end.  A generator shuffles the insertion
-    order, which is how callers get varied endpoints.
+    order, which is how callers get varied endpoints.  vertices, if
+    given, must be distinct vertices of t, else ValueError.
     """
-    verts = list(vertices) if vertices is not None else list(range(t.n))
+    verts = list(range(t.n) if vertices is None else vertices)
+    if len(set(verts)) < len(verts) or not all(0 <= v < t.n for v in verts):
+        raise ValueError("need distinct vertices of t")
     if rng is not None:
         verts = [verts[i] for i in rng.permutation(len(verts))]
     path: list[int] = []
@@ -516,6 +519,8 @@ def rainbow_connect_all(
     tc: TournamentCollection, x: int
 ) -> dict[int, RainbowPath]:
     """Ascending-color rainbow paths from x to every other vertex, one pass."""
+    if not 0 <= x < tc.n:
+        raise ValueError(f"vertex {x} is outside 0..{tc.n - 1}")
     entry = _layering(tc, x)
     return {
         y: _walk_back(entry, x, y) for y in range(tc.n) if y != x
@@ -549,23 +554,25 @@ def build_absorber(
     """Randomized absorber construction with a verification schedule.
 
     Up to ABSORBER_RETRIES candidate pairs A and C are drawn at random
-    from avail_colors (colors of tc, else ValueError); acceptance checks
-    that A plus ell-subsets C' of C match the target arcs perfectly.  Only
-    existence is asked, so free colors are taken before any augmenting
-    path is searched.  A's colors are pushed first into an
-    IncrementalMatcher with colors as slots; a perfect matching with A
-    plus C' uses all of A, so a rejected push rejects the candidate with
-    no probe.  When there are at most 10^4 subsets, all are checked
-    exactly: by Hall over arc sets when there are fewer of them, else the
-    combination-tree walk, which continues that matcher depth first
-    through the ell-subset tree with one push per tree node, a rejected
-    prefix rejecting at once.  Otherwise a large C is accepted when A plus
-    its ell lowest-degree colors (fewest target arcs served; ties in C's
-    order) match, checked by one perfect_matching that starts from A's
-    matching with the ell top-up slots open; absorb() checks the top-up
-    set it is given.
+    from avail_colors (colors of tc, else ValueError; a repeated target
+    arc is a ValueError too); acceptance checks that A plus ell-subsets
+    C' of C match the target arcs perfectly.  Only existence is asked, so
+    free colors are taken before any augmenting path is searched.  A's
+    colors are pushed first into an IncrementalMatcher with colors as
+    slots; a perfect matching with A plus C' uses all of A, so a rejected
+    push rejects the candidate with no probe.  If C has at most 10^4
+    subsets and there are fewer arc sets, Hall's condition over the arc
+    sets checks them all at once.  Otherwise one perfect_matching per
+    top-up set, started from A's matching with the ell top-up slots open,
+    checks every subset (at most 10^4) or only C's ell lowest-degree
+    colors (fewest target arcs served; ties in C's order), and the first
+    set that fails rejects the candidate; absorb() checks the top-up set
+    it is given.
     """
     target_arcs = tuple(target_arcs)
+    if len(set(target_arcs)) < len(target_arcs):
+        arc = next(a for a in target_arcs if target_arcs.count(a) > 1)
+        raise ValueError(f"target arc {arc} is repeated")
     if len(target_arcs) < ell:
         raise ValueError("need at least ell target arcs")
     if ell < 0:
@@ -593,8 +600,7 @@ def build_absorber(
         ccand = tuple(
             sorted(avail_colors[i] for i in picked[a_size:a_size + c_size])
         )
-        a_mask = sum(1 << c for c in acand)
-        if _verify_absorber(avail, a_mask, ccand, ell):
+        if _verify_absorber(avail, acand, ccand, ell):
             return Absorber(acand, ccand, target_arcs, ell, avail)
     raise AbsorberConstructionError(
         f"no candidate survived verification after {ABSORBER_RETRIES} "
@@ -602,55 +608,28 @@ def build_absorber(
     )
 
 
-def _verify_absorber(avail, a_mask, ccand, ell) -> bool:
+def _verify_absorber(avail, acand, ccand, ell) -> bool:
     matcher = IncrementalMatcher()  # colors are its slots, arcs its colors
-    amasks = [_slots_holding(avail, c) for c in _bits(a_mask)]
+    amasks = [_slots_holding(avail, c) for c in acand]
     for mask in amasks:
         if not matcher.push(mask):
             return False
     cmasks = [_slots_holding(avail, c) for c in ccand]
     subsets = math.comb(len(ccand), ell)
-    if subsets <= 10_000:
-        if 1 << len(avail) < subsets:
-            return _hall_every_topup(len(avail), amasks, cmasks, ell)
-        return _every_topup_matches(matcher, cmasks, ell)
-    # degree of a color = number of target arcs it can serve; the ell colors
-    # of minimum degree make the hardest top-up set
-    hard = sorted(cmasks, key=int.bit_count)[:ell]
+    if 1 << len(avail) < subsets <= 10_000:
+        return _hall_every_topup(len(avail), amasks, cmasks, ell)
+    # past 10^4 subsets only the hardest top-up set is tried: the ell colors
+    # of minimum degree (the number of target arcs a color can serve)
+    tops = (itertools.combinations(cmasks, ell) if subsets <= 10_000
+            else [sorted(cmasks, key=int.bit_count)[:ell]])
     start = matcher.match_of_slot + [-1] * ell
-    return perfect_matching(matcher.avail + hard, start=start) is not None
-
-
-def _every_topup_matches(matcher, cmasks, ell) -> bool:
-    """Whether A plus every ell-subset of C matches the target arcs.
-
-    Colors are the matcher's slots, each masking the arcs it can serve
-    (cmasks for C, in ascending order); with |A| + ell target arcs a
-    color-saturating matching is a perfect one.  The matcher holds A
-    already; the ell-subsets of C are walked depth first as a combination
-    tree: one push per tree node and a pop on backtrack.  Every node
-    extends to an ell-subset, so a rejected push fails the whole check.
-    """
-    spare = len(cmasks) - ell  # a node at depth d picks an index <= spare + d
-    picked: list[int] = []
-    i = 0
-    while True:
-        depth = len(picked)
-        if depth < ell and i <= spare + depth:
-            if not matcher.push(cmasks[i]):
-                return False
-            picked.append(i)
-            i += 1
-        elif picked:
-            matcher.pop()
-            i = picked.pop() + 1
-        else:
-            return True
+    return all(perfect_matching(matcher.avail + list(top), start=start)
+               is not None for top in tops)
 
 
 def _hall_every_topup(k, amasks, cmasks, ell) -> bool:
     """Whether A plus every ell-subset of C matches the k target arcs,
-    by Hall's condition over the 2^k arc sets X instead of a walk.
+    by Hall's condition over the 2^k arc sets X, with no matching.
 
     amasks and cmasks mask the arcs each color of A and C serves, and
     |A| + ell = k.  For a fixed C', a perfect matching exists iff every X

@@ -1,6 +1,7 @@
 """Color absorbers: randomized construction and exchange guarantees."""
 
 import collections
+import hashlib
 import itertools
 import math
 
@@ -10,7 +11,6 @@ import pytest
 from rainbow_tournaments import constructive, generators, harness
 from rainbow_tournaments.constructive import (
     Absorber,
-    _every_topup_matches,
     _hall_every_topup,
     _verify_absorber,
     absorb,
@@ -116,6 +116,13 @@ class TestBuildAbsorber:
                 for c, d in itertools.combinations(ccand, 2)
             )
 
+    def test_repeated_target_arc_rejected(self):
+        # absorb() used to raise "duplicate arc (0,1)" from ColoredDigraph
+        # on an absorber that build_absorber had accepted
+        tc = generators.random_collection(8, 16, 3)
+        with pytest.raises(ValueError, match=r"target arc \(0, 1\) is"):
+            build_absorber(tc, [(0, 1), (0, 1), (1, 2)], range(16), 1, 3)
+
     def test_deterministic_given_seed(self):
         tc, arcs = dense_instance(10, 40, seed=1)
         a = build_absorber(tc, arcs, range(40), ell=2, c_size=10, seed=7)
@@ -148,10 +155,10 @@ class TestAbsorb:
             absorb(bad, [ab.C[0]])
 
 
-def reference_verify(avail, a_mask, ccand, ell) -> bool:
+def reference_verify(avail, acand, ccand, ell) -> bool:
     """The absorber check with a from-scratch matching per probe."""
     def ok(cset):
-        allow = a_mask
+        allow = sum(1 << c for c in acand)
         for c in cset:
             allow |= 1 << c
         return perfect_matching([av & allow for av in avail]) is not None
@@ -165,26 +172,25 @@ def reference_verify(avail, a_mask, ccand, ell) -> bool:
 
 
 def random_candidate(rng, n_arcs, ell, c_size, density, m=None):
-    """Target-arc masks over colors 0..m-1 and disjoint A (mask), C; by
-    default m leaves 5 colors outside A and C."""
+    """Target-arc masks over colors 0..m-1 and disjoint A, C (ascending);
+    by default m leaves 5 colors outside A and C."""
     m = m or n_arcs - ell + c_size + 5
     avail = [
         sum(1 << c for c in range(m) if rng.random() < density)
         for _ in range(n_arcs)
     ]
     picked = rng.permutation(m).tolist()
-    a_mask = sum(1 << c for c in picked[:n_arcs - ell])
+    acand = tuple(sorted(picked[:n_arcs - ell]))
     ccand = tuple(sorted(picked[n_arcs - ell:n_arcs - ell + c_size]))
-    return avail, a_mask, ccand
+    return avail, acand, ccand
 
 
 def record_branches(monkeypatch) -> list:
     """The checks _verify_absorber runs after A's pushes, as they are
-    called: "walk", "hall" or "sampled" (its one perfect_matching)."""
+    called: "hall", or "matching" for each top-up set's perfect_matching."""
     taken = []
-    for name, tag in (("_every_topup_matches", "walk"),
-                      ("_hall_every_topup", "hall"),
-                      ("perfect_matching", "sampled")):
+    for name, tag in (("_hall_every_topup", "hall"),
+                      ("perfect_matching", "matching")):
         def spy(*a, _run=getattr(constructive, name), _tag=tag, **k):
             taken.append(_tag)
             return _run(*a, **k)
@@ -193,33 +199,36 @@ def record_branches(monkeypatch) -> list:
 
 
 def count_pushes(monkeypatch, avail, a_size, c_size, ell):
-    """_verify_absorber's verdict and IncrementalMatcher push count with
-    A = colors 0..a_size-1 and C the next c_size colors; a perfect_matching
-    call fails the test."""
-    pushes = []
+    """_verify_absorber's verdict, IncrementalMatcher push count and
+    perfect_matching calls as (slots, start), with A = colors
+    0..a_size-1 and C the next c_size colors."""
+    pushes, calls = [], []
     push = IncrementalMatcher.push
 
-    def counted(matcher, mask):
+    def counted_push(matcher, mask):
         pushes.append(mask)
         return push(matcher, mask)
 
-    monkeypatch.setattr(IncrementalMatcher, "push", counted)
-    monkeypatch.setattr(
-        constructive, "perfect_matching",
-        lambda *a, **k: pytest.fail("perfect_matching called"),
-    )
+    def counted(slots, start):
+        calls.append((slots, start))
+        return perfect_matching(slots, start=start)
+
+    monkeypatch.setattr(IncrementalMatcher, "push", counted_push)
+    monkeypatch.setattr(constructive, "perfect_matching", counted)
     ccand = tuple(range(a_size, a_size + c_size))
-    got = _verify_absorber(avail, (1 << a_size) - 1, ccand, ell)
-    return got, len(pushes)
+    got = _verify_absorber(avail, tuple(range(a_size)), ccand, ell)
+    return got, len(pushes), calls
 
 
 class TestWarmStartedVerification:
     """_verify_absorber decides as a from-scratch matching per probe does:
-    every ell-subset of a small C, the minimum-degree one of a large C."""
+    every ell-subset of a small C, the minimum-degree one of a large C.
+    Branch "every" matches each top-up set in turn, "sampled" only the
+    minimum-degree one."""
 
-    def _agree(self, avail, a_mask, ccand, ell) -> bool:
-        got = _verify_absorber(avail, a_mask, ccand, ell)
-        assert got == reference_verify(avail, a_mask, ccand, ell)
+    def _agree(self, avail, acand, ccand, ell) -> bool:
+        got = _verify_absorber(avail, acand, ccand, ell)
+        assert got == reference_verify(avail, acand, ccand, ell)
         return got
 
     # (ell, c_size, n_arcs) -> (densities, candidates) where the defaults
@@ -230,13 +239,13 @@ class TestWarmStartedVerification:
     }
 
     @pytest.mark.parametrize("ell,c_size,n_arcs,branch", [
-        (2, 8, 8, "walk"),
-        (0, 4, 6, "walk"),
+        (2, 8, 8, "every"),
+        (0, 4, 6, "every"),
         (3, 50, 10, "sampled"),
         (6, 16, 12, "hall"),  # the shape auto-sweep runs
         (3, 12, 7, "hall"),
-        (5, 5, 9, "walk"),  # ell = |C|: a single leaf
-        (40, 41, 44, "walk"),  # ell = |C| - 1: a 40-deep tree
+        (5, 5, 9, "every"),  # ell = |C|: a single top-up set
+        (40, 41, 44, "every"),  # ell = |C| - 1: 41 top-up sets
     ])
     def test_agrees_with_from_scratch_probes(self, monkeypatch, ell, c_size,
                                              n_arcs, branch):
@@ -248,12 +257,19 @@ class TestWarmStartedVerification:
         outcomes = set()
         for k in range(candidates):
             density = densities[k % 3]
-            avail, a_mask, ccand = random_candidate(
+            avail, acand, ccand = random_candidate(
                 rng, n_arcs, ell, c_size, density
             )
-            outcomes.add(self._agree(avail, a_mask, ccand, ell))
+            before = len(taken)
+            got = self._agree(avail, acand, ccand, ell)
+            calls = len(taken) - before
+            if branch == "sampled":
+                assert calls <= 1
+            elif branch == "every" and got:
+                assert calls == math.comb(c_size, ell)
+            outcomes.add(got)
         assert outcomes == {True, False}
-        assert set(taken) == {branch}
+        assert set(taken) == {"hall" if branch == "hall" else "matching"}
 
     def test_agrees_on_2000_random_candidates(self):
         # the benchmark's recorded probes all accept, so the rejections of
@@ -265,10 +281,10 @@ class TestWarmStartedVerification:
         for k in range(2_000):
             ell, c_size, n_arcs = shapes[k % len(shapes)]
             density = (0.3, 0.45, 0.6)[k // len(shapes) % 3]
-            avail, a_mask, ccand = random_candidate(
+            avail, acand, ccand = random_candidate(
                 rng, n_arcs, ell, c_size, density
             )
-            got = self._agree(avail, a_mask, ccand, ell)
+            got = self._agree(avail, acand, ccand, ell)
             seen[math.comb(c_size, ell) <= 10_000, got] += 1
         assert len(seen) == 4
         assert min(seen.values()) >= 250
@@ -280,24 +296,24 @@ class TestWarmStartedVerification:
         outcomes = set()
         for k in range(12):
             density = (0.05, 0.06, 0.07)[k % 3]
-            avail, a_mask, ccand = random_candidate(
+            avail, acand, ccand = random_candidate(
                 rng, 96, 6, 42, density, m=800
             )
             assert math.comb(len(ccand), 6) > 10_000
-            outcomes.add(self._agree(avail, a_mask, ccand, 6))
+            outcomes.add(self._agree(avail, acand, ccand, 6))
         assert outcomes == {True, False}
 
     def test_unsaturable_a_rejected_without_probes(self, monkeypatch):
         # color 0 of A serves no target arc, so no top-up set can complete
         avail = [0b1111110, 0b1111110, 0b1111110]
-        a_mask, ccand = 0b11, (4, 5, 6)
-        assert not self._agree(avail, a_mask, ccand, 1)
+        acand, ccand = (0, 1), (4, 5, 6)
+        assert not self._agree(avail, acand, ccand, 1)
         calls = []
         monkeypatch.setattr(
             "rainbow_tournaments.constructive.perfect_matching",
             lambda *a, **k: calls.append(a),
         )
-        assert not _verify_absorber(avail, a_mask, ccand, 1)
+        assert not _verify_absorber(avail, acand, ccand, 1)
         assert calls == []
 
 
@@ -329,7 +345,7 @@ class TestMinimumDegreeProbe:
             avail[k] |= sum(1 << c for c in ccand
                             if c not in self.FEW or k in low)
         assert math.comb(self.C_SIZE, ell) > 10_000
-        got = _verify_absorber(avail, (1 << a) - 1, ccand, ell)
+        got = _verify_absorber(avail, tuple(range(a)), ccand, ell)
         hard = sum(1 << k for k in low)
         assert calls == [([1 << i for i in range(a)] + [hard] * ell,
                           [*range(a)] + [-1] * ell)]
@@ -343,55 +359,67 @@ class TestMinimumDegreeProbe:
         assert self._run(monkeypatch, low=range(6, 9)) is False
 
 
-class TestCombinationTreeWalk:
-    """The walk pushes each node of the ell-subset tree of C
-    once, on top of A, and makes no per-subset matching."""
+class TestTopUpLoop:
+    """With at most 10^4 top-up sets and no fewer target-arc sets, each
+    ell-subset of C, in combination order, gets one perfect_matching that
+    starts from A's matching with the ell top-up slots open; the first
+    set that fails ends the loop."""
 
     # 13 target arcs: 2^13 = 8,192 arc sets are no fewer than the 8,008
-    # top-up sets, so the walk runs, not Hall over arc sets
+    # top-up sets, so the loop runs, not Hall over arc sets
     ELL, A_SIZE, C_SIZE = 6, 7, 16
-    ALL = (1 << (A_SIZE + C_SIZE)) - 1  # colors 0..6 are A, 7..22 are C
+    ARCS = (1 << (A_SIZE + ELL)) - 1  # every target arc
 
-    def _run(self, monkeypatch, avail):
-        subsets = math.comb(self.C_SIZE, self.ELL)
-        assert subsets <= min(10_000, 1 << len(avail))
+    def _run(self, monkeypatch, arcs_of):
+        """count_pushes with color c serving the target arcs in
+        arcs_of[c]: A is colors 0..6, C 7..22."""
+        avail = [sum(1 << c for c, arcs in enumerate(arcs_of) if arcs >> k & 1)
+                 for k in range(self.A_SIZE + self.ELL)]
+        assert math.comb(self.C_SIZE, self.ELL) <= min(10_000, 1 << len(avail))
         return count_pushes(monkeypatch, avail, self.A_SIZE, self.C_SIZE,
                             self.ELL)
 
-    def test_accepted_candidate_pushes_every_node_once(self, monkeypatch):
-        avail = [self.ALL] * (self.A_SIZE + self.ELL)
-        got, pushes = self._run(monkeypatch, avail)
-        nodes = sum(
-            math.comb(self.C_SIZE - self.ELL + k, k)
-            for k in range(1, self.ELL + 1)
-        )
-        assert nodes == 12_375
+    def test_accepted_candidate_matches_every_top_up_set(self, monkeypatch):
+        # C's colors miss one arc each, so the top-up sets differ
+        cmasks = [self.ARCS & ~(1 << (j % 13)) for j in range(self.C_SIZE)]
+        got, pushes, calls = self._run(monkeypatch,
+                                       [self.ARCS] * self.A_SIZE + cmasks)
         assert got is True
-        assert pushes == self.A_SIZE + nodes
+        assert pushes == self.A_SIZE
+        tops = list(itertools.combinations(cmasks, self.ELL))
+        assert len(calls) == len(tops) == 8_008
+        # A's i-th push took the lowest free arc, i
+        start = [*range(self.A_SIZE)] + [-1] * self.ELL
+        assert calls == [([self.ARCS] * self.A_SIZE + list(top), start)
+                         for top in tops]
 
-    def test_bad_prefix_stops_early(self, monkeypatch):
-        # C's two lowest colors serve only arc 0, so the prefix (7, 8) and
-        # every top-up set holding it fail: the walk stops at its 2nd push
-        low2 = 0b11 << self.A_SIZE
-        avail = [self.ALL] + [self.ALL & ~low2] * (self.A_SIZE + self.ELL - 1)
-        got, pushes = self._run(monkeypatch, avail)
+    def test_first_failing_set_ends_the_loop(self, monkeypatch):
+        # C's two highest colors serve only arc 0, so the first top-up set
+        # holding both, (7, 8, 9, 10, 21, 22), fails: the 66th of 8,008
+        arcs_of = [self.ARCS] * (self.A_SIZE + self.C_SIZE - 2) + [1, 1]
+        got, pushes, calls = self._run(monkeypatch, arcs_of)
+        first_bad = next(
+            k for k, top in enumerate(itertools.combinations(
+                range(self.C_SIZE), self.ELL)) if {14, 15} <= set(top))
         assert got is False
-        assert pushes == self.A_SIZE + 2
+        assert pushes == self.A_SIZE
+        assert len(calls) == first_bad + 1 == 66
 
     def test_a_checked_by_its_pushes(self, monkeypatch):
         # color 0 of A serves no target arc: its push rejects the candidate
-        # without a separate matching of A alone
-        avail = [self.ALL & ~1] * (self.A_SIZE + self.ELL)
-        got, pushes = self._run(monkeypatch, avail)
+        # without a separate matching of A alone, and no top-up set is tried
+        arcs_of = [0] + [self.ARCS] * (self.A_SIZE + self.C_SIZE - 1)
+        got, pushes, calls = self._run(monkeypatch, arcs_of)
         assert got is False
         assert pushes == 1
+        assert calls == []
 
 
 class TestHallOverArcSets:
     """With fewer target-arc sets than top-up sets, the every-top-up
-    check is Hall's condition over the arc sets: no walk, no probe."""
+    check is Hall's condition over the arc sets: no perfect_matching."""
 
-    def test_agrees_with_the_walk(self):
+    def test_agrees_with_a_check_per_top_up_set(self):
         # 10,000 shapes with k <= 9 arcs, |C| from ell to ell + 4, and
         # each color serving each arc with one probability per shape
         rng = np.random.default_rng(32)
@@ -403,11 +431,13 @@ class TestHallOverArcSets:
             serves = rng.random((k - ell + c_size, k)) < rng.uniform(0.2, 0.8)
             masks = [int(x) for x in serves @ (1 << np.arange(k))]
             amasks, cmasks = masks[:k - ell], masks[k - ell:]
-            matcher = IncrementalMatcher()
-            walk = (all(matcher.push(mask) for mask in amasks)
-                    and _every_topup_matches(matcher, cmasks, ell))
-            assert _hall_every_topup(k, amasks, cmasks, ell) == walk
-            seen[walk] += 1
+            # colors as slots, from scratch: k slots on k arcs
+            every = all(
+                perfect_matching(amasks + list(top)) is not None
+                for top in itertools.combinations(cmasks, ell)
+            )
+            assert _hall_every_topup(k, amasks, cmasks, ell) == every
+            seen[every] += 1
             seen["ell = 0"] += ell == 0
             seen["empty A"] += ell == k
             seen["|C| = ell"] += c_size == ell
@@ -422,17 +452,17 @@ class TestHallOverArcSets:
     def test_auto_sweep_shape_pushes_only_a(self, monkeypatch):
         assert 1 << 12 < math.comb(16, 6) <= 10_000
         got = count_pushes(monkeypatch, [self.ALL] * 12, 6, 16, 6)
-        assert got == (True, 6)
+        assert got == (True, 6, [])
 
     def test_rejects_a_top_up_set_that_shares_arcs(self, monkeypatch):
         # C's colors 6..11 serve arcs 0..4 only: as a top-up set they put
         # six colors on five arcs
         few = sum(1 << c for c in range(6, 12))
         avail = [self.ALL] * 5 + [self.ALL & ~few] * 7
-        assert count_pushes(monkeypatch, avail, 6, 16, 6) == (False, 6)
+        assert count_pushes(monkeypatch, avail, 6, 16, 6) == (False, 6, [])
 
     @pytest.mark.parametrize("c_size, branch", [
-        (8, "walk"),  # 2^3 arc sets = C(8, 1) top-up sets
+        (8, "every"),  # 2^3 arc sets = C(8, 1) top-up sets
         (9, "hall"),  # 8 < C(9, 1)
     ])
     def test_branch_boundary(self, monkeypatch, c_size, branch):
@@ -440,5 +470,21 @@ class TestHallOverArcSets:
         # 3 target arcs, A = {0, 1}, ell = 1: every color serves every arc
         avail = [(1 << (2 + c_size)) - 1] * 3
         ccand = tuple(range(2, 2 + c_size))
-        assert _verify_absorber(avail, 0b11, ccand, 1) is True
-        assert taken == [branch]
+        assert _verify_absorber(avail, (0, 1), ccand, 1) is True
+        assert taken == (["hall"] if branch == "hall"
+                         else ["matching"] * c_size)
+
+
+# sha256 of the lemma-absorber report over sizes 8, 9, 10, 12, 16 and seeds
+# 0-49, without timing.  Its two failure records are draws of A and C that
+# miss an absorber; a change to how A and C are drawn re-baselines it.
+ABSORBER_REPORT = (
+    "e55a5a235acc5d5c76a55e7d83990af66607d80ee682ce4be4dd8d28ff8cc04d")
+
+
+def test_lemma_absorber_report_is_locked():
+    report = harness.verify_lemmas("absorber", [8, 9, 10, 12, 16], range(50))
+    assert [(f["n"], f["seed"], f["kind"]) for f in report.failures] == [
+        (8, 6, "absorber-build"), (9, 39, "absorber-build")]
+    text = report.to_jsonl(include_timing=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == ABSORBER_REPORT

@@ -151,6 +151,14 @@ class TestTournamentHamPath:
                   for _ in range(30)}
         assert len(starts) > 1
 
+    @pytest.mark.parametrize("vertices", [[0, 0, 1], [0, 1, 10], [-1, 2]],
+                             ids=["repeat", "outside", "negative"])
+    def test_bad_vertices_rejected(self, vertices):
+        # [0, 0, 1] used to come back as the "path" [0, 0, 1]
+        t = generators.random_tournament(10, 1)
+        with pytest.raises(ValueError, match="distinct vertices"):
+            tournament_ham_path(t, vertices)
+
 
 class TestOneSpare:
     def test_rejects_too_few_colors(self):
@@ -363,6 +371,14 @@ class TestRainbowConnect:
                     assert p.valid(tc)
                     colors = list(p.colors)
                     assert colors == sorted(colors)
+
+    @pytest.mark.parametrize("x", [7, -1])
+    def test_source_outside_the_vertices_rejected(self, x):
+        # 7 used to raise IndexError and -1 "negative shift count"
+        tc = generators.random_collection(5, 4, seed=0,
+                                          strongly_connected_count=4)
+        with pytest.raises(ValueError, match=f"vertex {x} is outside 0..4"):
+            rainbow_connect_all(tc, x)
 
     def test_one_pair_form_removed(self):
         # rainbow_connect_all(tc, x)[y] is the one path from x to y
