@@ -329,20 +329,21 @@ def _forcing_color_base(
 
 
 def _greedy_colors(
-    tc: TournamentCollection, arcs: Iterable[tuple[int, int]], used: set[int]
+    tc: TournamentCollection, arcs: Sequence[tuple[int, int]], used: set[int]
 ) -> list[int]:
     """For each arc in turn the lowest color not in used whose tournament
-    has it, then added to used.  The has_arc scan stops at the first such
-    color, where arc_color_mask would read all m."""
+    has it, then added to used; the arcs' color masks come from one
+    arc_color_masks call."""
+    free = ~sum(1 << c for c in used)
     cols = []
-    for u, v in arcs:
-        for c in range(tc.m):
-            if c not in used and tc.tournaments[c].has_arc(u, v):
-                break
-        else:
+    for (u, v), mask in zip(arcs, tc.arc_color_masks(arcs)):
+        mask &= free
+        if not mask:
             raise StageFailure(
                 "greedy-color", f"no unused color contains arc {u}->{v}"
             )
+        c = (mask & -mask).bit_length() - 1
+        free ^= 1 << c
         used.add(c)
         cols.append(c)
     return cols
@@ -588,9 +589,7 @@ def build_absorber(
         raise AbsorberConstructionError(
             "not enough available colors for the requested A and C sizes"
         )
-    avail = tuple(
-        tc.arc_color_mask(u, v) for (u, v) in target_arcs
-    )
+    avail = tuple(tc.arc_color_masks(target_arcs))
     for attempt in range(ABSORBER_RETRIES):
         rng = np.random.default_rng([seed, attempt])
         picked = rng.permutation(len(avail_colors))

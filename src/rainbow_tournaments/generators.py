@@ -23,7 +23,8 @@ then one comparison and one ``packbits`` write the block's pair bits into
 the collection's rows, which the members view (see ``core``): about 6 µs
 a member at n = 30 and 0.2 ms at n = 800, with no n x n matrix.  A
 strongly connected member also pays for its scores (about 0.3 ms at n =
-400), cached on it, and for one Landau test per draw (7 µs at n = 400).
+400) and one Landau test per draw (7 µs at n = 400); the kept member holds
+both its scores and its verdict, so a later strength count reads them.
 """
 
 from __future__ import annotations

@@ -223,7 +223,7 @@ def rainbow_dhp(
     for i in others:
         spots.append((ends[i], block_paths[i][0]))
         spots.append((block_paths[i][-1], ends[i + 1]))
-    avail = [tc.arc_color_mask(u, v) & dmask for (u, v) in spots]
+    avail = [mask & dmask for mask in tc.arc_color_masks(spots)]
     got = perfect_matching(avail)
     if got is None:
         raise StageFailure("dhp-step3", "reserved colors cannot cover the "
@@ -241,7 +241,7 @@ def rainbow_dhp(
         stops = [ends[tau], *cand, ends[tau + 1]]
         arcs = list(zip(stops, stops[1:]))
         res = matching_with_forced_colors(
-            [tc.arc_color_mask(u, v) & fc_mask for u, v in arcs], forced)
+            [mask & fc_mask for mask in tc.arc_color_masks(arcs)], forced)
         if res is not None:
             break
     else:
@@ -431,12 +431,8 @@ def _close_from_ham_path(
     has the closing arc, check whether the path arcs can be rainbow-colored
     avoiding c; any success closes the cycle with c.
     """
-    n = tc.n
     tail, head = p.vertices[-1], p.vertices[0]
-    masks = [
-        tc.arc_color_mask(p.vertices[k], p.vertices[k + 1])
-        for k in range(n - 1)
-    ]
+    masks = tc.arc_color_masks(zip(p.vertices, p.vertices[1:]))
     for c in _bits(tc.arc_color_mask(tail, head)):
         got = perfect_matching([mk & ~(1 << c) for mk in masks])
         if got is not None:

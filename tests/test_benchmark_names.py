@@ -109,3 +109,23 @@ def test_tracer_counts_every_draw_and_strong_test(tracing, m, k):
     assert tracer.counts["generators.random_tournament.calls"] == m + rejected
     strong_tests = tracer.span_stats().get("core.is_strongly_connected", {})
     assert strong_tests.get("calls", 0) == k + rejected
+
+
+def test_constructive_cycle_counts_the_pinned_core_metrics(tracing):
+    """perfbench requires core.TournamentCollection.arc_color_mask.calls and
+    core.is_strongly_connected calls to be nonzero on construct-large: a
+    constructive cycle solve reads its closing arc with arc_color_mask and
+    counts its strong members with is_strongly_connected."""
+    tc = _module("generators").random_collection(
+        60, 60, 5, strongly_connected_count=59)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        out = _module("pipeline").transversal_ham_cycle(
+            tc, mode="constructive")
+    finally:
+        tracer.remove()
+    assert out.status == "Found" and "constructive, attempt" in out.notes
+    assert tracer.counts["core.TournamentCollection.arc_color_mask.calls"] >= 1
+    strong_tests = tracer.span_stats()["core.is_strongly_connected"]
+    assert strong_tests["calls"] == 60 and strong_tests["busy_s"] > 0

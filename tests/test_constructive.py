@@ -22,6 +22,7 @@ from rainbow_tournaments.core import TournamentCollection, restrict_colors
 from rainbow_tournaments.errors import (
     ExceptionalConfigurationError,
     InsufficientColorsError,
+    StageFailure,
 )
 from rainbow_tournaments.harness import _forcing_set_instance
 
@@ -306,6 +307,45 @@ class TestForcingColor:
         finally:
             sys.setrecursionlimit(limit)
         assert p.is_hamilton(tc) and 5 in p.colors
+
+
+def _greedy_by_scan(tc, arcs, used):
+    """Reference: for each arc the lowest unused color found by a has_arc
+    scan over all colors, with the same failure."""
+    cols = []
+    for u, v in arcs:
+        for c in range(tc.m):
+            if c not in used and tc.tournaments[c].has_arc(u, v):
+                break
+        else:
+            raise StageFailure("greedy-color",
+                               f"no unused color contains arc {u}->{v}")
+        used.add(c)
+        cols.append(c)
+    return cols
+
+
+class TestGreedyColors:
+    # both outcomes at m up to 2n; m = 8 fills one byte of a color mask
+    @pytest.mark.parametrize("n, m", [(6, 8), (9, 14), (20, 40), (20, 70)])
+    def test_matches_a_scan_over_colors(self, n, m):
+        rng = np.random.default_rng(n)
+        failed = 0
+        for seed in range(40):
+            tc = generators.random_collection(n, m, seed=seed)
+            order = rng.permutation(n).tolist()
+            arcs = list(zip(order, order[1:]))
+            start = set(rng.choice(m, m // 3, replace=False).tolist())
+            outcomes = []
+            for greedy in (constructive._greedy_colors, _greedy_by_scan):
+                used = set(start)
+                try:
+                    outcomes.append((greedy(tc, arcs, used), used))
+                except StageFailure as exc:
+                    outcomes.append((exc.stage, str(exc), used))
+            assert outcomes[0] == outcomes[1]
+            failed += isinstance(outcomes[0][0], str)
+        assert failed < 40 and (failed > 0 or m > 2 * n)
 
 
 class TestForcingSet:

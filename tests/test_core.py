@@ -22,8 +22,9 @@ from rainbow_tournaments.core import (
     restrict_colors,
     validate_transversal,
 )
-from rainbow_tournaments import generators
-from rainbow_tournaments.pipeline import transversal_ham_path
+from rainbow_tournaments import core, generators
+from rainbow_tournaments.pipeline import (transversal_ham_cycle,
+                                          transversal_ham_path)
 
 
 class TestTournament:
@@ -154,6 +155,38 @@ class TestCollection:
         for u, v in iter_pairs(5):
             fwd, bwd = tc.arc_color_mask(u, v), tc.arc_color_mask(v, u)
             assert fwd | bwd == 0b1111 and fwd & bwd == 0
+
+
+class TestArcColorMasks:
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 64, 65])
+    def test_agrees_with_has_arc(self, m):
+        # m around the byte boundaries of the packed color columns
+        n = 11
+        tc = generators.random_collection(n, m, seed=m)
+        rng = np.random.default_rng(m)
+        arcs = [tuple(rng.choice(n, 2, replace=False).tolist())
+                for _ in range(60)]
+        assert any(u < v for u, v in arcs) and any(u > v for u, v in arcs)
+        got = tc.arc_color_masks(arcs)
+        assert got == [
+            sum(1 << c for c in range(m) if tc.tournaments[c].has_arc(u, v))
+            for u, v in arcs]
+        assert got == [tc.arc_color_mask(u, v) for u, v in arcs]
+        assert tc.arc_color_masks(iter(arcs)) == got
+
+    def test_no_arcs(self):
+        assert generators.random_collection(5, 3, seed=0).arc_color_masks(
+            []) == []
+
+    @pytest.mark.parametrize("bad", [(3, 3), (-1, 2), (2, -1), (0, 6),
+                                     (6, 0)])
+    def test_bad_arc_named(self, bad):
+        tc = generators.random_collection(6, 9, seed=1)
+        msg = re.escape(f"invalid arc ({bad[0]},{bad[1]}) for n=6")
+        with pytest.raises(ValueError, match=msg):
+            tc.arc_color_masks([(0, 1), bad, (1, 2)])
+        with pytest.raises(ValueError, match=msg):
+            tc.arc_color_mask(*bad)
 
 
 def _loop_from_pair_bits(n, bits):
@@ -496,6 +529,85 @@ class TestStrongConnectivity:
         assert is_strongly_connected(family[1])
         assert not is_strongly_connected(family[2])
         assert n % 2 == 0 or is_strongly_connected(family[3])
+
+
+def _landau(t):
+    """A fresh Landau test: no proper prefix of the sorted scores sums to
+    C(k, 2)."""
+    prefix = np.cumsum(np.sort(t.scores))[:-1]
+    return all(s != k * (k + 1) // 2 for k, s in enumerate(prefix))
+
+
+class TestVerdictCache:
+    def test_cached_verdict_is_a_fresh_landau_test(self):
+        seen = set()
+        for n in range(3, 13):
+            for seed in range(30):
+                t = generators.random_tournament(n, seed=seed)
+                assert t._strong is None
+                verdict = is_strongly_connected(t)
+                assert t._strong is verdict
+                assert verdict == _landau(t) == _strong_by_reachability(t)
+                assert is_strongly_connected(t) is verdict
+                seen.add(verdict)
+        assert seen == {True, False}
+
+    # m = 4 seeds each member alone, m = 12 all of them in one array pass
+    @pytest.mark.parametrize("m", [4, 12])
+    def test_generated_strong_members_answer_from_the_cache(
+            self, m, monkeypatch):
+        tc = generators.random_collection(
+            9, m, seed=3, strongly_connected_count=m - 1)
+
+        def no_numpy(*args):
+            raise AssertionError("verdict not cached")
+
+        monkeypatch.setattr(core, "_landau_floor", no_numpy)
+        monkeypatch.setattr(core, "_scores_from_pairs", no_numpy)
+        assert all(is_strongly_connected(t) for t in tc.tournaments[:-1])
+        with pytest.raises(AssertionError, match="not cached"):
+            is_strongly_connected(tc.tournaments[-1])
+
+    @pytest.mark.parametrize("read", [
+        lambda tc: TournamentCollection.from_json(tc.to_json()).tournaments,
+        lambda tc: pickle.loads(pickle.dumps(tc)).tournaments,
+        lambda tc: [t.restrict(range(tc.n)) for t in tc.tournaments],
+    ], ids=["from_json", "unpickled", "restrict"])
+    def test_members_made_again_compute_their_own(self, read, monkeypatch):
+        tc = generators.random_collection(8, 6, seed=4,
+                                          strongly_connected_count=5)
+        assert all(t._strong is True for t in tc.tournaments[:5])
+        calls = []
+        floor = core._landau_floor
+        monkeypatch.setattr(core, "_landau_floor",
+                            lambda n: calls.append(n) or floor(n))
+        again = read(tc)
+        assert all(t._strong is None for t in again)
+        assert [is_strongly_connected(t) for t in again] == [
+            is_strongly_connected(t) for t in tc.tournaments]
+        assert calls == [8] * 7  # six members read again, tc's free one
+
+
+class TestSizeCaches:
+    def test_a_second_sweep_misses_no_size_cache(self):
+        """Two passes of path and cycle solves at n = 10, 13, ..., 130 on
+        instances drawn afresh each pass: the second pass finds every
+        size in the caches keyed by n."""
+        caches = (core._upper_mask, core._row_slices, core._landau_floor)
+
+        def sweep():
+            for n in range(10, 131, 3):
+                tc = generators.random_collection(n, n, seed=n,
+                                                  strongly_connected_count=n - 1)
+                assert transversal_ham_path(tc).status == "Found"
+                assert transversal_ham_cycle(tc).status == "Found"
+
+        sweep()
+        before = [f.cache_info() for f in caches]
+        sweep()
+        after = [f.cache_info() for f in caches]
+        assert [a.misses for a in after] == [b.misses for b in before]
+        assert all(a.hits > b.hits for a, b in zip(after, before))
 
 
 def _split_strong(n, seed):
