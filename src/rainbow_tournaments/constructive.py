@@ -26,6 +26,7 @@ from .core import (
     Tournament,
     TournamentCollection,
     _bits,
+    _vertex_list,
     induced_collection,
     is_strongly_connected,
     majority_subtournament,
@@ -163,13 +164,12 @@ def h_partition(
     Every block then has between ceil(ell/6) and ell vertices (ell capped
     at the vertex count): split_block leaves at least a sixth of a block
     on each side of its separator.  vertices, if given, must be one or
-    more distinct vertices of t.
+    more distinct vertices of t (ints: TypeError, else ValueError).
     """
-    verts = list(vertices) if vertices is not None else list(range(t.n))
     if not (3 <= ell):
         raise ValueError("ell must be at least 3")
-    if (not verts or len(set(verts)) < len(verts)
-            or not 0 <= min(verts) <= max(verts) < t.n):
+    verts = _vertex_list(t.n, range(t.n) if vertices is None else vertices)
+    if not verts:
         raise ValueError("need one or more distinct vertices of t")
     # a cap beyond the vertex count means the trivial one-block partition;
     # record the attainable cap so the block-size bounds refer to it
@@ -247,11 +247,9 @@ def tournament_ham_path(
     Every tournament has one; each new vertex goes before the first path
     vertex it beats, or at the end.  A generator shuffles the insertion
     order, which is how callers get varied endpoints.  vertices, if
-    given, must be distinct vertices of t, else ValueError.
+    given, must be distinct vertices of t (ints), else ValueError/TypeError.
     """
-    verts = list(range(t.n) if vertices is None else vertices)
-    if len(set(verts)) < len(verts) or not all(0 <= v < t.n for v in verts):
-        raise ValueError("need distinct vertices of t")
+    verts = _vertex_list(t.n, range(t.n) if vertices is None else vertices)
     if rng is not None:
         verts = [verts[i] for i in rng.permutation(len(verts))]
     path: list[int] = []

@@ -13,10 +13,10 @@ in lexicographic order and "1" means the arc i->j.
 
 A tournament is stored as exactly these N pair bits, packed MSB-first
 into ceil(N/8) read-only bytes (``Tournament.packed``; the pad bits of the
-last byte are 0).  A collection built by the generator, by ``from_json``
-or by unpickling keeps its m rows in one (m, ceil(N/8)) uint8 array
-(``TournamentCollection.packed``), and each member's row is a view of it:
-the generator writes the rows in place, and a pickle holds them stacked.
+last byte are 0).  A collection made by the generator, ``from_json``,
+``induced_collection`` or unpickling holds its m rows in one (m, ceil(N/8))
+uint8 array (``TournamentCollection.packed``) and each member's row is a
+view of it (the generator and ``induced_collection`` pack straight into it).
 Per-vertex out-neighbour bitmasks (``Tournament.out``, arbitrary-precision
 ints) are a cache, built on first read.  The constructions read them only
 on small or derived tournaments such as the majority tournament (the
@@ -24,8 +24,8 @@ one-spare builder's two-color step reads single pair bits, and the exact
 oracle the packed rows).
 
 Sub-collections keep the listed order and check the list once:
-``restrict_colors`` picks colors and ``induced_collection`` vertices
-(``Tournament.restrict`` on its first member is its check).
+``restrict_colors`` picks colors (a run of them reads coll's rows) and
+``induced_collection`` vertices (``restrict`` of its first member checks).
 ``majority_subtournament`` votes over all members.
 
 Costs, for k colors on n vertices:
@@ -39,10 +39,9 @@ Costs, for k colors on n vertices:
   as one (m, k) block, masks, flips and packs it once (about 8 µs plus
   1 µs an arc at m = 60); ``arc_color_mask`` is its one-arc case.
 - ``restrict`` to b vertices finds the byte, bit mask and flip of the
-  b(b-1)/2 pairs, then gathers, masks, packs and flips the pair bits.
-  ``induced_collection`` restricts its first member (the check) and finds
-  that index once more for all the other members to share: each of them
-  costs one gather, AND, ``packbits`` and XOR, with O(b^2) bytes live.
+  b(b-1)/2 pairs, then gathers, masks, packs and flips the pair bits;
+  ``induced_collection`` restricts its first member (the check), then
+  does that once for all k members as one (k, b(b-1)/2) array: O(k b^2).
 - ``majority_subtournament`` counts the colors of every pair at once:
   each color's packed row is added into a bit-sliced counter (one array
   per bit of the count) by carry-save full adders, about five
@@ -67,7 +66,7 @@ import json
 from dataclasses import dataclass
 from itertools import repeat
 from operator import index
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -245,12 +244,13 @@ class Tournament:
         """Induced subtournament; vertex k of the result is vertices[k].
         A vertex that is not an int raises TypeError; no vertices,
         repeated ones or ones outside range(n) raise ValueError."""
-        vs = list(map(index, vertices))
-        if not vs or not 0 <= min(vs) <= max(vs) < self.n:
+        vs = _vertex_list(self.n, vertices)
+        if not vs:
             raise ValueError(f"need one or more vertices in range({self.n})")
-        if len(set(vs)) < len(vs):
-            raise ValueError("vertices must be distinct")
-        return _restrictor(self.n, vs)(self)
+        byte, bit, flip = _pair_locations(self.n, vs)
+        # restriction of a valid tournament cannot break the invariants
+        return Tournament._from_packed(
+            len(vs), np.packbits(self._packed[byte] & bit) ^ flip)
 
     def __eq__(self, other) -> bool:
         return (
@@ -517,31 +517,22 @@ def _upper_mask(n: int) -> np.ndarray:
     return _frozen(np.triu(np.ones((n, n), dtype=bool), 1))
 
 
-@functools.lru_cache(maxsize=32)
-def _pair_coords(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j) of every pair i < j, in lexicographic order."""
-    i, j = np.nonzero(_upper_mask(n))
-    return _frozen(i), _frozen(j)
+def _vertex_list(n: int, vertices: Iterable[int]) -> list[int]:
+    """vertices as distinct ints in range(n), else TypeError or ValueError."""
+    vs = list(map(index, vertices))
+    if len(set(vs)) < len(vs) or vs and not 0 <= min(vs) <= max(vs) < n:
+        raise ValueError(f"need distinct vertices in range({n})")
+    return vs
 
 
-def _restrictor(
-    n: int, vertices: Sequence[int]
-) -> Callable[[Tournament], Tournament]:
-    """The map from a tournament on n vertices to the one induced on the
-    listed (checked) vertices.  The byte, bit mask and flip of each pair
-    are found once here; each call gathers the bytes, masks them, packs
-    them (packbits counts any nonzero byte as a 1 bit) and flips the pairs
-    whose first listed vertex is the larger."""
-    idx = np.array(vertices, dtype=np.intp)
-    a, b = _pair_coords(len(idx))
-    u, v = idx[a], idx[b]
+def _pair_locations(n: int, vertices: Sequence[int]):
+    """Byte, bit mask and packed flips (first listed vertex the larger)
+    of the pairs induced on the listed vertices (checked Python ints) in
+    a pair row on n vertices; packbits counts a nonzero masked byte as 1."""
+    u, v = np.take(vertices, np.nonzero(_upper_mask(len(vertices))))
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     p = lo * (2 * n - lo - 3) // 2 + hi - 1  # as in has_arc
-    byte, bit = p >> 3, (0x80 >> (p & 7)).astype(np.uint8)
-    flip = np.packbits(u > v)
-    # restriction of a valid tournament cannot break the invariants
-    return lambda t: Tournament._from_packed(
-        len(idx), np.packbits(t._packed[byte] & bit) ^ flip)
+    return p >> 3, (0x80 >> (p & 7)).astype(np.uint8), np.packbits(u > v)
 
 
 def _full_add(
@@ -639,13 +630,14 @@ def induced_collection(
 ) -> TournamentCollection:
     """Every member restricted to the listed vertices: vertex k of the
     result is vertices[k].  Tournament.restrict on the first member checks
-    the list; the others gather their pair bits with one shared index."""
-    vertices = list(vertices)
-    first, *rest = coll.tournaments
-    subs = [first.restrict(vertices)]
-    if rest:
-        subs += map(_restrictor(coll.n, vertices), rest)
-    return TournamentCollection(subs)
+    the list; the members' pair bytes are gathered into one row array."""
+    vertices = list(map(index, vertices))
+    coll.tournaments[0].restrict(vertices)
+    byte, bit, flip = _pair_locations(coll.n, vertices)
+    rows = np.stack([t._packed[byte] for t in coll.tournaments])
+    rows &= bit
+    return TournamentCollection._from_rows(
+        len(vertices), np.packbits(rows, axis=1) ^ flip)
 
 
 @functools.lru_cache(maxsize=128)

@@ -12,6 +12,7 @@ Deterministic given (instance, seed).
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -479,7 +480,7 @@ def _solve(tc, cyclic: bool, seed, budget, mode, trace) -> OracleOutcome:
     _too_few rule answers first."""
     if mode not in ("auto", "constructive", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
-    if seed < 0:
+    if operator.index(seed) < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     t0 = time.perf_counter()
     if why := _too_few(tc, cyclic):
@@ -536,8 +537,8 @@ def transversal_ham_path(
 
     mode is "auto" (the oracle up to ORACLE_MAX_N vertices, constructive
     above), "constructive", or "exact".  seed keys the constructive
-    attempts.  NotExists can only come from the exhaustive oracle.  Any
-    other mode or a negative seed raises ValueError.
+    attempts.  NotExists can only come from the exhaustive oracle.  A bad
+    mode or a negative seed raises ValueError, a non-int seed TypeError.
     """
     return _solve(tc, False, seed, budget, mode, trace)
 
@@ -551,10 +552,10 @@ def transversal_ham_cycle(
 ) -> OracleOutcome:
     """Transversal Hamilton cycle solver with the cycle-closing cases.
 
-    Requires m = n (larger m is reduced by restriction).  At least n-1
-    strongly connected members are expected; a violation is reported in the
-    outcome notes while the search still runs.  seed keys the constructive
-    attempts and the longest-path machine.  NotExists only comes from the
-    exhaustive oracle.  A bad mode or a negative seed raises ValueError.
+    Requires m = n (larger m is reduced by restriction).  At least n-1 strongly
+    connected members are expected; a violation is noted in the outcome while
+    the search still runs.  seed keys the constructive attempts and the
+    longest-path machine.  NotExists only comes from the exhaustive oracle.  A
+    bad mode or a negative seed raises ValueError, a non-int seed TypeError.
     """
     return _solve(tc, True, seed, budget, mode, trace)

@@ -129,12 +129,16 @@ class TestHPartition:
                 got = (hp.blocks, hp.separators, hp.ell)
                 assert got == self.largest_first(t, ell)
 
-    @pytest.mark.parametrize("vertices", [
-        [0, 0, 1, 2, 3, 4], [0, 1, 2, 3, 40], [-1, 0, 1, 2], [],
-    ], ids=["repeat", "outside", "negative", "empty"])
-    def test_bad_vertices_rejected(self, vertices):
+    @pytest.mark.parametrize("vertices, error", [
+        ([0, 0, 1, 2, 3, 4], ValueError), ([0, 1, 2, 3, 40], ValueError),
+        ([-1, 0, 1, 2], ValueError), ([], ValueError),
+        ([0.5, 1.5, 2.5], TypeError), ([0.0, 1.0, 2.0], TypeError),
+    ], ids=["repeat", "outside", "negative", "empty", "fractions",
+            "integral-floats"])
+    def test_bad_vertices_rejected(self, vertices, error):
+        # the fractions used to come back as a partition of non-vertices
         t = generators.random_tournament(10, seed=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(error):
             h_partition(t, 3, vertices=vertices)
 
 
@@ -152,12 +156,18 @@ class TestTournamentHamPath:
                   for _ in range(30)}
         assert len(starts) > 1
 
-    @pytest.mark.parametrize("vertices", [[0, 0, 1], [0, 1, 10], [-1, 2]],
-                             ids=["repeat", "outside", "negative"])
-    def test_bad_vertices_rejected(self, vertices):
-        # [0, 0, 1] used to come back as the "path" [0, 0, 1]
+    @pytest.mark.parametrize("vertices, error, match", [
+        ([0, 0, 1], ValueError, "distinct vertices"),
+        ([0, 1, 10], ValueError, "distinct vertices"),
+        ([-1, 2], ValueError, "distinct vertices"),
+        ([0.0, 1.0], TypeError, "'float'"),
+        ([0.5, 2.5], TypeError, "'float'"),
+    ], ids=["repeat", "outside", "negative", "integral-floats", "fractions"])
+    def test_bad_vertices_rejected(self, vertices, error, match):
+        # [0, 0, 1] used to come back as the "path" [0, 0, 1], and [0.0, 1.0]
+        # failed with "tuple indices must be integers"
         t = generators.random_tournament(10, 1)
-        with pytest.raises(ValueError, match="distinct vertices"):
+        with pytest.raises(error, match=match):
             tournament_ham_path(t, vertices)
 
 

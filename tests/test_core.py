@@ -456,6 +456,27 @@ class TestInducedCollection:
         with pytest.raises(TypeError):
             induced_collection(tc, [0.5, 1.7, 2.2])
 
+    def test_integer_types_keep_pair_positions_wide(self):
+        # 150 * (2 * 300 - 150 - 3) overflows int16, and numpy makes
+        # float64 of uint64 mixed with int64
+        tc = generators.random_collection(300, 3, seed=4)
+        want = induced_collection(tc, [299, 0, 150])
+        for vs in (np.array([299, 0, 150], dtype=np.int16),
+                   [np.uint64(299), np.int64(0), 150]):
+            assert induced_collection(tc, vs) == want
+
+    @pytest.mark.parametrize("rows", [True, False], ids=["rows", "no-rows"])
+    def test_members_are_rows_of_one_array(self, rows):
+        # a base without rows is what a block solve passes: the colors of
+        # restrict_colors are not one run
+        tc = generators.random_collection(9, 6, seed=3)
+        base = tc if rows else restrict_colors(tc, [4, 0, 2, 5])
+        assert (base._packed is not None) == rows
+        sub = induced_collection(base, [8, 1, 5, 2, 6])
+        assert sub.packed.shape == (base.m, 2)
+        for t in sub.tournaments:
+            assert np.shares_memory(sub.packed, t.packed)
+
     def test_impossibility_family_restriction(self):
         tc = generators.prop14_collection(4)
         sub = induced_collection(restrict_colors(tc, [2, 3]), [0, 1, 2])

@@ -506,6 +506,15 @@ class TestArguments:
         with pytest.raises(ValueError, match="seed must be non-negative"):
             solve(tc, seed=-1)
 
+    @pytest.mark.parametrize("mode", ["auto", "constructive", "exact"])
+    @pytest.mark.parametrize("solve", SOLVERS)
+    def test_non_integer_seed_rejected(self, solve, mode):
+        # constructive mode used to answer BudgetExhausted ("constructive
+        # attempts exhausted"): every attempt died of a TypeError inside
+        tc = generators.random_collection(60, 60, seed=1)
+        with pytest.raises(TypeError, match="'float'"):
+            solve(tc, seed=1.5, mode=mode)
+
 
 class TestSmallCollections:
     MODES = ["auto", "exact", "constructive"]

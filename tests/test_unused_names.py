@@ -1,5 +1,5 @@
 """No package module imports a name it never uses or assigns a local it
-never reads.
+never reads, and no module defines a private name that no module reads.
 
 Each module under src/ is parsed with ``ast``.  An import is used when the
 module loads its name or lists it in ``__all__``.  A local is a name that a
@@ -8,6 +8,11 @@ a loop, comprehension, ``with`` or ``except`` clause, or defines by a nested
 ``def`` or ``class``; it is read when that function or one nested in it
 loads the name.  Names starting with ``_`` are exempt, and so are names a
 function declares ``global`` or ``nonlocal``.
+
+A private name is one starting with a single ``_`` that a module binds at
+its top level by ``def``, ``class`` or assignment.  It is read when another
+top-level statement of any module loads it or reads it as an attribute
+(``core._bits``); its own definition does not count.
 
 The one allowed exception is pipeline's ``induced_collection`` import:
 tests/test_benchmark_names.py and perfbench pin it until the longest-path
@@ -82,6 +87,32 @@ def unread_locals(tree: ast.Module) -> set[str]:
     return found
 
 
+def _top_level_privates(tree: ast.Module):
+    """(private names a top-level statement binds, names it reads), per
+    statement of tree."""
+    for node in tree.body:
+        if isinstance(node, (*_DEFS, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, ast.Assign):
+            bound = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign):
+            bound = [getattr(node.target, "id", "")]
+        else:
+            bound = []
+        reads = {n.attr if isinstance(n, ast.Attribute) else n.id
+                 for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                 or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        yield {name for name in bound
+               if name.startswith("_") and not name.startswith("__")}, reads
+
+
+def unread_privates(*trees: ast.Module) -> set[str]:
+    statements = [s for tree in trees for s in _top_level_privates(tree)]
+    return {name for i, (bound, _) in enumerate(statements) for name in bound
+            if not any(name in reads for j, (_, reads) in enumerate(statements)
+                       if j != i)}
+
+
 def _scan(check) -> set[str]:
     return {f"{path.stem}: {name}" for path in SOURCES
             for name in check(ast.parse(path.read_text(), str(path)))}
@@ -93,6 +124,11 @@ def test_every_import_is_used():
 
 def test_every_local_is_read():
     assert _scan(unread_locals) == set()
+
+
+def test_every_private_name_is_read():
+    trees = [ast.parse(path.read_text(), str(path)) for path in SOURCES]
+    assert unread_privates(*trees) == set()
 
 
 @pytest.mark.parametrize("source, check, expected", [
@@ -109,6 +145,11 @@ def test_every_local_is_read():
     ("def f():\n    count = 0\n    count += 1\n    def helper():\n"
      "        pass\n",
      unread_locals, {"f.count", "f.helper"}),
+    ("_A = 1\n_B: int = 2\n__all__ = []\ndef _f():\n    return _A\n"
+     "def _g(n):\n    return _g(n - 1)\nclass _C:\n    pass\n",
+     unread_privates, {"_B", "_f", "_g", "_C"}),
+    ("import m\nclass _C:\n    pass\n_X = m._C\nprint(_X)\n",
+     unread_privates, set()),
 ])
 def test_the_scan_finds_what_it_should(source, check, expected):
     assert check(ast.parse(source)) == expected
