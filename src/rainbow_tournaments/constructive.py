@@ -95,30 +95,38 @@ def low_degree_count_bound_check(t: Tournament, d: int) -> bool:
     return lo_in <= 2 * d + 1 and lo_out <= 2 * d + 1
 
 
+def _split(out: Sequence[int], mask: int, size: int) -> tuple:
+    """((in-mask, size), v, (out-mask, size)) of the block mask of size >= 3
+    vertices, v the first (lowest) vertex maximizing min(in, out) inside
+    it; the scan stops at the bound (size - 1) // 2 (see h_partition)."""
+    bound, best, v = (size - 1) // 2, -1, -1
+    for u in _bits(mask):
+        dout = (out[u] & mask).bit_count()
+        score = min(size - 1 - dout, dout)
+        if score > best:
+            best, v = score, u
+            if score == bound:
+                break
+    beats = mask & out[v]
+    k = beats.bit_count()
+    return (mask ^ beats ^ 1 << v, size - 1 - k), v, (beats, k)
+
+
 def split_block(
     t: Tournament, block: Sequence[int]
 ) -> tuple[list[int], int, list[int]]:
     """Split a vertex set around a vertex seeing >= |W|/6 of it on each side.
 
-    Returns (in-neighbors, v, out-neighbors) within the block; the chosen v
-    maximizes min(in-degree, out-degree) inside the block.
+    Returns (in-neighbors, v, out-neighbors) within the block, ascending;
+    v, h_partition's pick, is the first (lowest) vertex maximizing
+    min(in-degree, out-degree) inside the block, which must be three or
+    more distinct vertices of t (ints: TypeError, else ValueError).
     """
-    block = sorted(block)
-    if len(block) < 3:
+    verts = _vertex_list(t.n, block)
+    if len(verts) < 3:
         raise ValueError("blocks of size < 3 cannot be split")
-    mask = sum(1 << u for u in set(block))
-    out = t.out
-
-    def balance(v: int) -> int:
-        # v meets the other len(block) - 1 vertices, losing to the rest
-        dout = (out[v] & mask).bit_count()
-        return min(len(block) - 1 - dout, dout)
-
-    v = max(block, key=balance)  # the first of the most balanced
-    beats = out[v]
-    wminus = [u for u in block if u != v and not (beats >> u) & 1]
-    wplus = [u for u in block if (beats >> u) & 1]
-    return wminus, v, wplus
+    (lo, _), v, (hi, _) = _split(t.out, sum(1 << u for u in verts), len(verts))
+    return list(_bits(lo)), v, list(_bits(hi))
 
 
 @dataclass(frozen=True)
@@ -159,34 +167,36 @@ def h_partition(
 ) -> HPartition:
     """Refine the trivial one-block partition until every block fits under
     ell, splitting oversized blocks in order (left part, separator, right
-    part) with a work stack; a split depends only on its own block.
+    part) with a work stack; a split depends only on its own block.  Every
+    block then has between ceil(ell/6) and ell vertices (ell capped at the
+    vertex count): a split leaves a sixth of its block or more on each
+    side.  vertices, if given, must be one or more distinct vertices of t
+    (ints: TypeError, else ValueError).
 
-    Every block then has between ceil(ell/6) and ell vertices (ell capped
-    at the vertex count): split_block leaves at least a sixth of a block
-    on each side of its separator.  vertices, if given, must be one or
-    more distinct vertices of t (ints: TypeError, else ValueError).
+    Blocks are (vertex mask, size) pairs until final.  A separator comes
+    from a scan, lowest vertex first, that stops at the first vertex whose
+    min(in, out) inside the block reaches (size - 1) // 2, which none
+    exceeds: the pick (the first of the most balanced) is a full scan's.
     """
     if not (3 <= ell):
         raise ValueError("ell must be at least 3")
     verts = _vertex_list(t.n, range(t.n) if vertices is None else vertices)
     if not verts:
         raise ValueError("need one or more distinct vertices of t")
-    # a cap beyond the vertex count means the trivial one-block partition;
-    # record the attainable cap so the block-size bounds refer to it
-    ell = min(ell, len(verts))
-    blocks: list[list[int]] = []
-    seps: list[int] = []
-    stack: list = [verts]
+    # one block, as listed, under the attainable cap the bounds refer to
+    if ell >= len(verts):
+        return HPartition((tuple(verts),), (), len(verts))
+    blocks, seps = [], []
+    stack: list = [(sum(1 << u for u in verts), len(verts))]
     while stack:
         item = stack.pop()
-        if not isinstance(item, list):
+        if isinstance(item, int):
             seps.append(item)
-        elif len(item) <= ell:
-            blocks.append(item)
+        elif item[1] <= ell:
+            blocks.append(tuple(_bits(item[0])))
         else:
-            wminus, v, wplus = split_block(t, item)
-            stack += (wplus, v, wminus)
-    return HPartition(tuple(tuple(b) for b in blocks), tuple(seps), ell)
+            stack += reversed(_split(t.out, *item))
+    return HPartition(tuple(blocks), tuple(seps), ell)
 
 
 # ---------------------------------------------------------------------------

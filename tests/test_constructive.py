@@ -69,6 +69,20 @@ class TestSplitBlock:
         with pytest.raises(ValueError):
             split_block(directed_triangle(), [0, 1])
 
+    @pytest.mark.parametrize("block, error, match", [
+        ([0, 0, 1, 2, 3], ValueError, "distinct vertices"),
+        ([0, 1, 2, 9], ValueError, "distinct vertices"),
+        ([-1, 0, 1, 2], ValueError, "distinct vertices"),
+        ([0.0, 1.0, 2.0], TypeError, "cannot be interpreted as an integer"),
+    ], ids=["repeat", "outside", "negative", "integral-floats"])
+    def test_bad_vertices_rejected(self, block, error, match):
+        # the repeat used to count twice in the block size and come back
+        # as ([3], 0, [1, 2]); 9 raised IndexError, -1 "negative shift
+        # count" and 0.0 a TypeError from a shift
+        t = generators.random_tournament(8, seed=1)
+        with pytest.raises(error, match=match):
+            split_block(t, block)
+
 
 class TestHPartition:
     def test_triangle_single_block(self):
@@ -128,6 +142,76 @@ class TestHPartition:
                 hp = h_partition(t, ell)
                 got = (hp.blocks, hp.separators, hp.ell)
                 assert got == self.largest_first(t, ell)
+
+    @staticmethod
+    def full_scan(t, ell, vertices=None):
+        """h_partition by a plain full scan, sharing no code with it: arcs
+        read with has_arc, every vertex of a block scored, the first of
+        the most balanced taken, blocks split on a work stack."""
+        verts = list(range(t.n)) if vertices is None else list(vertices)
+        if ell >= len(verts):
+            return (tuple(verts),), (), len(verts)
+        arc = [[u != v and t.has_arc(u, v) for v in range(t.n)]
+               for u in range(t.n)]
+        blocks, seps, stack = [], [], [sorted(verts)]
+        while stack:
+            block = stack.pop()
+            if isinstance(block, int):
+                seps.append(block)
+            elif len(block) <= ell:
+                blocks.append(tuple(block))
+            else:
+                def balance(v):
+                    dout = sum(arc[v][u] for u in block)
+                    return min(dout, len(block) - 1 - dout)
+                v = max(block, key=balance)
+                stack += ([u for u in block if arc[v][u]], v,
+                          [u for u in block if arc[u][v]])
+        return tuple(blocks), tuple(seps), ell
+
+    def assert_full_scan(self, t, ell, vertices=None):
+        hp = h_partition(t, ell, vertices=vertices)
+        got = (hp.blocks, hp.separators, hp.ell)
+        assert got == self.full_scan(t, ell, vertices), (t.n, ell)
+
+    def test_full_scan_every_small_tournament(self):
+        for n in range(3, 7):
+            for t in all_tournaments(n):
+                for ell in range(3, n + 1):
+                    self.assert_full_scan(t, ell)
+
+    @pytest.mark.parametrize("n", [*range(7, 61), 200, 600])
+    def test_full_scan_random(self, n):
+        t = generators.random_tournament(n, seed=n)
+        subset = [v for v in range(n) if v % 5 != 2]
+        # the ell values of the lemma-hpartition sweep
+        for ell in {3, 24, max(3, -(-n // 10)), n}:
+            self.assert_full_scan(t, ell)
+            self.assert_full_scan(t, ell, vertices=subset)
+
+    @pytest.mark.parametrize("n", [9, 41, 101])
+    def test_full_scan_structured(self, n):
+        perm = np.random.default_rng(n).permutation(n).tolist()
+        relabelled = core.Tournament.from_arcs(
+            n, [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)])
+        majority = core.majority_subtournament(
+            generators.random_collection(n, 5, seed=n))
+        for t in (relabelled, generators.rotational_tournament(n),
+                  generators.prop14_tprime(n), majority):
+            for ell in (3, 8, 24):
+                self.assert_full_scan(t, ell)
+
+    def test_full_scan_when_no_vertex_reaches_the_bound(self):
+        # scores (4, 3, 1, 1, 1): 0 beats all, 1 beats the 3-cycle 2, 3, 4;
+        # the best min(in, out) is 1, below (5 - 1) // 2, so every vertex
+        # is scored and 1 (the first of the most balanced) is the pick
+        t = core.Tournament.from_arcs(5, [
+            (0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4),
+            (2, 3), (3, 4), (4, 2)])
+        assert list(t.scores) == [4, 3, 1, 1, 1]
+        assert split_block(t, range(5)) == ([0], 1, [2, 3, 4])
+        for ell in (3, 4):
+            self.assert_full_scan(t, ell)
 
     @pytest.mark.parametrize("vertices, error", [
         ([0, 0, 1, 2, 3, 4], ValueError), ([0, 1, 2, 3, 40], ValueError),
