@@ -26,6 +26,7 @@ from .core import (
     Tournament,
     TournamentCollection,
     _bits,
+    _pack_rows,
     _vertex_list,
     induced_collection,
     is_strongly_connected,
@@ -42,7 +43,6 @@ from .errors import (
 )
 from .matching import (
     IncrementalMatcher,
-    _slots_holding,
     matching_with_forced_colors,
     perfect_matching,
 )
@@ -562,21 +562,21 @@ def build_absorber(
 ) -> Absorber:
     """Randomized absorber construction with a verification schedule.
 
-    Up to ABSORBER_RETRIES candidate pairs A and C are drawn at random
-    from avail_colors (colors of tc, else ValueError; a repeated target
-    arc is a ValueError too); acceptance checks that A plus ell-subsets
-    C' of C match the target arcs perfectly.  Only existence is asked, so
-    free colors are taken before any augmenting path is searched.  A's
-    colors are pushed first into an IncrementalMatcher with colors as
+    Up to ABSORBER_RETRIES candidate pairs A and C are drawn at random from
+    avail_colors (colors of tc; a repeated target arc or another color is a
+    ValueError); acceptance checks that A plus ell-subsets C' of C match the
+    target arcs perfectly.  The arcs' color masks and the colors' arc masks
+    are packed from one gather of the arcs' pair bits.  Only existence is
+    asked, so free colors are taken before any augmenting path is searched.
+    A's colors are pushed first into an IncrementalMatcher with colors as
     slots; a perfect matching with A plus C' uses all of A, so a rejected
-    push rejects the candidate with no probe.  If C has at most 10^4
-    subsets and there are fewer arc sets, Hall's condition over the arc
-    sets checks them all at once.  Otherwise one perfect_matching per
-    top-up set, started from A's matching with the ell top-up slots open,
-    checks every subset (at most 10^4) or only C's ell lowest-degree
-    colors (fewest target arcs served; ties in C's order), and the first
-    set that fails rejects the candidate; absorb() checks the top-up set
-    it is given.
+    push rejects the candidate with no probe.  If C has at most 10^4 subsets
+    and there are fewer arc sets, Hall's condition over the arc sets checks
+    them all at once.  Otherwise one perfect_matching per top-up set,
+    started from A's matching with the ell top-up slots open, checks every
+    subset (at most 10^4) or only C's ell lowest-degree colors (fewest
+    target arcs served; ties in C's order), and the first set that fails
+    rejects the candidate; absorb() checks the top-up set it is given.
     """
     target_arcs = tuple(target_arcs)
     if len(set(target_arcs)) < len(target_arcs):
@@ -597,7 +597,8 @@ def build_absorber(
         raise AbsorberConstructionError(
             "not enough available colors for the requested A and C sizes"
         )
-    avail = tuple(tc.arc_color_masks(target_arcs))
+    block = tc._arc_bits(target_arcs)
+    avail, serves = _pack_rows(block.T), _pack_rows(block)
     for attempt in range(ABSORBER_RETRIES):
         rng = np.random.default_rng([seed, attempt])
         picked = rng.permutation(len(avail_colors))
@@ -607,7 +608,7 @@ def build_absorber(
         ccand = tuple(
             sorted(avail_colors[i] for i in picked[a_size:a_size + c_size])
         )
-        if _verify_absorber(avail, acand, ccand, ell):
+        if _verify_absorber(len(avail), serves, acand, ccand, ell):
             return Absorber(acand, ccand, target_arcs, ell, avail)
     raise AbsorberConstructionError(
         f"no candidate survived verification after {ABSORBER_RETRIES} "
@@ -615,16 +616,17 @@ def build_absorber(
     )
 
 
-def _verify_absorber(avail, acand, ccand, ell) -> bool:
+def _verify_absorber(k, serves, acand, ccand, ell) -> bool:
+    """build_absorber's check: serves[c] masks the k target arcs of c."""
     matcher = IncrementalMatcher()  # colors are its slots, arcs its colors
-    amasks = [_slots_holding(avail, c) for c in acand]
+    amasks = [serves[c] for c in acand]
     for mask in amasks:
         if not matcher.push(mask):
             return False
-    cmasks = [_slots_holding(avail, c) for c in ccand]
+    cmasks = [serves[c] for c in ccand]
     subsets = math.comb(len(ccand), ell)
-    if 1 << len(avail) < subsets <= 10_000:
-        return _hall_every_topup(len(avail), amasks, cmasks, ell)
+    if 1 << k < subsets <= 10_000:
+        return _hall_every_topup(k, amasks, cmasks, ell)
     # past 10^4 subsets only the hardest top-up set is tried: the ell colors
     # of minimum degree (the number of target arcs a color can serve)
     tops = (itertools.combinations(cmasks, ell) if subsets <= 10_000
@@ -666,9 +668,7 @@ def absorb(absorber: Absorber, cprime: Iterable[int]) -> ColoredDigraph:
         )
     if len(absorber.A) != len(absorber.target_arcs) - absorber.ell:
         raise AbsorptionFailedError("absorber cardinalities are inconsistent")
-    allow = 0
-    for c in list(absorber.A) + cprime:
-        allow |= 1 << c
+    allow = sum(1 << c for c in {*absorber.A, *cprime})
     masks = [av & allow for av in absorber.avail]
     got = perfect_matching(masks)
     if got is None:

@@ -36,12 +36,12 @@ Costs, for k colors on n vertices:
 - ``has_arc(u, v)`` checks u and v against range(n), reads bit
   ``pair_index(min, max)`` and flips it when u > v (or reads ``out`` when
   it is cached).  ``arc_color_masks`` gathers the byte columns of k arcs
-  as one (m, k) block, masks, flips and packs it once (about 8 µs plus
-  1 µs an arc at m = 60); ``arc_color_mask`` is its one-arc case.
+  as one masked, flipped (m, k) block and packs its columns (about 9 µs
+  plus 0.7 µs an arc at m = 60); ``arc_color_mask`` is its one-arc case.
 - ``restrict`` to b vertices finds the byte, bit mask and flip of the
   b(b-1)/2 pairs, then gathers, masks, packs and flips the pair bits;
   ``induced_collection`` restricts its first member (the check), then
-  does that once for all k members as one (k, b(b-1)/2) array: O(k b^2).
+  does that for all k members, row by row, in one (k, b(b-1)/2) array.
 - ``majority_subtournament`` counts the colors of every pair at once:
   each color's packed row is added into a bit-sliced counter (one array
   per bit of the count) by carry-save full adders, about five
@@ -49,8 +49,8 @@ Costs, for k colors on n vertices:
   comparison of the planes against ceil(k/2) gives the majority
   tournament's pair bits directly.
 - ``Tournament.out``: the pair bits are placed into an n x n matrix by two
-  masked writes, packed into rows, and each row becomes an int in one
-  ``map(int.from_bytes, ...)``.  O(n^2) bytes, no Python step per pair.
+  masked writes, and ``_pack_rows`` packs its rows into ints, one
+  ``int.from_bytes`` a row.  O(n^2) bytes, no Python step per pair.
 - ``Tournament.scores`` (out-degrees, cached) sums the rows and columns of
   the upper triangle of the pair bits, whether or not ``out`` is cached;
   ``is_strongly_connected`` sorts them in numpy and compares their prefix
@@ -315,9 +315,12 @@ class TournamentCollection:
         return self.arc_color_masks([(u, v)])[0]
 
     def arc_color_masks(self, arcs: Iterable[tuple[int, int]]) -> list[int]:
-        """arc_color_mask of each arc u->v of arcs, from one gather of the
-        arcs' byte columns and one packbits; an arc with u == v or a vertex
-        outside range(n) raises ValueError."""
+        """arc_color_mask of each arc u->v of arcs (see _arc_bits)."""
+        return list(_pack_rows(self._arc_bits(arcs).T))
+
+    def _arc_bits(self, arcs: Iterable[tuple[int, int]]) -> np.ndarray:
+        """The (m, k) uint8 block, nonzero where color c has arc i, from one
+        gather; an arc u->u or one off range(n) raises ValueError."""
         n = self.n
         at, bit, flip = [], [], []
         for u, v in arcs:
@@ -329,13 +332,8 @@ class TournamentCollection:
             bit.append(0x80 >> (p & 7))
             flip.append(bit[-1] if u > v else 0)
         bit, flip = np.array((bit, flip), np.uint8)
-        # the pair bit of an arc u < v, or its complement; packbits counts
-        # any nonzero byte as a 1 bit
-        hit = (self.packed[:, at] ^ flip) & bit
-        nb = (self.m + 7) // 8
-        cols = np.packbits(hit, axis=0, bitorder="little").T.tobytes()
-        return [int.from_bytes(cols[i:i + nb], "little")
-                for i in range(0, len(cols), nb)]
+        # the pair bit of an arc u < v, or its complement
+        return (self.packed[:, at] ^ flip) & bit
 
     # -- JSON (canonical, bit-exact) ----------------------------------
 
@@ -491,29 +489,23 @@ def _scores_from_pairs(n: int, packed: np.ndarray) -> np.ndarray:
     return later + np.arange(n) - up.sum(axis=0, dtype=acc)
 
 
-def _pack_rows(mat: np.ndarray) -> tuple[int, ...]:
-    """Each 0/1 row of mat as an int bitmask (column v is bit v)."""
-    buf = np.packbits(mat, axis=1, bitorder="little").tobytes()
-    rows = map(buf.__getitem__, _row_slices(*mat.shape))
-    return tuple(map(int.from_bytes, rows, repeat("little")))
-
-
-@functools.lru_cache(maxsize=128)
-def _row_slices(n: int, width: int) -> tuple[slice, ...]:
-    """The n rows of a packed n x width bit matrix as byte slices.  This
-    cache and those of _upper_mask and _landau_floor keep 128 sizes, so a
-    second sweep over n = 10, 13, ..., 130 misses none (50 shapes here).
-    At most they hold 128 masks of n^2 bytes, 128 tuples of n slices (110
-    bytes a slice) and 128 floors of 8n bytes: 0.26, 1.1, 0.02 MB there."""
-    nb = (width + 7) // 8
-    return tuple(slice(i * nb, (i + 1) * nb) for i in range(n))
+def _pack_rows(bits: np.ndarray) -> tuple[int, ...]:
+    """Each row of a 0/nonzero uint8 block, of any strides, as an int
+    bitmask (column v is bit v); a block with no columns gives 0s."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    if not packed.shape[1]:
+        return (0,) * len(packed)
+    rows = np.ascontiguousarray(packed).view(f"V{packed.shape[1]}")
+    return tuple(map(int.from_bytes, rows.ravel().tolist(), repeat("little")))
 
 
 @functools.lru_cache(maxsize=128)
 def _upper_mask(n: int) -> np.ndarray:
     """The strict upper triangle of an n x n matrix as a read-only bool
     mask; its cells in row-major order are the pairs (i, j), i < j, in
-    lexicographic order."""
+    lexicographic order.  This cache and _landau_floor's keep 128 sizes,
+    so a second sweep over n = 10, 13, ..., 130 (50 sizes) misses none;
+    they then hold 0.26 MB of masks and 0.02 MB of floors."""
     return _frozen(np.triu(np.ones((n, n), dtype=bool), 1))
 
 
@@ -634,7 +626,9 @@ def induced_collection(
     vertices = list(map(index, vertices))
     coll.tournaments[0].restrict(vertices)
     byte, bit, flip = _pair_locations(coll.n, vertices)
-    rows = np.stack([t._packed[byte] for t in coll.tournaments])
+    rows = np.empty((coll.m, len(byte)), np.uint8)
+    for t, row in zip(coll.tournaments, rows):
+        np.take(t._packed, byte, out=row)
     rows &= bit
     return TournamentCollection._from_rows(
         len(vertices), np.packbits(rows, axis=1) ^ flip)

@@ -19,13 +19,18 @@ from rainbow_tournaments.constructive import (
 )
 from rainbow_tournaments.core import (
     TournamentCollection,
+    _pack_rows,
     majority_subtournament,
 )
 from rainbow_tournaments.errors import (
     AbsorberConstructionError,
     AbsorptionFailedError,
 )
-from rainbow_tournaments.matching import IncrementalMatcher, perfect_matching
+from rainbow_tournaments.matching import (
+    IncrementalMatcher,
+    _slots_holding,
+    perfect_matching,
+)
 
 
 def dense_instance(n, m, seed=0):
@@ -129,6 +134,34 @@ class TestBuildAbsorber:
         b = build_absorber(tc, arcs, range(40), ell=2, c_size=10, seed=7)
         assert (a.A, a.C) == (b.A, b.C)
 
+    def test_no_target_arcs(self):
+        # the empty absorber: A is empty and any pair of colors serves as C
+        tc = generators.random_collection(5, 4, seed=0)
+        assert build_absorber(tc, [], range(4), 0, 2) == Absorber(
+            (), (0, 2), (), 0, ())
+        assert build_absorber(tc, [], [3, 1], 0, 2, seed=5).C == (1, 3)
+
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 65])
+    @pytest.mark.parametrize("k", [1, 8, 9, 13])
+    def test_color_masks_transpose_arc_masks(self, monkeypatch, m, k):
+        # the colors' target-arc masks are packed from the same block as
+        # the arcs' color masks, along the other axis
+        tc = generators.random_collection(9, m, seed=m * k)
+        rng = np.random.default_rng(k)
+        pairs = list(itertools.permutations(range(9), 2))
+        arcs = [pairs[i] for i in rng.choice(len(pairs), k, replace=False)]
+        avail = tc.arc_color_masks(arcs)
+        want = [_slots_holding(avail, c) for c in range(m)]
+        assert list(_pack_rows(tc._arc_bits(arcs))) == want
+        if k > m:
+            return  # too few colors for an A of k colors
+        seen = []
+        monkeypatch.setattr(constructive, "_verify_absorber",
+                            lambda _k, serves, *a: seen.append(serves) or True)
+        ab = build_absorber(tc, arcs, range(m), 0, 0)
+        assert list(ab.avail) == avail
+        assert list(seen[0]) == want
+
 
 class TestAbsorb:
     def test_wrong_subset_size_rejected(self):
@@ -185,6 +218,14 @@ def random_candidate(rng, n_arcs, ell, c_size, density, m=None):
     return avail, acand, ccand
 
 
+def by_color(avail):
+    """Each color's target-arc mask (0 for a color with none): the
+    transpose of avail that build_absorber packs from its gather."""
+    colors = range(max(avail, default=0).bit_length())
+    return collections.defaultdict(
+        int, {c: _slots_holding(avail, c) for c in colors})
+
+
 def record_branches(monkeypatch) -> list:
     """The checks _verify_absorber runs after A's pushes, as they are
     called: "hall", or "matching" for each top-up set's perfect_matching."""
@@ -216,7 +257,8 @@ def count_pushes(monkeypatch, avail, a_size, c_size, ell):
     monkeypatch.setattr(IncrementalMatcher, "push", counted_push)
     monkeypatch.setattr(constructive, "perfect_matching", counted)
     ccand = tuple(range(a_size, a_size + c_size))
-    got = _verify_absorber(avail, tuple(range(a_size)), ccand, ell)
+    got = _verify_absorber(len(avail), by_color(avail), tuple(range(a_size)),
+                           ccand, ell)
     return got, len(pushes), calls
 
 
@@ -227,7 +269,7 @@ class TestWarmStartedVerification:
     minimum-degree one."""
 
     def _agree(self, avail, acand, ccand, ell) -> bool:
-        got = _verify_absorber(avail, acand, ccand, ell)
+        got = _verify_absorber(len(avail), by_color(avail), acand, ccand, ell)
         assert got == reference_verify(avail, acand, ccand, ell)
         return got
 
@@ -313,7 +355,8 @@ class TestWarmStartedVerification:
             "rainbow_tournaments.constructive.perfect_matching",
             lambda *a, **k: calls.append(a),
         )
-        assert not _verify_absorber(avail, acand, ccand, 1)
+        assert not _verify_absorber(len(avail), by_color(avail), acand, ccand,
+                                    1)
         assert calls == []
 
 
@@ -345,7 +388,8 @@ class TestMinimumDegreeProbe:
             avail[k] |= sum(1 << c for c in ccand
                             if c not in self.FEW or k in low)
         assert math.comb(self.C_SIZE, ell) > 10_000
-        got = _verify_absorber(avail, tuple(range(a)), ccand, ell)
+        got = _verify_absorber(len(avail), by_color(avail), tuple(range(a)),
+                               ccand, ell)
         hard = sum(1 << k for k in low)
         assert calls == [([1 << i for i in range(a)] + [hard] * ell,
                           [*range(a)] + [-1] * ell)]
@@ -470,7 +514,8 @@ class TestHallOverArcSets:
         # 3 target arcs, A = {0, 1}, ell = 1: every color serves every arc
         avail = [(1 << (2 + c_size)) - 1] * 3
         ccand = tuple(range(2, 2 + c_size))
-        assert _verify_absorber(avail, (0, 1), ccand, 1) is True
+        assert _verify_absorber(len(avail), by_color(avail), (0, 1), ccand,
+                                1) is True
         assert taken == (["hall"] if branch == "hall"
                          else ["matching"] * c_size)
 

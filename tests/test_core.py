@@ -189,6 +189,31 @@ class TestArcColorMasks:
             tc.arc_color_mask(*bad)
 
 
+class TestPackRows:
+    """_pack_rows against one Python step per bit, on any layout of a
+    0/nonzero uint8 block."""
+
+    @staticmethod
+    def _reference(block):
+        return tuple(sum(1 << v for v, x in enumerate(row) if x)
+                     for row in block.tolist())
+
+    @pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 64, 65])
+    @pytest.mark.parametrize("rows", [0, 1, 3, 9])
+    def test_agrees_with_a_loop(self, rows, width):
+        rng = np.random.default_rng(rows * 100 + width)
+        # bytes 0, 0x41, 0x82 and 0xc3: any nonzero byte is a 1 bit
+        block = rng.integers(0, 4, (rows, width), dtype=np.uint8) * 0x41
+        for view in (block, block.T, block[:, 1:], block.T[:, ::2]):
+            got = core._pack_rows(view)
+            assert got == self._reference(view)
+            assert len(got) == view.shape[0]
+
+    def test_no_columns_give_zeros(self):
+        assert core._pack_rows(np.zeros((3, 0), np.uint8)) == (0, 0, 0)
+        assert core._pack_rows(np.zeros((0, 0), np.uint8)) == ()
+
+
 def _loop_from_pair_bits(n, bits):
     """Reference: one Python step per pair."""
     out = [0] * n
@@ -614,7 +639,7 @@ class TestSizeCaches:
         """Two passes of path and cycle solves at n = 10, 13, ..., 130 on
         instances drawn afresh each pass: the second pass finds every
         size in the caches keyed by n."""
-        caches = (core._upper_mask, core._row_slices, core._landau_floor)
+        caches = (core._upper_mask, core._landau_floor)
 
         def sweep():
             for n in range(10, 131, 3):

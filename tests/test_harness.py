@@ -2,7 +2,7 @@
 
 import pytest
 
-from rainbow_tournaments import harness
+from rainbow_tournaments import constructive, harness
 
 
 class TestTheoremSweeps:
@@ -128,3 +128,18 @@ class TestBench:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             harness.bench("nope", [5])
+
+    def test_h_partition_times_the_partition_alone(self, monkeypatch):
+        # the tournament's out-rows are built with it, as generation time,
+        # so millis holds the partition only
+        warm = []
+        run = constructive.h_partition
+
+        def spy(t, ell):
+            warm.append(t._out is not None)
+            return run(t, ell)
+
+        monkeypatch.setattr(constructive, "h_partition", spy)
+        rep = harness.bench("h_partition", [30], seeds=range(2))
+        assert warm == [True, True]
+        assert len(rep.stats["csv"].splitlines()) == 3
