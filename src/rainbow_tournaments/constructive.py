@@ -13,6 +13,7 @@ which reads single arcs from the pair bits and builds no out-rows.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -141,23 +142,21 @@ class HPartition:
         return set(self.separators).union(*self.blocks)
 
     def validate(self, t: Tournament) -> bool:
-        parts = [set(b) for b in self.blocks]
-        seen: set[int] = set()
-        for p in parts + [set(self.separators)]:
-            if p & seen:
-                return False
-            seen |= p
-        if len(set(self.separators)) != len(self.separators):
+        """Whether the blocks and separators are disjoint vertices of t, the
+        r blocks have r - 1 separators and between ell/6 and ell vertices
+        each, and W_i => {w_i} => W_{i+1}: two mask tests on t.out a
+        separator."""
+        verts = [*self.separators, *itertools.chain(*self.blocks)]
+        if (len(set(verts)) < len(verts) or not verts
+                or not 0 <= min(verts) <= max(verts) < t.n
+                or len(self.separators) != len(self.blocks) - 1):
             return False
-        for b in self.blocks:
-            if not (self.ell <= 6 * len(b) <= 6 * self.ell):
-                return False
-        for i, w in enumerate(self.separators):
-            if any(not t.has_arc(u, w) for u in self.blocks[i]):
-                return False
-            if any(not t.has_arc(w, u) for u in self.blocks[i + 1]):
-                return False
-        return True
+        if not all(self.ell <= 6 * len(b) <= 6 * self.ell for b in self.blocks):
+            return False
+        masks = [sum(1 << u for u in b) for b in self.blocks]
+        out = t.out
+        return not any(out[w] & masks[i] or masks[i + 1] & ~out[w]
+                       for i, w in enumerate(self.separators))
 
 
 def h_partition(
@@ -173,19 +172,21 @@ def h_partition(
     side.  vertices, if given, must be one or more distinct vertices of t
     (ints: TypeError, else ValueError).
 
-    Blocks are (vertex mask, size) pairs until final.  A separator comes
-    from a scan, lowest vertex first, that stops at the first vertex whose
-    min(in, out) inside the block reaches (size - 1) // 2, which none
-    exceeds: the pick (the first of the most balanced) is a full scan's.
+    Blocks are (vertex mask, size) pairs until final, then ascending
+    tuples.  A separator comes from a scan, lowest vertex first, that stops
+    at the first vertex whose min(in, out) inside the block reaches
+    (size - 1) // 2, which none exceeds: the pick (the first of the most
+    balanced) is a full scan's.
     """
     if not (3 <= ell):
         raise ValueError("ell must be at least 3")
     verts = _vertex_list(t.n, range(t.n) if vertices is None else vertices)
     if not verts:
         raise ValueError("need one or more distinct vertices of t")
-    # one block, as listed, under the attainable cap the bounds refer to
+    # one block, ascending like a split's, under the attainable cap the
+    # bounds refer to
     if ell >= len(verts):
-        return HPartition((tuple(verts),), (), len(verts))
+        return HPartition((tuple(sorted(verts)),), (), len(verts))
     blocks, seps = [], []
     stack: list = [(sum(1 << u for u in verts), len(verts))]
     while stack:
@@ -215,17 +216,17 @@ def _spare_insert(
     tc: TournamentCollection,
     path: list[int],
     colors: list[int],
-    used: set[int],
     v: int,
     c1: int,
     c2: int,
-) -> int:
-    """Insert v into the rainbow path (in place, used kept up to date) with
-    the unused colors c1, c2 before path[k], the first path vertex it beats
-    in either, or at the end with c1; returns k.  The arc v -> path[k] takes
-    c1 if it can, else c2.  For k > 0, path[k-1] beats v in both (k is
-    minimal): the arc into v takes the other color, freeing the old one.
-    The scan reads c1's arc, then c2's, with has_arc and builds no out-rows."""
+) -> tuple[int, int]:
+    """Insert v into the rainbow path (in place) with the unused colors c1,
+    c2 before path[k], the first path vertex it beats in either, or at the
+    end with c1; returns k and the one color of c1, c2 and the color it
+    replaces that the path leaves unused.  The arc v -> path[k] takes c1 if
+    it can, else c2.  For k > 0, path[k-1] beats v in both (k is minimal):
+    the arc into v takes the other color, freeing the old one.  The scan
+    reads c1's arc, then c2's, with has_arc and builds no out-rows."""
     t1, t2 = tc.tournaments[c1], tc.tournaments[c2]
     for k, u in enumerate(path):
         hit = c1 if t1.has_arc(v, u) else c2 if t2.has_arc(v, u) else None
@@ -234,17 +235,14 @@ def _spare_insert(
     else:
         path.append(v)
         colors.append(c1)
-        used.add(c1)
-        return len(path) - 1
+        return len(path) - 1, c2
     path.insert(k, v)
-    if k:
-        other = c2 if hit == c1 else c1
-        used.discard(colors[k - 1])
-        colors[k - 1] = other
-        used.add(other)
     colors.insert(k, hit)
-    used.add(hit)
-    return k
+    other = c2 if hit == c1 else c1
+    if not k:
+        return k, other
+    colors[k - 1], freed = other, colors[k - 1]
+    return k, freed
 
 
 def tournament_ham_path(
@@ -278,10 +276,13 @@ def rainbow_ham_path_one_spare(
     """Rainbow Hamilton path when there is at least one spare color (m >= n).
 
     Grows the path one vertex at a time with _spare_insert and the first
-    two unused colors c1, c2 of the color order.  stats["arc_inspections"]
-    counts the arc reads of _spare_insert's scan, which tests c1, then c2,
-    at each path vertex: two per vertex passed and one or two at the hit.
-    The orders must be permutations of range(n) and range(m).
+    two unused colors c1, c2 of the color order, popped from a heap of the
+    unused colors' positions in it; the color _spare_insert leaves unused
+    goes back, so a step costs O(log m) besides its scan.
+    stats["arc_inspections"] counts the arc reads of _spare_insert's scan,
+    which tests c1, then c2, at each path vertex: two per vertex passed and
+    one or two at the hit.  The orders must be permutations of range(n)
+    and range(m).
     """
     n, m = tc.n, tc.m
     if m < n:
@@ -293,13 +294,15 @@ def rainbow_ham_path_one_spare(
     if sorted(vorder) != list(range(n)) or sorted(corder) != list(range(m)):
         raise ValueError("vertex_order and color_order must be permutations "
                          "of range(n) and range(m)")
+    position = {c: i for i, c in enumerate(corder)}
+    unused = list(range(m))  # sorted, so already a heap
     inspections = 0
     path = [vorder[0]]
     colors: list[int] = []
-    used: set[int] = set()
     for v in vorder[1:]:
-        c1, c2 = [c for c in corder if c not in used][:2]
-        k = _spare_insert(tc, path, colors, used, v, c1, c2)
+        c1, c2 = corder[heapq.heappop(unused)], corder[heapq.heappop(unused)]
+        k, spare = _spare_insert(tc, path, colors, v, c1, c2)
+        heapq.heappush(unused, position[spare])
         inspections += 2 * k
         if k < len(path) - 1:
             inspections += 1 if colors[k] == c1 else 2

@@ -57,6 +57,9 @@ Costs, for k colors on n vertices:
   sums with Landau's floor C(k,2), cached per n: O(n log n), with no
   search (about 7 µs at n = 400); the verdict is cached on the tournament
   (a member the generator tested answers at once).
+- ``validate_transversal`` makes one ``has_arc`` per arc.  A rainbow path
+  or cycle (``valid``, ``is_hamilton``) is read in place: no
+  ``ColoredDigraph``, no arc triples and no second distinct-color set.
 """
 
 from __future__ import annotations
@@ -82,15 +85,7 @@ __all__ = [
     "is_strongly_connected",
     "validate_transversal",
     "pair_index",
-    "iter_pairs",
 ]
-
-
-def iter_pairs(n: int):
-    """Yield the unordered pairs (i, j), i < j, in lexicographic order."""
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            yield i, j
 
 
 def pair_index(n: int, i: int, j: int) -> int:
@@ -177,11 +172,6 @@ class Tournament:
         if ((raw | 1) != ord("1")).any():
             raise bad
         return cls._from_packed(n, np.packbits(raw & 1))
-
-    @classmethod
-    def from_bool_matrix(cls, mat: np.ndarray) -> "Tournament":
-        """Build from a dense adjacency matrix (mat[u, v] truthy iff u->v)."""
-        return cls(mat.shape[0], _pack_rows(mat.astype(np.uint8)))
 
     # -- representations ----------------------------------------------
 
@@ -393,10 +383,6 @@ class ColoredDigraph:
                 raise ValueError(f"duplicate arc ({t},{h})")
             seen.add((t, h))
 
-    def is_rainbow(self) -> bool:
-        cols = [c for _, _, c in self.arcs]
-        return len(cols) == len(set(cols))
-
 
 @dataclass(frozen=True)
 class _RainbowWalk:
@@ -424,7 +410,7 @@ class _RainbowWalk:
         return ColoredDigraph(trip)
 
     def valid(self, coll: TournamentCollection) -> bool:
-        return validate_transversal(coll, self.arcs())
+        return validate_transversal(coll, self)
 
     def is_hamilton(self, coll: TournamentCollection) -> bool:
         return len(self.vertices) == coll.n and self.valid(coll)
@@ -654,15 +640,24 @@ def is_strongly_connected(t: Tournament) -> bool:
     return t._strong
 
 
-def validate_transversal(coll: TournamentCollection, d: ColoredDigraph) -> bool:
+def validate_transversal(
+    coll: TournamentCollection, d: ColoredDigraph | RainbowPath | RainbowCycle
+) -> bool:
     """True iff every color is one of coll's m and used once, and every arc
-    joins two of its n vertices and lies in its color's tournament."""
-    seen: set[int] = set()
-    for t, h, c in d.arcs:
-        if not 0 <= c < coll.m or c in seen:
+    joins two of its n vertices and lies in its color's tournament.  A path
+    or cycle is read in place (its colors are distinct by construction)."""
+    if isinstance(d, ColoredDigraph):
+        arcs = d.arcs
+        if len({c for _, _, c in arcs}) < len(arcs):
             return False
-        seen.add(c)
-        if not (0 <= t < coll.n and 0 <= h < coll.n
-                and coll.tournaments[c].has_arc(t, h)):
-            return False
+    else:
+        vs = d.vertices
+        arcs = zip(vs, vs[1:] + vs[:1], d.colors)
+    m, ts = coll.m, coll.tournaments
+    try:
+        for t, h, c in arcs:  # a loop: a generator costs more on short walks
+            if not (0 <= c < m and ts[c].has_arc(t, h)):
+                return False
+    except ValueError:  # has_arc: an end outside range(n)
+        return False
     return True

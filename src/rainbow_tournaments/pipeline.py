@@ -419,7 +419,7 @@ def exchange_step(
     on_path = set(p.vertices)
     v = next(z for z in range(tc.n) if z not in on_path)
     path, colors = list(p.vertices), list(p.colors)
-    _spare_insert(tc, path, colors, set(colors), v, c1, c2)
+    _spare_insert(tc, path, colors, v, c1, c2)
     return RainbowPath(tuple(path), tuple(colors))
 
 

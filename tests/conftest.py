@@ -2,8 +2,28 @@
 
 import itertools
 
+import numpy as np
+
 from rainbow_tournaments import generators
 from rainbow_tournaments.core import Tournament, TournamentCollection
+
+
+def iter_pairs(n):
+    """The unordered pairs (i, j), i < j, in lexicographic order."""
+    return itertools.combinations(range(n), 2)
+
+
+def from_bool_matrix(mat):
+    """The tournament of a dense adjacency matrix (mat[u, v] truthy iff
+    u->v), through the validating constructor."""
+    tails, heads = np.nonzero(mat)
+    return Tournament.from_arcs(len(mat), zip(tails.tolist(), heads.tolist()))
+
+
+def is_rainbow(cd):
+    """Whether the arcs of a ColoredDigraph carry distinct colors."""
+    cols = [c for _, _, c in cd.arcs]
+    return len(cols) == len(set(cols))
 
 
 def all_tournaments(n):

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import is_rainbow
 from rainbow_tournaments import constructive, generators, harness
 from rainbow_tournaments.constructive import (
     Absorber,
@@ -52,7 +53,7 @@ class TestBuildAbsorber:
         ab = build_absorber(tc, arcs, range(30), ell=0, c_size=5)
         assert len(ab.A) == len(arcs)
         got = absorb(ab, [])
-        assert got.is_rainbow()
+        assert is_rainbow(got)
         assert {c for _, _, c in got.arcs} == set(ab.A)
 
     def test_not_enough_colors(self):
@@ -81,7 +82,7 @@ class TestBuildAbsorber:
         ab = build_absorber(tc, arcs, range(40), ell=2, c_size=12)
         for cprime in itertools.combinations(ab.C, ab.ell):
             got = absorb(ab, cprime)
-            assert got.is_rainbow()
+            assert is_rainbow(got)
             used = {c for _, _, c in got.arcs}
             assert used == set(ab.A) | set(cprime)
             # every arc is colored by a tournament that contains it
@@ -97,7 +98,7 @@ class TestBuildAbsorber:
         for _ in range(500):
             cprime = rng.choice(ab.C, size=3, replace=False)
             got = absorb(ab, [int(c) for c in cprime])
-            assert got.is_rainbow()
+            assert is_rainbow(got)
 
     def test_instance_without_any_absorber(self):
         # the lemma-absorber suite's instance at n = 7, seed 2: 6 target

@@ -149,8 +149,7 @@ class TestHPartition:
         read with has_arc, every vertex of a block scored, the first of
         the most balanced taken, blocks split on a work stack."""
         verts = list(range(t.n)) if vertices is None else list(vertices)
-        if ell >= len(verts):
-            return (tuple(verts),), (), len(verts)
+        ell = min(ell, len(verts))
         arc = [[u != v and t.has_arc(u, v) for v in range(t.n)]
                for u in range(t.n)]
         blocks, seps, stack = [], [], [sorted(verts)]
@@ -212,6 +211,72 @@ class TestHPartition:
         assert split_block(t, range(5)) == ([0], 1, [2, 3, 4])
         for ell in (3, 4):
             self.assert_full_scan(t, ell)
+
+    @pytest.mark.parametrize("ell", [3, 8, 30, 40])
+    def test_shuffled_vertex_list(self, ell):
+        # every block comes back ascending, one block (ell >= 30) or many
+        t = generators.random_tournament(40, seed=5)
+        verts = np.random.default_rng(5).permutation(40)[:30].tolist()
+        hp = h_partition(t, ell, vertices=verts)
+        assert hp == h_partition(t, ell, vertices=sorted(verts))
+        assert all(list(b) == sorted(b) for b in hp.blocks)
+        self.assert_full_scan(t, ell, vertices=verts)
+
+    @staticmethod
+    def validate_ref(hp, t):
+        """HPartition.validate by has_arc on every block vertex."""
+        verts = [*hp.separators, *(u for b in hp.blocks for u in b)]
+        return (
+            bool(verts) and len(set(verts)) == len(verts)
+            and set(verts) <= set(range(t.n))
+            and len(hp.separators) == len(hp.blocks) - 1
+            and all(hp.ell <= 6 * len(b) <= 6 * hp.ell for b in hp.blocks)
+            and all(t.has_arc(u, w) for i, w in enumerate(hp.separators)
+                    for u in hp.blocks[i])
+            and all(t.has_arc(w, u) for i, w in enumerate(hp.separators)
+                    for u in hp.blocks[i + 1]))
+
+    @staticmethod
+    def flip(t, u, v):
+        """t with the arc between u and v reversed."""
+        return core.Tournament.from_arcs(t.n, [
+            (b, a) if {a, b} == {u, v} else (a, b) for a, b in t.arcs()])
+
+    @pytest.mark.parametrize("n", [30, 61, 200])
+    def test_validate_matches_has_arc_reference(self, n):
+        rng = np.random.default_rng(n)
+        t = generators.random_tournament(n, seed=n)
+        for ell in (8, 24):
+            hp = h_partition(t, ell)
+            assert hp.validate(t) and self.validate_ref(hp, t)
+            blocks, seps = [list(b) for b in hp.blocks], hp.separators
+            for _ in range(10):
+                i = int(rng.integers(len(seps)))
+                w, bi, bj = seps[i], blocks[i], blocks[i + 1]
+                u = bi[int(rng.integers(len(bi)))]
+                x = bj[int(rng.integers(len(bj)))]
+                # u moved across its separator: u now beats w_i inside
+                # W_{i+1}, whatever the block sizes say
+                moved = constructive.HPartition(tuple(
+                    tuple(b for b in bk if b != u) if k == i
+                    else (*bk, u) if k == i + 1 else tuple(bk)
+                    for k, bk in enumerate(blocks)), seps, ell)
+                for bad, tt in ((moved, t), (hp, self.flip(t, u, w)),
+                                (hp, self.flip(t, w, x))):
+                    assert not bad.validate(tt)
+                    assert not self.validate_ref(bad, tt)
+
+    @pytest.mark.parametrize("blocks, seps", [
+        (((0, 1, 99),), ()), (((0, 1, -3),), ()), (((0, 1, 5),), ()),
+        (((0, 1), (2, 3)), (99,)), (((0, 1), (2, 3)), ()),
+        (((0, 1), (2, 3)), (4, 0)), (((0, 1, 1),), ()), ((), ()),
+    ], ids=["above-n", "negative", "equal-to-n", "separator-outside",
+            "separator-missing", "separator-extra", "repeat", "empty"])
+    def test_validate_rejects_malformed_partitions(self, blocks, seps):
+        # the first three used to pass, since no separator touches them
+        t = generators.random_tournament(5, seed=0)
+        hp = constructive.HPartition(blocks, seps, 3)
+        assert not hp.validate(t) and not self.validate_ref(hp, t)
 
     @pytest.mark.parametrize("vertices, error", [
         ([0, 0, 1, 2, 3, 4], ValueError), ([0, 1, 2, 3, 40], ValueError),
@@ -318,31 +383,30 @@ class TestOneSpare:
             cols = [int(x) for x in rng.permutation(m)]
             c1, c2 = cols[:2]
             colors = cols[2:2 + len(path) - 1]
-            used = set(colors)
             ref_path, ref_colors = list(path), list(colors)
-            ref_used = set(used)
-            k = constructive._spare_insert(tc, path, colors, used, v, c1, c2)
+            k, spare = constructive._spare_insert(tc, path, colors, v, c1, c2)
             if not cached:
                 assert all(t._out is None for t in tc.tournaments)
             out1 = tc.tournaments[c1].out[v]
             out2 = tc.tournaments[c2].out[v]
             ref_k = constructive._insertion_point(ref_path, out1 | out2)
+            # the spare is whichever of c1, c2 and the replaced color the
+            # path leaves unused
+            unused = {c1, c2, *ref_colors}
             if ref_k == len(ref_path):
                 ref_path.append(v)
                 ref_colors.append(c1)
-                ref_used.add(c1)
             else:
                 hit, other = ((c1, c2) if (out1 >> ref_path[ref_k]) & 1
                               else (c2, c1))
                 ref_path.insert(ref_k, v)
                 if ref_k:
-                    ref_used.discard(ref_colors[ref_k - 1])
                     ref_colors[ref_k - 1] = other
-                    ref_used.add(other)
                 ref_colors.insert(ref_k, hit)
-                ref_used.add(hit)
-            assert (k, path, colors, used) == (
-                ref_k, ref_path, ref_colors, ref_used)
+            unused -= set(ref_colors)
+            assert len(unused) == 1
+            assert (k, path, colors, spare) == (
+                ref_k, ref_path, ref_colors, *unused)
 
     def test_builds_no_out_rows(self, monkeypatch):
         def no_rows(*args):
@@ -352,6 +416,39 @@ class TestOneSpare:
         for n in range(4, 51):
             tc = generators.random_collection(n, n, seed=n)
             assert rainbow_ham_path_one_spare(tc).is_hamilton(tc)
+
+    @staticmethod
+    def list_pick(tc, vorder, corder):
+        """The builder with its colors picked by a scan of the whole color
+        order for the first two unused ones, as it used to; also counts
+        the steps that free a color earlier in the order than one already
+        picked."""
+        path, colors, high, early = [vorder[0]], [], -1, 0
+        for v in vorder[1:]:
+            c1, c2 = [c for c in corder if c not in colors][:2]
+            high = max(high, corder.index(c2))
+            replaced = set(colors)
+            _, spare = constructive._spare_insert(tc, path, colors, v, c1, c2)
+            early += spare in replaced and corder.index(spare) < high
+        return (tuple(path), tuple(colors)), early
+
+    @pytest.mark.parametrize("spare", ["n", "n+1", "2n"])
+    def test_heap_pick_matches_list_pick(self, spare):
+        rng = np.random.default_rng(len(spare))
+        early = 0
+        for trial in range(150):
+            n = int(rng.integers(1, 30))
+            m = {"n": n, "n+1": n + 1, "2n": 2 * n}[spare]
+            tc = generators.random_collection(n, m, seed=trial)
+            vorder = rng.permutation(n).tolist()
+            corder = rng.permutation(m).tolist()
+            p = rainbow_ham_path_one_spare(tc, vertex_order=vorder,
+                                           color_order=corder)
+            want, freed_early = self.list_pick(tc, vorder, corder)
+            assert (p.vertices, p.colors) == want
+            early += freed_early
+        # freed colors went back ahead of colors already picked
+        assert early > 100
 
 
 class TestForcingColor:

@@ -7,7 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import all_tournaments, directed_triangle
+from conftest import (all_tournaments, directed_triangle, from_bool_matrix,
+                      iter_pairs)
 from rainbow_tournaments.core import (
     ColoredDigraph,
     RainbowCycle,
@@ -16,13 +17,13 @@ from rainbow_tournaments.core import (
     TournamentCollection,
     induced_collection,
     is_strongly_connected,
-    iter_pairs,
     majority_subtournament,
     pair_index,
     restrict_colors,
     validate_transversal,
 )
 from rainbow_tournaments import core, generators
+from rainbow_tournaments.constructive import rainbow_ham_path_one_spare
 from rainbow_tournaments.pipeline import (transversal_ham_cycle,
                                           transversal_ham_path)
 
@@ -126,7 +127,7 @@ class TestTournament:
         rng = np.random.default_rng(n)
         for k in (1, 2, n // 2, n - 1, n):
             keep = rng.permutation(n)[:k].tolist()
-            ref = Tournament.from_bool_matrix(dense[np.ix_(keep, keep)])
+            ref = from_bool_matrix(dense[np.ix_(keep, keep)])
             assert t.restrict(keep) == ref
 
     def test_hash_and_eq(self):
@@ -335,6 +336,89 @@ class TestWitnesses:
         bad = TournamentCollection([tri, tri, directed_triangle(False)])
         assert not cyc.valid(bad)
 
+    @staticmethod
+    def colored_walk(tc, verts, cyclic):
+        """RainbowPath or RainbowCycle on verts, each arc taking the lowest
+        color not yet taken whose tournament has it, else None."""
+        ends = verts[1:] + verts[:1] if cyclic else verts[1:]
+        free, cols = set(range(tc.m)), []
+        for u, v in zip(verts, ends):
+            fits = [c for c in sorted(free) if tc.tournaments[c].has_arc(u, v)]
+            if not fits:
+                return None
+            cols.append(fits[0])
+            free.discard(fits[0])
+        return (RainbowCycle if cyclic else RainbowPath)(
+            tuple(verts), tuple(cols))
+
+    @staticmethod
+    def corruptions(tc, w):
+        """Copies of the walk w, each with one defect: a color outside
+        range(m), a vertex outside range(n), an arc recolored to an unused
+        color without it and, for a cycle, its closing arc so recolored."""
+        kind, vs, cs = type(w), list(w.vertices), list(w.colors)
+        ends = vs[1:] + vs[:1]
+        unused = [c for c in range(tc.m) if c not in cs]
+        yield kind(tuple(vs), (*cs[:-1], tc.m))
+        yield kind(tuple(vs), (-1, *cs[1:]))
+        yield kind((*vs[:-1], tc.n), tuple(cs))
+        yield kind((-1, *vs[1:]), tuple(cs))
+        for j in (len(cs) // 2, len(cs) - 1):
+            u, v = vs[j], ends[j]
+            lacking = [c for c in unused
+                       if not tc.tournaments[c].has_arc(u, v)]
+            if lacking:
+                yield kind(tuple(vs), (*cs[:j], lacking[0], *cs[j + 1:]))
+
+    @pytest.mark.parametrize("cyclic", [False, True], ids=["path", "cycle"])
+    def test_walk_check_matches_digraph_check(self, cyclic):
+        # valid() reads the walk in place; its arcs() as a ColoredDigraph
+        # take the general check, which is the reference
+        rng = np.random.default_rng(int(cyclic))
+        checked = bad = 0
+        for trial in range(300):
+            n = int(rng.integers(3, 12))
+            m = int(rng.integers(n, 3 * n + 1))
+            tc = generators.random_collection(n, m, seed=trial)
+            k = int(rng.integers(3, n + 1))
+            w = self.colored_walk(tc, rng.permutation(n)[:k].tolist(), cyclic)
+            if w is None:
+                continue
+            assert w.valid(tc) and validate_transversal(tc, w.arcs())
+            assert w.is_hamilton(tc) == (k == n)
+            for bad_w in self.corruptions(tc, w):
+                assert not validate_transversal(tc, bad_w.arcs())
+                assert not bad_w.valid(tc) and not bad_w.is_hamilton(tc)
+                bad += 1
+            checked += 1
+        assert checked > 200 and bad > 5 * checked
+
+    @staticmethod
+    def hamilton_path_and_cycle():
+        tc = generators.random_collection(9, 9, seed=3)
+        cycle = transversal_ham_cycle(tc).witness
+        return tc, rainbow_ham_path_one_spare(tc), cycle
+
+    def test_walk_check_reads_no_digraph(self, monkeypatch):
+        tc, p, c = self.hamilton_path_and_cycle()
+        monkeypatch.setattr(core.ColoredDigraph, "__post_init__",
+                            lambda self: pytest.fail("a digraph was built"))
+        assert p.is_hamilton(tc) and c.is_hamilton(tc)
+
+    def test_is_hamilton_reaches_validate_transversal(self, monkeypatch):
+        # the benchmark's core.validate_transversal metrics count it by
+        # patching the module-level name
+        tc, p, c = self.hamilton_path_and_cycle()
+        real, seen = core.validate_transversal, []
+
+        def counted(coll, d):
+            seen.append(d)
+            return real(coll, d)
+
+        monkeypatch.setattr(core, "validate_transversal", counted)
+        assert p.is_hamilton(tc) and c.is_hamilton(tc)
+        assert seen == [p, c]
+
 
 class TestMajoritySubtournament:
     def test_single_tournament_is_itself(self):
@@ -457,7 +541,7 @@ class TestInducedCollection:
         dense = np.array([[last.has_arc(u, v) for v in range(n)]
                           for u in range(n)])
         vs = lists[1]
-        ref = Tournament.from_bool_matrix(dense[np.ix_(vs, vs)])
+        ref = from_bool_matrix(dense[np.ix_(vs, vs)])
         assert induced_collection(tc, vs).tournaments[-1] == ref
 
     @pytest.mark.parametrize("vertices", [[], [3, 0, 3], [0, 9], [2, -1]],
@@ -671,7 +755,7 @@ def _split_strong(n, seed):
                 mat[lo + u, lo + v] = u != v and half.has_arc(u, v)
     mat[:a, a:] = True
     perm = rng.permutation(n)
-    return Tournament.from_bool_matrix(mat[np.ix_(perm, perm)]), n - a
+    return from_bool_matrix(mat[np.ix_(perm, perm)]), n - a
 
 
 class TestLandauFloorAtAMiddlePrefix:
@@ -774,7 +858,7 @@ class TestPairNativeAgainstRows:
                 for keep in (sorted(rng.choice(n, (n + 1) // 2,
                                                replace=False).tolist()),
                              rng.permutation(n).tolist()):
-                    want = Tournament.from_bool_matrix(mat[np.ix_(keep, keep)])
+                    want = from_bool_matrix(mat[np.ix_(keep, keep)])
                     assert t.restrict(keep).pair_bits() == want.pair_bits()
             for u, v in pairs:
                 want = sum(1 << c for c in range(tc.m) if mats[c, u, v])
