@@ -53,9 +53,10 @@ Costs, for k colors on n vertices:
   ``int.from_bytes`` a row.  O(n^2) bytes, no Python step per pair.
 - ``Tournament.scores`` (out-degrees, cached) sums the rows and columns of
   the upper triangle of the pair bits, whether or not ``out`` is cached;
-  ``is_strongly_connected`` sorts them in numpy and compares their prefix
-  sums with Landau's floor C(k,2), cached per n: O(n log n), with no
-  search (about 7 µs at n = 400); the verdict is cached on the tournament
+  ``is_strongly_connected`` compares their sorted prefix sums with
+  Landau's floor C(k,2): O(n log n), no search.  Both routines take a
+  block of rows, so the generator tests a draw block's strong candidates
+  at once (see ``generators``); the verdict is cached on the tournament
   (a member the generator tested answers at once).
 - ``validate_transversal`` makes one ``has_arc`` per arc.  A rainbow path
   or cycle (``valid``, ``is_hamilton``) is read in place: no
@@ -193,7 +194,7 @@ class Tournament:
         """The out-degree of every vertex (a read-only int array), from the
         pair bits; computed once, then cached."""
         if self._scores is None:
-            self._scores = _frozen(_scores_from_pairs(self.n, self._packed))
+            self._scores = _scores_from_pairs(self.n, self._packed[None])[0]
         return self._scores
 
     # -- queries ------------------------------------------------------
@@ -466,13 +467,17 @@ def _out_rows(n: int, packed: np.ndarray) -> tuple[int, ...]:
 
 
 def _scores_from_pairs(n: int, packed: np.ndarray) -> np.ndarray:
-    """Out-degrees: u beats the later vertices of its upper-triangle row
-    and the earlier ones whose pair bit in column u is 0."""
-    up = np.zeros((n, n), dtype=np.uint8)
-    up[_upper_mask(n)] = np.unpackbits(packed, count=_pair_count(n))
+    """Out-degrees (read-only, b x n) of b pair rows: u beats the later
+    vertices in its row and the earlier ones whose column-u bit is 0."""
+    up = np.zeros((len(packed), n, n), dtype=np.uint8)
+    # the mask repeated b times as a view (np.broadcast_to costs 3 µs),
+    # copied if b > 1: a contiguous mask places 2x faster than a strided
+    mask = np.ndarray(up.shape, bool, _upper_mask(n), strides=(0, n, 1))
+    up[np.ascontiguousarray(mask)] = np.unpackbits(
+        packed, axis=1, count=_pair_count(n)).ravel()
     acc = np.uint16 if n < 1 << 16 else np.uint32  # narrow sums are faster
-    later = up.sum(axis=1, dtype=acc).astype(np.intp)
-    return later + np.arange(n) - up.sum(axis=0, dtype=acc)
+    return _frozen(up.sum(axis=2, dtype=acc) + np.arange(n)
+                   - up.sum(axis=1, dtype=acc))
 
 
 def _pack_rows(bits: np.ndarray) -> tuple[int, ...]:
@@ -489,9 +494,8 @@ def _pack_rows(bits: np.ndarray) -> tuple[int, ...]:
 def _upper_mask(n: int) -> np.ndarray:
     """The strict upper triangle of an n x n matrix as a read-only bool
     mask; its cells in row-major order are the pairs (i, j), i < j, in
-    lexicographic order.  This cache and _landau_floor's keep 128 sizes,
-    so a second sweep over n = 10, 13, ..., 130 (50 sizes) misses none;
-    they then hold 0.26 MB of masks and 0.02 MB of floors."""
+    lexicographic order.  128 sizes are cached: a second sweep over n =
+    10, 13, ..., 130 (50 sizes) misses none, and they hold 0.26 MB."""
     return _frozen(np.triu(np.ones((n, n), dtype=bool), 1))
 
 
@@ -620,23 +624,20 @@ def induced_collection(
         len(vertices), np.packbits(rows, axis=1) ^ flip)
 
 
-@functools.lru_cache(maxsize=128)
-def _landau_floor(n: int) -> np.ndarray:
-    """C(k,2) for k = 1..n-1 (read-only)."""
-    return _frozen(np.arange(n - 1).cumsum())
+def _landau_strong(scores: np.ndarray) -> np.ndarray:
+    """Landau's test on each row of a (b, n) block of scores: the k lowest
+    scores sum to at least C(k,2), with equality exactly when those k
+    vertices lose to all others; so a tournament is strong iff no proper
+    prefix of its sorted scores meets that floor."""
+    excess = np.sort(scores, axis=1) - np.arange(scores.shape[1])
+    return excess[:, :-1].cumsum(axis=1).all(axis=1)  # sums less C(k,2)
 
 
 def is_strongly_connected(t: Tournament) -> bool:
-    """True iff the tournament has a single strongly connected component.
-
-    Landau's score test: the k lowest scores sum to at least C(k,2), the
-    sum of 0..k-1, with equality exactly when those k vertices lose to
-    all others; so the tournament is strong iff no proper prefix of its
-    sorted scores meets that floor.  Computed once, then cached on t.
-    """
+    """True iff t has one strongly connected component, by Landau's test
+    (see _landau_strong); computed once, then cached on t."""
     if t._strong is None:
-        prefix = np.sort(t.scores)[:-1].cumsum()
-        t._strong = not (prefix == _landau_floor(t.n)).any()
+        t._strong = bool(_landau_strong(t.scores[None])[0])
     return t._strong
 
 

@@ -21,10 +21,10 @@ Members are drawn in blocks of up to DRAW_CHUNK_WORDS raw words: each
 sets a PCG64 to its start and fills its row of the block's uint64 array,
 then one comparison and one ``packbits`` write the block's pair bits into
 the collection's rows, which the members view (see ``core``): about 6 µs
-a member at n = 30 and 0.2 ms at n = 800, with no n x n matrix.  A
-strongly connected member also pays for its scores (about 0.3 ms at n =
-400) and one Landau test per draw (7 µs at n = 400); the kept member holds
-both its scores and its verdict, so a later strength count reads them.
+a member at n = 30 and 0.2 ms at n = 800, with no n x n matrix.  One
+pass scores and Landau-tests a block's strong candidates (about 4 µs a
+member at n = 30, 20 µs at n = 130, 0.15 ms at n = 400, one a block), a
+redraw alone; a kept member holds its scores and verdict (see ``core``).
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import (Tournament, TournamentCollection, _frozen,
-                   is_strongly_connected)
+from .core import (Tournament, TournamentCollection, _frozen, _landau_strong,
+                   _scores_from_pairs, is_strongly_connected)
 
 __all__ = [
     "transitive_tournament",
@@ -219,8 +219,9 @@ def _collection(n: int, seed: int, indices: range,
         raise ValueError("n must be positive")
     if not indices:
         raise ValueError("m must be positive")
-    if strong < 0:
-        raise ValueError("strongly_connected_count cannot be negative")
+    strong = operator.index(strong)  # a float count is a TypeError
+    if not 0 <= strong <= len(indices):
+        raise ValueError("strongly_connected_count cannot be negative or above m")
     if strong and n < 3:
         raise ValueError("strong connectivity needs n >= 3")
     if seed < 0 or indices.start < 0:
@@ -236,8 +237,13 @@ def _collection(n: int, seed: int, indices: range,
         for row, i, start in zip(words, indices[lo:lo + block], starts):
             _draw_tournament(seed, i, 0, start, row)
         rows[lo:lo + block] = _pair_bits(words[:m - lo], size)
+        if lo < strong:  # the block's strong candidates, tested at once
+            scores = _scores_from_pairs(n, rows[lo:strong][:block])
+            verdicts = _landau_strong(scores).tolist()
         for pos in range(lo, min(lo + block, m)):
             t, attempt = Tournament._from_packed(n, rows[pos]), 0
+            if pos < strong:  # a redraw below is a fresh tournament
+                t._scores, t._strong = scores[pos - lo], verdicts[pos - lo]
             while pos < strong and not is_strongly_connected(t):
                 attempt += 1
                 _draw_tournament(seed, indices[pos], attempt, None, words[0])

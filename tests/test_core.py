@@ -682,17 +682,19 @@ class TestVerdictCache:
                 seen.add(verdict)
         assert seen == {True, False}
 
-    # m = 4 seeds each member alone, m = 12 all of them in one array pass
-    @pytest.mark.parametrize("m", [4, 12])
+    # m = 4 seeds each member alone, m = 12 all of them in one array pass;
+    # n = 130 draws blocks of 7 members, so the strong ones span six
+    @pytest.mark.parametrize("m, n", [(4, 9), (12, 9), (40, 130)],
+                             ids=["4", "12", "40"])
     def test_generated_strong_members_answer_from_the_cache(
-            self, m, monkeypatch):
+            self, m, n, monkeypatch):
         tc = generators.random_collection(
-            9, m, seed=3, strongly_connected_count=m - 1)
+            n, m, seed=3, strongly_connected_count=m - 1)
 
         def no_numpy(*args):
             raise AssertionError("verdict not cached")
 
-        monkeypatch.setattr(core, "_landau_floor", no_numpy)
+        monkeypatch.setattr(core, "_landau_strong", no_numpy)
         monkeypatch.setattr(core, "_scores_from_pairs", no_numpy)
         assert all(is_strongly_connected(t) for t in tc.tournaments[:-1])
         with pytest.raises(AssertionError, match="not cached"):
@@ -708,14 +710,117 @@ class TestVerdictCache:
                                           strongly_connected_count=5)
         assert all(t._strong is True for t in tc.tournaments[:5])
         calls = []
-        floor = core._landau_floor
-        monkeypatch.setattr(core, "_landau_floor",
-                            lambda n: calls.append(n) or floor(n))
+        landau = core._landau_strong
+        monkeypatch.setattr(core, "_landau_strong",
+                            lambda s: calls.append(s.shape) or landau(s))
         again = read(tc)
         assert all(t._strong is None for t in again)
         assert [is_strongly_connected(t) for t in again] == [
             is_strongly_connected(t) for t in tc.tournaments]
-        assert calls == [8] * 7  # six members read again, tc's free one
+        # six members read again, tc's free one: each a block of one
+        assert calls == [(1, 8)] * 7
+
+
+def _scores_by_has_arc(t):
+    return [sum(t.has_arc(u, v) for v in range(t.n) if v != u)
+            for u in range(t.n)]
+
+
+class TestBlockScoresAndLandau:
+    """core._scores_from_pairs and core._landau_strong on blocks of pair
+    rows, and the generator's one pass per draw block, against scores
+    read with has_arc and verdicts by reachability."""
+
+    @staticmethod
+    def check_block(n, ts):
+        rows = np.stack([t.packed for t in ts])
+        scores = core._scores_from_pairs(n, rows)
+        assert not scores.flags.writeable
+        assert scores.tolist() == [_scores_by_has_arc(t) for t in ts]
+        verdicts = core._landau_strong(scores).tolist()
+        assert verdicts == [_strong_by_reachability(t) for t in ts]
+        return verdicts
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_blocks_mixing_strong_and_not(self, n):
+        tc = generators.random_collection(n, 40, seed=n)
+        assert set(self.check_block(n, tc.tournaments)) == {True, False}
+
+    @pytest.mark.parametrize("n", [3, 4, 9, 50, 51])
+    def test_named_families(self, n):
+        family = [generators.transitive_tournament(n),
+                  generators.prop14_tprime(n),
+                  _with_sink(generators.random_tournament(n, seed=n), n // 2)]
+        if n % 2:
+            family.insert(1, generators.rotational_tournament(n))
+        verdicts = self.check_block(n, family)
+        assert verdicts == [False] + [True] * (n % 2) + [True, False]
+
+    def test_block_of_one_at_n_257(self):
+        t = generators.random_tournament(257, seed=1)
+        assert self.check_block(257, [t]) == [is_strongly_connected(t)]
+        assert t.scores.tolist() == _scores_by_has_arc(t)
+
+    @staticmethod
+    def record(monkeypatch, name):
+        """Shapes of the blocks (last argument) generators.name gets."""
+        shapes, f = [], getattr(generators, name)
+        monkeypatch.setattr(generators, name,
+                            lambda *a: shapes.append(a[-1].shape) or f(*a))
+        return shapes
+
+    @pytest.mark.parametrize("k", [7, 10, 14, 20])
+    def test_strong_boundary_inside_a_block(self, k, monkeypatch):
+        """At n = 130 a draw block holds 7 members, so k = 10 stops the
+        strong candidates inside the second block."""
+        shapes = self.record(monkeypatch, "_scores_from_pairs")
+        tc = generators.random_collection(130, 20, seed=5,
+                                          strongly_connected_count=k)
+        assert shapes == [(min(7, k - lo), 1049) for lo in range(0, k, 7)]
+        for pos, t in enumerate(tc.tournaments):
+            if pos < k:
+                assert t._strong is True
+                assert t._scores.tolist() == _scores_by_has_arc(t)
+            else:
+                assert t._scores is None and t._strong is None
+
+    def test_redrawn_member_gets_a_fresh_verdict(self, monkeypatch):
+        """At n = 3 most draws are not strong: each redraw is tested on
+        its own, in a block of one, and the kept member holds its own
+        scores, not those of the row it replaced.  A draw budget turns a
+        verdict that never clears into a failure."""
+        n, m, k, seed = 3, 12, 9, 2
+        want, rejected = [], 0
+        for i in range(m):
+            for attempt in range(1000):
+                rng = np.random.Generator(np.random.PCG64(
+                    np.random.SeedSequence([seed, i, attempt])))
+                bits = rng.integers(0, 2, n * (n - 1) // 2, dtype=np.uint8)
+                t = Tournament.from_pair_bits(n, "".join(map(str, bits)))
+                if i >= k or _strong_by_reachability(t):
+                    break
+            want.append(t)
+            rejected += attempt
+        assert rejected > 0
+        draws, draw = [], generators._draw_tournament
+
+        def budgeted(*a):
+            draws.append(a)
+            assert len(draws) <= m + rejected, "a stale verdict redraws"
+            return draw(*a)
+
+        monkeypatch.setattr(generators, "_draw_tournament", budgeted)
+        landau = self.record(monkeypatch, "_landau_strong")
+        landau_one, f = [], core._landau_strong
+        monkeypatch.setattr(core, "_landau_strong",
+                            lambda s: landau_one.append(s.shape) or f(s))
+        tc = generators.random_collection(n, m, seed,
+                                          strongly_connected_count=k)
+        assert list(tc.tournaments) == want and len(draws) == m + rejected
+        assert landau == [(k, n)] and landau_one == [(1, n)] * rejected
+        for t in tc.tournaments[:k]:
+            assert t._strong is True
+            assert t._scores.tolist() == _scores_by_has_arc(t)
 
 
 class TestSizeCaches:
@@ -723,7 +828,7 @@ class TestSizeCaches:
         """Two passes of path and cycle solves at n = 10, 13, ..., 130 on
         instances drawn afresh each pass: the second pass finds every
         size in the caches keyed by n."""
-        caches = (core._upper_mask, core._landau_floor)
+        caches = (core._upper_mask,)
 
         def sweep():
             for n in range(10, 131, 3):

@@ -134,6 +134,16 @@ class TestRandom:
                 6, 5, seed=0, strongly_connected_count=-1
             )
 
+    @pytest.mark.parametrize("m", [3, 12])
+    def test_strongly_connected_count_is_an_int_up_to_m(self, m):
+        with pytest.raises(TypeError):
+            generators.random_collection(6, m, 0, strongly_connected_count=2.5)
+        with pytest.raises(ValueError, match="above m"):
+            generators.random_collection(6, m, 0,
+                                         strongly_connected_count=m + 1)
+        tc = generators.random_collection(6, m, 0, strongly_connected_count=m)
+        assert all(is_strongly_connected(t) for t in tc.tournaments)
+
 
 # sha256 of random_collection(n, 3, seed[, strongly_connected_count=2])
 # over the grid below: the JSON text and every member's out-masks.  It
