@@ -16,7 +16,8 @@ into ceil(N/8) read-only bytes (``Tournament.packed``; the pad bits of the
 last byte are 0).  A collection made by the generator, ``from_json``,
 ``induced_collection`` or unpickling holds its m rows in one (m, ceil(N/8))
 uint8 array (``TournamentCollection.packed``) and each member's row is a
-view of it (the generator and ``induced_collection`` pack straight into it).
+view of it (the generator draws, and ``induced_collection`` packs, straight
+into it; the generator's rows are byte views of rows of raw words).
 Per-vertex out-neighbour bitmasks (``Tournament.out``, arbitrary-precision
 ints) are a cache, built on first read.  The constructions read them only
 on small or derived tournaments such as the majority tournament (the
@@ -30,9 +31,10 @@ Sub-collections keep the listed order and check the list once:
 
 Costs, for k colors on n vertices:
 
-- Generation: one ``packbits`` per block of members over their pair
-  bytes, written into the collection's rows (see ``generators``);
-  ``from_json``: one per tournament, stacked once.  No n x n matrix.
+- Generation: a seeded stream's raw words are the members' rows, read
+  straight into the collection's array (see ``generators``);
+  ``from_json``: one ``packbits`` per tournament, stacked once.  No n x n
+  matrix.
 - ``has_arc(u, v)`` checks u and v against range(n), reads bit
   ``pair_index(min, max)`` and flips it when u > v (or reads ``out`` when
   it is cached).  ``arc_color_masks`` gathers the byte columns of k arcs

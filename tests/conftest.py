@@ -26,6 +26,30 @@ def is_rainbow(cd):
     return len(cols) == len(set(cols))
 
 
+def stream_row(n, seed, index, attempt=0):
+    """The packed row of member index at attempt, from numpy alone: the
+    first ceil(N/8) bytes of raw words [index W, (index+1) W), W =
+    ceil(N/64), of PCG64(SeedSequence([seed, attempt])) stored
+    little-endian, with the pad bits of the last byte cleared."""
+    size = n * (n - 1) // 2
+    width = (size + 63) // 64
+    stream = np.random.PCG64(np.random.SeedSequence([seed, attempt]))
+    stream.advance(index * width)
+    row = bytearray(stream.random_raw(width).astype("<u8").tobytes())
+    del row[(size + 7) // 8:]
+    if size % 8:
+        row[-1] &= 0xFF << (8 - size % 8) & 0xFF
+    return bytes(row)
+
+
+def stream_draw(n, seed, index, attempt=0):
+    """The tournament of stream_row, through the validating constructor:
+    pair p orients i->j iff bit 7 - p mod 8 of byte p // 8 is set."""
+    row = stream_row(n, seed, index, attempt)
+    return Tournament.from_pair_bits(n, "".join(
+        str(row[p >> 3] >> (7 - p % 8) & 1) for p in range(n * (n - 1) // 2)))
+
+
 def all_tournaments(n):
     """Every tournament on n labeled vertices."""
     npairs = n * (n - 1) // 2

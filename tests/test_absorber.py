@@ -101,11 +101,11 @@ class TestBuildAbsorber:
             assert is_rainbow(got)
 
     def test_instance_without_any_absorber(self):
-        # the lemma-absorber suite's instance at n = 7, seed 2: 6 target
+        # the lemma-absorber suite's instance at n = 7, seed 6: 6 target
         # arcs, ell = 2, |A| = 4 and |C| = 10 use all 14 colors, so A fixes
         # C, and none of the C(14, 4) = 1001 choices of A is an absorber:
         # the suite's failure there is the instance's, not build_absorber's
-        n, seed = 7, 2
+        n, seed = 7, 6
         assert harness._lemma_absorber((n, seed))["kind"] == "absorber-build"
         tc = generators.random_collection(n, 2 * n, seed=seed)
         path = tournament_ham_path(majority_subtournament(tc))
@@ -522,15 +522,15 @@ class TestHallOverArcSets:
 
 
 # sha256 of the lemma-absorber report over sizes 8, 9, 10, 12, 16 and seeds
-# 0-49, without timing.  Its two failure records are draws of A and C that
-# miss an absorber; a change to how A and C are drawn re-baselines it.
+# 0-49, without timing.  It has no failure record: the first draws of A and
+# C that miss an absorber are at n = 8, seed 354 and n = 9, seed 1148.  A
+# change to how A and C, or the instances, are drawn re-baselines it.
 ABSORBER_REPORT = (
-    "e55a5a235acc5d5c76a55e7d83990af66607d80ee682ce4be4dd8d28ff8cc04d")
+    "feb7bda88a56012312c7ec08e7279a915462a13b0d674f7026ffcded91a8b12c")
 
 
 def test_lemma_absorber_report_is_locked():
     report = harness.verify_lemmas("absorber", [8, 9, 10, 12, 16], range(50))
-    assert [(f["n"], f["seed"], f["kind"]) for f in report.failures] == [
-        (8, 6, "absorber-build"), (9, 39, "absorber-build")]
+    assert report.failures == []
     text = report.to_jsonl(include_timing=False)
     assert hashlib.sha256(text.encode()).hexdigest() == ABSORBER_REPORT

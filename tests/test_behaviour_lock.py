@@ -26,46 +26,46 @@ GRID_N = (12, 30, 80, 200)
 SEEDS = range(5)
 
 EXPECTED = {
-    "path n=12 seed=0": "ea3f4b52693c3a9e",
-    "path n=12 seed=1": "f72ff9f7c7e53650",
-    "path n=12 seed=2": "4497812eb1f5c38e",
-    "path n=12 seed=3": "1cb92574ffbac1e3",
-    "path n=12 seed=4": "c8b19f2d5453fa63",
-    "path n=30 seed=0": "f0148e0791401598",
-    "path n=30 seed=1": "7057d4446779db54",
-    "path n=30 seed=2": "37acae98115ddf1a",
-    "path n=30 seed=3": "457cda8087418835",
-    "path n=30 seed=4": "fa9d335f24b3ade4",
-    "path n=80 seed=0": "8d9b8245d38a4107",
-    "path n=80 seed=1": "4bb22b3d3c5bad9b",
-    "path n=80 seed=2": "023f49b170c5440b",
-    "path n=80 seed=3": "97bc8f3182a65b7b",
-    "path n=80 seed=4": "ba83cbfc77c07245",
-    "path n=200 seed=0": "80b236544abfd277",
-    "path n=200 seed=1": "45e50e107c5c3ef1",
-    "path n=200 seed=2": "7595964d2faea8e3",
-    "path n=200 seed=3": "876b37d225bc35b6",
-    "path n=200 seed=4": "bf6d5b504c2dd677",
-    "cycle n=12 seed=0": "7b60f907932b94ec",
-    "cycle n=12 seed=1": "077e73382c61af8f",
-    "cycle n=12 seed=2": "a65b55790cc1ac48",
-    "cycle n=12 seed=3": "ad745e25a18a613d",
-    "cycle n=12 seed=4": "17e6ac51f5689178",
-    "cycle n=30 seed=0": "35e7be57b9b24939",
-    "cycle n=30 seed=1": "44fde09ffe106120",
-    "cycle n=30 seed=2": "4c75607b49a05b93",
-    "cycle n=30 seed=3": "2632b210b4f58383",
-    "cycle n=30 seed=4": "1646e195c7e5c432",
-    "cycle n=80 seed=0": "14b38506d265eee4",
-    "cycle n=80 seed=1": "8b935e310549a890",
-    "cycle n=80 seed=2": "521439fb0bba2c89",
-    "cycle n=80 seed=3": "4f64b1e82be5f3d9",
-    "cycle n=80 seed=4": "738f9a70a0e9051f",
-    "cycle n=200 seed=0": "709930b255e5c6f4",
-    "cycle n=200 seed=1": "b75d96a47e9bccad",
-    "cycle n=200 seed=2": "14cfd64bf5c23aca",
-    "cycle n=200 seed=3": "bdf57a9e77c8fa90",
-    "cycle n=200 seed=4": "8e56d725680afa89",
+    "path n=12 seed=0": "105589f8f000f5d8",
+    "path n=12 seed=1": "03b937ce362d1577",
+    "path n=12 seed=2": "d55456e9a4b707f3",
+    "path n=12 seed=3": "321c5e6990ae7f72",
+    "path n=12 seed=4": "0ee004bfe20f9d50",
+    "path n=30 seed=0": "bcd20656aa3aec41",
+    "path n=30 seed=1": "ac3020fc0ffe6c17",
+    "path n=30 seed=2": "f17b13426097bb0b",
+    "path n=30 seed=3": "1ea10614ab987266",
+    "path n=30 seed=4": "48132d5cb181b07d",
+    "path n=80 seed=0": "4c16c8414d3b35ae",
+    "path n=80 seed=1": "a1bbd1c68650ee91",
+    "path n=80 seed=2": "a4fd972c7291307b",
+    "path n=80 seed=3": "e9fa78df3616fb92",
+    "path n=80 seed=4": "6ace8ff99ebb78bc",
+    "path n=200 seed=0": "cab907c9d1385b19",
+    "path n=200 seed=1": "750fc93a9247eb31",
+    "path n=200 seed=2": "9fa480215297309a",
+    "path n=200 seed=3": "428c4d2e8b339fbc",
+    "path n=200 seed=4": "d7f4adc7d0d0fe1e",
+    "cycle n=12 seed=0": "8a707e48fc9ecbf5",
+    "cycle n=12 seed=1": "8f8aaa2bd5e05002",
+    "cycle n=12 seed=2": "d4d26033f6c90554",
+    "cycle n=12 seed=3": "fe30f1ff314cd13b",
+    "cycle n=12 seed=4": "ce004a28f2e592ab",
+    "cycle n=30 seed=0": "48d04d36f35791eb",
+    "cycle n=30 seed=1": "1eb033377da58a0a",
+    "cycle n=30 seed=2": "f89f60bc9020018d",
+    "cycle n=30 seed=3": "5f148ddf3a5922c6",
+    "cycle n=30 seed=4": "bde923b07e7eed62",
+    "cycle n=80 seed=0": "0c4136e5bc9edc64",
+    "cycle n=80 seed=1": "78446f70ef91bc67",
+    "cycle n=80 seed=2": "5dded8c2b25ffdd1",
+    "cycle n=80 seed=3": "e90039b30ee21d5c",
+    "cycle n=80 seed=4": "3ee128fc2145a917",
+    "cycle n=200 seed=0": "01b66bb1342a699f",
+    "cycle n=200 seed=1": "6cd1a3c0256be654",
+    "cycle n=200 seed=2": "6841ea0228ce176d",
+    "cycle n=200 seed=3": "8f5bb46de9fe3125",
+    "cycle n=200 seed=4": "fb6d55dc6258c325",
 }
 
 

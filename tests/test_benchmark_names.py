@@ -12,8 +12,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
+
+from conftest import stream_draw
 
 PACKAGE = "rainbow_tournaments"
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -76,22 +77,16 @@ def test_tracer_installs_and_restores(tracing):
 
 
 def _rejections(n, seed, index):
-    """Draws of stream (seed, index, attempt = 0, 1, ...) that are not
-    strongly connected before the first that is, each drawn by numpy's
-    Generator.integers (the draw the generator reproduces)."""
+    """Draws of member index at attempt = 0, 1, ... that are not strongly
+    connected before the first that is, each read by conftest.stream_draw
+    (the draw the generator makes)."""
     core = _module("core")
     for attempt in range(1000):
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence([seed, index, attempt])))
-        bits = rng.integers(0, 2, n * (n - 1) // 2, dtype=np.uint8)
-        t = core.Tournament.from_pair_bits(
-            n, (bits + ord("0")).tobytes().decode())
-        if core.is_strongly_connected(t):
+        if core.is_strongly_connected(stream_draw(n, seed, index, attempt)):
             return attempt
     raise AssertionError("no strong draw in 1000 attempts")
 
 
-# m = 4 seeds each member alone, m = 12 all of them in one array pass
 @pytest.mark.parametrize("m, k", [(4, 3), (12, 9), (12, 0)])
 def test_tracer_counts_every_draw_and_strong_test(tracing, m, k):
     """One random_collection counts m draws plus the rejected ones, and one

@@ -175,7 +175,7 @@ class TestSolve:
         # the path count
         dest = tmp_path / "sc.json"
         run(capsys, "gen", "--kind", "random_strongly_connected", "-n", "5",
-            "-m", "5", "--seed", "3", "--out", str(dest))
+            "-m", "5", "--seed", "146", "--out", str(dest))
         code, out = run(capsys, "count", str(dest))
         assert (code, json.loads(out)) == (0, {"count": 896})
         with pytest.raises(SystemExit) as exc:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (all_tournaments, directed_triangle, from_bool_matrix,
-                      iter_pairs)
+                      iter_pairs, stream_draw)
 from rainbow_tournaments.core import (
     ColoredDigraph,
     RainbowCycle,
@@ -743,7 +743,8 @@ class TestBlockScoresAndLandau:
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_blocks_mixing_strong_and_not(self, n):
-        tc = generators.random_collection(n, 40, seed=n)
+        # seed n, or at n = 12 the first seed above it whose 40 draws mix
+        tc = generators.random_collection(n, 40, seed={12: 15}.get(n, n))
         assert set(self.check_block(n, tc.tournaments)) == {True, False}
 
     @pytest.mark.parametrize("n", [3, 4, 9, 50, 51])
@@ -793,10 +794,7 @@ class TestBlockScoresAndLandau:
         want, rejected = [], 0
         for i in range(m):
             for attempt in range(1000):
-                rng = np.random.Generator(np.random.PCG64(
-                    np.random.SeedSequence([seed, i, attempt])))
-                bits = rng.integers(0, 2, n * (n - 1) // 2, dtype=np.uint8)
-                t = Tournament.from_pair_bits(n, "".join(map(str, bits)))
+                t = stream_draw(n, seed, i, attempt)
                 if i >= k or _strong_by_reachability(t):
                     break
             want.append(t)

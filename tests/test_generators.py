@@ -2,23 +2,13 @@
 
 import hashlib
 
-import numpy as np
 import pytest
 
-from conftest import directed_triangle
+from conftest import directed_triangle, stream_draw, stream_row
 from rainbow_tournaments import generators
 from rainbow_tournaments.cli import _build_parser
 from rainbow_tournaments.core import (Tournament, TournamentCollection,
                                       is_strongly_connected)
-
-
-def drawn(n, seed, index, attempt):
-    """The tournament of stream (seed, index, attempt), seeded by numpy:
-    one _draw_tournament into a row of raw words, then their pair bits."""
-    size = n * (n - 1) // 2
-    words = np.empty((1, (size + 7) // 8), "<u8")
-    generators._draw_tournament(seed, index, attempt, None, words[0])
-    return Tournament._from_packed(n, generators._pair_bits(words, size)[0])
 
 
 class TestFixedFamilies:
@@ -147,15 +137,16 @@ class TestRandom:
 
 # sha256 of random_collection(n, 3, seed[, strongly_connected_count=2])
 # over the grid below: the JSON text and every member's out-masks.  It
-# pins the per-(seed, index, attempt) streams and the pair order.
+# pins the per-(seed, attempt) streams, the members' windows in them and
+# the pair order.
 GRID_SIZES = list(range(1, 70)) + [100, 129, 130, 255, 256, 257, 600]
 GRID_SEEDS = (0, 1, 12345, 2**40 + 3)
-GRID_DIGEST = "da93ba121a7d668f86b4a6a02dbae3b61e7dae6a6400a85461624a57d2324b5b"
+GRID_DIGEST = "82daa474fb04c359ce197aa35259bed6b8dea018394a8a24b89a54c9aa6fddfe"
 # the same over random_collection(n, m, seed, strongly_connected_count=k)
 # for m in {9, 10, 11, 40}, k in {0, m - 1}, seeds 0 and 2**40 + 3
 BATCH_SIZES = list(range(1, 17)) + [130]
 BATCH_DIGEST = (
-    "c78f222c2ea98678285320c137de964837bd046755b38c3192126d9372917949")
+    "8fe844c07547ecc8cf49f621d50214e9836633fc2313407bc7346d4a7c61daef")
 
 
 class TestStreamLock:
@@ -175,9 +166,8 @@ class TestStreamLock:
         assert h.hexdigest() == GRID_DIGEST
 
     def test_batched_collection_digest(self):
-        # m of SEED_BATCH - 1 (each member seeded alone), SEED_BATCH and
-        # above (one array pass); n = 1..16 covers every N mod 8, and at
-        # n = 130 a block holds 7 members, so m = 40 takes 6 blocks
+        # n = 1..16 covers every N mod 8, and at n = 130 a block holds 7
+        # members, so m = 40 takes 6 blocks
         h = hashlib.sha256()
         for n in BATCH_SIZES:
             for m in (9, 10, 11, 40):
@@ -191,18 +181,6 @@ class TestStreamLock:
                         for t in tc.tournaments:
                             h.update(repr(t.out).encode())
         assert h.hexdigest() == BATCH_DIGEST
-
-    @pytest.mark.parametrize(
-        "n", list(range(1, 71)) + [600, 1600]
-    )
-    def test_raw_word_draw_is_the_integers_draw(self, n):
-        for seed, index, attempt in ((0, 0, 0), (7, 3, 1), (2**40 + 3, 1, 5)):
-            rng = np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence([seed, index, attempt])
-            ))
-            bits = rng.integers(0, 2, size=n * (n - 1) // 2, dtype=np.uint8)
-            t = drawn(n, seed, index, attempt)
-            assert t.pair_bits() == (bits + ord("0")).tobytes().decode()
 
 
 class TestDrawCount:
@@ -226,14 +204,14 @@ class TestDrawCount:
     @staticmethod
     def rejections(n, seed, index):
         attempt = 0
-        while not is_strongly_connected(drawn(n, seed, index, attempt)):
+        while not is_strongly_connected(stream_draw(n, seed, index, attempt)):
             attempt += 1
         return attempt
 
     def test_uniform_draws_once_per_member(self, monkeypatch):
-        # each draw also gets its start (None below SEED_BATCH) and row
+        # one after another from the one stream of attempt 0
         calls = self.count_draws(monkeypatch, 9, 8, seed=4)
-        assert [a[:3] for a in calls] == [(4, i, 0) for i in range(8)]
+        assert len(calls) == 8 and len({id(a[0]) for a in calls}) == 1
 
     def test_strongly_connected_members_add_their_rejections(
         self, monkeypatch
@@ -247,34 +225,41 @@ class TestDrawCount:
         assert len(calls) == m + rejected
 
 
-class TestBatchedSeeding:
-    """A collection seeds all its members in one array pass: the PCG64
-    state of each (seed, index, attempt) stream equals numpy's."""
+class TestStream:
+    """Member i at attempt a is raw words [i W, (i+1) W) of
+    PCG64(SeedSequence([seed, a])), read as conftest.stream_row defines
+    from numpy alone."""
 
-    @staticmethod
-    def numpy_state(seed, index, attempt):
-        ss = np.random.SeedSequence([seed, index, attempt])
-        return np.random.PCG64(ss).state
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 12, 130])
+    @pytest.mark.parametrize("seed", [0, 2**64 + 3])
+    def test_members_are_their_stream_windows(self, n, seed):
+        tc = generators.random_collection(n, 8, seed)
+        drawn = list(enumerate(tc.tournaments))
+        drawn += [(k, generators.random_tournament(n, seed, index=k))
+                  for k in (0, 7, 2**32 + 1)]
+        for k, t in drawn:
+            assert t.packed.tobytes() == stream_row(n, seed, k)
+            assert t == stream_draw(n, seed, k)
 
-    # seeds of 1, 2, 3 and 5 words; the last one mixes in entropy words
-    # past the pool's four
-    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3,
-                                      2**140 + 7])
-    @pytest.mark.parametrize("index", [0, 1, 999, 2**32 - 1, 2**32 + 1])
-    @pytest.mark.parametrize("attempt", [0, 1, 2**32])
-    def test_one_member_start_is_numpys(self, seed, index, attempt):
-        got = list(generators._starts(seed, range(index, index + 1), attempt))
-        assert got == [self.numpy_state(seed, index, attempt)]
+    @pytest.mark.parametrize("seed", [2, 2**64 + 3])
+    def test_a_redrawn_member_is_its_attempts_window(self, seed):
+        # at n = 3 three draws in four are not strongly connected
+        n, m, k = 3, 12, 9
+        tc = generators.random_collection(n, m, seed,
+                                          strongly_connected_count=k)
+        attempts = [TestDrawCount.rejections(n, seed, i) if i < k else 0
+                    for i in range(m)]
+        assert max(attempts) > 0
+        for i, t in enumerate(tc.tournaments):
+            assert t.packed.tobytes() == stream_row(n, seed, i, attempts[i])
+        index = 2**32 + 1
+        t = generators.random_tournament(n, seed, strongly_connected=True,
+                                         index=index)
+        attempt = TestDrawCount.rejections(n, seed, index)
+        assert t == stream_draw(n, seed, index, attempt)
 
-    @pytest.mark.parametrize("seed", [0, 12345, 2**140 + 7])
-    def test_a_batch_starts_each_member_as_numpy(self, seed):
-        got = list(generators._starts(seed, range(990, 1010), 3))
-        assert got == [self.numpy_state(seed, i, 3) for i in range(990, 1010)]
-
-    @pytest.mark.parametrize("m", [generators.SEED_BATCH - 1,
-                                   generators.SEED_BATCH, 40])
+    @pytest.mark.parametrize("m", [9, 10, 40])
     def test_members_are_their_streams_draws(self, m):
-        # below SEED_BATCH each member is seeded alone, from it in one pass
         n, k = 5, m // 2
         for seed in (0, 2**40 + 3):
             tc = generators.random_collection(
@@ -283,14 +268,8 @@ class TestBatchedSeeding:
                 assert t == generators.random_tournament(
                     n, seed, strongly_connected=i < k, index=i)
                 if i >= k:
-                    assert t == drawn(n, seed, i, 0)
+                    assert t == stream_draw(n, seed, i)
 
-    def test_index_past_32_bits_draws_its_own_stream(self):
-        index = 2**32 + 1
-        t = generators.random_tournament(12, seed=5, index=index)
-        assert t == drawn(12, 5, index, 0)
-
-    # m = 4 seeds members one at a time, m = 12 in one array pass
     @pytest.mark.parametrize("call, exc", [
         (lambda: generators.random_collection(5, 4, seed=-1), ValueError),
         (lambda: generators.random_tournament(5, seed=-1), ValueError),
@@ -323,7 +302,6 @@ class TestVertexCount:
         t = generators.random_tournament(True, 4)
         assert type(t.n) is int and repr(t) == "Tournament(n=1, bits='')"
 
-    # m = 4 seeds members one at a time, m = 12 in one array pass
     @pytest.mark.parametrize("m", [4, 12])
     def test_float_n_is_refused_before_any_draw(self, m):
         with pytest.raises(TypeError, match="'float'") as exc:

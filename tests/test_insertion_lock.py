@@ -142,11 +142,11 @@ SECTIONS = {
 # recorded on the builders with one scan per insertion branch and the
 # color-side augmenting search inside matching_with_forced_colors
 EXPECTED = {
-    "one_spare": (19115, "a7f02479925d5ed7"),
-    "tournament_ham_path": (480, "7cfa7c35a229b66a"),
-    "exchange_step": (174, "3063c583b100bf9d"),
+    "one_spare": (19115, "567d184d859b8519"),
+    "tournament_ham_path": (480, "76203ad30f81a265"),
+    "exchange_step": (174, "bf1044d95cdb3c2c"),
     "forced_matching": (20000, "5661218cd396303b"),
-    "rainbow_connect_all": (276, "07a9b748c908487b"),
+    "rainbow_connect_all": (276, "73902ca8416dfe9f"),
 }
 
 

@@ -381,7 +381,7 @@ class TestInternalErrors:
         monkeypatch.setattr(pipeline, "_constructive_cycle",
                             _raise_index_error)
         monkeypatch.setattr(pipeline, "_case3_machine", lambda *a: short)
-        tc = generators.random_collection(12, 12, seed=1,
+        tc = generators.random_collection(12, 12, seed=13,
                                           strongly_connected_count=11)
         assert short.valid(tc)
         trace = []
