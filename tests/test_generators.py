@@ -2,6 +2,7 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from conftest import directed_triangle, stream_draw, stream_row
@@ -225,10 +226,54 @@ class TestDrawCount:
         assert len(calls) == m + rejected
 
 
-class TestStream:
-    """Member i at attempt a is raw words [i W, (i+1) W) of
+def cleared(words, n):
+    """The packed row of raw words: their first ceil(N/8) bytes, with the
+    pad bits of the last one cleared."""
+    size = n * (n - 1) // 2
+    row = bytearray(words.tobytes()[:(size + 7) // 8])
+    row[-1] &= 0xFF << (-size % 8) & 0xFF
+    return bytes(row)
+
+
+class TestBatchedSeeding:
+    """A collection seeds its members in one pass, one stream per attempt:
+    member i at attempt a is raw words [i W, (i+1) W) of
     PCG64(SeedSequence([seed, a])), read as conftest.stream_row defines
     from numpy alone."""
+
+    # seeds of 1, 2, 3 and 5 words; the last one mixes in entropy words
+    # past the pool's four
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3,
+                                      2**140 + 7])
+    @pytest.mark.parametrize("index", [0, 1, 999, 2**32 - 1, 2**32 + 1])
+    @pytest.mark.parametrize("attempt", [0, 1, 2**32])
+    def test_one_member_start_is_numpys(self, seed, index, attempt):
+        n = 11  # W = 1: member index starts at raw word index
+        stream = generators._stream(seed, attempt, index)
+        want = np.random.PCG64(np.random.SeedSequence([seed, attempt]))
+        if index < 1000:  # read up to the member, with no advance
+            want.random_raw(index)
+        else:
+            want.advance(index)
+        assert stream.state == want.state
+        words = np.empty(1, "<u8")
+        generators._draw_tournament(stream, words)
+        assert cleared(words, n) == stream_row(n, seed, index, attempt)
+
+    @pytest.mark.parametrize("seed", [0, 12345, 2**140 + 7])
+    def test_a_batch_starts_each_member_as_numpy(self, seed):
+        # members 990..1009 read one after another from one stream
+        n, lo, hi = 20, 990, 1010
+        width = (n * (n - 1) // 2 + 63) // 64
+        stream = generators._stream(seed, 3, lo * width)
+        words = np.empty((hi - lo, width), "<u8")
+        for row in words:
+            generators._draw_tournament(stream, row)
+        for i, row in zip(range(lo, hi), words):
+            assert cleared(row, n) == stream_row(n, seed, i, 3)
+        tc = generators.random_collection(n, hi, seed)
+        assert [t.packed.tobytes() for t in tc.tournaments[lo:]] == [
+            stream_row(n, seed, i) for i in range(lo, hi)]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 12, 130])
     @pytest.mark.parametrize("seed", [0, 2**64 + 3])
@@ -269,6 +314,11 @@ class TestStream:
                     n, seed, strongly_connected=i < k, index=i)
                 if i >= k:
                     assert t == stream_draw(n, seed, i)
+
+    def test_index_past_32_bits_draws_its_own_stream(self):
+        index = 2**32 + 1
+        t = generators.random_tournament(12, seed=5, index=index)
+        assert t == stream_draw(12, 5, index)
 
     @pytest.mark.parametrize("call, exc", [
         (lambda: generators.random_collection(5, 4, seed=-1), ValueError),
