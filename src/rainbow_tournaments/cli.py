@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--format", choices=["json", "csv"], default="json")
     b.add_argument("--kind", required=True,
                    choices=["oracle", "h_partition", "one_spare", "pipeline",
-                            "cycle"])
+                            "cycle", "majority"])
     for p, sizes, seeds in ((v, "3,4,5,6", 50), (b, "100,200", 3)):
         p.add_argument("--sizes", type=str, default=sizes,
                        help="comma-separated sizes")

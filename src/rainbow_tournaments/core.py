@@ -44,12 +44,14 @@ Costs, for k colors on n vertices:
   b(b-1)/2 pairs, then gathers, masks, packs and flips the pair bits;
   ``induced_collection`` restricts its first member (the check), then
   does that for all k members, row by row, in one (k, b(b-1)/2) array.
-- ``majority_subtournament`` counts the colors of every pair at once:
-  each color's packed row is added into a bit-sliced counter (one array
-  per bit of the count) by carry-save full adders, about five
-  word-parallel operations on ceil(N/8) bytes per color.  One MSB-first
-  comparison of the planes against ceil(k/2) gives the majority
-  tournament's pair bits directly.
+- ``majority_subtournament`` counts the colors of every pair at once in
+  a bit-sliced counter (one array per bit of the count) fed by carry-save
+  full adders, about five word-parallel operations per addend.  An
+  addend holds g consecutive rows as the lanes of one row, so where numpy
+  calls cost more than bytes five operations cover g colors (lanes, g and
+  the fold: see ``_vote_planes``; g = 1 for k < 16 and for n >= 725).
+  One MSB-first comparison of the planes against ceil(k/2) gives the
+  majority tournament's pair bits directly.
 - ``Tournament.out``: the pair bits are placed into an n x n matrix by two
   masked writes, and ``_pack_rows`` packs its rows into ints, one
   ``int.from_bytes`` a row.  O(n^2) bytes, no Python step per pair.
@@ -69,6 +71,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from itertools import repeat
 from operator import index
@@ -522,9 +525,30 @@ def _pair_locations(n: int, vertices: Sequence[int]):
 def _full_add(
     a: np.ndarray, b: np.ndarray, c: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bitwise sum of three bits: (sum bits, carry bits)."""
+    """Bitwise sum of three bits: (sum bits, carry bits); the carry is
+    built in place in a ^ b, which saves two of five allocations."""
     d = a ^ b
-    return d ^ c, (a & b) | (d & c)
+    total = d ^ c
+    d &= c
+    d |= a & b
+    return total, d
+
+
+def _carry_save(pending: list[list[np.ndarray]], weight: int,
+                x: np.ndarray) -> None:
+    """Add x at weight 2**weight to a carry-save counter: addends wait, at
+    most two per weight (pending[b] holds those of weight 2**b), and a
+    third one of the same weight triggers a full adder that keeps the sum
+    at that weight and moves the carry up.  (A ripple carry would pass
+    through every plane for every addend: a carry is almost never 0.)
+    Addends come in order of weight, so weight <= len(pending)."""
+    for waiting in pending[weight:]:
+        if len(waiting) < 2:
+            waiting.append(x)
+            return
+        total, x = _full_add(*waiting, x)
+        waiting[:] = [total]
+    pending.append([x])
 
 
 def _vote_planes(coll: TournamentCollection) -> list[np.ndarray]:
@@ -532,26 +556,31 @@ def _vote_planes(coll: TournamentCollection) -> list[np.ndarray]:
     (packed as a pair row) is bit b of the number of colors with the arc
     i->j, for pair p = (i, j), i < j.  The colors with j->i are the rest.
 
-    A carry-save counter: addends wait, at most two per weight, and a
-    third one of the same weight triggers a full adder that keeps the sum
-    at that weight and moves the carry up, about five word-parallel
-    operations per color.  (A ripple carry would pass through every plane
-    for every color: on N pairs a carry is almost never 0.)
+    Small rows cost numpy calls, not bytes, so the counter's addends are
+    wide: g consecutive rows of width = ceil(N/8) bytes, copied side by
+    side as the g lanes of one 1-D row of at most 64 KiB, with g = max(1,
+    min(isqrt(m) // 2, 65536 // width)); about five operations per g
+    colors.  The fold adds each lane of every wide addend left pending, at
+    that addend's weight, into a second counter, with the m mod g rows left
+    over, and resolves it into the planes.  At g = 1 (m < 16, or rows over
+    32 KiB) there are no wide addends: each row is added as it stands.
     """
-    pending: list[list[np.ndarray]] = []  # addends of weight 2**b
-    for t in coll.tournaments:
-        x = t.packed
-        for waiting in pending:
-            if len(waiting) < 2:
-                waiting.append(x)
-                break
-            total, x = _full_add(*waiting, x)
-            waiting[:] = [total]
-        else:
-            pending.append([x])
+    width = coll.tournaments[0].packed.size
+    g = max(1, min(math.isqrt(coll.m) // 2, 65536 // max(width, 1)))
+    wide = coll.m - coll.m % g if g > 1 else 0
+    lanes: list[list[np.ndarray]] = []  # the wide addends, by weight
+    for at in range(0, wide, g):
+        _carry_save(lanes, 0, coll.packed[at:at + g].reshape(-1))
+    pending: list[list[np.ndarray]] = []
+    for weight, waiting in enumerate(lanes):
+        for x in waiting:
+            for lane in x.reshape(g, width):
+                _carry_save(pending, weight, lane)
+    for t in coll.tournaments[wide:]:
+        _carry_save(pending, 0, t.packed)
     planes = []
     carry = np.zeros_like(pending[0][0])
-    for waiting in pending:
+    for waiting in pending:  # every weight holds one or two addends
         if len(waiting) == 2:
             total, carry = _full_add(*waiting, carry)
         else:

@@ -9,7 +9,8 @@ PCG64(SeedSequence([seed, a])), reached by ``PCG64.advance``.  Stored
 little-endian, they are its packed row (see ``core``): pair p, in
 lexicographic order, is bit 7 - p mod 8 of byte p // 8, the pad bits of
 byte ceil(N/8) - 1 are cleared and the bytes after it dropped.  Strong
-connectivity is obtained by rejection: attempt a + 1 redraws a member.
+connectivity is obtained by rejection: attempt a + 1 redraws a member, and
+MAX_REDRAWS failed redraws of one member raise RuntimeError.
 
 A collection reads its members' attempt-0 draws one after another from one
 stream, DRAW_CHUNK_WORDS words at a time, into one (m, W) array whose bytes
@@ -104,6 +105,10 @@ def fig1_counterexamples() -> tuple[TournamentCollection, TournamentCollection]:
 # large draw would map and fault in fresh pages every time), and row bytes
 # per block of members, whose strong candidates are scored at once
 DRAW_CHUNK_WORDS = 8192
+# redraws of one strong member before RuntimeError: a draw is strong with
+# probability 1/4 at n = 3 and more above, so (3/4)**1000 < 1e-124 bounds
+# the chance that well-formed input reaches the cap
+MAX_REDRAWS = 1000
 
 
 def _stream(seed: int, attempt: int, word: int) -> np.random.PCG64:
@@ -157,6 +162,10 @@ def _collection(n: int, seed: int, indices: range,
                 t._scores, t._strong = scores[pos - lo], verdicts[pos - lo]
             while pos < strong and not is_strongly_connected(t):
                 attempt += 1
+                if attempt > MAX_REDRAWS:  # a verdict fault, not bad luck
+                    raise RuntimeError(
+                        f"no strongly connected draw of member {indices[pos]}"
+                        f" (n={n}, seed={seed}) in {MAX_REDRAWS} redraws")
                 _draw_tournament(_stream(seed, attempt, indices[pos] * width),
                                  words[pos])
                 rows[pos, -1:] &= pad

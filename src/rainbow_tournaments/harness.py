@@ -15,7 +15,6 @@ import itertools
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -77,6 +76,8 @@ def _run_tasks(fn: Callable, tasks: list, jobs: int) -> list:
     jobs = min(jobs, len(tasks), os.cpu_count() or 1)
     if jobs <= 1:
         return [fn(t) for t in tasks]
+    # imported here: multiprocessing costs every package import 11-16 ms
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         chunk = max(1, len(tasks) // (jobs * 8))
         return list(pool.map(fn, tasks, chunksize=chunk))
@@ -361,7 +362,7 @@ def _bench_row(args) -> dict:
     if kind == "h_partition":
         t = generators.random_tournament(n, seed=seed)
         t.out  # built here, so that millis is the partition alone
-    elif kind in ("oracle", "pipeline"):
+    elif kind in ("oracle", "pipeline", "majority"):
         tc = generators.random_collection(n, n - 1, seed=seed)
     elif kind == "one_spare":
         tc = generators.random_collection(n, n, seed=seed)
@@ -386,9 +387,14 @@ def _bench_row(args) -> dict:
         extra = str(stats["arc_inspections"])
     elif kind == "cycle":
         extra = pipeline.transversal_ham_cycle(tc, mode="constructive").status
+    elif kind == "majority":
+        tmaj = majority_subtournament(tc)
     else:
         extra = pipeline.transversal_ham_path(tc, mode="constructive").status
     t2 = time.perf_counter()
+    if kind == "majority":  # hashed off the clock
+        import hashlib  # 3 ms that no other caller pays
+        extra = hashlib.sha256(tmaj.packed.tobytes()).hexdigest()[:16]
     return {
         "kind": kind, "n": n, "seed": seed,
         "gen_millis": round((t1 - t0) * 1e3, 3),
@@ -403,9 +409,10 @@ def bench(
     jobs: int = 1,
 ) -> SuiteReport:
     """Timing sweep; rows land in stats["csv"]."""
-    # an oracle or path instance has n - 1 colors; a cycle's strong ones
-    # need n >= 3
-    least = {"oracle": 2, "pipeline": 2, "cycle": 3}.get(kind, 1)
+    # an oracle, path or majority instance has n - 1 colors; a cycle's
+    # strong ones need n >= 3
+    least = {"oracle": 2, "pipeline": 2, "majority": 2,
+             "cycle": 3}.get(kind, 1)
     for n in sizes:
         if n < least:
             raise ValueError(f"the {kind} kind needs n >= {least}, not {n}")

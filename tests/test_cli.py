@@ -15,6 +15,7 @@ from rainbow_tournaments.cli import _build_parser, main
 from rainbow_tournaments.core import (
     RainbowCycle,
     TournamentCollection,
+    majority_subtournament,
     validate_transversal,
 )
 from rainbow_tournaments.pipeline import transversal_ham_path
@@ -418,6 +419,18 @@ class TestBench:
         assert lines[0] == "kind,n,seed,gen_millis,millis,extra"
         assert len(lines) == 5
 
+    def test_majority_kind(self, capsys):
+        code, out = run(capsys, "bench", "--kind", "majority",
+                        "--sizes", "2,40", "--seeds", "2", "--format", "csv")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        for kind, n, seed, _, _, extra in rows:
+            tc = generators.random_collection(int(n), int(n) - 1, int(seed))
+            tmaj = majority_subtournament(tc)
+            assert kind == "majority"
+            assert extra == hashlib.sha256(tmaj.packed).hexdigest()[:16]
+        assert len(rows) == 4
+
     def test_json_output(self, capsys):
         code, out = run(capsys, "bench", "--kind", "h_partition",
                         "--sizes", "15", "--seeds", "1")
@@ -500,6 +513,15 @@ class TestReadme:
         defined = {o for a in sub.choices[cmd]._actions
                    for o in a.option_strings} - {"-h", "--help"}
         assert flags == defined
+
+    def test_bench_row_names_every_kind(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        kinds = re.search(r"\| `bench` +\| `--kind \{([\w,]+)\}`", text)
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        kind = next(a for a in sub.choices["bench"]._actions
+                    if "--kind" in a.option_strings)
+        assert kinds.group(1).split(",") == kind.choices
 
     @pytest.mark.parametrize("line", _readme_command_lines())
     def test_command_line_parses(self, line):

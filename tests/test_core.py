@@ -491,6 +491,35 @@ class TestVoteCountsAgainstDenseCount:
                     assert ties > 0
 
 
+def _dense_majority(coll):
+    """The majority tournament's packed pair bits from a dense count of
+    the unpacked member rows: pair (i, j), i < j, is 1 iff at least
+    ceil(m/2) members have i->j (ties go to i->j)."""
+    size = coll.n * (coll.n - 1) // 2
+    rows = np.stack([t.packed for t in coll.tournaments])
+    count = np.unpackbits(rows, axis=1).sum(axis=0)[:size]
+    return np.packbits(count >= (coll.m + 1) // 2).tobytes()
+
+
+class TestVoteLanes:
+    # m = 15..101 puts g = 1..5 members in a lane row, with m mod g in
+    # {0, 1, g - 1}; at (400, 399) the row width caps g at 6 (399 mod 6 = 3)
+    CASES = [(n, m) for n in (9, 40, 130)
+             for m in (15, 16, 17, 35, 36, 37, 99, 100, 101)] + [(400, 399)]
+
+    @pytest.mark.parametrize("n, m", CASES)
+    def test_lanes_match_dense_count(self, n, m):
+        tc = generators.random_collection(n, m, seed=n + m)
+        more = generators.random_collection(n, m + 2, seed=n + m)
+        for coll in (tc, TournamentCollection(list(tc.tournaments)),
+                     restrict_colors(more, range(2, m + 2)),
+                     restrict_colors(more, [k * k % (m + 2)
+                                            for k in range(m)])):
+            assert coll.m == m
+            got = majority_subtournament(coll).packed.tobytes()
+            assert got == _dense_majority(coll)
+
+
 class TestInducedCollection:
     def test_identity(self):
         tc = generators.random_collection(5, 4, seed=0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import directed_triangle, stream_draw, stream_row
-from rainbow_tournaments import generators
+from rainbow_tournaments import core, generators
 from rainbow_tournaments.cli import _build_parser
 from rainbow_tournaments.core import (Tournament, TournamentCollection,
                                       is_strongly_connected)
@@ -134,6 +134,20 @@ class TestRandom:
                                          strongly_connected_count=m + 1)
         tc = generators.random_collection(6, m, 0, strongly_connected_count=m)
         assert all(is_strongly_connected(t) for t in tc.tournaments)
+
+    def test_redraws_are_capped(self, monkeypatch):
+        # a verdict fault that rejects every draw raises instead of hanging
+        def never(scores):
+            return np.zeros(len(scores), bool)
+
+        monkeypatch.setattr(core, "_landau_strong", never)
+        monkeypatch.setattr(generators, "_landau_strong", never)
+        with pytest.raises(RuntimeError, match=r"member 0 \(n=5, seed=7\)"):
+            generators.random_collection(5, 4, 7, strongly_connected_count=3)
+        with pytest.raises(RuntimeError,
+                           match=r"member 9 \(n=3, seed=2\) in 1000 redraws"):
+            generators.random_tournament(3, 2, strongly_connected=True,
+                                         index=9)
 
 
 # sha256 of random_collection(n, 3, seed[, strongly_connected_count=2])

@@ -1,5 +1,7 @@
 """Verification suites: counting, failure records, parallel determinism."""
 
+import concurrent.futures
+
 import pytest
 
 from rainbow_tournaments import constructive, harness
@@ -104,7 +106,8 @@ class TestWorkers:
             def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         assert harness._run_tasks(abs, [-1, -2, -3], jobs=10**6) == [1, 2, 3]
         assert workers == [want]
