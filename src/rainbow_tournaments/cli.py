@@ -70,9 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="run a benchmark sweep",
                        allow_abbrev=False)
     b.add_argument("--format", choices=["json", "csv"], default="json")
-    b.add_argument("--kind", required=True,
-                   choices=["oracle", "h_partition", "one_spare", "pipeline",
-                            "cycle", "majority"])
+    b.add_argument("--kind", required=True, choices=list(harness.BENCH_KINDS))
     for p, sizes, seeds in ((v, "3,4,5,6", 50), (b, "100,200", 3)):
         p.add_argument("--sizes", type=str, default=sizes,
                        help="comma-separated sizes")

@@ -438,41 +438,25 @@ def rainbow_ham_path_forcing_set(
                     f"arc {x}->{y} has fewer than two forced choices")
 
     middle = [w for w in range(n) if w not in (u, v)]
-    tmaj = majority_subtournament(tc)
-    hp = h_partition(tmaj, 24, vertices=middle)
-    blocks = [list(b) for b in hp.blocks]
-    seps = list(hp.separators)
-    r = len(blocks)
-
-    used: set[int] = set(forced)
-    free_pool = [c for c in range(m) if c not in used]
-    pool_at = 0
-
-    def take(k: int) -> list[int]:
-        nonlocal pool_at
-        got = free_pool[pool_at:pool_at + k]
-        if len(got) < k:
-            raise StageFailure("forcing-set", "free color pool exhausted")
-        pool_at += k
-        return got
-
-    def block_path(bverts: list[int], force: Optional[int]) -> RainbowPath:
-        if force is None:
-            return _solve_block(tc, take(len(bverts) + 1), bverts,
-                                rainbow_ham_path_one_spare)
-        budget = take(2 * len(bverts) - 1) + [force]
-        return _solve_block(tc, budget, bverts,
-                            rainbow_ham_path_forcing_color, len(budget) - 1)
-
+    hp = h_partition(majority_subtournament(tc), 24, vertices=middle)
     # each forced color is embedded inside its own block
-    if len(forced) > r:
+    if len(forced) > len(hp.blocks):
         raise StageFailure(
             "forcing-set", "more forced colors than blocks to host them"
         )
+    used: set[int] = set(forced)
+    free = iter([c for c in range(m) if c not in used])
     paths: list[RainbowPath] = []
-    for k in range(r):
-        force = forced[k] if k < len(forced) else None
-        p = block_path(blocks[k], force)
+    for k, block in enumerate(hp.blocks):
+        size = 2 * len(block) - 1 if k < len(forced) else len(block) + 1
+        budget = list(itertools.islice(free, size))
+        if len(budget) < size:
+            raise StageFailure("forcing-set", "free color pool exhausted")
+        if k < len(forced):  # the forced color goes last in the budget
+            p = _solve_block(tc, budget + [forced[k]], block,
+                             rainbow_ham_path_forcing_color, size)
+        else:
+            p = _solve_block(tc, budget, block, rainbow_ham_path_one_spare)
         used.update(p.colors)
         paths.append(p)
 
@@ -480,7 +464,7 @@ def rainbow_ham_path_forcing_set(
     # the start, so the arcs between blocks take fresh colors in path order
     verts = [u]
     for k, p in enumerate(paths):
-        verts += [*p.vertices, *seps[k:k + 1]]
+        verts += [*p.vertices, *hp.separators[k:k + 1]]
     verts.append(v)
     inner = {a: c for p in paths
              for a, c in zip(zip(p.vertices, p.vertices[1:]), p.colors)}

@@ -128,13 +128,11 @@ class Tournament:
         buf = b"".join(map(int.to_bytes, out, repeat(nb), repeat("little")))
         mat = np.unpackbits(np.frombuffer(buf, dtype=np.uint8).reshape(n, nb),
                             axis=1, count=n, bitorder="little")
-        packed = np.packbits(mat[_upper_mask(n)])
-        # the masks come back from their upper triangle iff they orient
-        # every pair exactly once, with no self-loop
-        if _out_rows(n, packed) != out:
+        # every pair oriented exactly once (i->j or j->i), no self-loop
+        if (mat + mat.T != 1 - np.eye(n, dtype=np.uint8)).any():
             raise ValueError("out-masks must orient every pair exactly once")
         self.n = n
-        self._packed = _frozen(packed)
+        self._packed = _frozen(np.packbits(mat[_upper_mask(n)]))
         self._out = out
         self._scores = self._strong = None
 
@@ -690,6 +688,6 @@ def validate_transversal(
         for t, h, c in arcs:  # a loop: a generator costs more on short walks
             if not (0 <= c < m and ts[c].has_arc(t, h)):
                 return False
-    except ValueError:  # has_arc: an end outside range(n)
+    except (TypeError, ValueError):  # an end off range(n), or a non-int
         return False
     return True

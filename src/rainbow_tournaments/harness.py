@@ -34,6 +34,7 @@ __all__ = [
     "verify_lemmas",
     "bench",
     "LEMMA_SUITES",
+    "BENCH_KINDS",
 ]
 
 
@@ -95,20 +96,20 @@ def _all_collections(n: int, m: int):
 # theorem suites
 
 
+def _instance(what: str, n: int, seed: int) -> TournamentCollection:
+    """The seed's random path instance (m = n-1), or cycle instance (m = n,
+    the first n-1 members strongly connected)."""
+    if what == "path":
+        return generators.random_collection(n, n - 1, seed)
+    return generators.random_collection(n, n, seed,
+                                        strongly_connected_count=n - 1)
+
+
 def _task_theorem(args) -> dict:
     what, mode, n, payload = args
-    if mode == "exhaustive":
-        tc = payload
-    elif what == "path":
-        tc = generators.random_collection(n, n - 1, seed=payload)
-    else:
-        tc = generators.random_collection(
-            n, n, seed=payload, strongly_connected_count=n - 1
-        )
-    if what == "path":
-        out = oracle.exact_transversal_ham_path(tc)
-    else:
-        out = oracle.exact_transversal_ham_cycle(tc)
+    tc = payload if mode == "exhaustive" else _instance(what, n, payload)
+    out = (oracle.exact_transversal_ham_path if what == "path"
+           else oracle.exact_transversal_ham_cycle)(tc)
     rec = {"status": out.status}
     if out.found:
         rec["witness_valid"] = bool(out.witness.is_hamilton(tc))
@@ -120,12 +121,9 @@ def _task_theorem(args) -> dict:
 def _exhaustive_collections(what: str, n: int):
     """Every path instance (m = n-1), or every cycle instance (m = n) with
     at least n-1 strongly connected members."""
-    if what == "path":
-        yield from _all_collections(n, n - 1)
-        return
-    for tc in _all_collections(n, n):
-        strong = sum(1 for t in tc.tournaments if is_strongly_connected(t))
-        if strong >= n - 1:
+    for tc in _all_collections(n, n - 1 if what == "path" else n):
+        if what == "path" or sum(
+                map(is_strongly_connected, tc.tournaments)) >= n - 1:
             yield tc
 
 
@@ -186,8 +184,6 @@ def _lemma_hpartition(args) -> Optional[dict]:
     n, seed = args
     t = generators.random_tournament(n, seed=seed)
     for ell in {3, 24, max(3, -(-n // 10)), max(3, n)}:
-        if ell > n:
-            continue
         hp = constructive.h_partition(t, ell)
         if not hp.validate(t) or hp.vertices() != set(range(n)):
             return {"kind": "hpartition", "n": n, "seed": seed, "ell": ell,
@@ -362,16 +358,10 @@ def _bench_row(args) -> dict:
     if kind == "h_partition":
         t = generators.random_tournament(n, seed=seed)
         t.out  # built here, so that millis is the partition alone
-    elif kind in ("oracle", "pipeline", "majority"):
-        tc = generators.random_collection(n, n - 1, seed=seed)
     elif kind == "one_spare":
         tc = generators.random_collection(n, n, seed=seed)
-    elif kind == "cycle":
-        tc = generators.random_collection(
-            n, n, seed=seed, strongly_connected_count=n - 1
-        )
     else:
-        raise ValueError(f"unknown bench kind {kind!r}")
+        tc = _instance("cycle" if kind == "cycle" else "path", n, seed)
     t1 = time.perf_counter()
     extra = ""
     if kind == "oracle":
@@ -402,6 +392,12 @@ def _bench_row(args) -> dict:
     }
 
 
+# each bench kind with its least n: an oracle, path or majority instance
+# has n - 1 colors; a cycle's strong ones need n >= 3
+BENCH_KINDS = {"oracle": 2, "h_partition": 1, "one_spare": 1, "pipeline": 2,
+               "cycle": 3, "majority": 2}
+
+
 def bench(
     kind: str,
     sizes: Sequence[int],
@@ -409,10 +405,9 @@ def bench(
     jobs: int = 1,
 ) -> SuiteReport:
     """Timing sweep; rows land in stats["csv"]."""
-    # an oracle, path or majority instance has n - 1 colors; a cycle's
-    # strong ones need n >= 3
-    least = {"oracle": 2, "pipeline": 2, "majority": 2,
-             "cycle": 3}.get(kind, 1)
+    if kind not in BENCH_KINDS:
+        raise ValueError(f"unknown bench kind {kind!r}")
+    least = BENCH_KINDS[kind]
     for n in sizes:
         if n < least:
             raise ValueError(f"the {kind} kind needs n >= {least}, not {n}")

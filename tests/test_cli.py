@@ -522,6 +522,7 @@ class TestReadme:
         kind = next(a for a in sub.choices["bench"]._actions
                     if "--kind" in a.option_strings)
         assert kinds.group(1).split(",") == kind.choices
+        assert kind.choices == list(harness.BENCH_KINDS)
 
     @pytest.mark.parametrize("line", _readme_command_lines())
     def test_command_line_parses(self, line):

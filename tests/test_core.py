@@ -1,6 +1,7 @@
 """Core types: tournaments, collections, witnesses, majority tournaments."""
 
 import copy
+import itertools
 import pickle
 import re
 
@@ -40,6 +41,25 @@ class TestTournament:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
             Tournament(2, [0b11, 0b00])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_accepts_exactly_the_tournaments(self, n):
+        # every tuple of n out-masks (512 at n = 3): a tournament orients
+        # each pair once and has no self-loop; its pair bits are read off
+        # the definition, one pair (i, j), i < j, at a time
+        accepted = 0
+        for out in itertools.product(range(1 << n), repeat=n):
+            arc = [[out[u] >> v & 1 for v in range(n)] for u in range(n)]
+            ok = all(arc[u][v] + arc[v][u] == (u != v)
+                     for u in range(n) for v in range(n))
+            if not ok:
+                with pytest.raises(ValueError, match="exactly once"):
+                    Tournament(n, out)
+                continue
+            accepted += 1
+            want = "".join(str(arc[i][j]) for i, j in iter_pairs(n))
+            assert Tournament(n, out).pair_bits() == want
+        assert accepted == 2 ** (n * (n - 1) // 2)
 
     def test_degrees_sum(self):
         t = generators.random_tournament(9, seed=4)
@@ -309,15 +329,25 @@ class TestWitnesses:
         ((0, 1, 0), (1, 2, 0)),
         ((0, 1, 0), (1, 3, 1)),
         ((0, 1, 0), (2, 1, 1)),
+        ((0, 1, 0), (1, 2, 1.5)),
+        ((0, 1, 0), (1, 2, None)),
+        ((0, 1, 0), (1, 2, "1")),
+        ((0, 1.5, 0), (1.5, 2, 1)),
+        RainbowPath((0, 1.5), (0,)),
     ], ids=["color-equal-to-m", "color-negative", "color-twice",
-            "vertex-equal-to-n", "reversed-arc"])
+            "vertex-equal-to-n", "reversed-arc", "color-float",
+            "color-none", "color-str", "vertex-float", "path-vertex-float"])
     def test_validate_transversal_rejects_each_defect(self, arcs):
         # two transitive triangles (arc i->j iff i < j): 0->1->2 with
-        # colors 0, 1 is transversal, and each case breaks it once
+        # colors 0, 1 is transversal, and each case breaks it once; a
+        # malformed witness is answered, not raised on
         t = generators.transitive_tournament(3)
         tc = TournamentCollection([t, t])
         assert validate_transversal(tc, ColoredDigraph(((0, 1, 0), (1, 2, 1))))
-        assert not validate_transversal(tc, ColoredDigraph(arcs))
+        if isinstance(arcs, RainbowPath):
+            assert not arcs.valid(tc)
+        else:
+            assert not validate_transversal(tc, ColoredDigraph(arcs))
 
     def test_validate_transversal_empty_digraph(self):
         tc = generators.random_collection(4, 3, seed=0)

@@ -50,6 +50,22 @@ class TestLemmaSuites:
         with pytest.raises(ValueError):
             harness.verify_lemmas("nope", [5])
 
+    def test_hpartition_checks_caps_above_n(self, monkeypatch):
+        # at n <= 2 every cap exceeds n; each still partitions the tournament
+        # into its one block
+        caps = []
+        run = constructive.h_partition
+
+        def spy(t, ell):
+            caps.append((t.n, ell))
+            return run(t, ell)
+
+        monkeypatch.setattr(constructive, "h_partition", spy)
+        rep = harness.verify_lemmas("hpartition", [1, 2], seeds=range(2))
+        assert rep.ok and rep.instances == 4
+        for n in (1, 2):
+            assert {ell for m, ell in caps if m == n} == {3, 24}
+
     def test_every_suite_runs_clean(self):
         sizes = {
             "hpartition": [12, 30],
@@ -131,6 +147,22 @@ class TestBench:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             harness.bench("nope", [5])
+
+    def test_unknown_kind_rejected_before_any_task(self, monkeypatch):
+        monkeypatch.setattr(harness, "_run_tasks",
+                            lambda *args: pytest.fail("a task ran"))
+        with pytest.raises(ValueError, match="unknown bench kind 'nope'"):
+            harness.bench("nope", [5])
+
+    @pytest.mark.parametrize("kind, least", list(harness.BENCH_KINDS.items()))
+    def test_each_kind_runs_from_its_least_n(self, kind, least):
+        rep = harness.bench(kind, [least], seeds=range(1))
+        assert rep.instances == 1
+        if least > 1:
+            with pytest.raises(ValueError,
+                               match=f"the {kind} kind needs n >= {least}, "
+                                     f"not {least - 1}"):
+                harness.bench(kind, [least - 1], seeds=range(1))
 
     def test_h_partition_times_the_partition_alone(self, monkeypatch):
         # the tournament's out-rows are built with it, as generation time,
