@@ -8,10 +8,11 @@ grid of --sizes by --seeds.  Exit status is 0 exactly when no failure
 occurred; solve exits 1 when its budget ran out, verify and bench when
 their report holds failures.  Exit 2, with one error line, means bad
 input: an instance that cannot be read, an output file that cannot be
-written, a negative seed or budget, a solve flag that its mode does not
-read (a budget with --constructive, --seed with --exact), or arguments
-no generator or suite can run (a grid with no instance, a size that a
-fixed family does not build, a count above n = 7).
+written, a negative seed or budget, a --jobs below 1, a solve flag that
+its mode does not read (a budget with --constructive, --seed with
+--exact), or arguments no generator or suite can run (a grid with no
+instance, a size that a fixed family does not build, a count above
+n = 7).
 """
 
 from __future__ import annotations
@@ -199,6 +200,8 @@ def main(argv: Optional[list] = None) -> int:
     if extra:  # name the flags alone: a flag's value may have become input
         flags = [x for x in extra if x.startswith("-")] or extra
         ap.error(f"unrecognized arguments: {' '.join(flags)}")
+    if getattr(args, "jobs", 1) < 1:  # verify and bench
+        return _error(f"--jobs {args.jobs} is below 1")
     run = {"gen": _cmd_gen, "solve": _cmd_solve, "count": _cmd_count,
            "verify": _cmd_verify, "bench": _cmd_bench}[args.cmd]
     try:

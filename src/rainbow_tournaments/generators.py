@@ -12,14 +12,16 @@ byte ceil(N/8) - 1 are cleared and the bytes after it dropped.  Strong
 connectivity is obtained by rejection: attempt a + 1 redraws a member, and
 MAX_REDRAWS failed redraws of one member raise RuntimeError.
 
-A collection reads its members' attempt-0 draws one after another from one
-stream, DRAW_CHUNK_WORDS words at a time, into one (m, W) array whose bytes
-are the rows the members view: about 3 µs a member at n = 30 and 22 µs at
-n = 800, with no n x n matrix and no packing.  One pass scores and
-Landau-tests the strong candidates of a block of members (about 4 µs a
-member at n = 30, 19 µs at n = 130, 0.12 ms at n = 400, one a block); a
-redraw seeds its own stream (about 15 µs) and is tested alone.  A kept
-member holds its scores and verdict (see ``core``).
+A collection reads all its members' attempt-0 draws in one read of one
+stream, DRAW_CHUNK_WORDS words at a time, into one (m, W) array; one
+operation clears every row's pad bits, and the rows are frozen once, so
+the members view read-only bytes: about 1.4 µs a member at n = 30 (m = 30;
+0.6 µs at m = 300) and 16-19 µs at n = 800, with no n x n matrix and no
+packing.  One pass scores and Landau-tests the strong candidates of a
+block of members (about 4 µs a member at n = 30, 19 µs at n = 130,
+0.12 ms at n = 400, one a block); a redraw seeds its own stream (about
+15 µs) and is tested alone.  A kept member holds its scores and verdict
+(see ``core``).
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import operator
 
 import numpy as np
 
-from .core import (Tournament, TournamentCollection, _landau_strong,
-                   _scores_from_pairs, is_strongly_connected)
+from .core import (Tournament, TournamentCollection, _frozen,
+                   _landau_strong, _scores_from_pairs, is_strongly_connected)
 
 __all__ = [
     "transitive_tournament",
@@ -126,8 +128,9 @@ def _draw_tournament(stream: np.random.PCG64, words: np.ndarray) -> None:
 
 def _collection(n: int, seed: int, indices: range,
                 strong: int) -> TournamentCollection:
-    """The tournaments of indices, drawn a block at a time (see the module
-    docstring); the first strong are redrawn until strongly connected."""
+    """The tournaments of indices, read from their stream at once (see the
+    module docstring); the first strong are tested a block at a time and
+    redrawn until strongly connected."""
     n = operator.index(n)  # a bool n is an int here, a float a TypeError
     seed = operator.index(seed)  # a float seed is a TypeError too
     if n < 1:
@@ -144,23 +147,21 @@ def _collection(n: int, seed: int, indices: range,
     m, size = len(indices), n * (n - 1) // 2
     width = (size + 63) // 64
     words = np.empty((m, width), "<u8")
-    rows = words.view(np.uint8)[:, :(size + 7) // 8]
+    raw = words.view(np.uint8)[:, :(size + 7) // 8]
     pad = 0xFF << (-size % 8) & 0xFF  # the pair bits of the last byte
+    _draw_tournament(_stream(seed, 0, indices.start * width),
+                     words.reshape(-1))  # every member, one after another
+    raw[:, -1:] &= pad
+    rows = _frozen(raw.view())  # the members' rows; a redraw writes raw
     block = max(1, DRAW_CHUNK_WORDS // max(rows.shape[1], 1))
-    stream = _stream(seed, 0, indices.start * width)
     members = []
-    for lo in range(0, m, block):
-        for row in words[lo:lo + block]:  # member after member of stream
-            _draw_tournament(stream, row)
-        rows[lo:lo + block, -1:] &= pad
-        if lo < strong:  # the block's strong candidates, tested at once
-            scores = _scores_from_pairs(n, rows[lo:strong][:block])
-            verdicts = _landau_strong(scores).tolist()
-        for pos in range(lo, min(lo + block, m)):
+    for lo in range(0, strong, block):  # a block's candidates, tested at once
+        scores = _scores_from_pairs(n, rows[lo:strong][:block])
+        for pos, s, verdict in zip(range(lo, strong), scores,
+                                   _landau_strong(scores).tolist()):
             t, attempt = Tournament._from_packed(n, rows[pos]), 0
-            if pos < strong:  # a redraw below is a fresh tournament
-                t._scores, t._strong = scores[pos - lo], verdicts[pos - lo]
-            while pos < strong and not is_strongly_connected(t):
+            t._scores, t._strong = s, verdict  # a redraw is a fresh one
+            while not is_strongly_connected(t):
                 attempt += 1
                 if attempt > MAX_REDRAWS:  # a verdict fault, not bad luck
                     raise RuntimeError(
@@ -168,9 +169,10 @@ def _collection(n: int, seed: int, indices: range,
                         f" (n={n}, seed={seed}) in {MAX_REDRAWS} redraws")
                 _draw_tournament(_stream(seed, attempt, indices[pos] * width),
                                  words[pos])
-                rows[pos, -1:] &= pad
+                raw[pos, -1:] &= pad
                 t = Tournament._from_packed(n, rows[pos])
             members.append(t)  # the object tested, with its scores cached
+    members += [Tournament._from_packed(n, r) for r in rows[strong:]]
     return TournamentCollection._from_rows(n, rows, members)
 
 

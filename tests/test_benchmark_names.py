@@ -89,8 +89,9 @@ def _rejections(n, seed, index):
 
 @pytest.mark.parametrize("m, k", [(4, 3), (12, 9), (12, 0)])
 def test_tracer_counts_every_draw_and_strong_test(tracing, m, k):
-    """One random_collection counts m draws plus the rejected ones, and one
-    strong-connectivity test per strong candidate: k plus the rejected."""
+    """One random_collection counts one stream read for its m attempt-0
+    rows plus one per rejected draw, and one strong-connectivity test per
+    strong candidate: k plus the rejected."""
     n, seed = 3, 2
     rejected = sum(_rejections(n, seed, i) for i in range(k))
     assert rejected > 0 or k == 0
@@ -101,7 +102,7 @@ def test_tracer_counts_every_draw_and_strong_test(tracing, m, k):
             n, m, seed, strongly_connected_count=k)
     finally:
         tracer.remove()
-    assert tracer.counts["generators.random_tournament.calls"] == m + rejected
+    assert tracer.counts["generators.random_tournament.calls"] == 1 + rejected
     strong_tests = tracer.span_stats().get("core.is_strongly_connected", {})
     assert strong_tests.get("calls", 0) == k + rejected
 

@@ -353,6 +353,15 @@ class TestBadSuiteArguments:
          "the pipeline kind needs n >= 2, not 1"),
         (["bench", "--kind", "cycle", "--sizes", "2"],
          "the cycle kind needs n >= 3, not 2"),
+        # no worker count below 1 falls back to a serial run
+        (["verify", "--suite", "lemma-one_spare", "--jobs", "0"],
+         "--jobs 0 is below 1"),
+        (["verify", "--suite", "theorem-path", "--jobs", "-2"],
+         "--jobs -2 is below 1"),
+        (["bench", "--kind", "one_spare", "--jobs", "0"],
+         "--jobs 0 is below 1"),
+        (["bench", "--kind", "majority", "--jobs", "-1"],
+         "--jobs -1 is below 1"),
     ])
     def test_rejected(self, capsys, argv, detail):
         code = main(argv)

@@ -847,8 +847,9 @@ class TestBlockScoresAndLandau:
     def test_redrawn_member_gets_a_fresh_verdict(self, monkeypatch):
         """At n = 3 most draws are not strong: each redraw is tested on
         its own, in a block of one, and the kept member holds its own
-        scores, not those of the row it replaced.  A draw budget turns a
-        verdict that never clears into a failure."""
+        scores, not those of the row it replaced.  A draw budget (one
+        read of every row, then one per redraw) turns a verdict that never
+        clears into a failure."""
         n, m, k, seed = 3, 12, 9, 2
         want, rejected = [], 0
         for i in range(m):
@@ -863,7 +864,7 @@ class TestBlockScoresAndLandau:
 
         def budgeted(*a):
             draws.append(a)
-            assert len(draws) <= m + rejected, "a stale verdict redraws"
+            assert len(draws) <= 1 + rejected, "a stale verdict redraws"
             return draw(*a)
 
         monkeypatch.setattr(generators, "_draw_tournament", budgeted)
@@ -873,7 +874,7 @@ class TestBlockScoresAndLandau:
                             lambda s: landau_one.append(s.shape) or f(s))
         tc = generators.random_collection(n, m, seed,
                                           strongly_connected_count=k)
-        assert list(tc.tournaments) == want and len(draws) == m + rejected
+        assert list(tc.tournaments) == want and len(draws) == 1 + rejected
         assert landau == [(k, n)] and landau_one == [(1, n)] * rejected
         for t in tc.tournaments[:k]:
             assert t._strong is True

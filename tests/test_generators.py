@@ -199,8 +199,9 @@ class TestStreamLock:
 
 
 class TestDrawCount:
-    """Every draw is one _draw_tournament call: m per collection plus the
-    rejected draws of the strongly connected members."""
+    """A collection reads its stream once: one _draw_tournament call fills
+    all m attempt-0 rows, and each rejected draw of a strongly connected
+    member is one more."""
 
     @staticmethod
     def count_draws(monkeypatch, *args, **kwargs):
@@ -224,9 +225,10 @@ class TestDrawCount:
         return attempt
 
     def test_uniform_draws_once_per_member(self, monkeypatch):
-        # one after another from the one stream of attempt 0
+        # all 8 one-word rows, one after another, from the stream of
+        # attempt 0 in one read
         calls = self.count_draws(monkeypatch, 9, 8, seed=4)
-        assert len(calls) == 8 and len({id(a[0]) for a in calls}) == 1
+        assert len(calls) == 1 and calls[0][1].shape == (8,)
 
     def test_strongly_connected_members_add_their_rejections(
         self, monkeypatch
@@ -237,7 +239,7 @@ class TestDrawCount:
         )
         rejected = sum(self.rejections(n, seed, i) for i in range(k))
         assert rejected > 0
-        assert len(calls) == m + rejected
+        assert len(calls) == 1 + rejected
 
 
 def cleared(words, n):
@@ -328,6 +330,42 @@ class TestBatchedSeeding:
                     n, seed, strongly_connected=i < k, index=i)
                 if i >= k:
                     assert t == stream_draw(n, seed, i)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 3])
+    def test_strong_blocks_keep_each_member_its_draw(self, seed):
+        # at n = 130 a block holds 7 members: k = 10 strong candidates take
+        # two blocks and the kept draws of the 6 others sit past them
+        n, m, k = 130, 16, 10
+        tc = generators.random_collection(n, m, seed,
+                                          strongly_connected_count=k)
+        for i, t in enumerate(tc.tournaments):
+            assert t == generators.random_tournament(
+                n, seed, strongly_connected=i < k, index=i)
+            if i >= k:
+                assert t.packed.tobytes() == stream_row(n, seed, i)
+
+    @pytest.mark.parametrize("n, m", [(130, 70), (800, 3)])
+    def test_no_read_takes_more_than_a_chunk(self, n, m, monkeypatch):
+        # 9,240 and 14,982 words: the one read of the rows goes in steps
+        # of at most DRAW_CHUNK_WORDS, the members' bytes unchanged
+        asked, stream = [], generators._stream
+
+        class Wrapped:
+            def __init__(self, *a):
+                self.stream = stream(*a)
+
+            def random_raw(self, size):
+                asked.append(size)
+                return self.stream.random_raw(size)
+
+        monkeypatch.setattr(generators, "_stream", Wrapped)
+        tc = generators.random_collection(n, m, 3)
+        width = (n * (n - 1) // 2 + 63) // 64
+        assert m * width > generators.DRAW_CHUNK_WORDS
+        assert sum(asked) == m * width
+        assert max(asked) == generators.DRAW_CHUNK_WORDS
+        assert [t.packed.tobytes() for t in tc.tournaments] == [
+            stream_row(n, 3, i) for i in range(m)]
 
     def test_index_past_32_bits_draws_its_own_stream(self):
         index = 2**32 + 1
