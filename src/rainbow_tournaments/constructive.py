@@ -493,7 +493,7 @@ def _layering(tc: TournamentCollection, x: int):
         if grow == 0:
             raise NoProgressError(c)
         for vv in _bits(grow):
-            first = t.in_mask(vv) & reached
+            first = reached & ~out[vv]  # vv, unreached, is no in-neighbour
             entry[vv] = ((first & -first).bit_length() - 1, c)
         reached |= grow
     if reached != full:

@@ -17,11 +17,14 @@ stream, DRAW_CHUNK_WORDS words at a time, into one (m, W) array; one
 operation clears every row's pad bits, and the rows are frozen once, so
 the members view read-only bytes: about 1.4 µs a member at n = 30 (m = 30;
 0.6 µs at m = 300) and 16-19 µs at n = 800, with no n x n matrix and no
-packing.  One pass scores and Landau-tests the strong candidates of a
-block of members (about 4 µs a member at n = 30, 19 µs at n = 130,
-0.12 ms at n = 400, one a block); a redraw seeds its own stream (about
-15 µs) and is tested alone.  A kept member holds its scores and verdict
-(see ``core``).
+packing.  Below n = 257 one pass scores and Landau-tests the strong
+candidates of a block of members (about 4 µs a member at n = 30, 24 µs
+at n = 130); from there a block would hold one, and ``core``'s
+certificate tests each candidate from its first 32 pair rows, with
+Landau only where it falls short (about 40 µs a member at n = 400 and
+75 µs at n = 1600, against 0.15 and 1.8 ms for scores and Landau).  A
+redraw seeds its own stream (about 15 µs) and is tested alone.  A kept
+member holds its verdict, and its scores where Landau computed them.
 """
 
 from __future__ import annotations
@@ -129,8 +132,8 @@ def _draw_tournament(stream: np.random.PCG64, words: np.ndarray) -> None:
 def _collection(n: int, seed: int, indices: range,
                 strong: int) -> TournamentCollection:
     """The tournaments of indices, read from their stream at once (see the
-    module docstring); the first strong are tested a block at a time and
-    redrawn until strongly connected."""
+    module docstring); the first strong are tested (a block at a time
+    below n = 257) and redrawn until strongly connected."""
     n = operator.index(n)  # a bool n is an int here, a float a TypeError
     seed = operator.index(seed)  # a float seed is a TypeError too
     if n < 1:
@@ -153,26 +156,26 @@ def _collection(n: int, seed: int, indices: range,
                      words.reshape(-1))  # every member, one after another
     raw[:, -1:] &= pad
     rows = _frozen(raw.view())  # the members' rows; a redraw writes raw
-    block = max(1, DRAW_CHUNK_WORDS // max(rows.shape[1], 1))
-    members = []
-    for lo in range(0, strong, block):  # a block's candidates, tested at once
-        scores = _scores_from_pairs(n, rows[lo:strong][:block])
-        for pos, s, verdict in zip(range(lo, strong), scores,
-                                   _landau_strong(scores).tolist()):
-            t, attempt = Tournament._from_packed(n, rows[pos]), 0
-            t._scores, t._strong = s, verdict  # a redraw is a fresh one
-            while not is_strongly_connected(t):
-                attempt += 1
-                if attempt > MAX_REDRAWS:  # a verdict fault, not bad luck
-                    raise RuntimeError(
-                        f"no strongly connected draw of member {indices[pos]}"
-                        f" (n={n}, seed={seed}) in {MAX_REDRAWS} redraws")
-                _draw_tournament(_stream(seed, attempt, indices[pos] * width),
-                                 words[pos])
-                raw[pos, -1:] &= pad
-                t = Tournament._from_packed(n, rows[pos])
-            members.append(t)  # the object tested, with its scores cached
-    members += [Tournament._from_packed(n, r) for r in rows[strong:]]
+    members = [Tournament._from_packed(n, r) for r in rows]
+    block = DRAW_CHUNK_WORDS // max(rows.shape[1], 1)
+    if block > 1:  # from n = 257 is_strongly_connected certifies first
+        for lo in range(0, strong, block):  # a block's candidates at once
+            scores = _scores_from_pairs(n, rows[lo:strong][:block])
+            for t, s, verdict in zip(members[lo:strong], scores,
+                                     _landau_strong(scores).tolist()):
+                t._scores, t._strong = s, verdict
+    for pos in range(strong):
+        attempt = 0
+        while not is_strongly_connected(members[pos]):
+            attempt += 1
+            if attempt > MAX_REDRAWS:  # a verdict fault, not bad luck
+                raise RuntimeError(
+                    f"no strongly connected draw of member {indices[pos]}"
+                    f" (n={n}, seed={seed}) in {MAX_REDRAWS} redraws")
+            _draw_tournament(_stream(seed, attempt, indices[pos] * width),
+                             words[pos])
+            raw[pos, -1:] &= pad
+            members[pos] = Tournament._from_packed(n, rows[pos])  # fresh
     return TournamentCollection._from_rows(n, rows, members)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import (all_tournaments, directed_triangle, from_bool_matrix,
-                      iter_pairs, stream_draw)
+                      iter_pairs, stream_draw, stream_row)
 from rainbow_tournaments.core import (
     ColoredDigraph,
     RainbowCycle,
@@ -65,6 +65,15 @@ class TestTournament:
         t = generators.random_tournament(9, seed=4)
         for v in range(9):
             assert t.out_degree(v) + t.in_degree(v) == 8
+
+    @pytest.mark.parametrize("v", [-1, 9, 10])
+    def test_degrees_and_in_mask_reject_a_vertex_off_range(self, v):
+        """As has_arc does: -1 read vertex n - 1's score, and n or n + 1
+        raised IndexError."""
+        t = generators.random_tournament(9, seed=4)
+        for query in (t.out_degree, t.in_degree, t.in_mask):
+            with pytest.raises(ValueError, match="outside range"):
+                query(v)
 
     def test_pair_bits_round_trip(self):
         for t in all_tournaments(4):
@@ -879,6 +888,86 @@ class TestBlockScoresAndLandau:
         for t in tc.tournaments[:k]:
             assert t._strong is True
             assert t._scores.tolist() == _scores_by_has_arc(t)
+
+
+def _dominated(t, low):
+    """t with every vertex outside the mask low beating every vertex in it."""
+    return Tournament(t.n, [mask & low if low >> v & 1 else mask | low
+                            for v, mask in enumerate(t.out)])
+
+
+class TestPrefixCertificate:
+    """core._certified_strong reads the pairs (u, j), u < 32, and proves
+    strong connectivity from n = 257 by two closures over those rows;
+    what it cannot prove goes to Landau's test."""
+
+    @pytest.mark.parametrize("n", [257, 300])
+    def test_non_strong_structure_is_never_certified(self, n):
+        t = generators.random_tournament(n, seed=n)
+        full, last = (1 << n) - 1, (1 << n) - (1 << (n - 5))
+        family = {
+            "sink n-1": _dominated(t, 1 << (n - 1)),
+            "source n-1": _dominated(t, full ^ 1 << (n - 1)),
+            "last 5 dominated": _dominated(t, last),
+            "last 5 dominating": _dominated(t, full ^ last),
+            "transitive": generators.transitive_tournament(n),
+            # inside the prefix too: these need the arcs among the known
+            # vertices the right way round
+            "sink 5": _dominated(t, 1 << 5),
+            "source 0": _dominated(t, full ^ 1),
+            "3..7 dominated": _dominated(t, 0b11111 << 3),
+        }
+        assert core._certified_strong(n, t.packed)
+        for name, planted in family.items():
+            assert not core._certified_strong(n, planted.packed), name
+            verdict = is_strongly_connected(planted)
+            assert verdict is False
+            assert verdict == _strong_by_reachability(planted), name
+
+    @pytest.mark.parametrize("n", [257, 300])
+    def test_strong_beyond_the_certificate_reaches_landau(self, n,
+                                                          monkeypatch):
+        """Vertex 100 beats all of 0..31, so no closure over their out-rows
+        reaches it, yet the tournament is strong."""
+        out = list(generators.random_tournament(n, seed=1).out)
+        known = (1 << 32) - 1
+        out[100] |= known
+        out[:32] = [mask & ~(1 << 100) for mask in out[:32]]
+        t = Tournament(n, out)
+        assert not core._certified_strong(n, t.packed)
+        calls, landau = [], core._landau_strong
+        monkeypatch.setattr(core, "_landau_strong",
+                            lambda s: calls.append(s.shape) or landau(s))
+        assert is_strongly_connected(t) is True
+        assert calls == [(1, n)] and _strong_by_reachability(t)
+
+    def test_strong_draws_from_n_257_read_no_scores(self, monkeypatch):
+        def no_scores(*args):
+            raise AssertionError("scores placed")
+
+        monkeypatch.setattr(core, "_scores_from_pairs", no_scores)
+        monkeypatch.setattr(generators, "_scores_from_pairs", no_scores)
+        n, seed = 300, 7
+        tc = generators.random_collection(n, 6, seed,
+                                          strongly_connected_count=5)
+        assert [t._strong for t in tc.tournaments] == [True] * 5 + [None]
+        assert all(t._scores is None for t in tc.tournaments)
+        assert [t.packed.tobytes() for t in tc.tournaments] == [
+            stream_row(n, seed, i) for i in range(6)]
+        monkeypatch.undo()
+        t = tc.tournaments[0]
+        assert t.scores.tolist() == _scores_by_has_arc(t)
+
+    def test_below_n_257_landau_decides_alone(self, monkeypatch):
+        def no_certificate(*args):
+            raise AssertionError("certificate below n = 257")
+
+        monkeypatch.setattr(core, "_certified_strong", no_certificate)
+        tc = generators.random_collection(256, 3, seed=2,
+                                          strongly_connected_count=3)
+        assert all(t._strong is True for t in tc.tournaments)
+        t = generators.random_tournament(256, seed=3)
+        assert is_strongly_connected(t) == _landau(t)
 
 
 class TestSizeCaches:
