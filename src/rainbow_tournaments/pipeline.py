@@ -336,8 +336,9 @@ def _constructive_cycle(tc, tmaj, hp, seed, trace) -> RainbowCycle:
 
 def _guarded(trace: Optional[list], stage: str, info: dict, run, *args):
     """(run(*args), None), or (None, exc) with a trace record of exc.  An
-    exception fails only its route: the later routes still run, the solver
-    never raises, and only the exhaustive oracle may report NotExists."""
+    exception fails only its attempt or route: the solver never raises,
+    and a fault never reads as NotExists, which comes from _too_few or the
+    exact oracle alone, never from a constructive route."""
     try:
         return run(*args), None
     except Exception as exc:
@@ -347,18 +348,19 @@ def _guarded(trace: Optional[list], stage: str, info: dict, run, *args):
         return None, exc
 
 
-def _attempts(cyclic: bool, tc, seed: int, trace):
+def _found(w, note: str) -> Optional[OracleOutcome]:
+    """w Found and noted by the route that built it, or None for no w."""
+    return None if w is None else OracleOutcome(FOUND, w, notes=note)
+
+
+def _attempts(cyclic: bool, tc, seed: int, trace) -> Optional[OracleOutcome]:
     """Run the constructive path or cycle with seeds seed, seed + 1, ...;
-    the first valid Hamilton witness comes back with its note, or
-    (None, None) once DHP_RETRIES attempts failed or the partition
-    raised."""
+    the first valid Hamilton witness comes back Found, noted with its
+    attempt, or None once DHP_RETRIES attempts failed.  A fault in the
+    partition is the route's own, left to the route loop."""
     kind = "cycle" if cyclic else "path"
     build = _constructive_cycle if cyclic else _constructive_path
-    part, _ = _guarded(trace, "route-failed", {"route": "constructive"},
-                       _partition_for, tc)
-    if part is None:
-        return None, None
-    tmaj, hp = part
+    tmaj, hp = _partition_for(tc)
 
     def attempt(k: int):
         w = build(tc, tmaj, hp, seed + k, trace)
@@ -370,36 +372,14 @@ def _attempts(cyclic: bool, tc, seed: int, trace):
         w, exc = _guarded(trace, "attempt-failed", {"attempt": k},
                           attempt, k)
         if w is not None:
-            return w, f"constructive, attempt {k}"
+            return _found(w, f"constructive, attempt {k}")
         if isinstance(exc, StageFailure) and exc.stage == f"{kind}-pre":
             break  # the partition, hence this failure, ignores the seed
-    return None, None
-
-
-def _oracle_route(search, work, budget, notes, trace, t0, fallback=False):
-    """The exact oracle search(work, budget), its notes after notes; a fault
-    or a Found whose witness is not a Hamilton transversal of work gives
-    BudgetExhausted.  As the fallback after the constructive routes it
-    runs by default under FALLBACK_BUDGET_NODES and says so last."""
-    route = "oracle fallback" if fallback else "oracle"
-    if fallback:
-        budget = budget or SearchBudget(max_nodes=FALLBACK_BUDGET_NODES)
-    out, _ = _guarded(trace, "route-failed", {"route": route},
-                      search, work, budget)
-    if out is not None and out.found and (
-            out.witness is None or not out.witness.is_hamilton(work)):
-        _trace(trace, "route-failed", route=route, error="invalid witness")
-        out = _outcome(t0, BUDGET_EXHAUSTED, nodes=out.nodes_expanded,
-                       notes="invalid witness")
-    if out is None:
-        out = _outcome(t0, BUDGET_EXHAUSTED, notes="internal error")
-    own = [out.notes] if out.notes else []
-    out.notes = "; ".join(notes + own + [route] * fallback)
-    return out
+    return None
 
 
 # ---------------------------------------------------------------------------
-# the longest-path machine, and the one route order of both solvers
+# the longest-path machine, and the one route loop of both solvers
 
 
 def exchange_step(
@@ -477,7 +457,10 @@ def _case3_machine(
 def _solve(tc, cyclic: bool, seed, budget, mode, trace) -> OracleOutcome:
     """The route order of both solvers, on the first k colors: k = n - 1
     for a path, k = n for a cycle (all of them when k = 0).  The oracle's
-    _too_few rule answers first."""
+    _too_few rule answers first, then the routes in order until one
+    answers.  An oracle's answer stands even after a fault or an invalid
+    witness; a failed constructive route leaves the question to the next.
+    millis covers the whole solve."""
     if mode not in ("auto", "constructive", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
     if operator.index(seed) < 0:
@@ -504,26 +487,36 @@ def _solve(tc, cyclic: bool, seed, budget, mode, trace) -> OracleOutcome:
     search = (oracle.exact_transversal_ham_cycle if cyclic
               else oracle.exact_transversal_ham_path)
     if mode == "exact" or (mode == "auto" and n <= ORACLE_MAX_N):
-        return _oracle_route(search, work, budget, notes, trace, t0)
-    w, note = _attempts(cyclic, work, seed, trace)
-    if w is None and cyclic:
-        w, _ = _guarded(trace, "route-failed",
-                        {"route": "longest-path machine"},
-                        _case3_machine, work, seed, trace)
-        if w is not None and not w.is_hamilton(work):
-            _trace(trace, "route-failed", route="longest-path machine",
-                   error="invalid witness")
-            w = None
-        note = "longest-path machine"
-    if w is not None:
-        return _outcome(t0, FOUND, w, notes="; ".join(notes + [note]))
-    if mode == "constructive":
-        return _outcome(
-            t0, BUDGET_EXHAUSTED,
-            notes="; ".join(notes + ["constructive attempts exhausted"]),
-        )
-    return _oracle_route(search, work, budget, notes, trace, t0,
-                         fallback=True)
+        routes = [("oracle", lambda: search(work, budget))]
+    else:
+        routes = [("constructive",
+                   lambda: _attempts(cyclic, work, seed, trace))]
+        if cyclic:
+            routes.append(("longest-path machine", lambda: _found(
+                _case3_machine(work, seed, trace), "longest-path machine")))
+        if mode == "auto":  # the fallback runs under a node budget
+            fallback = budget or SearchBudget(max_nodes=FALLBACK_BUDGET_NODES)
+            routes.append(("oracle fallback", lambda: search(work, fallback)))
+    for name, run in routes:
+        final = name.startswith("oracle")
+        out, _ = _guarded(trace, "route-failed", {"route": name}, run)
+        # _attempts has checked its witness already, attempt by attempt
+        if out is not None and out.found and name != "constructive" and (
+                out.witness is None or not out.witness.is_hamilton(work)):
+            _trace(trace, "route-failed", route=name, error="invalid witness")
+            out = OracleOutcome(BUDGET_EXHAUSTED, None, out.nodes_expanded,
+                                notes="invalid witness") if final else None
+        if out is None and final:
+            out = OracleOutcome(BUDGET_EXHAUSTED, notes="internal error")
+        if out is not None:
+            break
+    else:  # constructive mode, where the last route found nothing
+        out = OracleOutcome(BUDGET_EXHAUSTED,
+                            notes="constructive attempts exhausted")
+    own = [out.notes] if out.notes else []
+    out.notes = "; ".join(notes + own + [name] * (name == "oracle fallback"))
+    out.millis = (time.perf_counter() - t0) * 1e3
+    return out
 
 
 def transversal_ham_path(
@@ -537,8 +530,9 @@ def transversal_ham_path(
 
     mode is "auto" (the oracle up to ORACLE_MAX_N vertices, constructive
     above), "constructive", or "exact".  seed keys the constructive
-    attempts.  NotExists can only come from the exhaustive oracle.  A bad
-    mode or a negative seed raises ValueError, a non-int seed TypeError.
+    attempts.  NotExists comes from too few colors (oracle._too_few) or
+    from the exact oracle, never from a constructive route.  A bad mode
+    or a negative seed raises ValueError, a non-int seed TypeError.
     """
     return _solve(tc, False, seed, budget, mode, trace)
 
@@ -555,7 +549,9 @@ def transversal_ham_cycle(
     Requires m = n (larger m is reduced by restriction).  At least n-1 strongly
     connected members are expected; a violation is noted in the outcome while
     the search still runs.  seed keys the constructive attempts and the
-    longest-path machine.  NotExists only comes from the exhaustive oracle.  A
-    bad mode or a negative seed raises ValueError, a non-int seed TypeError.
+    longest-path machine.  NotExists comes from oracle._too_few or from the
+    exact oracle (its chain-cut bound, or an exhausted search), never from
+    a constructive route.  A bad mode or a negative seed raises ValueError,
+    a non-int seed TypeError.
     """
     return _solve(tc, True, seed, budget, mode, trace)
