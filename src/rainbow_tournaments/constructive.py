@@ -53,7 +53,6 @@ __all__ = [
     "HPartition",
     "Absorber",
     "low_degree_count_bound_check",
-    "split_block",
     "h_partition",
     "tournament_ham_path",
     "rainbow_ham_path_one_spare",
@@ -111,23 +110,6 @@ def _split(out: Sequence[int], mask: int, size: int) -> tuple:
     beats = mask & out[v]
     k = beats.bit_count()
     return (mask ^ beats ^ 1 << v, size - 1 - k), v, (beats, k)
-
-
-def split_block(
-    t: Tournament, block: Sequence[int]
-) -> tuple[list[int], int, list[int]]:
-    """Split a vertex set around a vertex seeing >= |W|/6 of it on each side.
-
-    Returns (in-neighbors, v, out-neighbors) within the block, ascending;
-    v, h_partition's pick, is the first (lowest) vertex maximizing
-    min(in-degree, out-degree) inside the block, which must be three or
-    more distinct vertices of t (ints: TypeError, else ValueError).
-    """
-    verts = _vertex_list(t.n, block)
-    if len(verts) < 3:
-        raise ValueError("blocks of size < 3 cannot be split")
-    (lo, _), v, (hi, _) = _split(t.out, sum(1 << u for u in verts), len(verts))
-    return list(_bits(lo)), v, list(_bits(hi))
 
 
 @dataclass(frozen=True)

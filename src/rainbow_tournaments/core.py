@@ -37,9 +37,9 @@ Costs, for k colors on n vertices:
   1.4 µs a member at n = 30, 16-19 µs at n = 800; see ``generators``);
   ``from_json``: one ``packbits`` per tournament, stacked once.  No n x n
   matrix.
-- ``has_arc(u, v)`` checks u and v against range(n), reads bit
-  ``pair_index(min, max)`` and flips it when u > v (or reads ``out`` when
-  it is cached).  ``arc_color_masks`` gathers the byte columns of k arcs
+- ``has_arc(u, v)`` checks u and v against range(n), reads the pair bit
+  of (min, max) and flips it when u > v (or reads ``out`` when it is
+  cached).  ``arc_color_masks`` gathers the byte columns of k arcs
   as one masked, flipped (m, k) block and packs its columns (about 9 µs
   plus 0.7 µs an arc at m = 60); ``arc_color_mask`` is its one-arc case.
 - ``restrict`` to b vertices finds the byte, bit mask and flip of the
@@ -95,16 +95,7 @@ __all__ = [
     "induced_collection",
     "is_strongly_connected",
     "validate_transversal",
-    "pair_index",
 ]
-
-
-def pair_index(n: int, i: int, j: int) -> int:
-    """Position of the pair (i, j), i < j, in the lexicographic enumeration."""
-    if not 0 <= i < j < n:
-        raise ValueError(f"need 0 <= i < j < n, got i={i}, j={j}, n={n}")
-    # pairs with first coordinate < i, plus offset within row i
-    return i * n - i * (i + 1) // 2 + (j - i - 1)
 
 
 def _pair_count(n: int) -> int:
@@ -221,7 +212,7 @@ class Tournament:
         if u == v:
             return False
         lo, hi = (u, v) if u < v else (v, u)
-        p = lo * (2 * self.n - lo - 3) // 2 + hi - 1  # pair_index(n, lo, hi)
+        p = lo * (2 * self.n - lo - 3) // 2 + hi - 1  # (lo, hi) in pair order
         return bool(self._packed[p >> 3] & (0x80 >> (p & 7))) != (u > v)
 
     def _vertex(self, v: int) -> int:
@@ -337,7 +328,7 @@ class TournamentCollection:
             if u == v or not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"invalid arc ({u},{v}) for n={n}")
             lo, hi = (u, v) if u < v else (v, u)
-            p = lo * (2 * n - lo - 3) // 2 + hi - 1  # pair_index(n, lo, hi)
+            p = lo * (2 * n - lo - 3) // 2 + hi - 1  # (lo, hi) in pair order
             at.append(p >> 3)
             bit.append(0x80 >> (p & 7))
             flip.append(bit[-1] if u > v else 0)

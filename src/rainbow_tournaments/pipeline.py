@@ -4,9 +4,9 @@ The constructive branch mirrors the four-step assembly (separator colors
 D, absorber colors A and C, block budgets B, the leftovers forced through
 the top-up block), each color spent once by _spend.  One builder serves
 both solvers: a cycle is the path assembly plus a closing arc whose color
-is reserved before the others are spent.  Every dead end is a first-class
-outcome that falls back to the exact oracle under a node budget.
-Deterministic given (instance, seed).
+is reserved before the others are spent.  A dead end falls back to the
+exact oracle under a node budget in auto mode; constructive mode answers
+BudgetExhausted.  Deterministic given (instance, seed).
 """
 
 from __future__ import annotations
@@ -455,12 +455,12 @@ def _case3_machine(
 
 
 def _solve(tc, cyclic: bool, seed, budget, mode, trace) -> OracleOutcome:
-    """The route order of both solvers, on the first k colors: k = n - 1
-    for a path, k = n for a cycle (all of them when k = 0).  The oracle's
-    _too_few rule answers first, then the routes in order until one
-    answers.  An oracle's answer stands even after a fault or an invalid
-    witness; a failed constructive route leaves the question to the next.
-    millis covers the whole solve."""
+    """The route order of both solvers, on the first k colors (noted when
+    m > k): k = n - 1 for a path, k = n for a cycle (all when k = 0).  The
+    oracle's _too_few rule answers first, then the routes in order until
+    one answers.  An oracle's answer stands even after a fault or an
+    invalid witness; a failed constructive route leaves the question to
+    the next.  millis covers the whole solve."""
     if mode not in ("auto", "constructive", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
     if operator.index(seed) < 0:
@@ -470,11 +470,11 @@ def _solve(tc, cyclic: bool, seed, budget, mode, trace) -> OracleOutcome:
         return _outcome(t0, NOT_EXISTS, notes=why)
     n = tc.n
     k = n if cyclic else n - 1
-    work = tc
+    work, notes = tc, []
     if tc.m > k > 0:
         work = restrict_colors(tc, list(range(k)))
         _trace(trace, "reduce", kept_colors=k)
-    notes = []
+        notes.append(f"first {k} of {tc.m} colors kept")
     if cyclic:
         n_strong = sum(
             1 for t in work.tournaments if is_strongly_connected(t)

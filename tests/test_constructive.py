@@ -15,7 +15,6 @@ from rainbow_tournaments.constructive import (
     rainbow_ham_path_forcing_color,
     rainbow_ham_path_forcing_set,
     rainbow_ham_path_one_spare,
-    split_block,
     tournament_ham_path,
 )
 from rainbow_tournaments.core import TournamentCollection, restrict_colors
@@ -46,42 +45,35 @@ class TestLowDegreeBound:
                 assert low_degree_count_bound_check(t, d)
 
 
+def split_lists(t, block):
+    """constructive._split on the vertex mask of block, as ascending
+    (in-neighbours, v, out-neighbours) lists; the sizes it returns are
+    checked against the masks."""
+    block = list(block)
+    (lo, k_lo), v, (hi, k_hi) = constructive._split(
+        t.out, sum(1 << u for u in block), len(block))
+    assert (lo.bit_count(), hi.bit_count()) == (k_lo, k_hi)
+    return list(core._bits(lo)), v, list(core._bits(hi))
+
+
 class TestSplitBlock:
     def test_triangle_split_is_balanced(self):
         t = directed_triangle()
-        wminus, v, wplus = split_block(t, [0, 1, 2])
+        wminus, v, wplus = split_lists(t, [0, 1, 2])
         assert len(wminus) == 1 and len(wplus) == 1
 
     def test_transitive_middle_vertex(self):
         t = generators.transitive_tournament(7)
-        wminus, v, wplus = split_block(t, range(7))
+        wminus, v, wplus = split_lists(t, range(7))
         assert v == 3 and len(wminus) == 3 and len(wplus) == 3
 
     def test_both_sides_at_least_sixth(self):
         t = generators.random_tournament(100, seed=5)
-        wminus, v, wplus = split_block(t, range(100))
+        wminus, v, wplus = split_lists(t, range(100))
         assert min(len(wminus), len(wplus)) >= 100 // 6
         # the returned v maximizes min(in, out) within the block
         best = max(min(t.in_degree(u), t.out_degree(u)) for u in range(100))
         assert min(len(wminus), len(wplus)) == best
-
-    def test_too_small_block_rejected(self):
-        with pytest.raises(ValueError):
-            split_block(directed_triangle(), [0, 1])
-
-    @pytest.mark.parametrize("block, error, match", [
-        ([0, 0, 1, 2, 3], ValueError, "distinct vertices"),
-        ([0, 1, 2, 9], ValueError, "distinct vertices"),
-        ([-1, 0, 1, 2], ValueError, "distinct vertices"),
-        ([0.0, 1.0, 2.0], TypeError, "cannot be interpreted as an integer"),
-    ], ids=["repeat", "outside", "negative", "integral-floats"])
-    def test_bad_vertices_rejected(self, block, error, match):
-        # the repeat used to count twice in the block size and come back
-        # as ([3], 0, [1, 2]); 9 raised IndexError, -1 "negative shift
-        # count" and 0.0 a TypeError from a shift
-        t = generators.random_tournament(8, seed=1)
-        with pytest.raises(error, match=match):
-            split_block(t, block)
 
 
 class TestHPartition:
@@ -128,7 +120,7 @@ class TestHPartition:
             idx = max(range(len(blocks)), key=lambda i: len(blocks[i]))
             if len(blocks[idx]) <= ell:
                 break
-            wminus, v, wplus = split_block(t, blocks[idx])
+            wminus, v, wplus = split_lists(t, blocks[idx])
             blocks[idx:idx + 1] = [wminus, wplus]
             seps.insert(idx, v)
         return tuple(tuple(b) for b in blocks), tuple(seps), ell
@@ -208,7 +200,8 @@ class TestHPartition:
             (0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4),
             (2, 3), (3, 4), (4, 2)])
         assert list(t.scores) == [4, 3, 1, 1, 1]
-        assert split_block(t, range(5)) == ([0], 1, [2, 3, 4])
+        assert constructive._split(t.out, 0b11111, 5) == (
+            (0b00001, 1), 1, (0b11100, 3))
         for ell in (3, 4):
             self.assert_full_scan(t, ell)
 

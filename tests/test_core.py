@@ -19,7 +19,6 @@ from rainbow_tournaments.core import (
     induced_collection,
     is_strongly_connected,
     majority_subtournament,
-    pair_index,
     restrict_colors,
     validate_transversal,
 )
@@ -297,13 +296,6 @@ class TestPairBitsAgainstLoop:
     def test_no_vertices(self, n):
         with pytest.raises(ValueError, match="at least one vertex"):
             Tournament.from_pair_bits(n, "")
-
-
-class TestPairIndex:
-    def test_pair_index_is_inverse_of_iter_pairs(self):
-        n = 7
-        for k, (i, j) in enumerate(iter_pairs(n)):
-            assert pair_index(n, i, j) == k
 
 
 class TestWitnesses:

@@ -2,6 +2,7 @@
 
 import functools
 
+import numpy as np
 import pytest
 
 from rainbow_tournaments import core, generators, oracle, pipeline
@@ -9,6 +10,7 @@ from rainbow_tournaments.core import (
     RainbowCycle,
     RainbowPath,
     TournamentCollection,
+    restrict_colors,
     validate_transversal,
 )
 from rainbow_tournaments.errors import (
@@ -452,7 +454,8 @@ class TestInternalErrors:
         trace = []
         out = solver(tc, mode=mode, trace=trace)
         assert out.status == BUDGET_EXHAUSTED
-        assert out.notes == "internal error"
+        assert out.notes == ("first 5 of 6 colors kept; internal error"
+                             if what == "path" else "internal error")
         assert self._route_failures(trace) == [
             ("oracle", "[internal] IndexError: list index out of range")
         ]
@@ -554,6 +557,96 @@ class TestSmallCollections:
                     assert (out.status, out.notes) == (NOT_EXISTS, note)
                 elif out.found:
                     assert out.witness.is_hamilton(tc)
+
+
+class TestDroppedColors:
+    """With m > k colors (k = n - 1 for a path, n for a cycle) a solve
+    reads only the first k, and its notes say so: a NotExists on those k
+    is not one for the whole collection."""
+
+    @pytest.mark.parametrize("mode", ["auto", "exact"])
+    @pytest.mark.parametrize("cyclic", [False, True], ids=["path", "cycle"])
+    def test_notes_name_the_dropped_colors(self, cyclic, mode):
+        path_tc, cycle_tc = generators.fig1_counterexamples()
+        fig1 = cycle_tc if cyclic else path_tc
+        extra = fig1.tournaments[0]  # the forward triangle in both
+        tc = TournamentCollection([*fig1.tournaments, extra])
+        search = (oracle.exact_transversal_ham_cycle if cyclic
+                  else oracle.exact_transversal_ham_path)
+        whole = search(tc)
+        assert whole.found and max(whole.witness.colors) == tc.m - 1
+        solve = transversal_ham_cycle if cyclic else transversal_ham_path
+        out = solve(tc, mode=mode)
+        k = 3 if cyclic else 2
+        assert out.status == NOT_EXISTS
+        assert out.notes == f"first {k} of {tc.m} colors kept"
+
+
+class TestSolverContract:
+    """A seeded mix of sizes, color counts and member families, solved as
+    a path and as a cycle in every mode: each answer is one of the three
+    statuses, each Found is Hamilton, and at n <= 7 each Found or NotExists
+    is the exact oracle's answer on the colors the solver reads."""
+
+    NS = (1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 30, 40, 61)
+    KINDS = ("random", "transitive", "prop14", "rotational", "relabelled")
+    INSTANCES = 75
+    MODES = ("auto", "constructive", "exact")
+
+    @staticmethod
+    def member(n, kind, rng):
+        """A member of the kind; transitive where prop14 (n < 3) or
+        rotational (n < 3 or n even) is not defined."""
+        if kind == "prop14" and n >= 3:
+            return generators.prop14_tprime(n)
+        if kind == "rotational" and n >= 3 and n % 2:
+            return generators.rotational_tournament(n)
+        if kind == "relabelled":
+            perm = rng.permutation(n).tolist()
+            return core.Tournament.from_arcs(n, [
+                (perm[i], perm[j]) for i in range(n)
+                for j in range(i + 1, n)])
+        if kind == "random":
+            return generators.random_tournament(
+                n, seed=int(rng.integers(2**31)))
+        return generators.transitive_tournament(n)
+
+    def instance(self, rng):
+        n = int(rng.choice(self.NS))
+        m = int(rng.integers(max(1, n - 3), n + 5))
+        distinct = min(m, int(rng.choice([1, 2, 3, m])))
+        members = [self.member(n, str(rng.choice(self.KINDS)), rng)
+                   for _ in range(distinct)]
+        picks = [*range(distinct), *rng.integers(distinct, size=m - distinct)]
+        return TournamentCollection(
+            [members[i] for i in rng.permutation(picks)])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_contract(self, seed):
+        rng = np.random.default_rng([seed, 9])
+        for _ in range(self.INSTANCES):
+            tc = self.instance(rng)
+            for cyclic in (False, True):
+                solve = (transversal_ham_cycle if cyclic
+                         else transversal_ham_path)
+                k = tc.n if cyclic else tc.n - 1
+                work = (restrict_colors(tc, range(k)) if tc.m > k > 0
+                        else tc)
+                want = None
+                if tc.n <= 7:
+                    want = (oracle.exact_transversal_ham_cycle if cyclic
+                            else oracle.exact_transversal_ham_path)(work)
+                for mode in self.MODES:
+                    budget = (None if mode == "constructive"
+                              else SearchBudget(max_nodes=2000))
+                    out = solve(tc, mode=mode, budget=budget)
+                    where = (tc.n, tc.m, cyclic, mode)
+                    assert out.status in (FOUND, NOT_EXISTS,
+                                          BUDGET_EXHAUSTED), where
+                    if out.found:
+                        assert out.witness.is_hamilton(tc), where
+                    if want is not None and out.status != BUDGET_EXHAUSTED:
+                        assert out.status == want.status, where
 
 
 class TestDeterminism:

@@ -15,8 +15,8 @@ top-level statement of any module loads it or reads it as an attribute
 (``core._bits``); its own definition does not count.
 
 The one allowed exception is pipeline's ``induced_collection`` import:
-tests/test_benchmark_names.py and perfbench pin it until the longest-path
-machine goes (ROADMAP item 1).
+tests/test_benchmark_names.py and perfbench pin it until the benchmark
+drops that binding (ROADMAP item 19).
 """
 
 import ast
