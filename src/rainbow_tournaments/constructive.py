@@ -68,15 +68,15 @@ __all__ = [
 ABSORBER_RETRIES = 20
 
 
-def _solve_block(tc, colors, vertices, solve, *args, **kwargs):
-    """solve(sub, *args, **kwargs), where sub is the collection tc induces
-    on vertices (in ascending order) and colors (color k of sub is
-    colors[k]); the path comes back in tc's vertex and color labels."""
-    verts = sorted(vertices)
-    sub = induced_collection(restrict_colors(tc, colors), verts)
-    p = solve(sub, *args, **kwargs)
+def _solve_block(tc, colors, vertices, solve, *args):
+    """solve(sub, *args), where sub is the collection tc induces on
+    vertices and colors, in the order given (vertex k of sub is
+    vertices[k], color k is colors[k]); the path comes back in tc's vertex
+    and color labels."""
+    sub = induced_collection(restrict_colors(tc, colors), vertices)
+    p = solve(sub, *args)
     return RainbowPath(
-        vertices=tuple(verts[x] for x in p.vertices),
+        vertices=tuple(vertices[x] for x in p.vertices),
         colors=tuple(colors[c] for c in p.colors),
     )
 
@@ -250,41 +250,30 @@ def tournament_ham_path(
 
 
 def rainbow_ham_path_one_spare(
-    tc: TournamentCollection,
-    stats: Optional[dict] = None,
-    vertex_order: Optional[Sequence[int]] = None,
-    color_order: Optional[Sequence[int]] = None,
+    tc: TournamentCollection, stats: Optional[dict] = None
 ) -> RainbowPath:
     """Rainbow Hamilton path when there is at least one spare color (m >= n).
 
-    Grows the path one vertex at a time with _spare_insert and the first
-    two unused colors c1, c2 of the color order, popped from a heap of the
-    unused colors' positions in it; the color _spare_insert leaves unused
-    goes back, so a step costs O(log m) besides its scan.
+    Grows the path from vertex 0, inserting vertices 1..n-1 in turn with
+    _spare_insert and the two lowest unused colors c1, c2, popped from a
+    heap of the unused colors; the color _spare_insert leaves unused goes
+    back, so a step costs O(log m) besides its scan.  Callers steer the
+    construction by relabelling (_solve_block).
     stats["arc_inspections"] counts the arc reads of _spare_insert's scan,
     which tests c1, then c2, at each path vertex: two per vertex passed and
-    one or two at the hit.  The orders must be permutations of range(n)
-    and range(m).
+    one or two at the hit.
     """
     n, m = tc.n, tc.m
     if m < n:
-        raise InsufficientColorsError(
-            f"need at least {n} colors, got {m}"
-        )
-    vorder = list(vertex_order) if vertex_order is not None else list(range(n))
-    corder = list(color_order) if color_order is not None else list(range(m))
-    if sorted(vorder) != list(range(n)) or sorted(corder) != list(range(m)):
-        raise ValueError("vertex_order and color_order must be permutations "
-                         "of range(n) and range(m)")
-    position = {c: i for i, c in enumerate(corder)}
+        raise InsufficientColorsError(f"need at least {n} colors, got {m}")
     unused = list(range(m))  # sorted, so already a heap
     inspections = 0
-    path = [vorder[0]]
+    path = [0]
     colors: list[int] = []
-    for v in vorder[1:]:
-        c1, c2 = corder[heapq.heappop(unused)], corder[heapq.heappop(unused)]
+    for v in range(1, n):
+        c1, c2 = heapq.heappop(unused), heapq.heappop(unused)
         k, spare = _spare_insert(tc, path, colors, v, c1, c2)
-        heapq.heappush(unused, position[spare])
+        heapq.heappush(unused, spare)
         inspections += 2 * k
         if k < len(path) - 1:
             inspections += 1 if colors[k] == c1 else 2

@@ -208,11 +208,10 @@ def rainbow_dhp(
         w = blocks[i]
         budget = B[b_at:b_at + len(w)]
         b_at += len(w)
-        p = _solve_block(
-            tc, budget, w, rainbow_ham_path_one_spare,
-            vertex_order=rng.permutation(len(w)).tolist(),
-            color_order=rng.permutation(len(budget)).tolist(),
-        )
+        order = rng.permutation(len(w)).tolist()
+        cols = rng.permutation(len(budget)).tolist()
+        p = _solve_block(tc, [budget[c] for c in cols], [w[x] for x in order],
+                         rainbow_ham_path_one_spare)
         block_paths[i] = list(p.vertices)
         _spend(used, color_of, zip(p.vertices, p.vertices[1:]), p.colors)
     B_star = [c for c in B if c not in used]  # left over by the block paths
@@ -455,12 +454,14 @@ def _case3_machine(
 
 
 def _solve(tc, cyclic: bool, seed, budget, mode, trace) -> OracleOutcome:
-    """The route order of both solvers, on the first k colors (noted when
-    m > k): k = n - 1 for a path, k = n for a cycle (all when k = 0).  The
-    oracle's _too_few rule answers first, then the routes in order until
-    one answers.  An oracle's answer stands even after a fault or an
-    invalid witness; a failed constructive route leaves the question to
-    the next.  millis covers the whole solve."""
+    """The route order of both solvers.  The oracle routes read all m
+    colors; the constructive attempts and the longest-path machine, which
+    spend exactly k, read the first k: k = n - 1 for a path, k = n for a
+    cycle (all when k = 0).  The oracle's _too_few rule answers first,
+    then the routes in order until one answers.  An oracle's answer
+    stands even after a fault or an invalid witness; a failed
+    constructive route leaves the question to the next.  millis covers
+    the whole solve."""
     if mode not in ("auto", "constructive", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
     if operator.index(seed) < 0:
@@ -474,7 +475,6 @@ def _solve(tc, cyclic: bool, seed, budget, mode, trace) -> OracleOutcome:
     if tc.m > k > 0:
         work = restrict_colors(tc, list(range(k)))
         _trace(trace, "reduce", kept_colors=k)
-        notes.append(f"first {k} of {tc.m} colors kept")
     if cyclic:
         n_strong = sum(
             1 for t in work.tournaments if is_strongly_connected(t)
@@ -487,7 +487,7 @@ def _solve(tc, cyclic: bool, seed, budget, mode, trace) -> OracleOutcome:
     search = (oracle.exact_transversal_ham_cycle if cyclic
               else oracle.exact_transversal_ham_path)
     if mode == "exact" or (mode == "auto" and n <= ORACLE_MAX_N):
-        routes = [("oracle", lambda: search(work, budget))]
+        routes = [("oracle", lambda: search(tc, budget))]
     else:
         routes = [("constructive",
                    lambda: _attempts(cyclic, work, seed, trace))]
@@ -496,13 +496,13 @@ def _solve(tc, cyclic: bool, seed, budget, mode, trace) -> OracleOutcome:
                 _case3_machine(work, seed, trace), "longest-path machine")))
         if mode == "auto":  # the fallback runs under a node budget
             fallback = budget or SearchBudget(max_nodes=FALLBACK_BUDGET_NODES)
-            routes.append(("oracle fallback", lambda: search(work, fallback)))
+            routes.append(("oracle fallback", lambda: search(tc, fallback)))
     for name, run in routes:
         final = name.startswith("oracle")
         out, _ = _guarded(trace, "route-failed", {"route": name}, run)
         # _attempts has checked its witness already, attempt by attempt
         if out is not None and out.found and name != "constructive" and (
-                out.witness is None or not out.witness.is_hamilton(work)):
+                out.witness is None or not out.witness.is_hamilton(tc)):
             _trace(trace, "route-failed", route=name, error="invalid witness")
             out = OracleOutcome(BUDGET_EXHAUSTED, None, out.nodes_expanded,
                                 notes="invalid witness") if final else None
@@ -546,12 +546,13 @@ def transversal_ham_cycle(
 ) -> OracleOutcome:
     """Transversal Hamilton cycle solver with the cycle-closing cases.
 
-    Requires m = n (larger m is reduced by restriction).  At least n-1 strongly
-    connected members are expected; a violation is noted in the outcome while
-    the search still runs.  seed keys the constructive attempts and the
-    longest-path machine.  NotExists comes from oracle._too_few or from the
-    exact oracle (its chain-cut bound, or an exhausted search), never from
-    a constructive route.  A bad mode or a negative seed raises ValueError,
-    a non-int seed TypeError.
+    Requires m >= n: the oracle reads every color, the constructive routes
+    the first n.  At least n-1 strongly connected members are expected; a
+    violation is noted in the outcome while the search still runs.  seed
+    keys the constructive attempts and the longest-path machine.  NotExists
+    comes from oracle._too_few or from the exact oracle (its chain-cut
+    bound, or an exhausted search), never from a constructive route.  A
+    bad mode or a negative seed raises ValueError, a non-int seed
+    TypeError.
     """
     return _solve(tc, True, seed, budget, mode, trace)

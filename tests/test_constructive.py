@@ -9,6 +9,7 @@ import pytest
 from conftest import all_collections, all_tournaments, directed_triangle
 from rainbow_tournaments import constructive, core, generators
 from rainbow_tournaments.constructive import (
+    _solve_block,
     h_partition,
     low_degree_count_bound_check,
     rainbow_connect_all,
@@ -17,7 +18,11 @@ from rainbow_tournaments.constructive import (
     rainbow_ham_path_one_spare,
     tournament_ham_path,
 )
-from rainbow_tournaments.core import TournamentCollection, restrict_colors
+from rainbow_tournaments.core import (
+    TournamentCollection,
+    induced_collection,
+    restrict_colors,
+)
 from rainbow_tournaments.errors import (
     ExceptionalConfigurationError,
     InsufficientColorsError,
@@ -338,26 +343,23 @@ class TestOneSpare:
 
     def test_orders_steer_the_construction(self):
         tc = generators.random_collection(8, 9, seed=4)
-        a = rainbow_ham_path_one_spare(tc, vertex_order=range(8))
-        b = rainbow_ham_path_one_spare(tc, vertex_order=reversed(range(8)))
+        a = _solve_block(tc, list(range(9)), list(range(8)),
+                         rainbow_ham_path_one_spare)
+        b = _solve_block(tc, list(range(9)), list(reversed(range(8))),
+                         rainbow_ham_path_one_spare)
         assert a.is_hamilton(tc) and b.is_hamilton(tc)
+        assert a != b
 
-    @pytest.mark.parametrize("orders", [
-        {"color_order": [-1, 0, 1, 2, 3, 4]},
-        {"color_order": [0, 1, 2, 3, 4, 7]},
-        {"color_order": [0, 1, 1, 2, 3, 4]},
-        {"color_order": [0, 1, 2, 3, 4]},
-        {"vertex_order": [0, 1, 2]},
-        {"vertex_order": [0, 1, 2, 3, 4, 7]},
-        {"vertex_order": [0, 0, 1, 2, 3, 4]},
-        {"vertex_order": [-1, 0, 1, 2, 3, 4]},
-    ], ids=["color-negative", "color-outside", "color-repeat",
-            "color-short", "vertex-short", "vertex-outside",
-            "vertex-repeat", "vertex-negative"])
-    def test_bad_orders_rejected(self, orders):
-        tc = generators.random_collection(6, 6, seed=1)
-        with pytest.raises(ValueError):
-            rainbow_ham_path_one_spare(tc, **orders)
+    def test_solve_block_keeps_the_given_order(self):
+        tc = generators.random_collection(9, 11, seed=2)
+        vertices = [4, 0, 7, 2, 8, 1, 6, 3]
+        colors = [5, 9, 0, 3, 10, 1, 7, 2]
+        sub = induced_collection(restrict_colors(tc, colors), vertices)
+        p = rainbow_ham_path_one_spare(sub)
+        got = _solve_block(tc, colors, vertices, rainbow_ham_path_one_spare)
+        assert got.vertices == tuple(vertices[x] for x in p.vertices)
+        assert got.colors == tuple(colors[c] for c in p.colors)
+        assert got.valid(tc)
 
     @pytest.mark.parametrize("cached", [False, True])
     def test_spare_insert_matches_mask_rule(self, cached):
@@ -435,8 +437,7 @@ class TestOneSpare:
             tc = generators.random_collection(n, m, seed=trial)
             vorder = rng.permutation(n).tolist()
             corder = rng.permutation(m).tolist()
-            p = rainbow_ham_path_one_spare(tc, vertex_order=vorder,
-                                           color_order=corder)
+            p = _solve_block(tc, corder, vorder, rainbow_ham_path_one_spare)
             want, freed_early = self.list_pick(tc, vorder, corder)
             assert (p.vertices, p.colors) == want
             early += freed_early

@@ -4,8 +4,9 @@ and of the forced-color matching over fixed grids.
 Each section hashes the outputs of one entry point:
 
 - ``one_spare``: rainbow_ham_path_one_spare's path, colors and
-  ``arc_inspections``, under the default orders and under shuffled vertex
-  and color orders (every order of every n <= 3 collection with m = n, so
+  ``arc_inspections``, on the collection itself and steered: on the
+  collection relabelled by shuffled vertex and color orders, the path
+  mapped back (every order of every n <= 3 collection with m = n, so
   color 0 is tried as both c1 and c2);
 - ``tournament_ham_path``: with and without a generator, and on vertex
   subsets;
@@ -37,16 +38,27 @@ from rainbow_tournaments.constructive import (
     rainbow_ham_path_one_spare,
     tournament_ham_path,
 )
-from rainbow_tournaments.core import RainbowPath
+from rainbow_tournaments.core import (
+    RainbowPath,
+    induced_collection,
+    restrict_colors,
+)
 from rainbow_tournaments.errors import NoProgressError
 from rainbow_tournaments.matching import matching_with_forced_colors
 from rainbow_tournaments.pipeline import exchange_step
 
 
-def _one_spare(tc, vertex_order=None, color_order=None):
+def _one_spare(tc, vo=None, co=None):
+    """The builder on tc, or steered: on the collection tc induces on the
+    vertex order vo and the color order co, mapped back to tc's labels."""
     stats = {}
-    p = rainbow_ham_path_one_spare(tc, stats, vertex_order, color_order)
-    return [list(p.vertices), list(p.colors), stats["arc_inspections"]]
+    if vo is None:
+        p = rainbow_ham_path_one_spare(tc, stats)
+        return [list(p.vertices), list(p.colors), stats["arc_inspections"]]
+    sub = induced_collection(restrict_colors(tc, co), vo)
+    p = rainbow_ham_path_one_spare(sub, stats)
+    return [[vo[x] for x in p.vertices], [co[c] for c in p.colors],
+            stats["arc_inspections"]]
 
 
 def one_spare_items():

@@ -10,7 +10,6 @@ from rainbow_tournaments.core import (
     RainbowCycle,
     RainbowPath,
     TournamentCollection,
-    restrict_colors,
     validate_transversal,
 )
 from rainbow_tournaments.errors import (
@@ -454,8 +453,7 @@ class TestInternalErrors:
         trace = []
         out = solver(tc, mode=mode, trace=trace)
         assert out.status == BUDGET_EXHAUSTED
-        assert out.notes == ("first 5 of 6 colors kept; internal error"
-                             if what == "path" else "internal error")
+        assert out.notes == "internal error"
         assert self._route_failures(trace) == [
             ("oracle", "[internal] IndexError: list index out of range")
         ]
@@ -560,9 +558,9 @@ class TestSmallCollections:
 
 
 class TestDroppedColors:
-    """With m > k colors (k = n - 1 for a path, n for a cycle) a solve
-    reads only the first k, and its notes say so: a NotExists on those k
-    is not one for the whole collection."""
+    """With m > k colors (k = n - 1 for a path, n for a cycle) the oracle
+    routes read all m: where only a color past the first k gives a
+    witness, the solve finds it, and no note marks colors as dropped."""
 
     @pytest.mark.parametrize("mode", ["auto", "exact"])
     @pytest.mark.parametrize("cyclic", [False, True], ids=["path", "cycle"])
@@ -577,16 +575,15 @@ class TestDroppedColors:
         assert whole.found and max(whole.witness.colors) == tc.m - 1
         solve = transversal_ham_cycle if cyclic else transversal_ham_path
         out = solve(tc, mode=mode)
-        k = 3 if cyclic else 2
-        assert out.status == NOT_EXISTS
-        assert out.notes == f"first {k} of {tc.m} colors kept"
+        assert out.found and out.witness.is_hamilton(tc)
+        assert out.notes == ""
 
 
 class TestSolverContract:
     """A seeded mix of sizes, color counts and member families, solved as
     a path and as a cycle in every mode: each answer is one of the three
     statuses, each Found is Hamilton, and at n <= 7 each Found or NotExists
-    is the exact oracle's answer on the colors the solver reads."""
+    is the exact oracle's answer on the whole collection."""
 
     NS = (1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 30, 40, 61)
     KINDS = ("random", "transitive", "prop14", "rotational", "relabelled")
@@ -629,13 +626,10 @@ class TestSolverContract:
             for cyclic in (False, True):
                 solve = (transversal_ham_cycle if cyclic
                          else transversal_ham_path)
-                k = tc.n if cyclic else tc.n - 1
-                work = (restrict_colors(tc, range(k)) if tc.m > k > 0
-                        else tc)
                 want = None
                 if tc.n <= 7:
                     want = (oracle.exact_transversal_ham_cycle if cyclic
-                            else oracle.exact_transversal_ham_path)(work)
+                            else oracle.exact_transversal_ham_path)(tc)
                 for mode in self.MODES:
                     budget = (None if mode == "constructive"
                               else SearchBudget(max_nodes=2000))

@@ -1,5 +1,6 @@
 """No package module imports a name it never uses or assigns a local it
-never reads, and no module defines a private name that no module reads.
+never reads, no function has a parameter that its body never reads, and
+no module defines a private name that no module reads.
 
 Each module under src/ is parsed with ``ast``.  An import is used when the
 module loads its name or lists it in ``__all__``.  A local is a name that a
@@ -8,6 +9,10 @@ a loop, comprehension, ``with`` or ``except`` clause, or defines by a nested
 ``def`` or ``class``; it is read when that function or one nested in it
 loads the name.  Names starting with ``_`` are exempt, and so are names a
 function declares ``global`` or ``nonlocal``.
+
+A parameter (positional, keyword-only, ``*args`` or ``**kwargs``) is read
+when its function's body, nested functions included, loads the name;
+``self``, ``cls`` and names starting with ``_`` are exempt.
 
 A private name is one starting with a single ``_`` that a module binds at
 its top level by ``def``, ``class`` or assignment.  It is read when another
@@ -87,6 +92,21 @@ def unread_locals(tree: ast.Module) -> set[str]:
     return found
 
 
+def unread_parameters(tree: ast.Module) -> set[str]:
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, _DEFS):
+            continue
+        args = func.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *filter(None, (args.vararg, args.kwarg))]
+        loaded = set().union(*map(_loaded, func.body))
+        found |= {f"{func.name}.{p.arg}" for p in params
+                  if p.arg not in loaded and p.arg not in ("self", "cls")
+                  and not p.arg.startswith("_")}
+    return found
+
+
 def _top_level_privates(tree: ast.Module):
     """(private names a top-level statement binds, names it reads), per
     statement of tree."""
@@ -126,6 +146,10 @@ def test_every_local_is_read():
     assert _scan(unread_locals) == set()
 
 
+def test_every_parameter_is_read():
+    assert _scan(unread_parameters) == set()
+
+
 def test_every_private_name_is_read():
     trees = [ast.parse(path.read_text(), str(path)) for path in SOURCES]
     assert unread_privates(*trees) == set()
@@ -150,6 +174,10 @@ def test_every_private_name_is_read():
      unread_privates, {"_B", "_f", "_g", "_C"}),
     ("import m\nclass _C:\n    pass\n_X = m._C\nprint(_X)\n",
      unread_privates, set()),
+    ("def f(a, b=1, *c, d, _e, **f):\n    return a + d\n"
+     "class C:\n    def g(self, x, y: int):\n        def h(z):\n"
+     "            return x\n        return h\n",
+     unread_parameters, {"f.b", "f.c", "f.f", "g.y", "h.z"}),
 ])
 def test_the_scan_finds_what_it_should(source, check, expected):
     assert check(ast.parse(source)) == expected
