@@ -165,10 +165,7 @@ def h_partition(
     verts = _vertex_list(t.n, range(t.n) if vertices is None else vertices)
     if not verts:
         raise ValueError("need one or more distinct vertices of t")
-    # one block, ascending like a split's, under the attainable cap the
-    # bounds refer to
-    if ell >= len(verts):
-        return HPartition((tuple(sorted(verts)),), (), len(verts))
+    ell = min(ell, len(verts))  # the attainable cap the bounds refer to
     blocks, seps = [], []
     stack: list = [(sum(1 << u for u in verts), len(verts))]
     while stack:

@@ -405,19 +405,14 @@ def exchange_step(
 def _close_from_ham_path(
     tc: TournamentCollection, p: RainbowPath
 ) -> Optional[RainbowCycle]:
-    """Try to close a rainbow Hamilton path into a cycle by recoloring.
-
-    The path uses n-1 of the n colors.  For every color c whose tournament
-    has the closing arc, check whether the path arcs can be rainbow-colored
-    avoiding c; any success closes the cycle with c.
-    """
-    tail, head = p.vertices[-1], p.vertices[0]
-    masks = tc.arc_color_masks(zip(p.vertices, p.vertices[1:]))
-    for c in _bits(tc.arc_color_mask(tail, head)):
-        got = perfect_matching([mk & ~(1 << c) for mk in masks])
-        if got is not None:
-            return RainbowCycle(vertices=p.vertices, colors=(*got, c))
-    return None
+    """Close a rainbow Hamilton path into a cycle by recoloring its arcs:
+    one perfect matching over the n arcs of the closed walk, the path arcs
+    in order and the closing arc last.  It exists exactly when some color c
+    of the closing arc leaves the path arcs a rainbow coloring avoiding c
+    (Hall's theorem), so one matching decides what one per c would."""
+    vs = p.vertices
+    got = perfect_matching(tc.arc_color_masks(zip(vs, vs[1:] + vs[:1])))
+    return None if got is None else RainbowCycle(vs, tuple(got))
 
 
 def _case3_machine(
@@ -427,10 +422,10 @@ def _case3_machine(
 ) -> Optional[RainbowCycle]:
     """Exchange-saturated rainbow Hamilton paths with recolored closings.
 
-    Grows paths with exchange_step until Hamilton, then attempts to free a
-    closing color by rematching path arcs.  Restarts vary only the start
-    vertex, the first of restart k's own vertex order, since exchange_step
-    inserts the rest lowest first; a start already tried is skipped.
+    Grows paths with exchange_step until Hamilton, then closes each with
+    one matching over its n arcs.  Restarts vary only the start vertex,
+    the first of restart k's own vertex order, since exchange_step inserts
+    the rest lowest first; a start already tried is skipped.
     """
     n = tc.n
     state = CycleSearchState()
@@ -456,12 +451,13 @@ def _case3_machine(
 def _solve(tc, cyclic: bool, seed, budget, mode, trace) -> OracleOutcome:
     """The route order of both solvers.  The oracle routes read all m
     colors; the constructive attempts and the longest-path machine, which
-    spend exactly k, read the first k: k = n - 1 for a path, k = n for a
-    cycle (all when k = 0).  The oracle's _too_few rule answers first,
-    then the routes in order until one answers.  An oracle's answer
-    stands even after a fault or an invalid witness; a failed
-    constructive route leaves the question to the next.  millis covers
-    the whole solve."""
+    spend exactly k, read the first k (k = n - 1 for a path, n for a
+    cycle, all when k = 0), restricted and traced as reduce only where they
+    run; the cycle's strong count reads the first k members in every mode.
+    The oracle's _too_few rule answers first, then the routes in order
+    until one answers.  An oracle's answer stands even after a fault or an
+    invalid witness; a failed constructive route leaves the question to
+    the next.  millis covers the whole solve."""
     if mode not in ("auto", "constructive", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
     if operator.index(seed) < 0:
@@ -471,13 +467,10 @@ def _solve(tc, cyclic: bool, seed, budget, mode, trace) -> OracleOutcome:
         return _outcome(t0, NOT_EXISTS, notes=why)
     n = tc.n
     k = n if cyclic else n - 1
-    work, notes = tc, []
-    if tc.m > k > 0:
-        work = restrict_colors(tc, list(range(k)))
-        _trace(trace, "reduce", kept_colors=k)
+    notes = []
     if cyclic:
         n_strong = sum(
-            1 for t in work.tournaments if is_strongly_connected(t)
+            1 for t in tc.tournaments[:k] if is_strongly_connected(t)
         )
         if n_strong < n - 1:
             notes.append(
@@ -489,6 +482,10 @@ def _solve(tc, cyclic: bool, seed, budget, mode, trace) -> OracleOutcome:
     if mode == "exact" or (mode == "auto" and n <= ORACLE_MAX_N):
         routes = [("oracle", lambda: search(tc, budget))]
     else:
+        work = tc
+        if tc.m > k > 0:
+            work = restrict_colors(tc, list(range(k)))
+            _trace(trace, "reduce", kept_colors=k)
         routes = [("constructive",
                    lambda: _attempts(cyclic, work, seed, trace))]
         if cyclic:

@@ -46,16 +46,16 @@ EXPECTED = {
     "path n=200 seed=2": "9fa480215297309a",
     "path n=200 seed=3": "428c4d2e8b339fbc",
     "path n=200 seed=4": "d7f4adc7d0d0fe1e",
-    "cycle n=12 seed=0": "8a707e48fc9ecbf5",
-    "cycle n=12 seed=1": "8f8aaa2bd5e05002",
-    "cycle n=12 seed=2": "d4d26033f6c90554",
-    "cycle n=12 seed=3": "fe30f1ff314cd13b",
-    "cycle n=12 seed=4": "ce004a28f2e592ab",
-    "cycle n=30 seed=0": "48d04d36f35791eb",
-    "cycle n=30 seed=1": "1eb033377da58a0a",
-    "cycle n=30 seed=2": "f89f60bc9020018d",
-    "cycle n=30 seed=3": "5f148ddf3a5922c6",
-    "cycle n=30 seed=4": "bde923b07e7eed62",
+    "cycle n=12 seed=0": "845d1aa2065818ff",
+    "cycle n=12 seed=1": "9cb0dabaef787d87",
+    "cycle n=12 seed=2": "73320579fabe59a4",
+    "cycle n=12 seed=3": "17134f6851e93c24",
+    "cycle n=12 seed=4": "5b4eaebe216c661f",
+    "cycle n=30 seed=0": "d4f21bcac08e4366",
+    "cycle n=30 seed=1": "2d75cb91f9a13d29",
+    "cycle n=30 seed=2": "ba4334b954d1c3e8",
+    "cycle n=30 seed=3": "167a6e52ee903aea",
+    "cycle n=30 seed=4": "6ccccdff3a0a5c4b",
     "cycle n=80 seed=0": "0c4136e5bc9edc64",
     "cycle n=80 seed=1": "78446f70ef91bc67",
     "cycle n=80 seed=2": "5dded8c2b25ffdd1",

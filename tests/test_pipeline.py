@@ -16,6 +16,7 @@ from rainbow_tournaments.errors import (
     AbsorberConstructionError,
     AbsorptionFailedError,
 )
+from rainbow_tournaments.matching import perfect_matching
 from rainbow_tournaments.oracle import (
     BUDGET_EXHAUSTED,
     FOUND,
@@ -216,7 +217,55 @@ class TestCycleSolver:
         assert out.witness.is_hamilton(tc)
 
 
+def _close_per_color(tc, p):
+    """The closing as one matching per color c of the closing arc, over
+    the path arcs with c removed: the reference the one matching of
+    pipeline._close_from_ham_path must agree with."""
+    masks = tc.arc_color_masks(zip(p.vertices, p.vertices[1:]))
+    for c in core._bits(tc.arc_color_mask(p.vertices[-1], p.vertices[0])):
+        got = perfect_matching([mk & ~(1 << c) for mk in masks])
+        if got is not None:
+            return RainbowCycle(p.vertices, (*got, c))
+    return None
+
+
 class TestLongestPathMachine:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_closing_matches_the_per_color_reference(self, seed):
+        outcomes = set()
+        for n in range(4, 13):
+            tc = generators.random_collection(n, n, seed=seed)
+            rng = np.random.default_rng([n, seed])
+            for _ in range(10):
+                p = RainbowPath(tuple(rng.permutation(n).tolist()),
+                                tuple(range(n - 1)))
+                cyc = pipeline._close_from_ham_path(tc, p)
+                assert (cyc is None) == (_close_per_color(tc, p) is None)
+                if cyc is not None:
+                    assert cyc.vertices == p.vertices
+                    assert cyc.is_hamilton(tc)
+                outcomes.add(cyc is None)
+        assert outcomes == {False, True}  # both answers are exercised
+
+    @pytest.mark.parametrize("n,starts", [(8, 8), (12, 10), (30, 19)])
+    def test_failing_machine_pays_one_matching_a_start(self, n, starts,
+                                                        monkeypatch):
+        # prop14 has no transversal cycle, so every closing fails; the 24
+        # restarts draw `starts` distinct start vertices
+        calls = []
+
+        def counted(avail):
+            calls.append(1)
+            return perfect_matching(avail)
+
+        monkeypatch.setattr(pipeline, "perfect_matching", counted)
+        trace = []
+        assert pipeline._case3_machine(generators.prop14_collection(n), 0,
+                                       trace) is None
+        assert trace == [{"stage": "case3", "restarts_used": 24,
+                          "closed": False}]
+        assert len(calls) == starts
+
     def test_refresh_reads_no_arcs(self, monkeypatch):
         tc = generators.random_collection(
             12, 12, seed=4, strongly_connected_count=11
@@ -562,13 +611,17 @@ class TestDroppedColors:
     routes read all m: where only a color past the first k gives a
     witness, the solve finds it, and no note marks colors as dropped."""
 
-    @pytest.mark.parametrize("mode", ["auto", "exact"])
-    @pytest.mark.parametrize("cyclic", [False, True], ids=["path", "cycle"])
-    def test_notes_name_the_dropped_colors(self, cyclic, mode):
+    @staticmethod
+    def fig1_plus_triangle(cyclic):
         path_tc, cycle_tc = generators.fig1_counterexamples()
         fig1 = cycle_tc if cyclic else path_tc
         extra = fig1.tournaments[0]  # the forward triangle in both
-        tc = TournamentCollection([*fig1.tournaments, extra])
+        return TournamentCollection([*fig1.tournaments, extra])
+
+    @pytest.mark.parametrize("mode", ["auto", "exact"])
+    @pytest.mark.parametrize("cyclic", [False, True], ids=["path", "cycle"])
+    def test_notes_name_the_dropped_colors(self, cyclic, mode):
+        tc = self.fig1_plus_triangle(cyclic)
         search = (oracle.exact_transversal_ham_cycle if cyclic
                   else oracle.exact_transversal_ham_path)
         whole = search(tc)
@@ -577,6 +630,32 @@ class TestDroppedColors:
         out = solve(tc, mode=mode)
         assert out.found and out.witness.is_hamilton(tc)
         assert out.notes == ""
+
+    @pytest.mark.parametrize("mode", ["auto", "exact"])
+    @pytest.mark.parametrize("cyclic", [False, True], ids=["path", "cycle"])
+    def test_only_constructive_routes_restrict_colors(self, cyclic, mode):
+        # only the oracle runs here, on all m colors: nothing is reduced
+        tc = self.fig1_plus_triangle(cyclic)
+        solve = transversal_ham_cycle if cyclic else transversal_ham_path
+        trace = []
+        assert solve(tc, mode=mode, trace=trace).found
+        assert [r for r in trace if r["stage"] == "reduce"] == []
+
+    def test_constructive_route_reduces_first(self):
+        tc = generators.random_collection(80, 82, seed=11)
+        trace = []
+        transversal_ham_path(tc, mode="constructive", trace=trace)
+        assert trace[0] == {"stage": "reduce", "kept_colors": 79}
+
+    def test_strong_count_reads_the_first_n_members(self):
+        # the strong members all sit past the first n colors, in a mode
+        # where no color is dropped
+        n = 4
+        tc = TournamentCollection([generators.transitive_tournament(n)] * n
+                                  + [generators.prop14_tprime(n)] * n)
+        out = transversal_ham_cycle(tc, mode="exact")
+        assert out.notes.startswith(
+            "precondition unmet: only 0 of 4 tournaments strongly connected")
 
 
 class TestSolverContract:
