@@ -21,7 +21,6 @@ import numpy as np
 
 from . import oracle
 from .constructive import (
-    HPartition,
     _greedy_colors,
     _solve_block,
     _spare_insert,
@@ -118,33 +117,34 @@ def _spend(used: set[int], color_of: dict, arcs, colors) -> None:
 def rainbow_dhp(
     tc: TournamentCollection,
     tmaj: Tournament,
-    partition: HPartition,
-    w0: int,
-    wr: int,
+    blocks: Sequence[Sequence[int]],
+    ends: Sequence[int],
     colors: Sequence[int],
     seed: int,
     trace: Optional[list],
 ) -> RainbowPath:
-    """Rainbow Hamilton path from w0 to wr through the partitioned
-    vertices, using every color of ``colors`` exactly once.
+    """Rainbow Hamilton path from ends[0] to ends[-1] through the r >= 2
+    blocks, block i running from ends[i] to ends[i + 1], using every color
+    of ``colors`` exactly once.
 
-    Labels are those of tc.  Expects m = |colors| = n - 1 where n counts
-    the partitioned vertices plus the two endpoints; w0 must dominate the
-    first block and the last block must dominate wr in tmaj.  Steps 3 and
-    4 give each arc its color in one map, color_of, read along the
-    assembled vertex walk.  Raises StageFailure on any dead end; the
-    caller owns retries and fallback, and checks the path it is part of.
+    Labels are those of tc.  Expects m = |colors| = n - 1, n counting the
+    block vertices and the r + 1 ends; in tmaj each end dominates the
+    block after it and is dominated by the block before it.  |D| = 2r + 2:
+    the separator arcs leave 4 colors of D and the one-spare paths one of
+    B per plain block, and forcing these through the top-up block tau
+    leaves exactly ell colors of C to absorb.  Steps 3 and 4 give each arc
+    its color in one map, color_of, read along the assembled vertex walk.
+    Raises StageFailure on any dead end; the caller owns retries and
+    fallback, and checks the path it is part of.
     """
     colors = sorted(colors)
-    blocks = [list(b) for b in partition.blocks]
-    seps = list(partition.separators)
-    n = 2 + len(seps) + sum(len(b) for b in blocks)
-    m = len(colors)
-    if m != n - 1:
-        raise StageFailure("dhp-pre", f"expected m = n-1, got n={n} m={m}")
     r = len(blocks)
-    if r < 2:
-        raise StageFailure("dhp-pre", "need at least two blocks")
+    n = len(ends) + sum(len(b) for b in blocks)
+    m = len(colors)
+    if r < 2 or len(ends) != r + 1 or m != n - 1:
+        raise StageFailure("dhp-pre", "need r >= 2 blocks, r + 1 ends and "
+                           f"m = n-1; got r={r}, {len(ends)} ends, n={n}, "
+                           f"m={m}")
     rng = np.random.default_rng([seed])
     used: set[int] = set()  # colors spent so far, by _spend
     color_of: dict[tuple[int, int], int] = {}  # arc -> its color, by _spend
@@ -162,9 +162,8 @@ def rainbow_dhp(
             break
     l2 = [i for i in others if i not in l1]
 
-    d_size = max(4, 2 * r + 2)
-    n_dcolored = 2 * r - 2
-    forced_extra = len(l2) + (d_size - n_dcolored)
+    d_size = 2 * r + 2
+    forced_extra = len(l2) + 4  # B and D stragglers, forced through tau
     if len(blocks[tau]) + 1 < forced_extra + 2:
         raise StageFailure(
             "dhp-step1",
@@ -183,7 +182,7 @@ def rainbow_dhp(
     q1_arcs = [a for i in l1 for a in zip(q1_paths[i], q1_paths[i][1:])]
     e_q1 = len(q1_arcs)
     c_used4 = len(blocks[tau]) + 1 - forced_extra
-    ell = min(6, e_q1, max(1, c_used4))
+    ell = min(6, e_q1, c_used4)  # c_used4 >= 2 by the step-1 check
     c_size = ell + c_used4
     pool = [c for c in colors if not (dmask >> c) & 1]
     try:
@@ -192,12 +191,6 @@ def rainbow_dhp(
         raise StageFailure("dhp-step2", str(exc)) from exc
     in_ac = set(absorber.A) | set(absorber.C)
     B = [c for c in pool if c not in in_ac]
-    if len(B) != sum(len(blocks[i]) for i in l2):
-        raise StageFailure(
-            "dhp-step2",
-            f"B has {len(B)} colors but the plain blocks need "
-            f"{sum(len(blocks[i]) for i in l2)}",
-        )
     _trace(trace, "step2", D=len(D), A=len(absorber.A), C=len(absorber.C),
            B=len(B), e_q1=e_q1, ell=ell)
 
@@ -218,7 +211,6 @@ def rainbow_dhp(
 
     # reserved-color matching for the separator arcs (both sides of the
     # top-up block are excluded; they belong to step 4)
-    ends = [w0, *seps, wr]  # block i runs from ends[i] to ends[i + 1]
     spots: list[tuple[int, int]] = []
     for i in others:
         spots.append((ends[i], block_paths[i][0]))
@@ -250,10 +242,6 @@ def rainbow_dhp(
     block_paths[tau] = cand
     _spend(used, color_of, arcs, res)
     c_star = [c for c in absorber.C if c not in used]
-    if len(c_star) != ell:
-        raise StageFailure(
-            "dhp-step4", f"absorption needs {ell} leftovers, found {len(c_star)}"
-        )
     try:
         colored_q1 = absorb(absorber, c_star)
     except AbsorptionFailedError as exc:
@@ -263,7 +251,7 @@ def rainbow_dhp(
     _trace(trace, "step4", used=len(used), C_star=len(c_star))
 
     # assemble: each block's path between its two ends, colored by color_of
-    verts = [w0]
+    verts = [ends[0]]
     for i in range(r):
         verts += block_paths[i] + [ends[i + 1]]
     cols = [color_of[a] for a in zip(verts, verts[1:])]
@@ -313,8 +301,7 @@ def _constructive(tc, tmaj, hp, seed, trace, cyclic: bool):
     outer_cols = _greedy_colors(tc, outer, used)
     _trace(trace, "outer", outer_colors=len(used))
 
-    middle = HPartition(hp.blocks[1:-1], seps[1:-1], hp.ell)
-    mid = rainbow_dhp(tc, tmaj, middle, seps[0], seps[-1],
+    mid = rainbow_dhp(tc, tmaj, hp.blocks[1:-1], seps,
                       [c for c in range(tc.m) if c not in used], seed, trace)
     verts = p0 + list(mid.vertices) + pl
     cols = (outer_cols[:len(p0)] + list(mid.colors) + outer_cols[len(p0):]

@@ -33,6 +33,7 @@ BINDINGS = {
     "matching.matching_with_forced_colors":
         ("matching", "constructive", "pipeline"),
     "pipeline.exchange_step": ("pipeline",),
+    "pipeline.rainbow_dhp": ("pipeline",),
     # the oracle.backtrack.* metrics; the callers reach both through the
     # oracle module
     "oracle.exact_transversal_ham_path": ("oracle",),

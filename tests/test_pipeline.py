@@ -15,6 +15,7 @@ from rainbow_tournaments.core import (
 from rainbow_tournaments.errors import (
     AbsorberConstructionError,
     AbsorptionFailedError,
+    StageFailure,
 )
 from rainbow_tournaments.matching import perfect_matching
 from rainbow_tournaments.oracle import (
@@ -45,11 +46,13 @@ class TestPathSolver:
             if out.found:
                 assert out.witness.is_hamilton(tc)
 
-    def test_extra_colors_reduced(self):
+    def test_extra_colors_answer_as_the_oracle_on_all_colors(self):
+        # n = 6 in auto mode: the oracle answers, reading all 9 colors
         tc = generators.random_collection(6, 9, seed=1)
         out = transversal_ham_path(tc)
-        if out.found:
-            assert set(out.witness.colors) <= set(range(5))
+        assert out.status == FOUND
+        assert out.witness.is_hamilton(tc)
+        assert out.status == oracle.exact_transversal_ham_path(tc).status
 
     def test_counterexample_not_exists(self):
         path_inst, _ = generators.fig1_counterexamples()
@@ -62,7 +65,12 @@ class TestPathSolver:
         out = transversal_ham_path(tc, mode="constructive", trace=trace)
         assert out.status == FOUND
         assert out.witness.is_hamilton(tc)
-        assert any(ev.get("stage") == "reduce" or ev for ev in trace)
+        # m = k: nothing is reduced, and the answering attempt (the last,
+        # from its outer record on) runs the four steps in order
+        stages = [ev["stage"] for ev in trace]
+        assert "reduce" not in stages
+        last = len(stages) - 1 - stages[::-1].index("outer")
+        assert stages[last:] == ["outer", "step1", "step2", "step3", "step4"]
 
     def test_exact_mode_forces_oracle(self):
         tc = generators.random_collection(7, 6, seed=3)
@@ -215,6 +223,54 @@ class TestCycleSolver:
         assert out.notes == "longest-path machine"
         assert validate_transversal(tc, out.witness.arcs())
         assert out.witness.is_hamilton(tc)
+
+
+class TestAssemblyCounts:
+    """rainbow_dhp's color counts follow from r and the block sizes, so it
+    checks none of them: the separator arcs leave 4 colors of D, the
+    one-spare paths one of B per plain block, B is sized to the plain
+    blocks, and ell colors of C are left to absorb."""
+
+    @pytest.mark.parametrize("n", [60, 80, 130, 200, 400])
+    @pytest.mark.parametrize("cyclic", [False, True], ids=["path", "cycle"])
+    def test_step_records_hold_the_identities(self, cyclic, n):
+        checked = 0
+        for seed in range(3):
+            if cyclic:
+                tc = generators.random_collection(
+                    n, n, seed=seed, strongly_connected_count=n)
+            else:
+                tc = generators.random_collection(n, n - 1, seed=seed)
+            solve = transversal_ham_cycle if cyclic else transversal_ham_path
+            trace = []
+            assert solve(tc, mode="constructive", trace=trace).found
+            middle = pipeline._partition_for(tc)[1].blocks[1:-1]
+            # one attempt per outer record, each reaching rainbow_dhp
+            starts = [i for i, ev in enumerate(trace)
+                      if ev["stage"] == "outer"]
+            for a, b in zip(starts, starts[1:] + [len(trace)]):
+                rec = {ev["stage"]: ev for ev in trace[a:b]}
+                if "step4" not in rec:
+                    continue
+                l2 = rec["step1"]["l2"]
+                assert rec["step3"]["D_star"] == 4
+                assert rec["step3"]["B_star"] == len(l2)
+                assert rec["step2"]["B"] == sum(len(middle[i]) for i in l2)
+                assert rec["step4"]["C_star"] == rec["step2"]["ell"]
+                checked += 1
+        assert checked >= 3
+
+    @pytest.mark.parametrize("blocks, ends, m", [
+        ([[1, 2, 3]], [0, 4], 4),
+        ([[1, 2], [4, 5]], [0, 3], 5),
+        ([[1, 2], [4, 5]], [0, 3, 6], 5),
+    ], ids=["one-block", "ends-short", "m-not-n-1"])
+    def test_bad_input_is_a_pre_failure(self, blocks, ends, m):
+        tc = generators.random_collection(7, 6, seed=0)
+        tmaj = core.majority_subtournament(tc)
+        with pytest.raises(StageFailure) as exc:
+            pipeline.rainbow_dhp(tc, tmaj, blocks, ends, range(m), 0, None)
+        assert exc.value.stage == "dhp-pre"
 
 
 def _close_per_color(tc, p):
@@ -620,7 +676,7 @@ class TestDroppedColors:
 
     @pytest.mark.parametrize("mode", ["auto", "exact"])
     @pytest.mark.parametrize("cyclic", [False, True], ids=["path", "cycle"])
-    def test_notes_name_the_dropped_colors(self, cyclic, mode):
+    def test_found_on_all_colors_with_no_note(self, cyclic, mode):
         tc = self.fig1_plus_triangle(cyclic)
         search = (oracle.exact_transversal_ham_cycle if cyclic
                   else oracle.exact_transversal_ham_path)
