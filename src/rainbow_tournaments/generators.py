@@ -3,8 +3,8 @@
 All randomness goes through numpy's PCG64 seeded from explicit
 ``SeedSequence`` keys, so identical (kind, n, m, seed) always produces
 byte-identical JSON on every platform.  A tournament on n vertices reads
-W = ceil(N/64) raw 64-bit words, N = n(n-1)/2: the draw of member i (the
-index of ``random_tournament``) at attempt a is words [i W, (i+1) W) of
+W = ceil(N/64) raw 64-bit words, N = n(n-1)/2: the draw of member i of
+``random_collection`` at attempt a is words [i W, (i+1) W) of
 PCG64(SeedSequence([seed, a])), reached by ``PCG64.advance``.  Stored
 little-endian, they are its packed row (see ``core``): pair p, in
 lexicographic order, is bit 7 - p mod 8 of byte p // 8, the pad bits of
@@ -129,30 +129,48 @@ def _draw_tournament(stream: np.random.PCG64, words: np.ndarray) -> None:
             min(DRAW_CHUNK_WORDS, words.size - at))
 
 
-def _collection(n: int, seed: int, indices: range,
-                strong: int) -> TournamentCollection:
-    """The tournaments of indices, read from their stream at once (see the
-    module docstring); the first strong are tested (a block at a time
-    below n = 257) and redrawn until strongly connected."""
+def random_tournament(n: int, seed: int) -> Tournament:
+    """A uniformly random orientation of each pair: member 0 of
+    random_collection(n, 1, seed)."""
+    return random_collection(n, 1, seed).tournaments[0]
+
+
+def random_collection(
+    n: int,
+    m: int,
+    seed: int,
+    *,
+    strongly_connected_count: int | None = None,
+) -> TournamentCollection:
+    """m independent random tournaments on n vertices, read from one stream
+    at once (see the module docstring).
+
+    ``strongly_connected_count`` restricts the rejection sampling to the
+    first that many members (m of them for an all-strong collection, m - 1
+    for the cycle theorem's "all but one" hypothesis); a negative count
+    raises ValueError.
+    """
     n = operator.index(n)  # a bool n is an int here, a float a TypeError
-    seed = operator.index(seed)  # a float seed is a TypeError too
+    m = operator.index(m)  # a float m or seed is a TypeError too
+    seed = operator.index(seed)
     if n < 1:
         raise ValueError("n must be positive")
-    if not indices:
+    if m < 1:
         raise ValueError("m must be positive")
-    strong = operator.index(strong)  # a float count is a TypeError
-    if not 0 <= strong <= len(indices):
+    strong = (0 if strongly_connected_count is None
+              else operator.index(strongly_connected_count))
+    if not 0 <= strong <= m:
         raise ValueError("strongly_connected_count cannot be negative or above m")
     if strong and n < 3:
         raise ValueError("strong connectivity needs n >= 3")
-    if seed < 0 or indices.start < 0:
-        raise ValueError("seed and index must be non-negative")
-    m, size = len(indices), n * (n - 1) // 2
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    size = n * (n - 1) // 2
     width = (size + 63) // 64
     words = np.empty((m, width), "<u8")
     raw = words.view(np.uint8)[:, :(size + 7) // 8]
     pad = 0xFF << (-size % 8) & 0xFF  # the pair bits of the last byte
-    _draw_tournament(_stream(seed, 0, indices.start * width),
+    _draw_tournament(_stream(seed, 0, 0),
                      words.reshape(-1))  # every member, one after another
     raw[:, -1:] &= pad
     rows = _frozen(raw.view())  # the members' rows; a redraw writes raw
@@ -170,38 +188,12 @@ def _collection(n: int, seed: int, indices: range,
             attempt += 1
             if attempt > MAX_REDRAWS:  # a verdict fault, not bad luck
                 raise RuntimeError(
-                    f"no strongly connected draw of member {indices[pos]}"
+                    f"no strongly connected draw of member {pos}"
                     f" (n={n}, seed={seed}) in {MAX_REDRAWS} redraws")
-            _draw_tournament(_stream(seed, attempt, indices[pos] * width),
-                             words[pos])
+            _draw_tournament(_stream(seed, attempt, pos * width), words[pos])
             raw[pos, -1:] &= pad
             members[pos] = Tournament._from_packed(n, rows[pos])  # fresh
     return TournamentCollection._from_rows(n, rows, members)
-
-
-def random_tournament(
-    n: int, seed: int, *, strongly_connected: bool = False, index: int = 0
-) -> Tournament:
-    """A uniformly random orientation of each pair, from a seeded stream."""
-    return _collection(n, seed, range(index, index + 1),
-                       int(strongly_connected)).tournaments[0]
-
-
-def random_collection(
-    n: int,
-    m: int,
-    seed: int,
-    *,
-    strongly_connected_count: int | None = None,
-) -> TournamentCollection:
-    """m independent random tournaments on n vertices.
-
-    ``strongly_connected_count`` restricts the rejection sampling to the
-    first that many members (m of them for an all-strong collection, m - 1
-    for the cycle theorem's "all but one" hypothesis); a negative count
-    raises ValueError.
-    """
-    return _collection(n, seed, range(m), strongly_connected_count or 0)
 
 
 # each kind's instance for (n, m, seed): single tournaments come back as

@@ -339,18 +339,14 @@ def exact_transversal_ham_cycle(
     return _exact(tc, budget, True, _search)
 
 
-def exact_transversal_ham_path_perm(
-    tc: TournamentCollection, budget: Optional[SearchBudget] = None
-) -> OracleOutcome:
+def exact_transversal_ham_path_perm(tc: TournamentCollection) -> OracleOutcome:
     """Permutation-enumeration oracle; independent of the fast search."""
-    return _exact(tc, budget, False, _perm_search)
+    return _exact(tc, None, False, _perm_search)
 
 
-def exact_transversal_ham_cycle_perm(
-    tc: TournamentCollection, budget: Optional[SearchBudget] = None
-) -> OracleOutcome:
+def exact_transversal_ham_cycle_perm(tc: TournamentCollection) -> OracleOutcome:
     """Permutation-enumeration cycle oracle, anchored at vertex 0."""
-    return _exact(tc, budget, True, _perm_search)
+    return _exact(tc, None, True, _perm_search)
 
 
 def count_transversal_ham_paths(tc: TournamentCollection) -> int:

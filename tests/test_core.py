@@ -992,8 +992,9 @@ def _split_strong(n, seed):
     a = n // 2 + 1
     mat = np.zeros((n, n), dtype=bool)
     for lo, hi, part in ((0, a, 0), (a, n, 1)):
-        half = generators.random_tournament(
-            hi - lo, seed=seed, strongly_connected=True, index=part)
+        half = generators.random_collection(
+            hi - lo, part + 1, seed,
+            strongly_connected_count=part + 1).tournaments[part]
         for u in range(hi - lo):
             for v in range(hi - lo):
                 mat[lo + u, lo + v] = u != v and half.has_arc(u, v)

@@ -100,7 +100,8 @@ class TestRandom:
         assert a.to_json() != b.to_json()
 
     def test_strongly_connected_triangle(self):
-        t = generators.random_tournament(3, seed=0, strongly_connected=True)
+        tc = generators.random_collection(3, 1, 0, strongly_connected_count=1)
+        t = tc.tournaments[0]
         assert frozenset(t.arcs()) in {
             frozenset(directed_triangle().arcs()),
             frozenset(directed_triangle(False).arcs()),
@@ -144,10 +145,6 @@ class TestRandom:
         monkeypatch.setattr(generators, "_landau_strong", never)
         with pytest.raises(RuntimeError, match=r"member 0 \(n=5, seed=7\)"):
             generators.random_collection(5, 4, 7, strongly_connected_count=3)
-        with pytest.raises(RuntimeError,
-                           match=r"member 9 \(n=3, seed=2\) in 1000 redraws"):
-            generators.random_tournament(3, 2, strongly_connected=True,
-                                         index=9)
 
 
 # sha256 of random_collection(n, 3, seed[, strongly_connected_count=2])
@@ -295,12 +292,10 @@ class TestBatchedSeeding:
     @pytest.mark.parametrize("seed", [0, 2**64 + 3])
     def test_members_are_their_stream_windows(self, n, seed):
         tc = generators.random_collection(n, 8, seed)
-        drawn = list(enumerate(tc.tournaments))
-        drawn += [(k, generators.random_tournament(n, seed, index=k))
-                  for k in (0, 7, 2**32 + 1)]
-        for k, t in drawn:
+        for k, t in enumerate(tc.tournaments):
             assert t.packed.tobytes() == stream_row(n, seed, k)
             assert t == stream_draw(n, seed, k)
+        assert generators.random_tournament(n, seed) == stream_draw(n, seed, 0)
 
     @pytest.mark.parametrize("seed", [2, 2**64 + 3])
     def test_a_redrawn_member_is_its_attempts_window(self, seed):
@@ -313,11 +308,6 @@ class TestBatchedSeeding:
         assert max(attempts) > 0
         for i, t in enumerate(tc.tournaments):
             assert t.packed.tobytes() == stream_row(n, seed, i, attempts[i])
-        index = 2**32 + 1
-        t = generators.random_tournament(n, seed, strongly_connected=True,
-                                         index=index)
-        attempt = TestDrawCount.rejections(n, seed, index)
-        assert t == stream_draw(n, seed, index, attempt)
 
     @pytest.mark.parametrize("m", [9, 10, 40])
     def test_members_are_their_streams_draws(self, m):
@@ -326,10 +316,8 @@ class TestBatchedSeeding:
             tc = generators.random_collection(
                 n, m, seed, strongly_connected_count=k)
             for i, t in enumerate(tc.tournaments):
-                assert t == generators.random_tournament(
-                    n, seed, strongly_connected=i < k, index=i)
-                if i >= k:
-                    assert t == stream_draw(n, seed, i)
+                attempt = TestDrawCount.rejections(n, seed, i) if i < k else 0
+                assert t == stream_draw(n, seed, i, attempt)
 
     @pytest.mark.parametrize("seed", [0, 2**64 + 3])
     def test_strong_blocks_keep_each_member_its_draw(self, seed):
@@ -339,8 +327,8 @@ class TestBatchedSeeding:
         tc = generators.random_collection(n, m, seed,
                                           strongly_connected_count=k)
         for i, t in enumerate(tc.tournaments):
-            assert t == generators.random_tournament(
-                n, seed, strongly_connected=i < k, index=i)
+            attempt = TestDrawCount.rejections(n, seed, i) if i < k else 0
+            assert t == stream_draw(n, seed, i, attempt)
             if i >= k:
                 assert t.packed.tobytes() == stream_row(n, seed, i)
 
@@ -367,23 +355,25 @@ class TestBatchedSeeding:
         assert [t.packed.tobytes() for t in tc.tournaments] == [
             stream_row(n, 3, i) for i in range(m)]
 
-    def test_index_past_32_bits_draws_its_own_stream(self):
-        index = 2**32 + 1
-        t = generators.random_tournament(12, seed=5, index=index)
-        assert t == stream_draw(12, 5, index)
-
     @pytest.mark.parametrize("call, exc", [
         (lambda: generators.random_collection(5, 4, seed=-1), ValueError),
         (lambda: generators.random_tournament(5, seed=-1), ValueError),
-        (lambda: generators.random_tournament(5, 0, index=-1), ValueError),
+        (lambda: generators.random_collection(
+            5, 4, 0, strongly_connected_count=-1), ValueError),
         (lambda: generators.random_collection(5, 12, seed=-1), ValueError),
         (lambda: generators.random_collection(5, 4, seed=1.5), TypeError),
         (lambda: generators.random_collection(5, 12, seed=1.5), TypeError),
         (lambda: generators.random_tournament(5, seed="1"), TypeError),
         (lambda: generators.random_collection(0, 4, seed=0), ValueError),
         (lambda: generators.random_collection(5, 0, seed=0), ValueError),
-        (lambda: generators.random_tournament(
-            2, 0, strongly_connected=True), ValueError),
+        (lambda: generators.random_collection(
+            2, 1, 0, strongly_connected_count=1), ValueError),
+        (lambda: generators.random_collection(
+            5, 4, 0, strongly_connected_count=0.0), TypeError),
+        (lambda: generators.random_collection(
+            5, 4, 0, strongly_connected_count=""), TypeError),
+        (lambda: generators.random_collection(
+            5, 4, 0, strongly_connected_count=[]), TypeError),
     ])
     def test_bad_arguments_keep_their_exception_types(self, call, exc):
         with pytest.raises(exc):
@@ -408,7 +398,7 @@ class TestVertexCount:
     def test_float_n_is_refused_before_any_draw(self, m):
         with pytest.raises(TypeError, match="'float'") as exc:
             generators.random_collection(5.0, m, seed=0)
-        assert exc.traceback[-1].name == "_collection"
+        assert exc.traceback[-1].name == "random_collection"
 
 
 class TestGenerateDispatch:

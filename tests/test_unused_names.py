@@ -1,6 +1,7 @@
 """No package module imports a name it never uses or assigns a local it
-never reads, no function has a parameter that its body never reads, and
-no module defines a private name that no module reads.
+never reads, no function has a parameter that its body never reads or a
+default that no caller sets, and no module defines a private name that no
+module reads.
 
 Each module under src/ is parsed with ``ast``.  An import is used when the
 module loads its name or lists it in ``__all__``.  A local is a name that a
@@ -19,9 +20,19 @@ its top level by ``def``, ``class`` or assignment.  It is read when another
 top-level statement of any module loads it or reads it as an attribute
 (``core._bits``); its own definition does not count.
 
-The one allowed exception is pipeline's ``induced_collection`` import:
+A default is that of a positional or keyword-only parameter (``self``
+and ``cls`` skipped).  It is set when a call in any module passes it, by
+position or by keyword, to a function its callee can name: a name, an
+attribute, both arms of a conditional expression, every value of a
+subscripted dict literal, or a name assigned one of these (``search`` in
+``pipeline._solve``, ``solver`` in ``cli._cmd_solve``).  Functions are
+matched by name alone.
+
+The one allowed unused import is pipeline's ``induced_collection``:
 tests/test_benchmark_names.py and perfbench pin it until the benchmark
-drops that binding (ROADMAP item 19).
+drops that binding (ROADMAP item 19).  The one allowed unset default is
+``cli.main``'s ``argv``: the console script calls ``main()`` with no
+argument, and only tests pass ``argv``.
 """
 
 import ast
@@ -33,6 +44,7 @@ import rainbow_tournaments
 
 SOURCES = sorted(Path(rainbow_tournaments.__file__).parent.glob("*.py"))
 ALLOWED = {"pipeline: induced_collection"}
+UNSET_DEFAULTS = {"cli: main.argv"}
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -133,6 +145,68 @@ def unread_privates(*trees: ast.Module) -> set[str]:
                        if j != i)}
 
 
+def _defaults(tree: ast.Module):
+    """(function, parameter, position or None) of each defaulted parameter
+    of a function of tree: a position skips a leading self or cls, and a
+    keyword-only parameter has None."""
+    for func in ast.walk(tree):
+        if not isinstance(func, _DEFS):
+            continue
+        args = func.args
+        positional = [p.arg for p in (*args.posonlyargs, *args.args)]
+        positional = positional[positional[:1] in (["self"], ["cls"]):]
+        for pos in range(len(positional) - len(args.defaults),
+                         len(positional)):
+            yield func.name, positional[pos], pos
+        for p, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield func.name, p.arg, None
+
+
+def _callees(node: ast.AST, assigned: dict) -> set[str]:
+    """The function names a callee expression can stand for: a name (and
+    what a name is assigned), an attribute, both arms of a conditional
+    expression, every value of a subscripted dict literal."""
+    if isinstance(node, ast.Name):
+        return {node.id}.union(*(_callees(value, {})
+                                 for value in assigned.get(node.id, ())))
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.IfExp):
+        return _callees(node.body, assigned) | _callees(node.orelse, assigned)
+    if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Dict):
+        return set().union(*(_callees(v, assigned) for v in node.value.values))
+    return set()
+
+
+def _calls(tree: ast.Module):
+    """(callee names, positional arguments, keywords) of each call in
+    tree; a starred argument passes every position, and ``**`` every
+    keyword (as the keyword None)."""
+    assigned = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    assigned.setdefault(target.id, []).append(node.value)
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call):
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            yield (_callees(call.func, assigned),
+                   float("inf") if starred else len(call.args),
+                   {k.arg for k in call.keywords})
+
+
+def unset_defaults(*trees: ast.Module) -> set[str]:
+    calls = [call for tree in trees for call in _calls(tree)]
+    return {f"{func}.{param}" for tree in trees
+            for func, param, pos in _defaults(tree)
+            if not any(func in names and (
+                param in keywords or None in keywords
+                or pos is not None and pos < count)
+                for names, count, keywords in calls)}
+
+
 def _scan(check) -> set[str]:
     return {f"{path.stem}: {name}" for path in SOURCES
             for name in check(ast.parse(path.read_text(), str(path)))}
@@ -148,6 +222,15 @@ def test_every_local_is_read():
 
 def test_every_parameter_is_read():
     assert _scan(unread_parameters) == set()
+
+
+def test_every_default_is_set_by_a_caller():
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in SOURCES}
+    unset = unset_defaults(*trees.values())
+    assert {f"{stem}: {func}.{param}" for stem, tree in trees.items()
+            for func, param, _ in _defaults(tree)
+            if f"{func}.{param}" in unset} == UNSET_DEFAULTS
 
 
 def test_every_private_name_is_read():
@@ -178,6 +261,16 @@ def test_every_private_name_is_read():
      "class C:\n    def g(self, x, y: int):\n        def h(z):\n"
      "            return x\n        return h\n",
      unread_parameters, {"f.b", "f.c", "f.f", "g.y", "h.z"}),
+    ("def f(a, b=1, *, c=2, d=3):\n    pass\nclass C:\n"
+     "    def g(self, x=0, y=0):\n        pass\n"
+     "f(0, 5)\nm.f(0, d=4)\nC().g(1)\n",
+     unset_defaults, {"f.c", "g.y"}),
+    ("def h(a=0):\n    pass\ndef k(a=0):\n    pass\ndef p(a=0):\n    pass\n"
+     "def q(a=0, b=0):\n    pass\ndef r(a=0, *, b=0):\n    pass\n"
+     "def s(a=0):\n    pass\ndef run(flag, kw):\n"
+     "    pick = h if flag else m.k\n    pick(1)\n"
+     "    {'x': p, 'y': m.q}[flag](*flag)\n    r(**kw)\n",
+     unset_defaults, {"s.a"}),
 ])
 def test_the_scan_finds_what_it_should(source, check, expected):
     assert check(ast.parse(source)) == expected
